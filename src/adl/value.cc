@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <iterator>
 
 #include "common/str_util.h"
 
@@ -194,6 +195,27 @@ Value Value::SetUnion(const Value& other) const {
   std::vector<Value> out;
   out.reserve(a.size() + b.size());
   std::merge(a.begin(), a.end(), b.begin(), b.end(), std::back_inserter(out));
+  out.erase(std::unique(out.begin(), out.end()), out.end());
+  return SetFromCanonical(std::move(out));
+}
+
+Value Value::SetUnionMove(const Value& other) && {
+  N2J_CHECK(is_set() && other.is_set());
+  // Another owner may still read the payload: fall back to copying.
+  if (rep_.p->refs.load(std::memory_order_acquire) != 1) {
+    return SetUnion(other);
+  }
+  const std::vector<Value>& b = other.elements();
+  std::vector<Value> a = std::move(static_cast<SetPayload*>(rep_.p)->elems);
+  if (a.empty() || b.empty() || a.back().Compare(b.front()) < 0) {
+    a.insert(a.end(), b.begin(), b.end());
+    return SetFromCanonical(std::move(a));
+  }
+  std::vector<Value> out;
+  out.reserve(a.size() + b.size());
+  std::merge(std::make_move_iterator(a.begin()),
+             std::make_move_iterator(a.end()), b.begin(), b.end(),
+             std::back_inserter(out));
   out.erase(std::unique(out.begin(), out.end()), out.end());
   return SetFromCanonical(std::move(out));
 }

@@ -176,6 +176,13 @@ class Value {
   /// this ⊆ other (strict = proper subset this ⊂ other).
   bool IsSubsetOf(const Value& other, bool strict) const;
   Value SetUnion(const Value& other) const;
+  /// SetUnion that consumes this set: when this handle is the payload's
+  /// only owner its element vector is reused rather than copied, so the
+  /// old elements are moved, never re-counted; when every element of
+  /// `other` sorts after this set's last one the union is an append.
+  /// Same result as SetUnion. The memoized canonical extent set
+  /// (Table::AsSetValue) merges appended rows through here.
+  Value SetUnionMove(const Value& other) &&;
   Value SetIntersect(const Value& other) const;
   Value SetDifference(const Value& other) const;
 

@@ -2,9 +2,9 @@
 
 #include <algorithm>
 #include <cmath>
-#include <unordered_set>
 
 #include "common/str_util.h"
+#include "obs/metrics.h"
 
 namespace n2j {
 
@@ -35,6 +35,73 @@ void TrackRange(const Value& v, Value* min, Value* max, uint64_t seen) {
   }
   if (v.Compare(*min) < 0) *min = v;
   if (v.Compare(*max) > 0) *max = v;
+}
+
+/// Exact distinct-value set for the statistics fold: open addressing
+/// with linear probing over a power-of-two array whose slots are the
+/// 16-byte Values themselves. A null slot is empty (a null member is a
+/// flag), so a distinct value costs one slot and no node allocation, and
+/// string/tuple slots share their payload with the extent row. Grown at
+/// 3/4 load, so resident cost is 21–43 bytes per distinct value.
+class FlatValueSet {
+ public:
+  void Insert(const Value& v) {
+    if (v.is_null()) {
+      has_null_ = true;
+      return;
+    }
+    if (!slots_.empty()) {
+      size_t i = Probe(v);
+      if (!slots_[i].is_null()) return;  // already a member
+      if (4 * (count_ + 1) <= 3 * slots_.size()) {
+        slots_[i] = v;
+        ++count_;
+        return;
+      }
+    }
+    Grow();
+    slots_[Probe(v)] = v;
+    ++count_;
+  }
+
+  size_t size() const { return count_ + (has_null_ ? 1 : 0); }
+
+ private:
+  /// The slot holding `v`, or the empty slot where it belongs.
+  size_t Probe(const Value& v) const {
+    size_t mask = slots_.size() - 1;
+    // Fibonacci hashing: the top bits of the product mix every hash bit.
+    size_t i = static_cast<size_t>((v.Hash() * 0x9e3779b97f4a7c15ULL) >>
+                                   shift_);
+    while (!slots_[i].is_null() && slots_[i] != v) i = (i + 1) & mask;
+    return i;
+  }
+
+  void Grow() {
+    std::vector<Value> old = std::move(slots_);
+    slots_ = std::vector<Value>(old.empty() ? 16 : 2 * old.size());
+    shift_ = old.empty() ? 60 : shift_ - 1;
+    for (Value& v : old) {
+      if (!v.is_null()) slots_[Probe(v)] = std::move(v);
+    }
+  }
+
+  std::vector<Value> slots_;
+  size_t count_ = 0;  // non-null members
+  int shift_ = 64;    // 64 - log2(slots_.size())
+  bool has_null_ = false;
+};
+
+obs::Counter& FullScans() {
+  static obs::Counter& c =
+      obs::MetricsRegistry::Global().GetCounter("n2j_stats_full_scans_total");
+  return c;
+}
+
+obs::Counter& RowsFolded() {
+  static obs::Counter& c = obs::MetricsRegistry::Global().GetCounter(
+      "n2j_stats_rows_folded_total");
+  return c;
 }
 
 /// Numeric image of a rangeable value, for overlap arithmetic. Strings
@@ -96,75 +163,101 @@ std::string ExtentStats::ToString() const {
   return out;
 }
 
-ExtentStats CollectExtentStats(const Table& t) {
-  ExtentStats s;
-  s.table = t.name();
-  s.version = t.version();
-  s.row_count = t.rows().size();
+/// The running state behind one extent's statistics: one accumulator
+/// per attribute plus the number of rows folded so far. Folding rows
+/// [a, b) and then [b, c) leaves exactly the state of folding [a, c), so
+/// a snapshot after any sequence of folds equals the full collection.
+class ExtentStatsFold {
+ public:
+  /// Folds rows [folded(), end) of `rows`; earlier rows are never read.
+  void Fold(const std::vector<Value>& rows, size_t end);
 
+  /// The statistics of the rows folded so far.
+  ExtentStats Snapshot(const std::string& table, uint64_t version) const;
+
+  size_t folded() const { return folded_; }
+
+ private:
   struct Acc {
     AttrStats a;
-    std::unordered_set<Value, ValueHash> distinct;
-    std::unordered_set<Value, ValueHash> element_distinct;
+    FlatValueSet distinct;
+    FlatValueSet element_distinct;
     uint64_t fanout_total = 0;
     uint64_t empties = 0;
-    uint64_t element_seen = 0;
+    uint64_t scalar_seen = 0;   // rangeable scalar values tracked
+    uint64_t element_seen = 0;  // rangeable element values tracked
     bool element_field_mixed = false;
   };
-  std::map<std::string, Acc> accs;
 
-  for (const Value& row : t.rows()) {
+  void FoldValue(const Value& v, Acc* acc);
+
+  std::map<std::string, Acc> accs_;
+  size_t folded_ = 0;
+};
+
+void ExtentStatsFold::Fold(const std::vector<Value>& rows, size_t end) {
+  for (; folded_ < end; ++folded_) {
+    const Value& row = rows[folded_];
     if (!row.is_tuple()) continue;
     for (size_t i = 0; i < row.tuple_size(); ++i) {
       const std::string& name = row.field_name(i);
-      const Value& v = row.field_value(i);
-      Acc& acc = accs[name];
+      Acc& acc = accs_[name];
       acc.a.name = name;
-      ++acc.a.rows_seen;
-      if (v.is_set()) {
-        acc.a.set_valued = true;
-        size_t n = v.set_size();
-        acc.fanout_total += n;
-        acc.a.max_fanout = std::max<uint64_t>(acc.a.max_fanout, n);
-        ++acc.a.fanout_hist[FanoutBucket(n)];
-        if (n == 0) ++acc.empties;
-        for (const Value& e : v.elements()) {
-          // Element-level stats: unary NF2 tuples (d : int) contribute
-          // their single field; everything else contributes the element
-          // itself. Membership joins probe with exactly these values.
-          const Value* probe = &e;
-          if (e.is_tuple() && e.tuple_size() == 1) {
-            probe = &e.field_value(0);
-            if (!acc.element_field_mixed) {
-              if (acc.a.element_field.empty()) {
-                acc.a.element_field = e.field_name(0);
-              } else if (acc.a.element_field != e.field_name(0)) {
-                acc.element_field_mixed = true;
-                acc.a.element_field.clear();
-              }
-            }
-          } else {
-            acc.element_field_mixed = true;
-            acc.a.element_field.clear();
-          }
-          acc.element_distinct.insert(*probe);
-          if (Rangeable(*probe)) {
-            TrackRange(*probe, &acc.a.element_min, &acc.a.element_max,
-                       acc.element_seen);
-            ++acc.element_seen;
-          }
-        }
-      } else if (!v.is_tuple()) {
-        acc.a.scalar = true;
-        acc.distinct.insert(v);
-        if (Rangeable(v)) {
-          TrackRange(v, &acc.a.min, &acc.a.max, acc.distinct.size() - 1);
-        }
-      }
+      FoldValue(row.field_value(i), &acc);
     }
   }
+}
 
-  for (auto& [name, acc] : accs) {
+void ExtentStatsFold::FoldValue(const Value& v, Acc* acc) {
+  ++acc->a.rows_seen;
+  if (v.is_set()) {
+    acc->a.set_valued = true;
+    size_t n = v.set_size();
+    acc->fanout_total += n;
+    acc->a.max_fanout = std::max<uint64_t>(acc->a.max_fanout, n);
+    ++acc->a.fanout_hist[FanoutBucket(n)];
+    if (n == 0) ++acc->empties;
+    for (const Value& e : v.elements()) {
+      // Element-level stats: unary NF2 tuples (d : int) contribute
+      // their single field; everything else contributes the element
+      // itself. Membership joins probe with exactly these values.
+      const Value* probe = &e;
+      if (e.is_tuple() && e.tuple_size() == 1) {
+        probe = &e.field_value(0);
+        if (!acc->element_field_mixed) {
+          if (acc->a.element_field.empty()) {
+            acc->a.element_field = e.field_name(0);
+          } else if (acc->a.element_field != e.field_name(0)) {
+            acc->element_field_mixed = true;
+            acc->a.element_field.clear();
+          }
+        }
+      } else {
+        acc->element_field_mixed = true;
+        acc->a.element_field.clear();
+      }
+      acc->element_distinct.Insert(*probe);
+      if (Rangeable(*probe)) {
+        TrackRange(*probe, &acc->a.element_min, &acc->a.element_max,
+                   acc->element_seen++);
+      }
+    }
+  } else if (!v.is_tuple()) {
+    acc->a.scalar = true;
+    acc->distinct.Insert(v);
+    if (Rangeable(v)) {
+      TrackRange(v, &acc->a.min, &acc->a.max, acc->scalar_seen++);
+    }
+  }
+}
+
+ExtentStats ExtentStatsFold::Snapshot(const std::string& table,
+                                      uint64_t version) const {
+  ExtentStats s;
+  s.table = table;
+  s.version = version;
+  s.row_count = folded_;
+  for (const auto& [name, acc] : accs_) {
     AttrStats a = acc.a;
     a.distinct = acc.distinct.size();
     if (a.set_valued && a.rows_seen > 0) {
@@ -178,6 +271,13 @@ ExtentStats CollectExtentStats(const Table& t) {
     s.attrs.emplace(name, std::move(a));
   }
   return s;
+}
+
+ExtentStats CollectExtentStats(const Table& t) {
+  Table::Stamp now = t.stamp();
+  ExtentStatsFold fold;
+  fold.Fold(t.rows(), now.rows);
+  return fold.Snapshot(t.name(), now.version);
 }
 
 double RangeOverlapFraction(const AttrStats& a, const AttrStats& b) {
@@ -261,43 +361,61 @@ double EstimateMatchRate(const AttrStats* left, const AttrStats* right,
   return std::max(0.0, std::min(1.0, rate));
 }
 
+StatsCatalog::StatsCatalog() = default;
+StatsCatalog::~StatsCatalog() = default;
+
+void StatsCatalog::Refresh(const Table& t, Table::Stamp now, bool full,
+                           Entry* entry) {
+  if (full || entry->fold == nullptr || entry->table != &t ||
+      now.rows < entry->fold->folded()) {
+    entry->fold = std::make_unique<ExtentStatsFold>();
+    entry->table = &t;
+    FullScans().Add();
+  } else {
+    RowsFolded().Add(now.rows - entry->fold->folded());
+  }
+  entry->fold->Fold(t.rows(), now.rows);
+  entry->snapshot = std::make_shared<const ExtentStats>(
+      entry->fold->Snapshot(t.name(), now.version));
+}
+
 std::shared_ptr<const ExtentStats> StatsCatalog::Get(
     const Database& db, const std::string& table) const {
   const Table* t = db.FindTable(table);
   if (t == nullptr) return nullptr;
-  // Collection runs under mu_ so concurrent readers of a stale entry
-  // never compute the same scan twice; publication swaps the map slot to
+  // The fold runs under mu_ so concurrent readers of a stale entry never
+  // fold the same rows twice; publication swaps the entry's snapshot to
   // a fresh shared_ptr, leaving snapshots already handed out untouched.
   std::lock_guard<std::mutex> lock(mu_);
-  auto it = cache_.find(table);
-  if (it != cache_.end() && it->second->version == t->version()) {
-    return it->second;
+  Table::Stamp now = t->stamp();
+  Entry& entry = entries_[table];
+  if (entry.snapshot != nullptr && entry.table == t &&
+      entry.snapshot->version == now.version) {
+    return entry.snapshot;
   }
-  auto fresh = std::make_shared<const ExtentStats>(CollectExtentStats(*t));
-  cache_.insert_or_assign(table, fresh);
-  return fresh;
+  Refresh(*t, now, /*full=*/false, &entry);
+  return entry.snapshot;
 }
 
 std::shared_ptr<const ExtentStats> StatsCatalog::Peek(
     const std::string& table) const {
   std::lock_guard<std::mutex> lock(mu_);
-  auto it = cache_.find(table);
-  return it == cache_.end() ? nullptr : it->second;
+  auto it = entries_.find(table);
+  return it == entries_.end() ? nullptr : it->second.snapshot;
 }
 
 void StatsCatalog::Analyze(const Database& db) {
+  std::lock_guard<std::mutex> lock(mu_);
   for (const std::string& name : db.TableNames()) {
     const Table* t = db.FindTable(name);
     if (t == nullptr) continue;
-    auto fresh = std::make_shared<const ExtentStats>(CollectExtentStats(*t));
-    std::lock_guard<std::mutex> lock(mu_);
-    cache_.insert_or_assign(name, std::move(fresh));
+    Refresh(*t, t->stamp(), /*full=*/true, &entries_[name]);
   }
 }
 
 void StatsCatalog::Clear() {
   std::lock_guard<std::mutex> lock(mu_);
-  cache_.clear();
+  entries_.clear();
 }
 
 }  // namespace n2j

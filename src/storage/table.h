@@ -1,6 +1,7 @@
 #ifndef N2J_STORAGE_TABLE_H_
 #define N2J_STORAGE_TABLE_H_
 
+#include <cstdint>
 #include <mutex>
 #include <string>
 #include <vector>
@@ -15,6 +16,12 @@ namespace n2j {
 /// tuple Values; set-valued attributes are stored clustered with their
 /// parent tuple, as the paper assumes ("Assuming set-valued attributes are
 /// stored clustered, ...").
+///
+/// Extents are append-only: Append is the only mutator, so rows
+/// [0, size()) never change once written. Derived caches rely on that —
+/// the memoized canonical set below and the extent statistics
+/// (stats/stats.h) fold in only the rows appended since they were last
+/// brought up to date instead of rescanning the extent.
 class Table {
  public:
   Table() = default;
@@ -33,40 +40,55 @@ class Table {
   const std::vector<Value>& rows() const { return rows_; }
   size_t size() const { return rows_.size(); }
 
-  /// Monotone mutation counter. Bumped by every Append, exactly when the
-  /// memoized canonical set is invalidated — consumers that cache
-  /// derived state (extent statistics, stats/stats.h) compare versions
-  /// to detect staleness instead of re-scanning.
+  /// Monotone mutation counter, bumped by every Append. Consumers that
+  /// cache derived state (extent statistics, columnar projections)
+  /// compare versions to detect staleness instead of re-scanning.
   uint64_t version() const {
     std::lock_guard<std::mutex> lock(cache_mu_);
     return version_;
   }
 
-  /// Appends a row. The caller is responsible for type conformance
-  /// (Database::Insert checks it). Invalidates the memoized canonical
-  /// set and bumps version() — both under one lock, so a stale
-  /// statistics snapshot can always be detected by a version compare.
-  void Append(Value row) {
-    {
-      std::lock_guard<std::mutex> lock(cache_mu_);
-      canonical_set_ = Value();
-      has_canonical_set_ = false;
-      ++version_;
-    }
-    rows_.push_back(std::move(row));
+  /// version() and the row count, read together under the lock Append
+  /// takes: the first `rows` rows are exactly the extent at `version`.
+  /// A cache that folds rows [0, rows) stamps its result with `version`
+  /// and can never claim a version whose row it did not see.
+  struct Stamp {
+    uint64_t version = 0;
+    size_t rows = 0;
+  };
+  Stamp stamp() const {
+    std::lock_guard<std::mutex> lock(cache_mu_);
+    return Stamp{version_, rows_.size()};
   }
 
-  /// All rows as a canonical set Value (sorted, deduplicated). Memoized:
-  /// the sort runs once per load, not once per query — the returned
-  /// Value shares the cached payload. Guarded by a mutex because
+  /// Appends a row. The caller is responsible for type conformance
+  /// (Database::Insert checks it). The row and the version bump land
+  /// under one lock, so stamp() never pairs a version with a row count
+  /// it does not belong to.
+  void Append(Value row) {
+    std::lock_guard<std::mutex> lock(cache_mu_);
+    rows_.push_back(std::move(row));
+    ++version_;
+  }
+
+  /// All rows as a canonical set Value (sorted, deduplicated). Memoized
+  /// and maintained incrementally: the first call sorts the extent; a
+  /// later call after Appends sorts only the new rows and merges them
+  /// into the cached set — O(n + k log k) for k new rows instead of
+  /// O(n log n), with the same result as Value::Set(rows()). The
+  /// returned Value shares the cached payload. Guarded by a mutex because
   /// concurrent read-only queries (one Evaluator per worker) resolve
   /// tables through here.
   Value AsSetValue() const {
     std::lock_guard<std::mutex> lock(cache_mu_);
-    if (!has_canonical_set_) {
+    if (!canonical_set_.is_set()) {
       canonical_set_ = Value::Set(rows_);
-      has_canonical_set_ = true;
+    } else if (canonical_rows_ < rows_.size()) {
+      std::vector<Value> delta(rows_.begin() + canonical_rows_, rows_.end());
+      canonical_set_ =
+          std::move(canonical_set_).SetUnionMove(Value::Set(std::move(delta)));
     }
+    canonical_rows_ = rows_.size();
     return canonical_set_;
   }
 
@@ -75,8 +97,9 @@ class Table {
   TypePtr row_type_;
   std::vector<Value> rows_;
   mutable std::mutex cache_mu_;
+  // Canonical set of rows [0, canonical_rows_); null until first built.
   mutable Value canonical_set_;
-  mutable bool has_canonical_set_ = false;
+  mutable size_t canonical_rows_ = 0;
   uint64_t version_ = 0;
 };
 

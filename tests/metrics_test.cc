@@ -1,14 +1,21 @@
 // Metrics registry semantics (ISSUE 10 satellites): the nanosecond sum
 // accumulator (sub-microsecond observations must not truncate to zero),
 // Reset-then-Observe exact deltas for sequential callers, and the
-// deterministic merged render order `\metrics` depends on.
+// deterministic merged render order `\metrics` depends on. Also pins
+// the statistics-fold counters that show whether a StatsCatalog refresh
+// rescanned the extent or folded in only the appended rows.
 
 #include <gtest/gtest.h>
 
 #include <string>
 #include <vector>
 
+#include "adl/type.h"
+#include "adl/value.h"
 #include "obs/metrics.h"
+#include "obs/openmetrics.h"
+#include "stats/stats.h"
+#include "storage/database.h"
 
 namespace n2j {
 namespace obs {
@@ -105,6 +112,37 @@ TEST(MetricsRegistry, ValueAccessorsAreNameSorted) {
   EXPECT_EQ(hists[0].name, "mmm");
   EXPECT_EQ(hists[0].count, 1u);
   EXPECT_NEAR(hists[0].sum_ms, 0.5, 1e-9);
+}
+
+TEST(MetricsRegistry, StatsFoldCountersPinFullScanThenFolds) {
+  MetricsRegistry& reg = MetricsRegistry::Global();
+  reg.Reset();
+  Database db;
+  ASSERT_TRUE(db.CreateTable("T", Type::Tuple({{"k", Type::Int()}})).ok());
+  auto insert = [&db](int i) {
+    ASSERT_TRUE(db.Insert("T", Value::Tuple({Field("k", Value::Int(i))})).ok());
+  };
+  for (int i = 0; i < 100; ++i) insert(i);
+  ASSERT_NE(db.stats().Get(db, "T"), nullptr);
+  EXPECT_EQ(reg.GetCounter("n2j_stats_full_scans_total").value(), 1u);
+  EXPECT_EQ(reg.GetCounter("n2j_stats_rows_folded_total").value(), 0u);
+
+  // Seven appends, each read back: every refresh folds exactly the one
+  // new row; an unchanged extent folds nothing.
+  for (int i = 100; i < 107; ++i) {
+    insert(i);
+    ASSERT_NE(db.stats().Get(db, "T"), nullptr);
+    ASSERT_NE(db.stats().Get(db, "T"), nullptr);
+  }
+  EXPECT_EQ(reg.GetCounter("n2j_stats_full_scans_total").value(), 1u);
+  EXPECT_EQ(reg.GetCounter("n2j_stats_rows_folded_total").value(), 7u);
+  EXPECT_EQ(db.stats().Get(db, "T")->row_count, 107u);
+
+  std::string om = RenderOpenMetrics(reg);
+  EXPECT_NE(om.find("n2j_stats_full_scans_total 1\n"), std::string::npos)
+      << om;
+  EXPECT_NE(om.find("n2j_stats_rows_folded_total 7\n"), std::string::npos)
+      << om;
 }
 
 }  // namespace

@@ -103,6 +103,34 @@ TEST(ValueTest, SetAlgebra) {
   EXPECT_EQ(a.SetDifference(b), Value::Set({Value::Int(1)}));
 }
 
+TEST(ValueTest, SetUnionMoveMatchesSetUnion) {
+  auto ints = [](std::vector<int> xs) {
+    std::vector<Value> v;
+    for (int x : xs) v.push_back(Value::Int(x));
+    return Value::Set(std::move(v));
+  };
+  // Unique owner, overlapping (merge path) and disjoint-after (append
+  // path) right-hand sides, and empty operands on either side.
+  const std::vector<std::pair<Value, Value>> cases = {
+      {ints({1, 3, 5}), ints({2, 3, 6})}, {ints({1, 2}), ints({3, 4})},
+      {ints({}), ints({1})},              {ints({1}), ints({})},
+      {ints({5}), ints({1, 5})}};
+  for (const auto& [a, b] : cases) {
+    Value want = a.SetUnion(b);
+    Value owned = Value::Set(a.elements());  // a payload nobody else holds
+    Value got = std::move(owned).SetUnionMove(b);
+    EXPECT_EQ(got, want) << a.ToString() << " u " << b.ToString();
+    EXPECT_EQ(got.set_size(), want.set_size());
+  }
+  // A shared payload is never reused: the other holder keeps its set.
+  Value shared = ints({1, 2});
+  Value holder = shared;
+  Value got = std::move(shared).SetUnionMove(ints({3}));
+  EXPECT_EQ(got, ints({1, 2, 3}));
+  EXPECT_EQ(holder, ints({1, 2}));
+  EXPECT_EQ(holder.set_size(), 2u);
+}
+
 TEST(ValueTest, NestedSetEquality) {
   Value s1 = Value::Set({T2("a", 1, "b", 2), T2("a", 3, "b", 4)});
   Value s2 = Value::Set({T2("a", 3, "b", 4), T2("a", 1, "b", 2)});
