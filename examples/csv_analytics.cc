@@ -79,7 +79,7 @@ int main() {
 
   RewriteOptions rewrite;
   EvalOptions exec;
-  exec.join_algorithm = JoinAlgorithm::kAuto;  // use the index when it fits
+  exec.join_algorithm = JoinAlgorithm::kIndex;  // use the index when it fits
   QueryEngine engine(&db, rewrite, exec);
 
   Run(engine, "products that were ever ordered (semijoin)",

@@ -2,9 +2,11 @@
 
 #include <array>
 #include <atomic>
+#include <utility>
 
 #include "adl/analysis.h"
 #include "common/str_util.h"
+#include "storage/database.h"
 
 namespace n2j {
 
@@ -15,6 +17,52 @@ std::string EquiJoinKeys::Describe() const {
   }
   return out;
 }
+
+namespace {
+
+/// Matches one conjunct against the three membership forms.
+bool MatchMembership(const ExprPtr& c, const std::string& lvar,
+                     const std::string& rvar, MembershipKey* out) {
+  if (c->kind() == ExprKind::kBinary &&
+      (c->bin_op() == BinOp::kIn || c->bin_op() == BinOp::kContains)) {
+    bool in = c->bin_op() == BinOp::kIn;
+    const ExprPtr& probe = c->child(in ? 0 : 1);
+    const ExprPtr& container = c->child(in ? 1 : 0);
+    if (PlainAttr(container, lvar) == nullptr || IsFreeIn(lvar, probe) ||
+        !IsFreeIn(rvar, probe)) {
+      return false;
+    }
+    out->right_key = probe;
+    out->attr = container->name();
+    return true;
+  }
+  // ∃v ∈ x.attr · k(v) = f(y)  (either orientation of the equality).
+  if (c->kind() != ExprKind::kQuantifier ||
+      c->quant_kind() != QuantKind::kExists ||
+      PlainAttr(c->child(0), lvar) == nullptr ||
+      c->child(1)->kind() != ExprKind::kBinary ||
+      c->child(1)->bin_op() != BinOp::kEq) {
+    return false;
+  }
+  const std::string& v = c->var();
+  auto elem_side = [&](const ExprPtr& e) {
+    return IsFreeIn(v, e) && !IsFreeIn(rvar, e) && !IsFreeIn(lvar, e);
+  };
+  auto right_side = [&](const ExprPtr& e) {
+    return IsFreeIn(rvar, e) && !IsFreeIn(v, e) && !IsFreeIn(lvar, e);
+  };
+  ExprPtr a = c->child(1)->child(0);
+  ExprPtr b = c->child(1)->child(1);
+  if (!(elem_side(a) && right_side(b))) std::swap(a, b);
+  if (!(elem_side(a) && right_side(b))) return false;
+  out->elem_var = v;
+  out->elem_key = a;
+  out->right_key = b;
+  out->attr = c->child(0)->name();
+  return true;
+}
+
+}  // namespace
 
 EquiJoinKeys ExtractEquiKeys(const ExprPtr& pred, const std::string& lvar,
                              const std::string& rvar) {
@@ -42,6 +90,58 @@ EquiJoinKeys ExtractEquiKeys(const ExprPtr& pred, const std::string& lvar,
     out.residual.push_back(conjunct);
   }
   return out;
+}
+
+const std::string* PlainAttr(const ExprPtr& e, const std::string& var) {
+  if (e->kind() != ExprKind::kFieldAccess) return nullptr;
+  const ExprPtr& base = e->child(0);
+  if (base->kind() != ExprKind::kVar || base->name() != var) return nullptr;
+  return &e->name();
+}
+
+const char* JoinMethodName(JoinMethod m) {
+  switch (m) {
+    case JoinMethod::kNestedLoop: return "nested-loop";
+    case JoinMethod::kHash: return "hash";
+    case JoinMethod::kSortMerge: return "sort-merge";
+    case JoinMethod::kIndex: return "index";
+    case JoinMethod::kMembership: return "membership";
+  }
+  return "?";
+}
+
+JoinMethod JoinShape::Dispatch(JoinAlgorithm requested) const {
+  if (requested == JoinAlgorithm::kNestedLoop) return JoinMethod::kNestedLoop;
+  if (requested == JoinAlgorithm::kIndex && index != nullptr) {
+    return JoinMethod::kIndex;
+  }
+  if (keys.usable()) {
+    return requested == JoinAlgorithm::kSortMerge ? JoinMethod::kSortMerge
+                                                  : JoinMethod::kHash;
+  }
+  return membership.found() ? JoinMethod::kMembership
+                            : JoinMethod::kNestedLoop;
+}
+
+JoinShape MatchJoin(const Expr& join, const Database* db) {
+  JoinShape shape;
+  const std::string& lvar = join.var();
+  const std::string& rvar = join.var2();
+  shape.keys = ExtractEquiKeys(join.pred(), lvar, rvar);
+  for (const ExprPtr& c : SplitConjuncts(join.pred())) {
+    if (shape.membership.found() ||
+        !MatchMembership(c, lvar, rvar, &shape.membership)) {
+      shape.membership.residual.push_back(c);
+    }
+  }
+  const ExprPtr& right = join.right();
+  if (db != nullptr && right->kind() == ExprKind::kGetTable &&
+      shape.keys.left_keys.size() == 1 &&
+      PlainAttr(shape.keys.right_keys[0], rvar) != nullptr) {
+    shape.index =
+        db->FindIndex(right->name(), shape.keys.right_keys[0]->name());
+  }
+  return shape;
 }
 
 // Cached per arity so the per-row path never rebuilds name strings.

@@ -7,6 +7,7 @@
 #include "common/str_util.h"
 #include "exec/bytecode.h"
 #include "exec/compile.h"
+#include "exec/equi_join.h"
 #include "exec/plan.h"
 #include "obs/trace.h"
 
@@ -844,14 +845,12 @@ Result<Value> Evaluator::EvalJoinLike(const Expr& e, Environment& env) {
   OpSpan span(opts_.trace, stats_, op);
   AnnotateEstRows(opts_.plan, e, &span);
   // The cost-based planner (opt/optimizer.h) can pin a physical
-  // algorithm on this specific node; kAuto annotations and heuristic
-  // runs keep the engine-wide setting.
+  // algorithm on this specific node; unpinned nodes and heuristic runs
+  // keep the engine-wide setting.
   JoinAlgorithm algorithm = opts_.join_algorithm;
   if (opts_.plan != nullptr) {
     const PlanAnnotation* pa = opts_.plan->Find(&e);
-    if (pa != nullptr && pa->algorithm != JoinAlgorithm::kAuto) {
-      algorithm = pa->algorithm;
-    }
+    if (pa != nullptr && pa->algorithm.has_value()) algorithm = *pa->algorithm;
   }
   N2J_ASSIGN_OR_RETURN(Value l, EvalNode(*e.child(0), env));
   N2J_ASSIGN_OR_RETURN(Value r, EvalNode(*e.child(1), env));
@@ -860,61 +859,34 @@ Result<Value> Evaluator::EvalJoinLike(const Expr& e, Environment& env) {
   }
   span.RowsIn(l.set_size());
   span.RowsBuild(r.set_size());
+  JoinShape shape;
+  JoinMethod method = JoinMethod::kNestedLoop;
   if (opts_.use_hash_joins && algorithm != JoinAlgorithm::kNestedLoop) {
-    Result<Value> result = Status::Unsupported("");
-    uint64_t* algo_counter = nullptr;
-    const char* algo = "";
-    switch (algorithm) {
-      case JoinAlgorithm::kAuto:
-      case JoinAlgorithm::kIndex:
-        // Prefer a prebuilt index; with no usable index, a hash join is
-        // the next-best set-oriented plan before giving up to nested
-        // loops.
-        result = IndexJoin(e, l, env);
-        algo_counter = &stats_.joins_index;
-        algo = "index";
-        if (!result.ok() &&
-            result.status().code() == StatusCode::kUnsupported) {
-          result = HashJoin(e, l, r, env);
-          algo_counter = &stats_.joins_hash;
-          algo = "hash";
-        }
-        break;
-      case JoinAlgorithm::kSortMerge:
-        result = SortMergeJoin(e, l, r, env);
-        algo_counter = &stats_.joins_sortmerge;
-        algo = "sort-merge";
-        break;
-      case JoinAlgorithm::kHash:
-        result = HashJoin(e, l, r, env);
-        algo_counter = &stats_.joins_hash;
-        algo = "hash";
-        break;
-      case JoinAlgorithm::kNestedLoop:
-        break;
-    }
-    if (!result.ok() &&
-        result.status().code() == StatusCode::kUnsupported) {
-      // No equi keys — a membership predicate f(y) ∈ x.c is still
-      // hashable (build on f(y), probe with the set elements).
-      result = MembershipJoin(e, l, r, env);
-      algo_counter = &stats_.joins_membership;
-      algo = "membership";
-    }
-    if (result.ok()) {
-      ++*algo_counter;
-      span.Label(algo);
-      span.RowsOut(result);
-      return result;
-    }
-    if (result.status().code() != StatusCode::kUnsupported) {
-      return result.status();
-    }
-    // Nothing hashable: fall through to nested loop.
+    // Only an index request can use an index: skip the lookup otherwise.
+    shape = MatchJoin(e, algorithm == JoinAlgorithm::kIndex ? &db_ : nullptr);
+    method = shape.Dispatch(algorithm);
   }
-  ++stats_.joins_nested_loop;
-  span.Label("nested-loop");
-  Result<Value> result = NestedLoopJoin(e, l, r, env);
+  span.Label(JoinMethodName(method));
+  Result<Value> result = [&]() -> Result<Value> {
+    switch (method) {
+      case JoinMethod::kIndex:
+        ++stats_.joins_index;
+        return IndexJoin(e, shape, l, env);
+      case JoinMethod::kHash:
+        ++stats_.joins_hash;
+        return HashJoin(e, shape, l, r, env);
+      case JoinMethod::kSortMerge:
+        ++stats_.joins_sortmerge;
+        return SortMergeJoin(e, shape, l, r, env);
+      case JoinMethod::kMembership:
+        ++stats_.joins_membership;
+        return MembershipJoin(e, shape, l, r, env);
+      case JoinMethod::kNestedLoop:
+        break;
+    }
+    ++stats_.joins_nested_loop;
+    return NestedLoopJoin(e, l, r, env);
+  }();
   span.RowsOut(result);
   return result;
 }

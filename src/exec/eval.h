@@ -19,7 +19,9 @@
 namespace n2j {
 
 class CompiledLambda;
+struct EquiJoinKeys;
 struct JoinLambdas;
+struct JoinShape;
 class TraceCollector;
 struct PlanAnnotations;
 
@@ -90,10 +92,13 @@ const EvalStatsField* EvalStatsFields(size_t* count);
 
 /// Physical implementation for the logical join family — "the join can
 /// be implemented as an index nested-loop join, a sort-merge join, a
-/// hash join, etc." (Section 6). Every algorithm needs extractable
-/// equi-join keys; a join without them always runs as a nested loop.
+/// hash join, etc." (Section 6). The hash, sort-merge and index
+/// algorithms need extractable equi-join keys; a join without them but
+/// with a membership conjunct (f(y) ∈ x.c, x.c ∋ f(y), ∃v ∈ x.c ·
+/// k(v) = f(y)) runs as a membership hash join under any of the three,
+/// and anything else as a nested loop. JoinShape::Dispatch
+/// (exec/equi_join.h) is the one place that decides.
 enum class JoinAlgorithm {
-  kAuto,        // index when one exists on the right key, else hash
   kHash,        // build a hash table on the right operand, probe left
   kSortMerge,   // sort both operands on their keys and merge
   kIndex,       // probe a pre-built index on the right base table
@@ -154,8 +159,8 @@ struct EvalOptions {
   TraceCollector* trace = nullptr;
   /// Per-node physical plan annotations from the cost-based planner
   /// (exec/plan.h; filled by opt/optimizer.h). When set, a join-family
-  /// node with an annotated algorithm overrides `join_algorithm` for
-  /// that node only, and estimated cardinalities are attached to trace
+  /// node with a pinned algorithm overrides `join_algorithm` for that
+  /// node only, and estimated cardinalities are attached to trace
   /// spans (EXPLAIN's est-vs-actual column). Borrowed, not owned; must
   /// outlive the evaluation. nullptr = heuristic dispatch, exactly the
   /// pre-planner behavior.
@@ -277,19 +282,23 @@ class Evaluator {
   // Nested-loop implementations (physical baseline).
   Result<Value> NestedLoopJoin(const Expr& e, const Value& l, const Value& r,
                                Environment& env);
-  // Set-oriented implementations (physical.cc / physical_sortmerge.cc).
-  // Each returns kUnsupported when its preconditions fail (no equi keys,
-  // no matching index, ...); the dispatcher then falls back.
-  Result<Value> HashJoin(const Expr& e, const Value& l, const Value& r,
-                         Environment& env);
-  Result<Value> SortMergeJoin(const Expr& e, const Value& l, const Value& r,
+  // Set-oriented implementations (physical.cc / physical_sortmerge.cc /
+  // physical_membership.cc). Each runs on the node's pre-matched shape;
+  // EvalJoinLike only calls one whose inputs the shape provides.
+  Result<Value> HashJoin(const Expr& e, const JoinShape& shape,
+                         const Value& l, const Value& r, Environment& env);
+  Result<Value> SortMergeJoin(const Expr& e, const JoinShape& shape,
+                              const Value& l, const Value& r,
                               Environment& env);
-  Result<Value> IndexJoin(const Expr& e, const Value& l, Environment& env);
-  /// Hash implementation for membership predicates f(y) ∈ x.c: builds on
-  /// the right key and probes with the left tuple's set elements — the
-  /// access pattern behind the paper's Query 6 nestjoin.
-  Result<Value> MembershipJoin(const Expr& e, const Value& l,
-                               const Value& r, Environment& env);
+  Result<Value> IndexJoin(const Expr& e, const JoinShape& shape,
+                          const Value& l, Environment& env);
+  /// Hash implementation for the shape's membership conjunct (f(y) ∈
+  /// x.c, x.c ∋ f(y), ∃v ∈ x.c · k(v) = f(y)): builds on the right key
+  /// and probes with the left tuple's set elements — the access pattern
+  /// behind the paper's Query 5 semijoin and Query 6 nestjoin.
+  Result<Value> MembershipJoin(const Expr& e, const JoinShape& shape,
+                               const Value& l, const Value& r,
+                               Environment& env);
 
   /// Fast path for the Section 6.2 set-valued-attribute join (PNHL);
   /// returns kUnsupported when `e` is not that map pattern.
@@ -320,7 +329,7 @@ class Evaluator {
   /// preserved inside buckets), then parallel probe morsels.
   Result<Value> ParallelHashJoin(const Expr& e, const Value& l,
                                  const Value& r, Environment& env,
-                                 const struct EquiJoinKeys& keys);
+                                 const EquiJoinKeys& keys);
   /// Parallel probe morsels for the membership join (build stays
   /// serial; the probe side dominates). `compile_worker` populates one
   /// JoinLambdas per worker frame (compiled via that worker's evaluator
@@ -334,6 +343,23 @@ class Evaluator {
                                  const Value& x, JoinLambdas& jl,
                                  std::vector<const Value*>* matches)>&
           probe_one);
+
+  /// Compiles a join's key, residual and nestjoin-inner lambdas into
+  /// `jl` when compiled evaluation is on. A null `r` skips the right
+  /// (build) key — an index join has no build side.
+  void CompileJoinLambdas(const Expr& e, const EquiJoinKeys& keys,
+                          const Expr& residual, const Value& l,
+                          const Value* r, Environment& env, JoinLambdas* jl);
+  /// One row's join key: through `cl` when it compiled, else by
+  /// interpreting `keys` under a binding of `var` to `row`.
+  Result<Value> JoinKey(CompiledLambda& cl, const std::vector<ExprPtr>& keys,
+                        const std::string& var, const Value& row,
+                        Environment& env);
+  /// One evaluation of a join's residual predicate on (x, y), compiled
+  /// through `cl` when it compiled; counts a predicate evaluation.
+  Status ResidualHolds(const Expr& e, const Expr& residual,
+                       CompiledLambda& cl, const Value& x, const Value& y,
+                       Environment& env, bool* holds);
 
   /// Shared per-left-tuple result assembly for the join family: given
   /// the matching right tuples (post-residual), appends the appropriate

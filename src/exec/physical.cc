@@ -2,13 +2,12 @@
 // family, including the nestjoin (Section 6.1: "To implement the
 // nestjoin, common join implementation methods like the sort-merge
 // join, or the hash join can be adapted"). The evaluator dispatches here
-// when the join predicate contains extractable equi keys; otherwise
-// joins run as nested loops. The sort-merge variant lives in
-// physical_sortmerge.cc.
+// when the node's JoinShape (exec/equi_join.h) has equi keys. The
+// sort-merge variant lives in physical_sortmerge.cc, the membership
+// join in physical_membership.cc.
 
 #include <unordered_map>
 
-#include "adl/analysis.h"
 #include "exec/compile.h"
 #include "exec/equi_join.h"
 #include "exec/eval.h"
@@ -77,17 +76,43 @@ Status Evaluator::EmitJoinResult(const Expr& e, const Value& x,
   }
 }
 
-namespace {
+void Evaluator::CompileJoinLambdas(const Expr& e, const EquiJoinKeys& keys,
+                                   const Expr& residual, const Value& l,
+                                   const Value* r, Environment& env,
+                                   JoinLambdas* jl) {
+  if (!opts_.compiled) return;
+  if (r != nullptr && r->set_size() > 0) {
+    jl->right_key.CompileKey(*this, keys.right_keys, e.var2(), env,
+                             FirstElemShape(*r));
+  }
+  if (l.set_size() == 0) return;
+  jl->left_key.CompileKey(*this, keys.left_keys, e.var(), env,
+                          FirstElemShape(l));
+  if (!keys.residual.empty()) {
+    jl->residual.Compile(*this, residual, {e.var(), e.var2()}, env,
+                         FirstElemShape(l));
+  }
+  if (e.kind() == ExprKind::kNestJoin) {
+    jl->inner.Compile(*this, *e.inner(), {e.var(), e.var2()}, env,
+                      FirstElemShape(l));
+  }
+}
 
-/// Evaluates the key expressions under a binding of `var` to `row`.
-Result<Value> EvalKeyTuple(Evaluator* ev, const std::vector<ExprPtr>& keys,
-                           const std::string& var, const Value& row,
-                           Environment& env) {
+Result<Value> Evaluator::JoinKey(CompiledLambda& cl,
+                                 const std::vector<ExprPtr>& keys,
+                                 const std::string& var, const Value& row,
+                                 Environment& env) {
+  if (cl.ok()) {
+    Value* k = cl.Run(row);
+    if (k == nullptr) return cl.status();
+    return std::move(*k);
+  }
+  if (cl.fallback()) ++stats_.interp_fallback_evals;
   env.Push(var, row);
   std::vector<Value> parts;
   parts.reserve(keys.size());
   for (const ExprPtr& k : keys) {
-    Result<Value> kv = ev->Eval(k, env);
+    Result<Value> kv = EvalNode(*k, env);
     if (!kv.ok()) {
       env.Pop();
       return kv.status();
@@ -98,58 +123,51 @@ Result<Value> EvalKeyTuple(Evaluator* ev, const std::vector<ExprPtr>& keys,
   return JoinKeyFromParts(std::move(parts));
 }
 
-}  // namespace
-
-Result<Value> Evaluator::HashJoin(const Expr& e, const Value& l,
-                                  const Value& r, Environment& env) {
-  EquiJoinKeys keys = ExtractEquiKeys(e.pred(), e.var(), e.var2());
-  if (!keys.usable()) {
-    return Status::Unsupported("no equi keys in join predicate");
+Status Evaluator::ResidualHolds(const Expr& e, const Expr& residual,
+                                CompiledLambda& cl, const Value& x,
+                                const Value& y, Environment& env,
+                                bool* holds) {
+  ++stats_.predicate_evals;
+  Result<Value> interp = Value();
+  const Value* p = nullptr;
+  if (cl.ok()) {
+    p = cl.Run(x, y);
+    if (p == nullptr) return cl.status();
+  } else {
+    if (cl.fallback()) ++stats_.interp_fallback_evals;
+    env.Push(e.var(), x);
+    env.Push(e.var2(), y);
+    interp = EvalNode(residual, env);
+    env.Pop();
+    env.Pop();
+    if (!interp.ok()) return interp.status();
+    p = &*interp;
   }
-  // Committed from here on: no kUnsupported return below, so the
-  // dispatcher's span keeps this annotation.
+  if (!p->is_bool()) return Status::RuntimeError("join residual not boolean");
+  *holds = p->bool_value();
+  return Status::OK();
+}
+
+Result<Value> Evaluator::HashJoin(const Expr& e, const JoinShape& shape,
+                                  const Value& l, const Value& r,
+                                  Environment& env) {
+  const EquiJoinKeys& keys = shape.keys;
   if (opts_.trace != nullptr) opts_.trace->AnnotateOpen(keys.Describe());
   if (opts_.num_threads > 1 && (l.set_size() > 1 || r.set_size() > 1)) {
     return ParallelHashJoin(e, l, r, env, keys);
   }
 
   ExprPtr residual = Expr::AndAll(keys.residual);
-  bool trivial_residual = keys.residual.empty();
   JoinLambdas jl;
-  if (opts_.compiled) {
-    if (r.set_size() > 0) {
-      jl.right_key.CompileKey(*this, keys.right_keys, e.var2(), env,
-                              FirstElemShape(r));
-    }
-    if (l.set_size() > 0) {
-      jl.left_key.CompileKey(*this, keys.left_keys, e.var(), env,
-                             FirstElemShape(l));
-      if (!trivial_residual) {
-        jl.residual.Compile(*this, *residual, {e.var(), e.var2()}, env,
-                            FirstElemShape(l));
-      }
-      if (e.kind() == ExprKind::kNestJoin) {
-        jl.inner.Compile(*this, *e.inner(), {e.var(), e.var2()}, env,
-                         FirstElemShape(l));
-      }
-    }
-  }
+  CompileJoinLambdas(e, keys, *residual, l, &r, env, &jl);
 
   // Build phase over the right operand.
   std::unordered_map<Value, std::vector<const Value*>, ValueHash> table;
   table.reserve(r.set_size());
   for (const Value& y : r.elements()) {
     ++stats_.tuples_scanned;
-    Value key;
-    if (jl.right_key.ok()) {
-      Value* k = jl.right_key.Run(y);
-      if (k == nullptr) return jl.right_key.status();
-      key = std::move(*k);
-    } else {
-      if (jl.right_key.fallback()) ++stats_.interp_fallback_evals;
-      N2J_ASSIGN_OR_RETURN(
-          key, EvalKeyTuple(this, keys.right_keys, e.var2(), y, env));
-    }
+    N2J_ASSIGN_OR_RETURN(
+        Value key, JoinKey(jl.right_key, keys.right_keys, e.var2(), y, env));
     ++stats_.hash_inserts;
     table[std::move(key)].push_back(&y);
   }
@@ -163,56 +181,21 @@ Result<Value> Evaluator::HashJoin(const Expr& e, const Value& l,
   std::vector<const Value*> filtered;
   for (const Value& x : l.elements()) {
     ++stats_.tuples_scanned;
-    Value key;
-    if (jl.left_key.ok()) {
-      Value* k = jl.left_key.Run(x);
-      if (k == nullptr) return jl.left_key.status();
-      key = std::move(*k);
-    } else {
-      if (jl.left_key.fallback()) ++stats_.interp_fallback_evals;
-      N2J_ASSIGN_OR_RETURN(
-          key, EvalKeyTuple(this, keys.left_keys, e.var(), x, env));
-    }
+    N2J_ASSIGN_OR_RETURN(
+        Value key, JoinKey(jl.left_key, keys.left_keys, e.var(), x, env));
     ++stats_.hash_probes;
     auto it = table.find(key);
-
     const std::vector<const Value*>* matches = &no_matches;
     if (it != table.end()) {
-      if (trivial_residual) {
-        matches = &it->second;
-      } else if (jl.residual.ok()) {
+      matches = &it->second;
+      if (!keys.residual.empty()) {
         filtered.clear();
         for (const Value* y : it->second) {
-          ++stats_.predicate_evals;
-          Value* p = jl.residual.Run(x, *y);
-          if (p == nullptr) return jl.residual.status();
-          if (!p->is_bool()) {
-            return Status::RuntimeError("join residual not boolean");
-          }
-          if (p->bool_value()) filtered.push_back(y);
+          bool holds = false;
+          N2J_RETURN_IF_ERROR(
+              ResidualHolds(e, *residual, jl.residual, x, *y, env, &holds));
+          if (holds) filtered.push_back(y);
         }
-        matches = &filtered;
-      } else {
-        filtered.clear();
-        bool count_fallback = jl.residual.fallback();
-        env.Push(e.var(), x);
-        for (const Value* y : it->second) {
-          ++stats_.predicate_evals;
-          if (count_fallback) ++stats_.interp_fallback_evals;
-          env.Push(e.var2(), *y);
-          Result<Value> p = EvalNode(*residual, env);
-          env.Pop();
-          if (!p.ok()) {
-            env.Pop();
-            return p.status();
-          }
-          if (!p->is_bool()) {
-            env.Pop();
-            return Status::RuntimeError("join residual not boolean");
-          }
-          if (p->bool_value()) filtered.push_back(y);
-        }
-        env.Pop();
         matches = &filtered;
       }
     }
@@ -251,30 +234,11 @@ Result<Value> Evaluator::ParallelHashJoin(const Expr& e, const Value& l,
   // Compilation happens on the coordinating thread before any morsel
   // runs (compile touches the worker's table cache).
   ExprPtr residual = Expr::AndAll(keys.residual);
-  bool trivial_residual = keys.residual.empty();
   std::vector<JoinLambdas> jls(static_cast<size_t>(num_workers));
-  if (opts_.compiled) {
-    for (int w = 0; w < num_workers; ++w) {
-      JoinLambdas& jl = jls[static_cast<size_t>(w)];
-      Evaluator& ev = *workers[static_cast<size_t>(w)];
-      Environment& wenv = envs[static_cast<size_t>(w)];
-      if (r.set_size() > 0) {
-        jl.right_key.CompileKey(ev, keys.right_keys, e.var2(), wenv,
-                                FirstElemShape(r));
-      }
-      if (l.set_size() > 0) {
-        jl.left_key.CompileKey(ev, keys.left_keys, e.var(), wenv,
-                               FirstElemShape(l));
-        if (!trivial_residual) {
-          jl.residual.Compile(ev, *residual, {e.var(), e.var2()}, wenv,
-                              FirstElemShape(l));
-        }
-        if (e.kind() == ExprKind::kNestJoin) {
-          jl.inner.Compile(ev, *e.inner(), {e.var(), e.var2()}, wenv,
-                           FirstElemShape(l));
-        }
-      }
-    }
+  for (int w = 0; w < num_workers; ++w) {
+    workers[static_cast<size_t>(w)]->CompileJoinLambdas(
+        e, keys, *residual, l, &r, envs[static_cast<size_t>(w)],
+        &jls[static_cast<size_t>(w)]);
   }
 
   // Pass 1: evaluate build keys (and their partitions) slot-per-element.
@@ -291,18 +255,9 @@ Result<Value> Evaluator::ParallelHashJoin(const Expr& e, const Value& l,
         MorselRange range = MorselAt(build.size(), build_morsel, m);
         for (size_t i = range.begin; i < range.end; ++i) {
           ++ev.stats_.tuples_scanned;
-          Value key;
-          if (jl.right_key.ok()) {
-            Value* k = jl.right_key.Run(build[i]);
-            if (k == nullptr) return jl.right_key.status();
-            key = std::move(*k);
-          } else {
-            if (jl.right_key.fallback()) ++ev.stats_.interp_fallback_evals;
-            Result<Value> kr = EvalKeyTuple(&ev, keys.right_keys, e.var2(),
-                                            build[i], wenv);
-            if (!kr.ok()) return kr.status();
-            key = std::move(*kr);
-          }
+          N2J_ASSIGN_OR_RETURN(Value key,
+                               ev.JoinKey(jl.right_key, keys.right_keys,
+                                          e.var2(), build[i], wenv));
           partition_of[i] = key.Hash() % num_partitions;
           build_keys[i] = std::move(key);
         }
@@ -355,58 +310,22 @@ Result<Value> Evaluator::ParallelHashJoin(const Expr& e, const Value& l,
     for (size_t i = range.begin; i < range.end; ++i) {
       const Value& x = probe[i];
       ++ev.stats_.tuples_scanned;
-      Value key;
-      if (jl.left_key.ok()) {
-        Value* k = jl.left_key.Run(x);
-        if (k == nullptr) return jl.left_key.status();
-        key = std::move(*k);
-      } else {
-        if (jl.left_key.fallback()) ++ev.stats_.interp_fallback_evals;
-        Result<Value> kr = EvalKeyTuple(&ev, keys.left_keys, e.var(), x, wenv);
-        if (!kr.ok()) return kr.status();
-        key = std::move(*kr);
-      }
+      N2J_ASSIGN_OR_RETURN(
+          Value key, ev.JoinKey(jl.left_key, keys.left_keys, e.var(), x, wenv));
       ++ev.stats_.hash_probes;
       const auto& table = tables[key.Hash() % num_partitions];
       auto it = table.find(key);
-
       const std::vector<const Value*>* matches = &no_matches;
       if (it != table.end()) {
-        if (trivial_residual) {
-          matches = &it->second;
-        } else if (jl.residual.ok()) {
+        matches = &it->second;
+        if (!keys.residual.empty()) {
           filtered.clear();
           for (const Value* y : it->second) {
-            ++ev.stats_.predicate_evals;
-            Value* p = jl.residual.Run(x, *y);
-            if (p == nullptr) return jl.residual.status();
-            if (!p->is_bool()) {
-              return Status::RuntimeError("join residual not boolean");
-            }
-            if (p->bool_value()) filtered.push_back(y);
+            bool holds = false;
+            N2J_RETURN_IF_ERROR(ev.ResidualHolds(e, *residual, jl.residual,
+                                                 x, *y, wenv, &holds));
+            if (holds) filtered.push_back(y);
           }
-          matches = &filtered;
-        } else {
-          filtered.clear();
-          bool count_fallback = jl.residual.fallback();
-          wenv.Push(e.var(), x);
-          for (const Value* y : it->second) {
-            ++ev.stats_.predicate_evals;
-            if (count_fallback) ++ev.stats_.interp_fallback_evals;
-            wenv.Push(e.var2(), *y);
-            Result<Value> p = ev.EvalNode(*residual, wenv);
-            wenv.Pop();
-            if (!p.ok()) {
-              wenv.Pop();
-              return p.status();
-            }
-            if (!p->is_bool()) {
-              wenv.Pop();
-              return Status::RuntimeError("join residual not boolean");
-            }
-            if (p->bool_value()) filtered.push_back(y);
-          }
-          wenv.Pop();
           matches = &filtered;
         }
       }
@@ -428,98 +347,40 @@ Result<Value> Evaluator::ParallelHashJoin(const Expr& e, const Value& l,
   return Value::Set(std::move(out));
 }
 
-Result<Value> Evaluator::IndexJoin(const Expr& e, const Value& l,
-                                   Environment& env) {
-  // Preconditions: the right operand is a base table with a prebuilt
-  // index on the single right key attribute, i.e. the key expression is
-  // exactly y.<field>.
-  const ExprPtr& right = e.child(1);
-  if (right->kind() != ExprKind::kGetTable) {
-    return Status::Unsupported("index join needs a base-table right side");
-  }
-  EquiJoinKeys keys = ExtractEquiKeys(e.pred(), e.var(), e.var2());
-  if (keys.left_keys.size() != 1) {
-    return Status::Unsupported("index join needs exactly one equi key");
-  }
-  const ExprPtr& rk = keys.right_keys[0];
-  if (!(rk->kind() == ExprKind::kFieldAccess &&
-        rk->child(0)->kind() == ExprKind::kVar &&
-        rk->child(0)->name() == e.var2())) {
-    return Status::Unsupported("right key is not a plain attribute");
-  }
-  const HashIndex* index = db_.FindIndex(right->name(), rk->name());
-  if (index == nullptr) {
-    return Status::Unsupported("no index on " + right->name() + "." +
-                               rk->name());
-  }
-  const Table* table = db_.FindTable(right->name());
+Result<Value> Evaluator::IndexJoin(const Expr& e, const JoinShape& shape,
+                                   const Value& l, Environment& env) {
+  // The shape guarantees a base-table right side probed through a
+  // prebuilt index on the single right key attribute y.<field>.
+  const EquiJoinKeys& keys = shape.keys;
+  const HashIndex* index = shape.index;
+  const std::string& table_name = e.child(1)->name();
+  const Table* table = db_.FindTable(table_name);
   N2J_CHECK(table != nullptr);
-  // Committed: every return below is a real result or a real error.
   if (opts_.trace != nullptr) {
-    opts_.trace->AnnotateOpen("index=" + right->name() + "." + rk->name());
+    opts_.trace->AnnotateOpen("index=" + table_name + "." +
+                              keys.right_keys[0]->name());
   }
 
-  std::vector<Value> out;
   ExprPtr residual = Expr::AndAll(keys.residual);
-  bool trivial_residual = keys.residual.empty();
   JoinLambdas jl;
-  if (opts_.compiled && l.set_size() > 0) {
-    jl.left_key.CompileKey(*this, keys.left_keys, e.var(), env,
-                           FirstElemShape(l));
-    if (!trivial_residual) {
-      jl.residual.Compile(*this, *residual, {e.var(), e.var2()}, env,
-                          FirstElemShape(l));
-    }
-    if (e.kind() == ExprKind::kNestJoin) {
-      jl.inner.Compile(*this, *e.inner(), {e.var(), e.var2()}, env,
-                       FirstElemShape(l));
-    }
-  }
+  CompileJoinLambdas(e, keys, *residual, l, nullptr, env, &jl);
+  std::vector<Value> out;
   for (const Value& x : l.elements()) {
     ++stats_.tuples_scanned;
-    Value key;
-    if (jl.left_key.ok()) {
-      Value* k = jl.left_key.Run(x);
-      if (k == nullptr) return jl.left_key.status();
-      key = std::move(*k);
-    } else {
-      if (jl.left_key.fallback()) ++stats_.interp_fallback_evals;
-      env.Push(e.var(), x);
-      Result<Value> kr = EvalNode(*keys.left_keys[0], env);
-      env.Pop();
-      if (!kr.ok()) return kr.status();
-      key = std::move(*kr);
-    }
+    N2J_ASSIGN_OR_RETURN(
+        Value key, JoinKey(jl.left_key, keys.left_keys, e.var(), x, env));
     ++stats_.index_probes;
     const std::vector<size_t>* rows = index->Lookup(key);
     std::vector<const Value*> matches;
     if (rows != nullptr) {
       for (size_t row : *rows) {
         const Value& y = table->rows()[row];
-        if (!trivial_residual) {
-          ++stats_.predicate_evals;
-          if (jl.residual.ok()) {
-            Value* p = jl.residual.Run(x, y);
-            if (p == nullptr) return jl.residual.status();
-            if (!p->is_bool()) {
-              return Status::RuntimeError("join residual not boolean");
-            }
-            if (!p->bool_value()) continue;
-          } else {
-            if (jl.residual.fallback()) ++stats_.interp_fallback_evals;
-            env.Push(e.var(), x);
-            env.Push(e.var2(), y);
-            Result<Value> p = EvalNode(*residual, env);
-            env.Pop();
-            env.Pop();
-            if (!p.ok()) return p.status();
-            if (!p->is_bool()) {
-              return Status::RuntimeError("join residual not boolean");
-            }
-            if (!p->bool_value()) continue;
-          }
+        bool holds = true;
+        if (!keys.residual.empty()) {
+          N2J_RETURN_IF_ERROR(
+              ResidualHolds(e, *residual, jl.residual, x, y, env, &holds));
         }
-        matches.push_back(&y);
+        if (holds) matches.push_back(&y);
       }
     }
     N2J_RETURN_IF_ERROR(EmitJoinResult(e, x, matches, env, &out, &jl.inner));

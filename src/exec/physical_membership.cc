@@ -1,6 +1,7 @@
 // Hash implementation for membership join predicates:
 //
 //   X ⊗_{x,y : f(y) ∈ x.c ∧ residual} Y            (⊗ any of ⋈, ⋉, ▷, ⊣)
+//   X ⊗_{x,y : x.c ∋ f(y) ∧ residual} Y
 //   X ⊗_{x,y : (∃v ∈ x.c · k(v) = f(y)) ∧ residual} Y
 //
 // Builds a hash table on f(y) over the right operand, then probes it
@@ -8,98 +9,22 @@
 // probes instead of |X|·|Y| predicate evaluations. This is the access
 // pattern of the paper's Example Query 6 (σ[p : p[pid] ∈ s.parts](PART)
 // under the nestjoin) and of Example Query 5's semijoin
-// (∃x ∈ s.parts · x.pid = p.pid).
+// (∃x ∈ s.parts · x.pid = p.pid). The conjunct is matched once per node
+// by MatchJoin (exec/equi_join.h).
 
 #include <unordered_map>
 
-#include "adl/analysis.h"
 #include "exec/compile.h"
+#include "exec/equi_join.h"
 #include "exec/eval.h"
 #include "obs/trace.h"
 
 namespace n2j {
 
-namespace {
-
-/// The matched membership conjunct: either `f(y) ∈ x.attr` (elem_key
-/// null — probe with the element itself) or `∃v ∈ x.attr · k(v) = f(y)`
-/// (probe with k(element)).
-struct MembershipKey {
-  ExprPtr right_key;   // f(y)
-  std::string attr;    // the left set-valued attribute c
-  std::string elem_var;  // v (empty for the plain ∈ form)
-  ExprPtr elem_key;    // k(v) (null for the plain ∈ form)
-  bool found = false;
-};
-
-bool IsLeftAttr(const ExprPtr& e, const std::string& lvar) {
-  return e->kind() == ExprKind::kFieldAccess &&
-         e->child(0)->kind() == ExprKind::kVar &&
-         e->child(0)->name() == lvar;
-}
-
-MembershipKey FindMembershipConjunct(const std::vector<ExprPtr>& conjuncts,
-                                     const std::string& lvar,
-                                     const std::string& rvar,
-                                     std::vector<ExprPtr>* residual) {
-  MembershipKey out;
-  for (const ExprPtr& c : conjuncts) {
-    if (!out.found && c->kind() == ExprKind::kBinary &&
-        c->bin_op() == BinOp::kIn) {
-      const ExprPtr& lhs = c->child(0);
-      const ExprPtr& rhs = c->child(1);
-      if (IsLeftAttr(rhs, lvar) && !IsFreeIn(lvar, lhs) &&
-          IsFreeIn(rvar, lhs)) {
-        out.right_key = lhs;
-        out.attr = rhs->name();
-        out.found = true;
-        continue;
-      }
-    }
-    // ∃v ∈ x.attr · k(v) = f(y)  (either orientation of the equality).
-    if (!out.found && c->kind() == ExprKind::kQuantifier &&
-        c->quant_kind() == QuantKind::kExists &&
-        IsLeftAttr(c->child(0), lvar) &&
-        c->child(1)->kind() == ExprKind::kBinary &&
-        c->child(1)->bin_op() == BinOp::kEq) {
-      const std::string& v = c->var();
-      ExprPtr a = c->child(1)->child(0);
-      ExprPtr b = c->child(1)->child(1);
-      bool a_elem = IsFreeIn(v, a) && !IsFreeIn(rvar, a) &&
-                    !IsFreeIn(lvar, a);
-      bool b_right = IsFreeIn(rvar, b) && !IsFreeIn(v, b) &&
-                     !IsFreeIn(lvar, b);
-      if (!(a_elem && b_right)) {
-        std::swap(a, b);
-        a_elem = IsFreeIn(v, a) && !IsFreeIn(rvar, a) && !IsFreeIn(lvar, a);
-        b_right = IsFreeIn(rvar, b) && !IsFreeIn(v, b) &&
-                  !IsFreeIn(lvar, b);
-      }
-      if (a_elem && b_right) {
-        out.elem_var = v;
-        out.elem_key = a;
-        out.right_key = b;
-        out.attr = c->child(0)->name();
-        out.found = true;
-        continue;
-      }
-    }
-    residual->push_back(c);
-  }
-  return out;
-}
-
-}  // namespace
-
-Result<Value> Evaluator::MembershipJoin(const Expr& e, const Value& l,
-                                        const Value& r, Environment& env) {
-  std::vector<ExprPtr> residual_conjuncts;
-  MembershipKey key = FindMembershipConjunct(
-      SplitConjuncts(e.pred()), e.var(), e.var2(), &residual_conjuncts);
-  if (!key.found) {
-    return Status::Unsupported("no membership conjunct");
-  }
-  // Committed: no kUnsupported return past conjunct recognition.
+Result<Value> Evaluator::MembershipJoin(const Expr& e, const JoinShape& shape,
+                                        const Value& l, const Value& r,
+                                        Environment& env) {
+  const MembershipKey& key = shape.membership;
   if (opts_.trace != nullptr) {
     opts_.trace->AnnotateOpen("attr=" + key.attr);
   }
@@ -111,30 +36,21 @@ Result<Value> Evaluator::MembershipJoin(const Expr& e, const Value& l,
     build_key.Compile(*this, *key.right_key, {e.var2()}, env,
                       FirstElemShape(r));
   }
+  const std::vector<ExprPtr> right_keys = {key.right_key};
   std::unordered_map<Value, std::vector<const Value*>, ValueHash> table;
   table.reserve(r.set_size());
   for (const Value& y : r.elements()) {
     ++stats_.tuples_scanned;
-    Value kv;
-    if (build_key.ok()) {
-      Value* k = build_key.Run(y);
-      if (k == nullptr) return build_key.status();
-      kv = std::move(*k);
-    } else {
-      if (build_key.fallback()) ++stats_.interp_fallback_evals;
-      env.Push(e.var2(), y);
-      Result<Value> kr = EvalNode(*key.right_key, env);
-      env.Pop();
-      if (!kr.ok()) return kr.status();
-      kv = std::move(*kr);
-    }
+    N2J_ASSIGN_OR_RETURN(Value kv,
+                         JoinKey(build_key, right_keys, e.var2(), y, env));
     ++stats_.hash_inserts;
     table[std::move(kv)].push_back(&y);
   }
   if (opts_.trace != nullptr) opts_.trace->NotePeakHash(table.size());
 
-  ExprPtr residual = Expr::AndAll(residual_conjuncts);
-  bool trivial_residual = residual_conjuncts.empty();
+  ExprPtr residual = Expr::AndAll(key.residual);
+  bool trivial_residual = key.residual.empty();
+  const std::vector<ExprPtr> elem_keys = {key.elem_key};
 
   // Probe-side element shape: the elements of the first left tuple's
   // set attribute seed the element-key program's inline caches.
@@ -181,29 +97,12 @@ Result<Value> Evaluator::MembershipJoin(const Expr& e, const Value& l,
                                   "' is not a set");
     }
     std::unordered_map<const Value*, bool> seen;
-    wenv.Push(e.var(), x);
     for (const Value& elem : attr->elements()) {
       ++ev.stats_.hash_probes;
       Value probe = elem;
       if (key.elem_key != nullptr) {
-        if (jl.elem_key.ok()) {
-          Value* kv = jl.elem_key.Run(elem);
-          if (kv == nullptr) {
-            wenv.Pop();
-            return jl.elem_key.status();
-          }
-          probe = std::move(*kv);
-        } else {
-          if (jl.elem_key.fallback()) ++ev.stats_.interp_fallback_evals;
-          wenv.Push(key.elem_var, elem);
-          Result<Value> kv = ev.EvalNode(*key.elem_key, wenv);
-          wenv.Pop();
-          if (!kv.ok()) {
-            wenv.Pop();
-            return kv.status();
-          }
-          probe = std::move(*kv);
-        }
+        N2J_ASSIGN_OR_RETURN(probe, ev.JoinKey(jl.elem_key, elem_keys,
+                                               key.elem_var, elem, wenv));
       }
       auto it = table.find(probe);
       if (it == table.end()) continue;
@@ -212,39 +111,14 @@ Result<Value> Evaluator::MembershipJoin(const Expr& e, const Value& l,
           auto [_, inserted] = seen.try_emplace(y, true);
           if (!inserted) continue;
         }
+        bool holds = true;
         if (!trivial_residual) {
-          ++ev.stats_.predicate_evals;
-          if (jl.residual.ok()) {
-            Value* p = jl.residual.Run(x, *y);
-            if (p == nullptr) {
-              wenv.Pop();
-              return jl.residual.status();
-            }
-            if (!p->is_bool()) {
-              wenv.Pop();
-              return Status::RuntimeError("join residual not boolean");
-            }
-            if (!p->bool_value()) continue;
-          } else {
-            if (jl.residual.fallback()) ++ev.stats_.interp_fallback_evals;
-            wenv.Push(e.var2(), *y);
-            Result<Value> p = ev.EvalNode(*residual, wenv);
-            wenv.Pop();
-            if (!p.ok()) {
-              wenv.Pop();
-              return p.status();
-            }
-            if (!p->is_bool()) {
-              wenv.Pop();
-              return Status::RuntimeError("join residual not boolean");
-            }
-            if (!p->bool_value()) continue;
-          }
+          N2J_RETURN_IF_ERROR(ev.ResidualHolds(e, *residual, jl.residual, x,
+                                               *y, wenv, &holds));
         }
-        matches->push_back(y);
+        if (holds) matches->push_back(y);
       }
     }
-    wenv.Pop();
     return Status::OK();
   };
 

@@ -7,7 +7,6 @@
 
 #include <algorithm>
 
-#include "adl/analysis.h"
 #include "exec/compile.h"
 #include "exec/equi_join.h"
 #include "exec/eval.h"
@@ -24,36 +23,15 @@ struct Keyed {
 
 }  // namespace
 
-Result<Value> Evaluator::SortMergeJoin(const Expr& e, const Value& l,
-                                       const Value& r, Environment& env) {
-  EquiJoinKeys keys = ExtractEquiKeys(e.pred(), e.var(), e.var2());
-  if (!keys.usable()) {
-    return Status::Unsupported("no equi keys in join predicate");
-  }
-  // Committed: no kUnsupported return past the key extraction.
+Result<Value> Evaluator::SortMergeJoin(const Expr& e, const JoinShape& shape,
+                                       const Value& l, const Value& r,
+                                       Environment& env) {
+  const EquiJoinKeys& keys = shape.keys;
   if (opts_.trace != nullptr) opts_.trace->AnnotateOpen(keys.Describe());
 
   ExprPtr residual = Expr::AndAll(keys.residual);
-  bool trivial_residual = keys.residual.empty();
   JoinLambdas jl;
-  if (opts_.compiled) {
-    if (r.set_size() > 0) {
-      jl.right_key.CompileKey(*this, keys.right_keys, e.var2(), env,
-                              FirstElemShape(r));
-    }
-    if (l.set_size() > 0) {
-      jl.left_key.CompileKey(*this, keys.left_keys, e.var(), env,
-                             FirstElemShape(l));
-      if (!trivial_residual) {
-        jl.residual.Compile(*this, *residual, {e.var(), e.var2()}, env,
-                            FirstElemShape(l));
-      }
-      if (e.kind() == ExprKind::kNestJoin) {
-        jl.inner.Compile(*this, *e.inner(), {e.var(), e.var2()}, env,
-                         FirstElemShape(l));
-      }
-    }
-  }
+  CompileJoinLambdas(e, keys, *residual, l, &r, env, &jl);
 
   auto build_keyed = [&](const Value& operand, const std::string& var,
                          const std::vector<ExprPtr>& key_exprs,
@@ -62,26 +40,9 @@ Result<Value> Evaluator::SortMergeJoin(const Expr& e, const Value& l,
     out->reserve(operand.set_size());
     for (const Value& row : operand.elements()) {
       ++stats_.tuples_scanned;
-      if (key_cl.ok()) {
-        Value* k = key_cl.Run(row);
-        if (k == nullptr) return key_cl.status();
-        out->push_back({std::move(*k), &row});
-        continue;
-      }
-      if (key_cl.fallback()) ++stats_.interp_fallback_evals;
-      env.Push(var, row);
-      std::vector<Value> parts;
-      parts.reserve(key_exprs.size());
-      for (size_t i = 0; i < key_exprs.size(); ++i) {
-        Result<Value> kv = EvalNode(*key_exprs[i], env);
-        if (!kv.ok()) {
-          env.Pop();
-          return kv.status();
-        }
-        parts.push_back(std::move(*kv));
-      }
-      env.Pop();
-      out->push_back({JoinKeyFromParts(std::move(parts)), &row});
+      N2J_ASSIGN_OR_RETURN(Value key,
+                           JoinKey(key_cl, key_exprs, var, row, env));
+      out->push_back({std::move(key), &row});
     }
     stats_.rows_sorted += out->size();
     std::sort(out->begin(), out->end(),
@@ -121,42 +82,13 @@ Result<Value> Evaluator::SortMergeJoin(const Expr& e, const Value& l,
     while (i < left.size() && left[i].key == key) {
       const Value& x = *left[i].row;
       std::vector<const Value*> matches;
-      if (run_end > j) {
-        if (trivial_residual) {
-          for (size_t k = j; k < run_end; ++k) {
-            matches.push_back(right[k].row);
-          }
-        } else if (jl.residual.ok()) {
-          for (size_t k = j; k < run_end; ++k) {
-            ++stats_.predicate_evals;
-            Value* p = jl.residual.Run(x, *right[k].row);
-            if (p == nullptr) return jl.residual.status();
-            if (!p->is_bool()) {
-              return Status::RuntimeError("join residual not boolean");
-            }
-            if (p->bool_value()) matches.push_back(right[k].row);
-          }
-        } else {
-          bool count_fallback = jl.residual.fallback();
-          env.Push(e.var(), x);
-          for (size_t k = j; k < run_end; ++k) {
-            ++stats_.predicate_evals;
-            if (count_fallback) ++stats_.interp_fallback_evals;
-            env.Push(e.var2(), *right[k].row);
-            Result<Value> p = EvalNode(*residual, env);
-            env.Pop();
-            if (!p.ok()) {
-              env.Pop();
-              return p.status();
-            }
-            if (!p->is_bool()) {
-              env.Pop();
-              return Status::RuntimeError("join residual not boolean");
-            }
-            if (p->bool_value()) matches.push_back(right[k].row);
-          }
-          env.Pop();
+      for (size_t k = j; k < run_end; ++k) {
+        bool holds = true;
+        if (!keys.residual.empty()) {
+          N2J_RETURN_IF_ERROR(ResidualHolds(e, *residual, jl.residual, x,
+                                            *right[k].row, env, &holds));
         }
+        if (holds) matches.push_back(right[k].row);
       }
       N2J_RETURN_IF_ERROR(EmitJoinResult(e, x, matches, env, &out, &jl.inner));
       ++i;

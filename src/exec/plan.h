@@ -7,12 +7,14 @@
 // shared, so `const Expr*` identity is a stable key for the lifetime of
 // the plan.
 //
-// Annotations are advisory: a forced algorithm whose preconditions fail
-// at runtime falls back through the same kUnsupported chain as the
-// global EvalOptions::join_algorithm setting, so a wrong annotation can
-// cost time but never correctness.
+// A pinned algorithm is dispatched exactly like the global
+// EvalOptions::join_algorithm setting: JoinShape::Dispatch
+// (exec/equi_join.h) maps it to the operator the node's shape supports.
+// The planner prices the same mapping, so its label names the operator
+// that runs, and a wrong pin can cost time but never correctness.
 
 #include <map>
+#include <optional>
 #include <string>
 
 #include "exec/eval.h"
@@ -21,9 +23,9 @@
 namespace n2j {
 
 struct PlanAnnotation {
-  /// Physical algorithm for a join-family node; kAuto = no override
-  /// (the evaluator keeps its EvalOptions-wide setting).
-  JoinAlgorithm algorithm = JoinAlgorithm::kAuto;
+  /// Physical algorithm pinned on a join-family node; empty = not
+  /// pinned (the evaluator keeps its EvalOptions-wide setting).
+  std::optional<JoinAlgorithm> algorithm;
   /// Estimated output cardinality; negative = not estimated. Rendered
   /// by trace spans as est= so EXPLAIN shows estimate vs. actual.
   double est_rows = -1.0;

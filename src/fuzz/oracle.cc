@@ -14,6 +14,18 @@ namespace fuzz {
 
 namespace {
 
+/// Deterministic work of one execution: the counters a plan choice
+/// moves (see the cost-based cell in DefaultConfigMatrix).
+uint64_t JoinWork(const EvalStats& s) {
+  return s.tuples_scanned + s.predicate_evals + s.hash_probes;
+}
+
+/// The cost-based cell's work bound: the cost plan may do at most
+/// kWorkRatio × the heuristic plan's work plus kWorkFloor units.
+/// docs/FUZZING.md justifies both numbers.
+constexpr uint64_t kWorkRatio = 4;
+constexpr uint64_t kWorkFloor = 64;
+
 OracleConfig Cell(const char* name,
                   RewriteOptions rewrite = RewriteOptions(),
                   EvalOptions eval = EvalOptions()) {
@@ -160,7 +172,10 @@ std::vector<OracleConfig> DefaultConfigMatrix() {
   {
     // Cost-based planning: statistics-driven per-node algorithm choice
     // and join-order DP must be pure plan transformations — bit-exact
-    // against the nested-loop oracle whatever the cost model picks.
+    // against the nested-loop oracle whatever the cost model picks —
+    // and never pathologically slower than the heuristic dispatch: the
+    // cell also runs the rewritten plan unannotated and bounds the cost
+    // plan's deterministic work by the heuristic's.
     OracleConfig c = Cell("cost-based");
     c.cost_based = true;
     m.push_back(c);
@@ -382,6 +397,7 @@ OracleReport RunDifferentialOracle(const Database& db,
     TraceCollector collector;
     if (config.trace) eval_opts.trace = &collector;
     PhysicalPlan physical;
+    const ExprPtr logical = plan;
     if (config.cost_based) {
       PlannerOptions popts;
       popts.strategy = PlanStrategy::kCost;
@@ -503,6 +519,26 @@ OracleReport RunDifferentialOracle(const Database& db,
                       "\nactual:   " + actual->ToString() +
                       "\nplan: " + AlgebraStr(plan) + "\n" + trace;
       return report;
+    }
+    if (config.cost_based) {
+      EvalStats heuristic_stats;
+      Result<Value> heuristic =
+          shred::EvalWithBackend(db, logical, config.eval, &heuristic_stats);
+      uint64_t cost_work = JoinWork(cell_stats);
+      uint64_t heuristic_work = JoinWork(heuristic_stats);
+      if (heuristic.ok() &&
+          cost_work > kWorkRatio * heuristic_work + kWorkFloor) {
+        report.status = OracleStatus::kMismatch;
+        report.failing_config = config.name;
+        report.detail =
+            "cost plan did " + std::to_string(cost_work) +
+            " units of work (scanned + predicates + probes) against the "
+            "heuristic's " + std::to_string(heuristic_work) +
+            "\ncost:      " + cell_stats.Compact() +
+            "\nheuristic: " + heuristic_stats.Compact() + "\n" +
+            physical.Describe() + "plan: " + AlgebraStr(plan) + "\n" + trace;
+        return report;
+      }
     }
   }
 

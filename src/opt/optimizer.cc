@@ -23,14 +23,6 @@ constexpr double kDefaultRows = 1000.0;
 constexpr double kReorderGain = 0.95;
 constexpr size_t kMaxDpTables = 10;
 
-/// `e` is Access(Var(var), attr) → the attribute name; nullptr else.
-const std::string* PlainAttr(const ExprPtr& e, const std::string& var) {
-  if (e->kind() != ExprKind::kFieldAccess) return nullptr;
-  const ExprPtr& base = e->child(0);
-  if (base->kind() != ExprKind::kVar || base->name() != var) return nullptr;
-  return &e->name();
-}
-
 const char* JoinOpName(ExprKind k) {
   switch (k) {
     case ExprKind::kSemiJoin:
@@ -44,86 +36,57 @@ const char* JoinOpName(ExprKind k) {
   }
 }
 
-/// Mirrors Evaluator::IndexJoin's preconditions (physical.cc): base
-/// table on the right, exactly one equi key, a plain right attribute,
-/// and an actually prebuilt index.
-bool IndexUsable(const Database& db, const Expr& e,
-                 const EquiJoinKeys& keys) {
-  if (e.right()->kind() != ExprKind::kGetTable) return false;
-  if (keys.left_keys.size() != 1) return false;
-  const std::string* attr = PlainAttr(keys.right_keys[0], e.var2());
-  if (attr == nullptr) return false;
-  return db.FindIndex(e.right()->name(), *attr) != nullptr;
-}
-
-/// Detects the membership-join pattern f(y) ∈ x.c / x.c ∋ f(y) in a
-/// conjunct of `e`'s predicate. Returns true and the container's
-/// average fanout (4.0 when unknown) — the probe volume driver.
-bool MembershipUsable(const Expr& e, const RelEstimate& left,
-                      double* avg_fanout) {
-  for (const ExprPtr& c : SplitConjuncts(e.pred())) {
-    if (c->kind() != ExprKind::kBinary) continue;
-    const ExprPtr* probe = nullptr;
-    const ExprPtr* container = nullptr;
-    if (c->bin_op() == BinOp::kIn) {
-      probe = &c->child(0);
-      container = &c->child(1);
-    } else if (c->bin_op() == BinOp::kContains) {
-      container = &c->child(0);
-      probe = &c->child(1);
-    } else {
-      continue;
-    }
-    const std::string* attr = PlainAttr(*container, e.var());
-    if (attr == nullptr) continue;
-    if (IsFreeIn(e.var(), *probe)) continue;
-    const AttrStats* cs = left.Find(*attr);
-    *avg_fanout = (cs != nullptr && cs->set_valued)
-                      ? std::max(1.0, cs->avg_fanout)
-                      : 4.0;
-    return true;
-  }
-  return false;
-}
-
 struct Choice {
   JoinAlgorithm algo = JoinAlgorithm::kNestedLoop;
   const char* label = "nested-loop";
   double cost = kInf;
 };
 
-/// Prices every available physical alternative for one join-family node
-/// and returns the cheapest.
+/// Prices the operator each requestable algorithm dispatches to on this
+/// node's shape — exactly what the evaluator would run — and returns
+/// the cheapest request.
 Choice ChooseJoin(const Database& db, const PlannerOptions& po,
                   const Expr& e, const RelEstimate& l, const RelEstimate& r,
                   double out, double matches) {
   double lr = l.RowsOr(kDefaultRows);
   double rr = r.RowsOr(kDefaultRows);
   const CostConstants& c = po.costs;
-
-  Choice best{JoinAlgorithm::kNestedLoop, "nested-loop",
-              NestedLoopJoinCost(lr, rr, out, c)};
-  auto consider = [&](JoinAlgorithm a, const char* label, double cost) {
-    if (cost < best.cost) best = Choice{a, label, cost};
-  };
-
-  EquiJoinKeys keys = ExtractEquiKeys(e.pred(), e.var(), e.var2());
-  if (keys.usable()) {
-    consider(JoinAlgorithm::kHash, "hash", HashJoinCost(lr, rr, out, c));
-    consider(JoinAlgorithm::kSortMerge, "sort-merge",
-             SortMergeJoinCost(lr, rr, out, c));
-    if (IndexUsable(db, e, keys)) {
-      consider(JoinAlgorithm::kIndex, "index",
-               IndexJoinCost(lr, matches, out, c));
+  JoinShape shape = MatchJoin(e, &db);
+  // Set elements per left row behind a membership conjunct (4 when the
+  // container has no stats): the membership join's probes per row, and
+  // the elements a nested loop's ∃v ∈ x.c quantifier walks per pair.
+  double fanout = 4.0;
+  if (shape.membership.found()) {
+    const AttrStats* cs = l.Find(shape.membership.attr);
+    if (cs != nullptr && cs->set_valued) {
+      fanout = std::max(1.0, cs->avg_fanout);
     }
-  } else {
-    double fanout = 0.0;
-    if (MembershipUsable(e, l, &fanout)) {
-      // Dispatched as kHash: the hash attempt reports kUnsupported (no
-      // equi keys) and the evaluator falls through to MembershipJoin.
-      consider(JoinAlgorithm::kHash, "membership",
-               MembershipJoinCost(lr * fanout, rr, out, c));
+  }
+  double pair_work = shape.membership.elem_key != nullptr ? fanout : 1.0;
+
+  Choice best;
+  for (JoinAlgorithm a : {JoinAlgorithm::kNestedLoop, JoinAlgorithm::kHash,
+                          JoinAlgorithm::kSortMerge, JoinAlgorithm::kIndex}) {
+    JoinMethod m = shape.Dispatch(a);
+    double cost = kInf;
+    switch (m) {
+      case JoinMethod::kNestedLoop:
+        cost = NestedLoopJoinCost(lr * pair_work, rr, out, c);
+        break;
+      case JoinMethod::kHash:
+        cost = HashJoinCost(lr, rr, out, c);
+        break;
+      case JoinMethod::kSortMerge:
+        cost = SortMergeJoinCost(lr, rr, out, c);
+        break;
+      case JoinMethod::kIndex:
+        cost = IndexJoinCost(lr, matches, out, c);
+        break;
+      case JoinMethod::kMembership:
+        cost = MembershipJoinCost(lr * fanout, rr, out, c);
+        break;
     }
+    if (cost < best.cost) best = Choice{a, JoinMethodName(m), cost};
   }
   return best;
 }

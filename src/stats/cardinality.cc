@@ -366,7 +366,8 @@ JoinSelectivity CardinalityEstimator::EstimateJoinSelectivity(
   out.match_rate = kUnknownConjunctSel;
   out.fanout = kUnknownConjunctSel * r_rows;
 
-  EquiJoinKeys keys = ExtractEquiKeys(join.pred(), join.var(), join.var2());
+  JoinShape shape = MatchJoin(join, nullptr);
+  const EquiJoinKeys& keys = shape.keys;
   bool priced = false;
   for (size_t i = 0; i < keys.left_keys.size(); ++i) {
     const AttrStats* ls = KeyAttrStats(keys.left_keys[i], join.var(), left);
@@ -382,27 +383,14 @@ JoinSelectivity CardinalityEstimator::EstimateJoinSelectivity(
     out.from_stats = true;
   }
 
-  // Membership conjuncts f(y) ∈ x.c (and the symmetric ∋ form) — the
-  // pattern the membership join runs. A left row matches when any of
-  // its ~avg_fanout set elements hits the right key domain.
-  std::vector<ExprPtr> conjuncts = SplitConjuncts(join.pred());
-  size_t residual = keys.usable() ? keys.residual.size() : 0;
-  for (const ExprPtr& c : conjuncts) {
-    if (c->kind() != ExprKind::kBinary) continue;
-    const ExprPtr* probe = nullptr;
-    const ExprPtr* container = nullptr;
-    if (c->bin_op() == BinOp::kIn) {
-      probe = &c->child(0);
-      container = &c->child(1);
-    } else if (c->bin_op() == BinOp::kContains) {
-      container = &c->child(0);
-      probe = &c->child(1);
-    } else {
-      continue;
-    }
-    const AttrStats* cs = KeyAttrStats(*container, join.var(), left);
-    const AttrStats* ps = KeyAttrStats(*probe, join.var2(), right);
-    if (cs == nullptr || !cs->set_valued) continue;
+  // The membership conjunct (f(y) ∈ x.c, x.c ∋ f(y) or ∃v ∈ x.c ·
+  // k(v) = f(y)) — the pattern the membership join runs. A left row
+  // matches when any of its ~avg_fanout set elements hits the right key
+  // domain.
+  const MembershipKey& m = shape.membership;
+  const AttrStats* cs = m.found() ? left.Find(m.attr) : nullptr;
+  if (cs != nullptr && cs->set_valued) {
+    const AttrStats* ps = KeyAttrStats(m.right_key, join.var2(), right);
     // P(one element matches a right key value) per element, then scale
     // by the average number of elements, capped at certainty.
     double per_element = EstimateMatchRate(cs, ps, kUnknownConjunctSel);
@@ -416,11 +404,11 @@ JoinSelectivity CardinalityEstimator::EstimateJoinSelectivity(
         cs->avg_fanout * per_element * (r_rows / std::max(1.0, d_r));
     if (!priced || match < out.match_rate) out.match_rate = match;
     if (!priced || fanout < out.fanout) out.fanout = fanout;
-    priced = true;
     out.from_stats = ps != nullptr;
   }
 
   // Residual conjuncts thin both measures.
+  size_t residual = keys.usable() ? keys.residual.size() : 0;
   for (size_t i = 0; i < residual; ++i) {
     out.match_rate *= kUnknownConjunctSel;
     out.fanout *= kUnknownConjunctSel;

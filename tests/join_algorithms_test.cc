@@ -5,6 +5,7 @@
 
 #include <gtest/gtest.h>
 
+#include "opt/optimizer.h"
 #include "tests/test_util.h"
 
 namespace n2j {
@@ -112,7 +113,8 @@ INSTANTIATE_TEST_SUITE_P(
     ::testing::Combine(
         ::testing::Values(static_cast<int>(JoinAlgorithm::kHash),
                           static_cast<int>(JoinAlgorithm::kSortMerge),
-                          static_cast<int>(JoinAlgorithm::kIndex)),
+                          static_cast<int>(JoinAlgorithm::kIndex),
+                          static_cast<int>(JoinAlgorithm::kNestedLoop)),
         ::testing::Range(0, 4)),
     JoinAlgoParamName);
 
@@ -137,23 +139,6 @@ TEST_F(JoinAlgorithmsTest, IndexJoinProbesTheIndex) {
                   .ok());
   EXPECT_EQ(ev.stats().index_probes, nx);
   EXPECT_EQ(ev.stats().hash_inserts, 0u);  // no build phase at all
-}
-
-TEST_F(JoinAlgorithmsTest, AutoPrefersIndexThenHash) {
-  // With an index on Y.a, kAuto probes it ...
-  Evaluator ev(*db_, Opts(JoinAlgorithm::kAuto));
-  ASSERT_TRUE(ev.Eval(Expr::SemiJoin(Expr::Table("X"), Expr::Table("Y"),
-                                     "x", "y", EqPred()))
-                  .ok());
-  EXPECT_GT(ev.stats().index_probes, 0u);
-  EXPECT_EQ(ev.stats().hash_inserts, 0u);
-  // ... and falls back to hash when the right side has no index.
-  Evaluator ev2(*db_, Opts(JoinAlgorithm::kAuto));
-  ASSERT_TRUE(ev2.Eval(Expr::SemiJoin(Expr::Table("Y"), Expr::Table("X"),
-                                      "y", "x", EqPred()))
-                  .ok());
-  EXPECT_EQ(ev2.stats().index_probes, 0u);
-  EXPECT_GT(ev2.stats().hash_inserts, 0u);
 }
 
 TEST_F(JoinAlgorithmsTest, IndexJoinFallsBackToHashWithoutIndex) {
@@ -186,35 +171,73 @@ TEST_F(JoinAlgorithmsTest, IndexJoinRequiresPlainAttributeKey) {
 }
 
 TEST_F(JoinAlgorithmsTest, MembershipJoinEngagesForInPredicates) {
-  // f(y) ∈ x.c: no equi key, but hashable by the membership join.
-  ExprPtr pred = Expr::Bin(
-      BinOp::kIn,
-      Expr::TupleConstruct({"d"}, {Expr::Access(Expr::Var("y"), "e")}),
-      Expr::Access(Expr::Var("x"), "c"));
-  for (int kind = 1; kind <= 3; ++kind) {
-    ExprPtr join;
-    if (kind == 1) {
-      join = Expr::SemiJoin(Expr::Table("X"), Expr::Table("Y"), "x", "y",
-                            pred);
-    } else if (kind == 2) {
-      join = Expr::AntiJoin(Expr::Table("X"), Expr::Table("Y"), "x", "y",
-                            pred);
-    } else {
-      join = Expr::NestJoin(Expr::Table("X"), Expr::Table("Y"), "x", "y",
-                            pred, "ys");
+  // f(y) ∈ x.c and x.c ∋ f(y): no equi key, but hashable by the
+  // membership join.
+  ExprPtr elem =
+      Expr::TupleConstruct({"d"}, {Expr::Access(Expr::Var("y"), "e")});
+  ExprPtr attr = Expr::Access(Expr::Var("x"), "c");
+  for (ExprPtr pred : {Expr::Bin(BinOp::kIn, elem, attr),
+                       Expr::Bin(BinOp::kContains, attr, elem)}) {
+    for (int kind = 1; kind <= 3; ++kind) {
+      ExprPtr join;
+      if (kind == 1) {
+        join = Expr::SemiJoin(Expr::Table("X"), Expr::Table("Y"), "x", "y",
+                              pred);
+      } else if (kind == 2) {
+        join = Expr::AntiJoin(Expr::Table("X"), Expr::Table("Y"), "x", "y",
+                              pred);
+      } else {
+        join = Expr::NestJoin(Expr::Table("X"), Expr::Table("Y"), "x", "y",
+                              pred, "ys");
+      }
+      EvalOptions nl;
+      nl.use_hash_joins = false;
+      Value expected = EvalExpr(*db_, join, nl);
+      Evaluator ev(*db_);
+      Result<Value> actual = ev.Eval(join);
+      ASSERT_TRUE(actual.ok()) << kind;
+      EXPECT_EQ(expected, *actual) << kind;
+      // It really hashed: probes happened, and far fewer predicate
+      // evaluations than |X|·|Y|.
+      EXPECT_GT(ev.stats().hash_inserts, 0u) << kind;
+      EXPECT_GT(ev.stats().hash_probes, 0u) << kind;
+      EXPECT_EQ(ev.stats().predicate_evals, 0u) << kind;
+      EXPECT_EQ(ev.stats().joins_membership, 1u) << kind;
     }
-    EvalOptions nl;
-    nl.use_hash_joins = false;
-    Value expected = EvalExpr(*db_, join, nl);
-    Evaluator ev(*db_);
-    Result<Value> actual = ev.Eval(join);
-    ASSERT_TRUE(actual.ok()) << kind;
-    EXPECT_EQ(expected, *actual) << kind;
-    // It really hashed: probes happened, and far fewer predicate
-    // evaluations than |X|·|Y|.
-    EXPECT_GT(ev.stats().hash_inserts, 0u) << kind;
-    EXPECT_GT(ev.stats().hash_probes, 0u) << kind;
-    EXPECT_EQ(ev.stats().predicate_evals, 0u) << kind;
+  }
+}
+
+// The OOSQL `contains` form of Example Query 6 runs as a membership
+// join under both planner strategies — the cost planner labels it so,
+// and the executor runs what the label says — with the result of the
+// `in` form bit for bit.
+TEST(MembershipJoinStrategies, ContainsRunsLikeIn) {
+  auto db = testutil::SmallSupplierDb();
+  const char* in_form =
+      "select (sname = s.sname, ps = select p.pname from p in PART "
+      "where p[pid] in s.parts) from s in SUPPLIER";
+  const char* contains_form =
+      "select (sname = s.sname, ps = select p.pname from p in PART "
+      "where s.parts contains p[pid]) from s in SUPPLIER";
+  for (PlanStrategy strategy :
+       {PlanStrategy::kHeuristic, PlanStrategy::kCost}) {
+    SCOPED_TRACE(PlanStrategyName(strategy));
+    PlannerOptions popts;
+    popts.strategy = strategy;
+    QueryEngine engine(db.get(), RewriteOptions(), EvalOptions(), popts);
+    Result<QueryReport> in = engine.Run(in_form);
+    Result<QueryReport> contains = engine.Run(contains_form);
+    ASSERT_TRUE(in.ok()) << in.status().ToString();
+    ASSERT_TRUE(contains.ok()) << contains.status().ToString();
+    EXPECT_EQ(contains->result, in->result);
+    EXPECT_EQ(contains->exec_stats.joins_membership, 1u);
+    EXPECT_EQ(contains->exec_stats.joins_nested_loop, 0u);
+    if (strategy == PlanStrategy::kCost) {
+      ASSERT_NE(contains->plan, nullptr);
+      EXPECT_NE(contains->plan->Describe().find("nestjoin[membership]"),
+                std::string::npos)
+          << contains->plan->Describe();
+    }
   }
 }
 
