@@ -14,10 +14,11 @@ namespace n2j {
 ///
 /// Shapes are process-wide deduplicated: two tuples with the same field
 /// names in the same order share one TupleShape, so schema equality is a
-/// pointer comparison and per-tuple storage is one shape pointer plus a
-/// contiguous value vector — no per-field allocations. Interned shapes
-/// live for the life of the process (the set of distinct schemas in any
-/// workload is tiny and bounded by the query/DDL text, not the data).
+/// pointer comparison and per-tuple storage is one shape pointer plus
+/// the field values, in one allocation — no per-field allocations.
+/// Interned shapes live for the life of the process (the set of distinct
+/// schemas in any workload is tiny and bounded by the query/DDL text,
+/// not the data).
 ///
 /// All static lookups are thread-safe; a returned pointer is immutable
 /// and never invalidated.

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cmath>
 #include <iterator>
+#include <new>
 
 #include "common/str_util.h"
 
@@ -45,27 +46,45 @@ Value Value::MakeOidValue(Oid oid) {
 
 Value Value::Tuple(std::vector<Field> fields) {
   std::vector<std::string> names;
-  std::vector<Value> values;
   names.reserve(fields.size());
-  values.reserve(fields.size());
-  for (Field& f : fields) {
-    names.push_back(std::move(f.name));
-    values.push_back(std::move(f.value));
-  }
-  return TupleFromShape(TupleShape::Intern(std::move(names)),
-                        std::move(values));
+  for (Field& f : fields) names.push_back(std::move(f.name));
+  Value* slots = nullptr;
+  Value v = NewTuple(TupleShape::Intern(std::move(names)), &slots);
+  for (Field& f : fields) *slots++ = std::move(f.value);
+  return v;
 }
 
-Value Value::TupleFromShape(const TupleShape* shape,
-                            std::vector<Value> values) {
-  N2J_CHECK(shape != nullptr && values.size() == shape->size());
+Value Value::NewTuple(const TupleShape* shape, Value** slots) {
+  static_assert(sizeof(TuplePayload) % alignof(Value) == 0,
+                "tuple fields must start aligned right after the header");
+  N2J_CHECK(shape != nullptr);
+  const size_t n = shape->size();
+  void* block = ::operator new(sizeof(TuplePayload) + n * sizeof(Value));
+  TuplePayload* p = new (block) TuplePayload(shape, static_cast<uint32_t>(n));
+  Value* fields = p->values();
+  for (size_t i = 0; i < n; ++i) new (&fields[i]) Value();
+  *slots = fields;
   Value v;
   v.kind_ = Kind::kTuple;
-  v.rep_.p = new TuplePayload(shape, std::move(values));
+  v.rep_.p = p;
   return v;
 }
 
 Value Value::Set(std::vector<Value> elements) {
+  // Rows built in canonical input order (select, semijoin, antijoin and
+  // nestjoin outputs) are already strictly increasing: one O(n) pass that
+  // stops at the first inversion replaces the sort. Tuples whose shapes
+  // permute the same field names are not strictly ordered by Compare
+  // (ROADMAP item 6), so over such rows neither this check nor the sort
+  // below guarantees a canonical set.
+  bool increasing = true;
+  for (size_t i = 1; i < elements.size(); ++i) {
+    if (elements[i - 1].Compare(elements[i]) >= 0) {
+      increasing = false;
+      break;
+    }
+  }
+  if (increasing) return SetFromCanonical(std::move(elements));
   std::sort(elements.begin(), elements.end());
   elements.erase(std::unique(elements.begin(), elements.end()),
                  elements.end());
@@ -84,9 +103,14 @@ void Value::DeletePayload() {
     case Kind::kString:
       delete static_cast<StringPayload*>(rep_.p);
       break;
-    case Kind::kTuple:
-      delete static_cast<TuplePayload*>(rep_.p);
+    case Kind::kTuple: {
+      TuplePayload* p = static_cast<TuplePayload*>(rep_.p);
+      Value* fields = p->values();
+      for (uint32_t i = 0; i < p->size; ++i) fields[i].~Value();
+      p->~TuplePayload();
+      ::operator delete(p);
       break;
+    }
     case Kind::kSet:
       delete static_cast<SetPayload*>(rep_.p);
       break;
@@ -100,14 +124,14 @@ Value Value::ProjectTuple(const std::vector<std::string>& names) const {
   const TuplePayload* p = tuple_payload();
   const TupleShape* target = TupleShape::Intern(names);
   if (target == p->shape) return *this;  // full projection in order
-  std::vector<Value> values;
-  values.reserve(names.size());
+  Value* slots = nullptr;
+  Value out = NewTuple(target, &slots);
   for (const std::string& n : names) {
     int i = p->shape->IndexOf(n);
     N2J_CHECK(i >= 0);
-    values.push_back(p->values[static_cast<size_t>(i)]);
+    *slots++ = p->values()[i];
   }
-  return TupleFromShape(target, std::move(values));
+  return out;
 }
 
 Value Value::ConcatTuple(const Value& other) const {
@@ -116,28 +140,44 @@ Value Value::ConcatTuple(const Value& other) const {
   const TuplePayload* b = other.tuple_payload();
   const TupleShape* combined = a->shape->ConcatWith(b->shape);
   N2J_CHECK(combined != nullptr);  // field names must not collide
-  std::vector<Value> values;
-  values.reserve(a->values.size() + b->values.size());
-  values.insert(values.end(), a->values.begin(), a->values.end());
-  values.insert(values.end(), b->values.begin(), b->values.end());
-  return TupleFromShape(combined, std::move(values));
+  return ConcatTupleAs(combined, other);
+}
+
+Value Value::ConcatTupleAs(const TupleShape* combined,
+                           const Value& other) const {
+  std::span<const Value> a = tuple_values();
+  std::span<const Value> b = other.tuple_values();
+  Value* slots = nullptr;
+  Value out = NewTuple(combined, &slots);
+  slots = std::copy(a.begin(), a.end(), slots);
+  std::copy(b.begin(), b.end(), slots);
+  return out;
 }
 
 Value Value::ExceptUpdate(const std::vector<Field>& updates) const {
   N2J_CHECK(is_tuple());
-  const TuplePayload* p = tuple_payload();
-  const TupleShape* shape = p->shape;
-  std::vector<Value> values = p->values;
+  // Each update replaces a field or appends one, and a later update may
+  // hit an earlier append, so the output shape is resolved first.
+  const TupleShape* shape = tuple_shape();
   for (const Field& u : updates) {
-    int i = shape->IndexOf(u.name);
-    if (i >= 0) {
-      values[static_cast<size_t>(i)] = u.value;
-    } else {
-      shape = shape->ExtendedWith(u.name);
-      values.push_back(u.value);
-    }
+    if (shape->IndexOf(u.name) < 0) shape = shape->ExtendedWith(u.name);
   }
-  return TupleFromShape(shape, std::move(values));
+  std::span<const Value> in = tuple_values();
+  Value* slots = nullptr;
+  Value out = NewTuple(shape, &slots);
+  std::copy(in.begin(), in.end(), slots);
+  for (const Field& u : updates) slots[shape->IndexOf(u.name)] = u.value;
+  return out;
+}
+
+Value Value::AppendField(const TupleShape* extended, Value field) const {
+  std::span<const Value> in = tuple_values();
+  N2J_CHECK(extended->size() == in.size() + 1);
+  Value* slots = nullptr;
+  Value out = NewTuple(extended, &slots);
+  slots = std::copy(in.begin(), in.end(), slots);
+  *slots = std::move(field);
+  return out;
 }
 
 Value Value::WithoutField(const std::string& name) const {
@@ -145,12 +185,17 @@ Value Value::WithoutField(const std::string& name) const {
   const TuplePayload* p = tuple_payload();
   int drop = p->shape->IndexOf(name);
   if (drop < 0) return *this;
-  std::vector<Value> values;
-  values.reserve(p->values.size() - 1);
-  for (size_t i = 0; i < p->values.size(); ++i) {
-    if (static_cast<int>(i) != drop) values.push_back(p->values[i]);
+  return WithoutFieldAs(p->shape->WithoutField(name), drop);
+}
+
+Value Value::WithoutFieldAs(const TupleShape* shape, int drop) const {
+  std::span<const Value> in = tuple_values();
+  Value* slots = nullptr;
+  Value out = NewTuple(shape, &slots);
+  for (size_t i = 0; i < in.size(); ++i) {
+    if (static_cast<int>(i) != drop) *slots++ = in[i];
   }
-  return TupleFromShape(p->shape->WithoutField(name), std::move(values));
+  return out;
 }
 
 std::vector<std::string> Value::FieldNames() const {
@@ -282,14 +327,14 @@ int Value::Compare(const Value& other) const {
       if (rep_.p == other.rep_.p) return 0;  // shared payload ⇒ equal
       const TuplePayload* a = tuple_payload();
       const TuplePayload* b = other.tuple_payload();
-      if (a->values.size() != b->values.size()) {
-        return a->values.size() < b->values.size() ? -1 : 1;
-      }
+      if (a->size != b->size) return a->size < b->size ? -1 : 1;
+      const Value* av = a->values();
+      const Value* bv = b->values();
       if (a->shape == b->shape) {
         // Interning turns "same field names in the same order" — the
         // overwhelmingly common case — into a pointer check.
-        for (size_t i = 0; i < a->values.size(); ++i) {
-          int c = a->values[i].Compare(b->values[i]);
+        for (uint32_t i = 0; i < a->size; ++i) {
+          int c = av[i].Compare(bv[i]);
           if (c != 0) return c;
         }
         return 0;
@@ -299,10 +344,10 @@ int Value::Compare(const Value& other) const {
       // permutations.
       const std::vector<uint32_t>& ia = a->shape->sorted_order();
       const std::vector<uint32_t>& ib = b->shape->sorted_order();
-      for (size_t i = 0; i < a->values.size(); ++i) {
+      for (uint32_t i = 0; i < a->size; ++i) {
         int c = a->shape->name(ia[i]).compare(b->shape->name(ib[i]));
         if (c != 0) return c < 0 ? -1 : 1;
-        c = a->values[ia[i]].Compare(b->values[ib[i]]);
+        c = av[ia[i]].Compare(bv[ib[i]]);
         if (c != 0) return c;
       }
       return 0;
@@ -378,9 +423,9 @@ uint64_t Value::Hash() const {
       if (h != 0) return h;
       // Commutative combination so field order does not affect the hash
       // (consistent with order-insensitive tuple equality).
-      h = 0x7475706cULL + p->values.size();
-      for (size_t i = 0; i < p->values.size(); ++i) {
-        h += HashCombine(p->shape->name_hash(i), p->values[i].Hash());
+      h = 0x7475706cULL + p->size;
+      for (uint32_t i = 0; i < p->size; ++i) {
+        h += HashCombine(p->shape->name_hash(i), p->values()[i].Hash());
       }
       return Memoize(p->hash_memo, h);
     }
@@ -416,9 +461,10 @@ std::string Value::ToString() const {
     case Kind::kTuple: {
       const TuplePayload* p = tuple_payload();
       std::vector<std::string> parts;
-      parts.reserve(p->values.size());
-      for (size_t i = 0; i < p->values.size(); ++i) {
-        parts.push_back(p->shape->name(i) + " = " + p->values[i].ToString());
+      parts.reserve(p->size);
+      for (uint32_t i = 0; i < p->size; ++i) {
+        parts.push_back(p->shape->name(i) + " = " +
+                        p->values()[i].ToString());
       }
       return "(" + Join(parts, ", ") + ")";
     }
@@ -444,11 +490,11 @@ size_t Value::ApproxBytes() const {
     case Kind::kString:
       return sizeof(Value) + sizeof(StringPayload) + str_payload()->str.size();
     case Kind::kTuple: {
-      // Each child's ApproxBytes already counts its 16 inline bytes,
-      // which here live in the payload's value vector; the interned
-      // shape is shared and not charged per tuple.
+      // The payload is the header plus one 16-byte slot per field; each
+      // child's ApproxBytes counts that slot together with whatever the
+      // child owns. The interned shape is shared, not charged per tuple.
       size_t total = sizeof(Value) + sizeof(TuplePayload);
-      for (const Value& v : tuple_payload()->values) total += v.ApproxBytes();
+      for (const Value& v : tuple_values()) total += v.ApproxBytes();
       return total;
     }
     case Kind::kSet: {

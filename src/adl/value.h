@@ -3,6 +3,7 @@
 
 #include <atomic>
 #include <cstdint>
+#include <span>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -28,7 +29,7 @@ class Value;
 
 /// One named field of a tuple under construction. Field is a builder
 /// convenience only: `Value::Tuple({Field("a", ...), ...})` splits the
-/// fields into an interned TupleShape plus a contiguous value vector.
+/// fields into an interned TupleShape plus the payload's inline values.
 /// Stored tuples do not hold Fields (or per-field allocations) at all.
 struct Field;
 
@@ -42,9 +43,10 @@ struct Field;
 /// Representation: a 16-byte tagged union. Atoms are stored inline; a
 /// string, tuple or set holds one pointer to an intrusively refcounted
 /// immutable payload, so copies are a tag copy plus one atomic increment.
-/// A tuple payload is an interned TupleShape pointer (field names,
-/// deduplicated process-wide) plus a contiguous std::vector<Value> of
-/// field values. Tuple and set payloads memoize their hash, and Compare /
+/// A tuple payload is one allocation: a header holding the interned
+/// TupleShape pointer (field names, deduplicated process-wide), the
+/// arity and the hash memo, followed by the field values in a trailing
+/// inline array. Tuple and set payloads memoize their hash, and Compare /
 /// operator== short-circuit on shared payload pointers, so repeated hash
 /// builds, set dedup and subset merges over shared values are O(1).
 class Value {
@@ -102,11 +104,11 @@ class Value {
   static Value MakeOidValue(Oid oid);
   /// Builds a tuple preserving field order. Field names must be distinct.
   static Value Tuple(std::vector<Field> fields);
-  /// Builds a tuple from an interned shape and one value per field —
-  /// the allocation-free construction path for hot loops. Precondition:
-  /// values.size() == shape->size().
-  static Value TupleFromShape(const TupleShape* shape,
-                              std::vector<Value> values);
+  /// Allocates a tuple of `shape` whose fields are all null and points
+  /// `*slots` at its shape->size() field values, for the caller to fill
+  /// in place before the tuple is shared — the one-allocation
+  /// construction path for hot loops.
+  static Value NewTuple(const TupleShape* shape, Value** slots);
   /// Builds a set; canonicalizes (sorts and deduplicates) the elements.
   static Value Set(std::vector<Value> elements);
   /// Builds a set from elements already sorted and deduplicated.
@@ -149,7 +151,7 @@ class Value {
 
   /// Tuple accessors. Precondition: is_tuple().
   const TupleShape* tuple_shape() const;
-  const std::vector<Value>& tuple_values() const;
+  std::span<const Value> tuple_values() const;
   size_t tuple_size() const { return tuple_values().size(); }
   const std::string& field_name(size_t i) const {
     return tuple_shape()->name(i);
@@ -164,8 +166,20 @@ class Value {
   Value ConcatTuple(const Value& other) const;
   /// The `except` operator: updates existing fields / appends new ones.
   Value ExceptUpdate(const std::vector<Field>& updates) const;
+  /// ConcatTuple with the combined shape already resolved (hot loops
+  /// resolve it once per input shape pair). Precondition: `combined` is
+  /// tuple_shape()->ConcatWith(other.tuple_shape()).
+  Value ConcatTupleAs(const TupleShape* combined, const Value& other) const;
+  /// The tuple with `field` appended as its last field. Precondition:
+  /// `extended` is tuple_shape()->ExtendedWith(the new field's name),
+  /// resolved by the caller once per input shape.
+  Value AppendField(const TupleShape* extended, Value field) const;
   /// The tuple without field `name` (this value if the field is absent).
   Value WithoutField(const std::string& name) const;
+  /// WithoutField with the result shape and the dropped index already
+  /// resolved. Precondition: `drop` is the field's index and `shape` is
+  /// tuple_shape()->WithoutField(its name).
+  Value WithoutFieldAs(const TupleShape* shape, int drop) const;
   /// Field names in order.
   std::vector<std::string> FieldNames() const;
 
@@ -204,8 +218,10 @@ class Value {
 
   /// Approximate in-memory footprint in bytes, used by the PNHL memory
   /// budget accounting. Counts the 16-byte inline Value, the refcounted
-  /// payload for strings/tuples/sets, and every nested element; interned
-  /// TupleShapes are shared, so they are not charged per tuple.
+  /// payload for strings/tuples/sets, and every nested element. A tuple
+  /// costs its payload header plus 16 bytes per field (plus whatever the
+  /// fields own); interned TupleShapes are shared, so they are not
+  /// charged per tuple.
   size_t ApproxBytes() const;
 
  private:
@@ -261,14 +277,20 @@ struct Value::StringPayload : Value::Payload {
   std::string str;
 };
 
+// The header of a tuple allocation; the `size` field values follow it
+// in the same block (see NewTuple).
 struct Value::TuplePayload : Value::Payload {
-  TuplePayload(const TupleShape* s, std::vector<Value> v)
-      : shape(s), values(std::move(v)) {}
+  TuplePayload(const TupleShape* s, uint32_t n) : size(n), shape(s) {}
+  uint32_t size;
   const TupleShape* shape;
-  std::vector<Value> values;
   // 0 = not yet computed (computed hashes that collide with 0 are
   // remapped). Relaxed atomics: racing writers store the same value.
   mutable std::atomic<uint64_t> hash_memo{0};
+
+  Value* values() { return reinterpret_cast<Value*>(this + 1); }
+  const Value* values() const {
+    return reinterpret_cast<const Value*>(this + 1);
+  }
 };
 
 struct Value::SetPayload : Value::Payload {
@@ -295,9 +317,10 @@ inline const TupleShape* Value::tuple_shape() const {
   N2J_CHECK(is_tuple());
   return tuple_payload()->shape;
 }
-inline const std::vector<Value>& Value::tuple_values() const {
+inline std::span<const Value> Value::tuple_values() const {
   N2J_CHECK(is_tuple());
-  return tuple_payload()->values;
+  const TuplePayload* p = tuple_payload();
+  return {p->values(), p->size};
 }
 inline const std::vector<Value>& Value::elements() const {
   N2J_CHECK(is_set());
@@ -307,7 +330,7 @@ inline const Value* Value::FindField(std::string_view name) const {
   N2J_CHECK(is_tuple());
   const TuplePayload* p = tuple_payload();
   int i = p->shape->IndexOf(name);
-  return i < 0 ? nullptr : &p->values[static_cast<size_t>(i)];
+  return i < 0 ? nullptr : &p->values()[i];
 }
 
 /// Hash functor for unordered containers keyed by Value.

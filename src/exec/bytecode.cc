@@ -1,5 +1,8 @@
 #include "exec/bytecode.h"
 
+#include <algorithm>
+#include <span>
+
 #include "common/str_util.h"
 #include "exec/eval.h"
 
@@ -169,14 +172,52 @@ Result<Value> ConcatTuplesChecked(const Value& l, const Value& r) {
     }
     return Status::RuntimeError("attribute naming conflict");
   }
-  std::vector<Value> values;
-  values.reserve(l.tuple_size() + r.tuple_size());
-  values.insert(values.end(), l.tuple_values().begin(),
-                l.tuple_values().end());
-  values.insert(values.end(), r.tuple_values().begin(),
-                r.tuple_values().end());
-  return Value::TupleFromShape(combined, std::move(values));
+  return l.ConcatTupleAs(combined, r);
 }
+
+namespace {
+
+/// kProject's plan for one input shape, cached per instruction in `sc`:
+/// the source index of each projected name. Returns the first missing
+/// name (the interpreter's error), or nullptr.
+const std::string* PlanProjection(ShapeCache& sc, const TupleShape* shape,
+                                  const std::vector<std::string>& names) {
+  if (shape != sc.in) {
+    sc.in = shape;
+    sc.out = TupleShape::Intern(names);
+    sc.index.clear();
+    sc.complete = true;
+    for (const std::string& n : names) {
+      int i = shape->IndexOf(n);
+      if (i < 0) sc.complete = false;
+      sc.index.push_back(i);
+    }
+  }
+  if (!sc.complete) {
+    for (size_t k = 0; k < sc.index.size(); ++k) {
+      if (sc.index[k] < 0) return &names[k];
+    }
+  }
+  return nullptr;
+}
+
+/// The kProject result for `in` under its resolved plan: the projected
+/// tuple, or with kProjectField set the one field `ins.d` selects.
+Value ProjectWithPlan(const Instr& ins, const ShapeCache& sc,
+                      const Value& in) {
+  if (ins.flag == kProjectField) {
+    return in.field_value(static_cast<size_t>(sc.index[ins.d]));
+  }
+  // Mirrors Value::ProjectTuple's identity fast path.
+  if (sc.out == sc.in) return in;
+  std::span<const Value> src = in.tuple_values();
+  Value* slots = nullptr;
+  Value out = Value::NewTuple(sc.out, &slots);
+  for (int i : sc.index) *slots++ = src[static_cast<size_t>(i)];
+  return out;
+}
+
+}  // namespace
 
 Vm::Vm(const Program* prog, const Database* db, EvalStats* stats)
     : prog_(prog), db_(db), stats_(stats) {
@@ -238,50 +279,23 @@ bool Vm::RunRange(size_t begin, size_t end) {
         if (!in.is_tuple()) {
           return Fail(Status::RuntimeError("tuple projection on non-tuple"));
         }
-        const std::vector<std::string>& names = prog_->name_lists[ins.b];
         ShapeCache& sc = prog_->shape_caches[ins.c];
-        if (in.tuple_shape() != sc.in) {
-          sc.in = in.tuple_shape();
-          sc.out = TupleShape::Intern(names);
-          sc.index.clear();
-          sc.complete = true;
-          for (const std::string& n : names) {
-            int i = sc.in->IndexOf(n);
-            if (i < 0) sc.complete = false;
-            sc.index.push_back(i);
-          }
+        if (const std::string* missing = PlanProjection(
+                sc, in.tuple_shape(), prog_->name_lists[ins.b])) {
+          return Fail(
+              Status::RuntimeError("no field '" + *missing + "' in tuple"));
         }
-        if (!sc.complete) {
-          for (size_t k = 0; k < sc.index.size(); ++k) {
-            if (sc.index[k] < 0) {
-              return Fail(Status::RuntimeError("no field '" + names[k] +
-                                               "' in tuple"));
-            }
-          }
-        }
-        if (sc.out == sc.in) {
-          // Mirrors Value::ProjectTuple's identity fast path.
-          regs[ins.dst] = in;
-          break;
-        }
-        std::vector<Value> vals;
-        vals.reserve(sc.index.size());
-        const std::vector<Value>& src = in.tuple_values();
-        for (int i : sc.index) {
-          vals.push_back(src[static_cast<size_t>(i)]);
-        }
-        regs[ins.dst] = Value::TupleFromShape(sc.out, std::move(vals));
+        regs[ins.dst] = ProjectWithPlan(ins, sc, in);
         break;
       }
 
       case OpCode::kMakeTuple: {
-        std::vector<Value> vals;
-        vals.reserve(ins.b);
+        Value* slots = nullptr;
+        Value t = Value::NewTuple(prog_->shapes[ins.c], &slots);
         for (uint32_t i = 0; i < ins.b; ++i) {
-          vals.push_back(regs[prog_->operands[ins.a + i]]);
+          slots[i] = regs[prog_->operands[ins.a + i]];
         }
-        regs[ins.dst] =
-            Value::TupleFromShape(prog_->shapes[ins.c], std::move(vals));
+        regs[ins.dst] = std::move(t);
         break;
       }
 
@@ -320,18 +334,15 @@ bool Vm::RunRange(size_t begin, size_t end) {
             sc.index.push_back(i);
           }
           sc.out = shape;
-          sc.out_size = shape->size();
         }
-        std::vector<Value> vals;
-        vals.reserve(sc.out_size);
-        const std::vector<Value>& src = base.tuple_values();
-        vals.assign(src.begin(), src.end());
-        vals.resize(sc.out_size);
+        std::span<const Value> src = base.tuple_values();
+        Value* slots = nullptr;
+        Value t = Value::NewTuple(sc.out, &slots);
+        std::copy(src.begin(), src.end(), slots);
         for (size_t k = 0; k < sc.index.size(); ++k) {
-          vals[static_cast<size_t>(sc.index[k])] =
-              regs[prog_->operands[ins.b + k]];
+          slots[sc.index[k]] = regs[prog_->operands[ins.b + k]];
         }
-        regs[ins.dst] = Value::TupleFromShape(sc.out, std::move(vals));
+        regs[ins.dst] = std::move(t);
         break;
       }
 
@@ -512,13 +523,12 @@ bool Vm::RunRange(size_t begin, size_t end) {
           regs[ins.dst] = std::move(regs[prog_->operands[ins.a]]);
           break;
         }
-        std::vector<Value> parts;
-        parts.reserve(ins.b);
+        Value* slots = nullptr;
+        Value key = Value::NewTuple(prog_->shapes[ins.c], &slots);
         for (uint32_t i = 0; i < ins.b; ++i) {
-          parts.push_back(std::move(regs[prog_->operands[ins.a + i]]));
+          slots[i] = std::move(regs[prog_->operands[ins.a + i]]);
         }
-        regs[ins.dst] =
-            Value::TupleFromShape(prog_->shapes[ins.c], std::move(parts));
+        regs[ins.dst] = std::move(key);
         break;
       }
     }
@@ -618,36 +628,12 @@ bool BatchVm::RunRange(size_t begin, size_t end, const uint32_t* sel,
             return Fail(
                 Status::RuntimeError("tuple projection on non-tuple"));
           }
-          if (in.tuple_shape() != sc.in) {
-            sc.in = in.tuple_shape();
-            sc.out = TupleShape::Intern(names);
-            sc.index.clear();
-            sc.complete = true;
-            for (const std::string& n : names) {
-              int i = sc.in->IndexOf(n);
-              if (i < 0) sc.complete = false;
-              sc.index.push_back(i);
-            }
+          if (const std::string* missing =
+                  PlanProjection(sc, in.tuple_shape(), names)) {
+            return Fail(
+                Status::RuntimeError("no field '" + *missing + "' in tuple"));
           }
-          if (!sc.complete) {
-            for (size_t k = 0; k < sc.index.size(); ++k) {
-              if (sc.index[k] < 0) {
-                return Fail(Status::RuntimeError("no field '" + names[k] +
-                                                 "' in tuple"));
-              }
-            }
-          }
-          if (sc.out == sc.in) {
-            dst[l] = in;
-            continue;
-          }
-          std::vector<Value> vals;
-          vals.reserve(sc.index.size());
-          const std::vector<Value>& src = in.tuple_values();
-          for (int i : sc.index) {
-            vals.push_back(src[static_cast<size_t>(i)]);
-          }
-          dst[l] = Value::TupleFromShape(sc.out, std::move(vals));
+          dst[l] = ProjectWithPlan(ins, sc, in);
         }
         break;
       }
@@ -656,13 +642,11 @@ bool BatchVm::RunRange(size_t begin, size_t end, const uint32_t* sel,
         std::vector<Value>& dst = cols_[ins.dst];
         for (size_t s = 0; s < nsel; ++s) {
           const uint32_t l = sel[s];
-          std::vector<Value> vals;
-          vals.reserve(ins.b);
+          Value* slots = nullptr;
+          dst[l] = Value::NewTuple(prog_->shapes[ins.c], &slots);
           for (uint32_t i = 0; i < ins.b; ++i) {
-            vals.push_back(cols_[prog_->operands[ins.a + i]][l]);
+            slots[i] = cols_[prog_->operands[ins.a + i]][l];
           }
-          dst[l] = Value::TupleFromShape(prog_->shapes[ins.c],
-                                         std::move(vals));
         }
         break;
       }
@@ -709,18 +693,15 @@ bool BatchVm::RunRange(size_t begin, size_t end, const uint32_t* sel,
               sc.index.push_back(i);
             }
             sc.out = shape;
-            sc.out_size = shape->size();
           }
-          std::vector<Value> vals;
-          vals.reserve(sc.out_size);
-          const std::vector<Value>& src = base.tuple_values();
-          vals.assign(src.begin(), src.end());
-          vals.resize(sc.out_size);
+          std::span<const Value> src = base.tuple_values();
+          Value* slots = nullptr;
+          Value t = Value::NewTuple(sc.out, &slots);
+          std::copy(src.begin(), src.end(), slots);
           for (size_t k = 0; k < sc.index.size(); ++k) {
-            vals[static_cast<size_t>(sc.index[k])] =
-                cols_[prog_->operands[ins.b + k]][l];
+            slots[sc.index[k]] = cols_[prog_->operands[ins.b + k]][l];
           }
-          dst[l] = Value::TupleFromShape(sc.out, std::move(vals));
+          dst[l] = std::move(t);
         }
         break;
       }
@@ -966,13 +947,12 @@ bool BatchVm::RunRange(size_t begin, size_t end, const uint32_t* sel,
         }
         for (size_t s = 0; s < nsel; ++s) {
           const uint32_t l = sel[s];
-          std::vector<Value> parts;
-          parts.reserve(ins.b);
+          Value* slots = nullptr;
+          Value key = Value::NewTuple(prog_->shapes[ins.c], &slots);
           for (uint32_t i = 0; i < ins.b; ++i) {
-            parts.push_back(std::move(cols_[prog_->operands[ins.a + i]][l]));
+            slots[i] = std::move(cols_[prog_->operands[ins.a + i]][l]);
           }
-          dst[l] = Value::TupleFromShape(prog_->shapes[ins.c],
-                                         std::move(parts));
+          dst[l] = std::move(key);
         }
         break;
       }
@@ -1011,14 +991,16 @@ std::string Program::Disassemble() const {
         }
         break;
       case OpCode::kProject: {
-        out += StrFormat("project %s <- %s [", RegName(ins.dst).c_str(),
-                         RegName(ins.a).c_str());
+        const bool field = ins.flag == kProjectField;
+        out += StrFormat("%s %s <- %s [", field ? "projfld" : "project",
+                         RegName(ins.dst).c_str(), RegName(ins.a).c_str());
         const std::vector<std::string>& ns = name_lists[ins.b];
         for (size_t i = 0; i < ns.size(); ++i) {
           if (i > 0) out += ", ";
           out += ns[i];
         }
         out += "]";
+        if (field) out += "." + ns[ins.d];
         break;
       }
       case OpCode::kMakeTuple: {

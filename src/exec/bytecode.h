@@ -53,7 +53,9 @@ enum class OpCode : uint8_t {
   kLoadConst,  // dst = consts[a]
   kMove,       // dst = regs[a]
   kField,      // dst = regs[a].names[b]  (derefs oids; inline cache)
-  kProject,    // dst = regs[a][name_lists[b]]  (shape_caches[c])
+  kProject,    // dst = regs[a][name_lists[b]]  (shape_caches[c]); with
+               // flag kProjectField: dst = that projection's field
+               // name_lists[b][d], the projected tuple never built
   kMakeTuple,  // dst = tuple(shapes[c]; operands[a..a+b))
   kConcat,     // dst = regs[a] o regs[b]
   kExcept,     // dst = regs[a] except name_lists[d] = operands[b..)
@@ -70,6 +72,10 @@ enum class OpCode : uint8_t {
   kSetOp,      // dst = regs[a] ∪/∩/− regs[b]  (expr-level set operator)
   kMakeKey,    // dst = join key from operands[a..a+b)  (shapes[c])
 };
+
+/// kProject flag: the compiler folded `x[a1..an].ai` into one projection
+/// that selects field ai (keeping the projection's own checks).
+constexpr uint8_t kProjectField = 1;
 
 /// One instruction. dst and the operand fields address registers or the
 /// program's pools depending on the opcode (see OpCode). The cache
@@ -93,9 +99,8 @@ struct ShapeCache {
   const TupleShape* in = nullptr;
   const TupleShape* out = nullptr;
   // kProject: source index per output field (-1 = missing field).
-  // kExcept: target index per update in the output value vector.
+  // kExcept: target index per update in the output tuple.
   std::vector<int> index;
-  size_t out_size = 0;    // kExcept: output arity
   bool complete = false;  // kProject: every field present
 };
 
@@ -232,6 +237,24 @@ struct FieldCursor {
     }
     return index < 0 ? nullptr
                      : &tuple.tuple_values()[static_cast<size_t>(index)];
+  }
+};
+
+/// The same one-entry cache for a derived shape: the tuple's shape
+/// extended with `name` is resolved once per input shape, instead of
+/// once per row through the shape memo (a shared lock plus a copy of
+/// the name key).
+struct ShapeCursor {
+  const TupleShape* in = nullptr;
+  const TupleShape* out = nullptr;
+
+  const TupleShape* Extended(const Value& tuple, const std::string& name) {
+    const TupleShape* s = tuple.tuple_shape();
+    if (s != in) {
+      in = s;
+      out = s->ExtendedWith(name);
+    }
+    return out;
   }
 };
 

@@ -163,6 +163,23 @@ uint32_t Compiler::CompileNode(const Expr& e) {
     }
 
     case ExprKind::kFieldAccess: {
+      const Expr& base = *e.child(0);
+      if (base.kind() == ExprKind::kTupleProject) {
+        // x[a1..an].ai — e.g. a join key s1[pid].pid — folds into one
+        // projection that selects field ai without building the
+        // projected tuple; it keeps the projection's checks and errors.
+        const std::vector<std::string>& names = base.names();
+        auto at = std::find(names.begin(), names.end(), e.name());
+        if (at != names.end()) {
+          uint32_t src = CompileNode(*base.child(0));
+          if (failed_) return kNoReg;
+          uint32_t dst = AllocReg();
+          Emit(OpCode::kProject, dst, src, AddNameList(names),
+               AddShapeCache(), static_cast<uint32_t>(at - names.begin()),
+               kProjectField);
+          return dst;
+        }
+      }
       uint32_t src = CompileNode(*e.child(0));
       if (failed_) return kNoReg;
       uint32_t dst = AllocReg();

@@ -137,16 +137,25 @@ class CompiledBatchLambda {
   std::unique_ptr<BatchVm> vm_;
 };
 
-/// The compiled fragments one join-family operator invocation can use.
-/// Parallel join operators build one per worker frame so every worker
-/// owns its programs (register frames and inline caches are not
-/// shareable across threads).
+/// The compiled fragments one join-family operator invocation can use,
+/// plus the probe loop's reusable scratch. Parallel join operators build
+/// one per worker frame so every worker owns its programs (register
+/// frames and inline caches are not shareable across threads) and its
+/// scratch.
 struct JoinLambdas {
   CompiledLambda left_key;   // key over the left/probe variable
   CompiledLambda right_key;  // key over the right/build variable
   CompiledLambda elem_key;   // membership-join element key k(v)
   CompiledLambda residual;   // residual conjunction p(x, y)
   CompiledLambda inner;      // nestjoin inner function f(x, y)
+
+  // One left tuple's matches; cleared, not freed, between tuples.
+  std::vector<const Value*> matches;
+  // Membership join with an element key: per build key, the stamp of
+  // the last left tuple that reached it (see MembershipJoin).
+  std::vector<uint32_t> key_seen;
+  // Nestjoin output shape, resolved once per left-tuple shape.
+  ShapeCursor nest_shape;
 };
 
 }  // namespace n2j

@@ -1,5 +1,6 @@
 #include "exec/equi_join.h"
 
+#include <algorithm>
 #include <array>
 #include <atomic>
 #include <utility>
@@ -162,8 +163,10 @@ const TupleShape* JoinKeyShape(size_t n) {
 
 Value JoinKeyFromParts(std::vector<Value> parts) {
   if (parts.size() == 1) return std::move(parts[0]);
-  const TupleShape* shape = JoinKeyShape(parts.size());
-  return Value::TupleFromShape(shape, std::move(parts));
+  Value* slots = nullptr;
+  Value key = Value::NewTuple(JoinKeyShape(parts.size()), &slots);
+  std::move(parts.begin(), parts.end(), slots);
+  return key;
 }
 
 }  // namespace n2j

@@ -18,11 +18,11 @@ namespace {
 // Index-gather tuple projection for per-shape cached index vectors.
 Value GatherTuple(const TupleShape* target, const std::vector<int>& idx,
                   const Value& x) {
-  std::vector<Value> vals;
-  vals.reserve(idx.size());
-  const std::vector<Value>& src = x.tuple_values();
-  for (int i : idx) vals.push_back(src[static_cast<size_t>(i)]);
-  return Value::TupleFromShape(target, std::move(vals));
+  std::span<const Value> src = x.tuple_values();
+  Value* slots = nullptr;
+  Value out = Value::NewTuple(target, &slots);
+  for (int i : idx) *slots++ = src[static_cast<size_t>(i)];
+  return out;
 }
 
 // One row per EvalStats counter, in declaration order. Merge, Subtract,
@@ -734,9 +734,7 @@ Result<Value> Evaluator::EvalNest(const Expr& e, Environment& env) {
   out.reserve(group_order.size());
   for (const Value& key : group_order) {
     const TupleShape* shape = key.tuple_shape()->ExtendedWith(e.name());
-    std::vector<Value> values = key.tuple_values();
-    values.push_back(Value::Set(std::move(groups[key])));
-    out.push_back(Value::TupleFromShape(shape, std::move(values)));
+    out.push_back(key.AppendField(shape, Value::Set(std::move(groups[key]))));
   }
   return Value::Set(std::move(out));
 }
@@ -747,28 +745,53 @@ Result<Value> Evaluator::EvalUnnest(const Expr& e, Environment& env) {
   N2J_ASSIGN_OR_RETURN(Value in, EvalNode(*e.child(0), env));
   if (!in.is_set()) return Status::RuntimeError("unnest over non-set");
   span.RowsIn(in.set_size());
+  // Rows (and set elements) of one input almost always share one
+  // interned shape, so the attribute index, the rest shape and the
+  // output shape are resolved once per shape, not once per row.
+  const TupleShape* x_shape = nullptr;
+  int attr_at = -1;
+  const TupleShape* rest_shape = nullptr;
+  const TupleShape* elem_shape = nullptr;
+  const TupleShape* out_shape = nullptr;
   std::vector<Value> out;
+  size_t expected = 0;
+  for (const Value& x : in.elements()) {
+    const Value* attr = x.is_tuple() ? x.FindField(e.name()) : nullptr;
+    if (attr != nullptr && attr->is_set()) expected += attr->set_size();
+  }
+  out.reserve(expected);
   for (const Value& x : in.elements()) {
     ++stats_.tuples_scanned;
     if (!x.is_tuple()) {
       return Status::RuntimeError("unnest element not tuple");
     }
-    const Value* attr = x.FindField(e.name());
-    if (attr == nullptr) {
+    if (x.tuple_shape() != x_shape) {
+      x_shape = x.tuple_shape();
+      attr_at = x_shape->IndexOf(e.name());
+      rest_shape = x_shape->WithoutField(e.name());
+      elem_shape = nullptr;
+    }
+    if (attr_at < 0) {
       return Status::RuntimeError("unnest: no attribute '" + e.name() + "'");
     }
-    if (!attr->is_set()) {
+    const Value& attr = x.field_value(static_cast<size_t>(attr_at));
+    if (!attr.is_set()) {
       return Status::RuntimeError("unnest: attribute '" + e.name() +
                                   "' not a set");
     }
-    Value rest_tuple = x.WithoutField(e.name());
-    for (const Value& elem : attr->elements()) {
+    Value rest_tuple = x.WithoutFieldAs(rest_shape, attr_at);
+    for (const Value& elem : attr.elements()) {
       if (!elem.is_tuple()) {
         return Status::RuntimeError(
             "unnest: set elements must be tuples (NF2)");
       }
+      if (elem.tuple_shape() != elem_shape) {
+        elem_shape = elem.tuple_shape();
+        out_shape = elem_shape->ConcatWith(rest_shape);
+        N2J_CHECK(out_shape != nullptr);  // field names must not collide
+      }
       // µ_a(e) = { x' o x[b1..bm] | x ∈ e ∧ x' ∈ x.a }
-      out.push_back(elem.ConcatTuple(rest_tuple));
+      out.push_back(elem.ConcatTupleAs(out_shape, rest_tuple));
     }
   }
   span.RowsOut(static_cast<uint64_t>(out.size()));
@@ -905,6 +928,7 @@ Result<Value> Evaluator::NestedLoopJoin(const Expr& e, const Value& l,
     }
   }
   // Per-left-tuple result assembly, shared by both engines.
+  ShapeCursor nest_shape;
   auto finish_row = [&](const Value& x, bool matched,
                         std::vector<Value>&& group) -> Status {
     switch (e.kind()) {
@@ -922,10 +946,8 @@ Result<Value> Evaluator::NestedLoopJoin(const Expr& e, const Value& l,
           return Status::RuntimeError("nestjoin result attribute '" +
                                       e.name() + "' collides");
         }
-        const TupleShape* shape = x.tuple_shape()->ExtendedWith(e.name());
-        std::vector<Value> values = x.tuple_values();
-        values.push_back(Value::Set(std::move(group)));
-        out.push_back(Value::TupleFromShape(shape, std::move(values)));
+        out.push_back(x.AppendField(nest_shape.Extended(x, e.name()),
+                                    Value::Set(std::move(group))));
         break;
       }
       default:

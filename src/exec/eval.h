@@ -14,6 +14,7 @@
 #include "common/result.h"
 #include "common/status.h"
 #include "common/thread_pool.h"
+#include "exec/join_table.h"
 #include "storage/database.h"
 
 namespace n2j {
@@ -334,15 +335,15 @@ class Evaluator {
   /// serial; the probe side dominates). `compile_worker` populates one
   /// JoinLambdas per worker frame (compiled via that worker's evaluator
   /// and environment) before the morsels run; `probe_one` receives the
-  /// worker's frame.
+  /// worker's frame, the left tuple and its position in `l`, and leaves
+  /// the tuple's matches in jl.matches.
   Result<Value> ParallelMembershipProbe(
       const Expr& e, const Value& l, Environment& env,
       const std::function<void(Evaluator& worker, Environment& wenv,
                                JoinLambdas* jl)>& compile_worker,
       const std::function<Status(Evaluator& worker, Environment& wenv,
-                                 const Value& x, JoinLambdas& jl,
-                                 std::vector<const Value*>* matches)>&
-          probe_one);
+                                 const Value& x, size_t pos,
+                                 JoinLambdas& jl)>& probe_one);
 
   /// Compiles a join's key, residual and nestjoin-inner lambdas into
   /// `jl` when compiled evaluation is on. A null `r` skips the right
@@ -363,12 +364,20 @@ class Evaluator {
 
   /// Shared per-left-tuple result assembly for the join family: given
   /// the matching right tuples (post-residual), appends the appropriate
-  /// output to `out`. Used by the hash/sort-merge/index variants. The
-  /// nestjoin inner function runs compiled when `inner` is ok.
+  /// output to `out`. Used by the hash/sort-merge/index/membership
+  /// variants. The nestjoin inner function runs compiled when jl.inner
+  /// is ok.
   Status EmitJoinResult(const Expr& e, const Value& x,
                         const std::vector<const Value*>& matches,
                         Environment& env, std::vector<Value>* out,
-                        CompiledLambda* inner = nullptr);
+                        JoinLambdas& jl);
+  /// The rows of `chain` (indices into `build`) that pass the residual
+  /// for left tuple `x`, in chain order, into jl.matches.
+  Status CollectMatches(const Expr& e, const Expr& residual,
+                        const EquiJoinKeys& keys,
+                        const std::vector<Value>& build,
+                        const JoinTable::Chain& chain, const Value& x,
+                        Environment& env, JoinLambdas& jl);
 
   Result<Value> TableValue(const std::string& name);
 

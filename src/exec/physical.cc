@@ -6,11 +6,10 @@
 // sort-merge variant lives in physical_sortmerge.cc, the membership
 // join in physical_membership.cc.
 
-#include <unordered_map>
-
 #include "exec/compile.h"
 #include "exec/equi_join.h"
 #include "exec/eval.h"
+#include "exec/join_table.h"
 #include "obs/trace.h"
 #include "storage/index.h"
 
@@ -19,7 +18,7 @@ namespace n2j {
 Status Evaluator::EmitJoinResult(const Expr& e, const Value& x,
                                  const std::vector<const Value*>& matches,
                                  Environment& env, std::vector<Value>* out,
-                                 CompiledLambda* inner) {
+                                 JoinLambdas& jl) {
   switch (e.kind()) {
     case ExprKind::kJoin:
       for (const Value* y : matches) {
@@ -41,16 +40,17 @@ Status Evaluator::EmitJoinResult(const Expr& e, const Value& x,
         return Status::RuntimeError("nestjoin result attribute '" +
                                     e.name() + "' collides");
       }
+      CompiledLambda& inner = jl.inner;
       std::vector<Value> group;
       group.reserve(matches.size());
-      if (inner != nullptr && inner->ok()) {
+      if (inner.ok()) {
         for (const Value* y : matches) {
-          Value* iv = inner->Run(x, *y);
-          if (iv == nullptr) return inner->status();
+          Value* iv = inner.Run(x, *y);
+          if (iv == nullptr) return inner.status();
           group.push_back(std::move(*iv));
         }
       } else {
-        bool count_fallback = inner != nullptr && inner->fallback();
+        bool count_fallback = inner.fallback();
         env.Push(e.var(), x);
         for (const Value* y : matches) {
           if (count_fallback) ++stats_.interp_fallback_evals;
@@ -65,10 +65,8 @@ Status Evaluator::EmitJoinResult(const Expr& e, const Value& x,
         }
         env.Pop();
       }
-      const TupleShape* shape = x.tuple_shape()->ExtendedWith(e.name());
-      std::vector<Value> values = x.tuple_values();
-      values.push_back(Value::Set(std::move(group)));
-      out->push_back(Value::TupleFromShape(shape, std::move(values)));
+      out->push_back(x.AppendField(jl.nest_shape.Extended(x, e.name()),
+                                   Value::Set(std::move(group))));
       return Status::OK();
     }
     default:
@@ -162,47 +160,48 @@ Result<Value> Evaluator::HashJoin(const Expr& e, const JoinShape& shape,
   CompileJoinLambdas(e, keys, *residual, l, &r, env, &jl);
 
   // Build phase over the right operand.
-  std::unordered_map<Value, std::vector<const Value*>, ValueHash> table;
-  table.reserve(r.set_size());
-  for (const Value& y : r.elements()) {
+  const std::vector<Value>& build = r.elements();
+  JoinTable table(build.size());
+  for (size_t i = 0; i < build.size(); ++i) {
     ++stats_.tuples_scanned;
-    N2J_ASSIGN_OR_RETURN(
-        Value key, JoinKey(jl.right_key, keys.right_keys, e.var2(), y, env));
+    N2J_ASSIGN_OR_RETURN(Value key, JoinKey(jl.right_key, keys.right_keys,
+                                            e.var2(), build[i], env));
     ++stats_.hash_inserts;
-    table[std::move(key)].push_back(&y);
+    table.Insert(std::move(key), static_cast<uint32_t>(i));
   }
-  if (opts_.trace != nullptr) opts_.trace->NotePeakHash(table.size());
+  if (opts_.trace != nullptr) opts_.trace->NotePeakHash(table.num_keys());
 
-  // Probe phase over the left operand. When the residual is trivial the
-  // bucket is passed to EmitJoinResult by pointer — no per-probe copy of
-  // the match vector.
+  // Probe phase over the left operand.
   std::vector<Value> out;
-  const std::vector<const Value*> no_matches;
-  std::vector<const Value*> filtered;
   for (const Value& x : l.elements()) {
     ++stats_.tuples_scanned;
     N2J_ASSIGN_OR_RETURN(
         Value key, JoinKey(jl.left_key, keys.left_keys, e.var(), x, env));
     ++stats_.hash_probes;
-    auto it = table.find(key);
-    const std::vector<const Value*>* matches = &no_matches;
-    if (it != table.end()) {
-      matches = &it->second;
-      if (!keys.residual.empty()) {
-        filtered.clear();
-        for (const Value* y : it->second) {
-          bool holds = false;
-          N2J_RETURN_IF_ERROR(
-              ResidualHolds(e, *residual, jl.residual, x, *y, env, &holds));
-          if (holds) filtered.push_back(y);
-        }
-        matches = &filtered;
-      }
-    }
-    N2J_RETURN_IF_ERROR(
-        EmitJoinResult(e, x, *matches, env, &out, &jl.inner));
+    N2J_RETURN_IF_ERROR(CollectMatches(e, *residual, keys, build,
+                                       table.Find(key), x, env, jl));
+    N2J_RETURN_IF_ERROR(EmitJoinResult(e, x, jl.matches, env, &out, jl));
   }
   return Value::Set(std::move(out));
+}
+
+Status Evaluator::CollectMatches(const Expr& e, const Expr& residual,
+                                 const EquiJoinKeys& keys,
+                                 const std::vector<Value>& build,
+                                 const JoinTable::Chain& chain,
+                                 const Value& x, Environment& env,
+                                 JoinLambdas& jl) {
+  jl.matches.clear();
+  for (uint32_t row : chain) {
+    const Value& y = build[row];
+    bool holds = true;
+    if (!keys.residual.empty()) {
+      N2J_RETURN_IF_ERROR(
+          ResidualHolds(e, residual, jl.residual, x, y, env, &holds));
+    }
+    if (holds) jl.matches.push_back(&y);
+  }
+  return Status::OK();
 }
 
 // Morsel-driven parallel hash join (num_threads > 1). Three passes:
@@ -241,10 +240,10 @@ Result<Value> Evaluator::ParallelHashJoin(const Expr& e, const Value& l,
         &jls[static_cast<size_t>(w)]);
   }
 
-  // Pass 1: evaluate build keys (and their partitions) slot-per-element.
+  // Pass 1: evaluate build keys (and their hashes) slot-per-element.
   const size_t num_partitions = static_cast<size_t>(num_workers);
   std::vector<Value> build_keys(build.size());
-  std::vector<size_t> partition_of(build.size());
+  std::vector<uint64_t> build_hashes(build.size());
   size_t build_morsel = PickMorselSize(build.size(), num_workers);
   tp.set_morsel_phase("join/build-keys");
   Status s = tp.RunMorsels(
@@ -258,7 +257,7 @@ Result<Value> Evaluator::ParallelHashJoin(const Expr& e, const Value& l,
           N2J_ASSIGN_OR_RETURN(Value key,
                                ev.JoinKey(jl.right_key, keys.right_keys,
                                           e.var2(), build[i], wenv));
-          partition_of[i] = key.Hash() % num_partitions;
+          build_hashes[i] = key.Hash();
           build_keys[i] = std::move(key);
         }
         return Status::OK();
@@ -268,17 +267,19 @@ Result<Value> Evaluator::ParallelHashJoin(const Expr& e, const Value& l,
     return s;
   }
 
-  // Pass 2: one build task per partition; bucket order = input order.
-  std::vector<
-      std::unordered_map<Value, std::vector<const Value*>, ValueHash>>
-      tables(num_partitions);
+  // Pass 2: one build task per partition; chain order = input order.
+  std::vector<JoinTable> tables;
+  tables.reserve(num_partitions);
+  for (size_t p = 0; p < num_partitions; ++p) {
+    tables.emplace_back(build.size() / num_partitions + 1);
+  }
   tp.set_morsel_phase("join/partition");
   s = tp.RunMorsels(num_partitions, [&](int, size_t p) -> Status {
-    auto& table = tables[p];
-    table.reserve(build.size() / num_partitions + 1);
+    JoinTable& table = tables[p];
     for (size_t i = 0; i < build.size(); ++i) {
-      if (partition_of[i] != p) continue;
-      table[build_keys[i]].push_back(&build[i]);
+      if (build_hashes[i] % num_partitions != p) continue;
+      table.Insert(std::move(build_keys[i]), build_hashes[i],
+                   static_cast<uint32_t>(i));
     }
     return Status::OK();
   });
@@ -291,7 +292,7 @@ Result<Value> Evaluator::ParallelHashJoin(const Expr& e, const Value& l,
     // The partitions are resident simultaneously; their combined entry
     // count is what the serial build would have held.
     uint64_t entries = 0;
-    for (const auto& t : tables) entries += t.size();
+    for (const JoinTable& t : tables) entries += t.num_keys();
     opts_.trace->NotePeakHash(entries);
   }
 
@@ -305,32 +306,18 @@ Result<Value> Evaluator::ParallelHashJoin(const Expr& e, const Value& l,
     Environment& wenv = envs[static_cast<size_t>(w)];
     JoinLambdas& jl = jls[static_cast<size_t>(w)];
     MorselRange range = MorselAt(probe.size(), probe_morsel, m);
-    const std::vector<const Value*> no_matches;
-    std::vector<const Value*> filtered;
     for (size_t i = range.begin; i < range.end; ++i) {
       const Value& x = probe[i];
       ++ev.stats_.tuples_scanned;
       N2J_ASSIGN_OR_RETURN(
           Value key, ev.JoinKey(jl.left_key, keys.left_keys, e.var(), x, wenv));
       ++ev.stats_.hash_probes;
-      const auto& table = tables[key.Hash() % num_partitions];
-      auto it = table.find(key);
-      const std::vector<const Value*>* matches = &no_matches;
-      if (it != table.end()) {
-        matches = &it->second;
-        if (!keys.residual.empty()) {
-          filtered.clear();
-          for (const Value* y : it->second) {
-            bool holds = false;
-            N2J_RETURN_IF_ERROR(ev.ResidualHolds(e, *residual, jl.residual,
-                                                 x, *y, wenv, &holds));
-            if (holds) filtered.push_back(y);
-          }
-          matches = &filtered;
-        }
-      }
+      const uint64_t hash = key.Hash();
+      N2J_RETURN_IF_ERROR(ev.CollectMatches(
+          e, *residual, keys, build,
+          tables[hash % num_partitions].Find(key, hash), x, wenv, jl));
       N2J_RETURN_IF_ERROR(
-          ev.EmitJoinResult(e, x, *matches, wenv, &outs[m], &jl.inner));
+          ev.EmitJoinResult(e, x, jl.matches, wenv, &outs[m], jl));
     }
     return Status::OK();
   });
@@ -371,7 +358,7 @@ Result<Value> Evaluator::IndexJoin(const Expr& e, const JoinShape& shape,
         Value key, JoinKey(jl.left_key, keys.left_keys, e.var(), x, env));
     ++stats_.index_probes;
     const std::vector<size_t>* rows = index->Lookup(key);
-    std::vector<const Value*> matches;
+    jl.matches.clear();
     if (rows != nullptr) {
       for (size_t row : *rows) {
         const Value& y = table->rows()[row];
@@ -380,10 +367,10 @@ Result<Value> Evaluator::IndexJoin(const Expr& e, const JoinShape& shape,
           N2J_RETURN_IF_ERROR(
               ResidualHolds(e, *residual, jl.residual, x, y, env, &holds));
         }
-        if (holds) matches.push_back(&y);
+        if (holds) jl.matches.push_back(&y);
       }
     }
-    N2J_RETURN_IF_ERROR(EmitJoinResult(e, x, matches, env, &out, &jl.inner));
+    N2J_RETURN_IF_ERROR(EmitJoinResult(e, x, jl.matches, env, &out, jl));
   }
   return Value::Set(std::move(out));
 }

@@ -12,11 +12,10 @@
 // (∃x ∈ s.parts · x.pid = p.pid). The conjunct is matched once per node
 // by MatchJoin (exec/equi_join.h).
 
-#include <unordered_map>
-
 #include "exec/compile.h"
 #include "exec/equi_join.h"
 #include "exec/eval.h"
+#include "exec/join_table.h"
 #include "obs/trace.h"
 
 namespace n2j {
@@ -37,16 +36,16 @@ Result<Value> Evaluator::MembershipJoin(const Expr& e, const JoinShape& shape,
                       FirstElemShape(r));
   }
   const std::vector<ExprPtr> right_keys = {key.right_key};
-  std::unordered_map<Value, std::vector<const Value*>, ValueHash> table;
-  table.reserve(r.set_size());
-  for (const Value& y : r.elements()) {
+  const std::vector<Value>& build = r.elements();
+  JoinTable table(build.size());
+  for (size_t i = 0; i < build.size(); ++i) {
     ++stats_.tuples_scanned;
-    N2J_ASSIGN_OR_RETURN(Value kv,
-                         JoinKey(build_key, right_keys, e.var2(), y, env));
+    N2J_ASSIGN_OR_RETURN(Value kv, JoinKey(build_key, right_keys, e.var2(),
+                                           build[i], env));
     ++stats_.hash_inserts;
-    table[std::move(kv)].push_back(&y);
+    table.Insert(std::move(kv), static_cast<uint32_t>(i));
   }
-  if (opts_.trace != nullptr) opts_.trace->NotePeakHash(table.size());
+  if (opts_.trace != nullptr) opts_.trace->NotePeakHash(table.num_keys());
 
   ExprPtr residual = Expr::AndAll(key.residual);
   bool trivial_residual = key.residual.empty();
@@ -62,10 +61,12 @@ Result<Value> Evaluator::MembershipJoin(const Expr& e, const JoinShape& shape,
       if (a != nullptr && a->is_set()) elem_shape = FirstElemShape(*a);
     }
   }
-  // Compiles one worker frame's probe-side lambdas; also invoked for
-  // the serial path (with this evaluator as the single "worker").
+  // Sizes one worker frame's key stamps and compiles its probe-side
+  // lambdas; also invoked for the serial path (with this evaluator as
+  // the single "worker").
   auto compile_probe = [&](Evaluator& ev, Environment& wenv,
                            JoinLambdas* jl) {
+    if (key.elem_key != nullptr) jl->key_seen.assign(table.num_keys(), 0);
     if (!opts_.compiled || l.set_size() == 0) return;
     if (key.elem_key != nullptr) {
       jl->elem_key.Compile(ev, *key.elem_key, {key.elem_var}, wenv,
@@ -84,10 +85,13 @@ Result<Value> Evaluator::MembershipJoin(const Expr& e, const JoinShape& shape,
   // Matches for one left tuple: probe the (shared, read-only) table once
   // per set element under the given worker evaluator. With an element
   // key k(v), two distinct elements can share a key, so right tuples are
-  // deduplicated.
+  // deduplicated: a right tuple is reachable only through its own key's
+  // chain, so skipping every key this tuple already reached tests each
+  // right tuple once, whatever the residual said the first time. The
+  // worker's key_seen stamps a key with pos + 1 of the left tuple that
+  // reached it last, so the stamps never need clearing.
   auto probe_one = [&](Evaluator& ev, Environment& wenv, const Value& x,
-                       JoinLambdas& jl,
-                       std::vector<const Value*>* matches) -> Status {
+                       size_t pos, JoinLambdas& jl) -> Status {
     if (!x.is_tuple()) {
       return Status::RuntimeError("join element not a tuple");
     }
@@ -96,27 +100,30 @@ Result<Value> Evaluator::MembershipJoin(const Expr& e, const JoinShape& shape,
       return Status::RuntimeError("membership attribute '" + key.attr +
                                   "' is not a set");
     }
-    std::unordered_map<const Value*, bool> seen;
+    const uint32_t stamp = static_cast<uint32_t>(pos) + 1;
+    jl.matches.clear();
     for (const Value& elem : attr->elements()) {
       ++ev.stats_.hash_probes;
-      Value probe = elem;
+      const Value* probe = &elem;
+      Value elem_key;
       if (key.elem_key != nullptr) {
-        N2J_ASSIGN_OR_RETURN(probe, ev.JoinKey(jl.elem_key, elem_keys,
-                                               key.elem_var, elem, wenv));
+        N2J_ASSIGN_OR_RETURN(elem_key, ev.JoinKey(jl.elem_key, elem_keys,
+                                                  key.elem_var, elem, wenv));
+        probe = &elem_key;
       }
-      auto it = table.find(probe);
-      if (it == table.end()) continue;
-      for (const Value* y : it->second) {
-        if (key.elem_key != nullptr) {
-          auto [_, inserted] = seen.try_emplace(y, true);
-          if (!inserted) continue;
-        }
+      JoinTable::Chain chain = table.Find(*probe);
+      if (key.elem_key != nullptr) {
+        if (chain.empty() || jl.key_seen[chain.key_id()] == stamp) continue;
+        jl.key_seen[chain.key_id()] = stamp;
+      }
+      for (uint32_t row : chain) {
+        const Value& y = build[row];
         bool holds = true;
         if (!trivial_residual) {
           N2J_RETURN_IF_ERROR(ev.ResidualHolds(e, *residual, jl.residual, x,
-                                               *y, wenv, &holds));
+                                               y, wenv, &holds));
         }
-        if (holds) matches->push_back(y);
+        if (holds) jl.matches.push_back(&y);
       }
     }
     return Status::OK();
@@ -129,11 +136,12 @@ Result<Value> Evaluator::MembershipJoin(const Expr& e, const JoinShape& shape,
   JoinLambdas jl;
   compile_probe(*this, env, &jl);
   std::vector<Value> out;
-  for (const Value& x : l.elements()) {
+  const std::vector<Value>& probe = l.elements();
+  for (size_t i = 0; i < probe.size(); ++i) {
     ++stats_.tuples_scanned;
-    std::vector<const Value*> matches;
-    N2J_RETURN_IF_ERROR(probe_one(*this, env, x, jl, &matches));
-    N2J_RETURN_IF_ERROR(EmitJoinResult(e, x, matches, env, &out, &jl.inner));
+    N2J_RETURN_IF_ERROR(probe_one(*this, env, probe[i], i, jl));
+    N2J_RETURN_IF_ERROR(
+        EmitJoinResult(e, probe[i], jl.matches, env, &out, jl));
   }
   return Value::Set(std::move(out));
 }
@@ -146,9 +154,8 @@ Result<Value> Evaluator::ParallelMembershipProbe(
     const std::function<void(Evaluator& worker, Environment& wenv,
                              JoinLambdas* jl)>& compile_worker,
     const std::function<Status(Evaluator& worker, Environment& wenv,
-                               const Value& x, JoinLambdas& jl,
-                               std::vector<const Value*>* matches)>&
-        probe_one) {
+                               const Value& x, size_t pos,
+                               JoinLambdas& jl)>& probe_one) {
   const std::vector<Value>& probe = l.elements();
   ThreadPool& tp = pool();
   tp.set_morsel_phase("membership/probe");
@@ -175,10 +182,9 @@ Result<Value> Evaluator::ParallelMembershipProbe(
     for (size_t i = range.begin; i < range.end; ++i) {
       const Value& x = probe[i];
       ++ev.stats_.tuples_scanned;
-      std::vector<const Value*> matches;
-      N2J_RETURN_IF_ERROR(probe_one(ev, wenv, x, jl, &matches));
+      N2J_RETURN_IF_ERROR(probe_one(ev, wenv, x, i, jl));
       N2J_RETURN_IF_ERROR(
-          ev.EmitJoinResult(e, x, matches, wenv, &outs[m], &jl.inner));
+          ev.EmitJoinResult(e, x, jl.matches, wenv, &outs[m], jl));
     }
     return Status::OK();
   });

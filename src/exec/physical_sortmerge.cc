@@ -81,16 +81,16 @@ Result<Value> Evaluator::SortMergeJoin(const Expr& e, const JoinShape& shape,
     const Value& key = left[i].key;
     while (i < left.size() && left[i].key == key) {
       const Value& x = *left[i].row;
-      std::vector<const Value*> matches;
+      jl.matches.clear();
       for (size_t k = j; k < run_end; ++k) {
         bool holds = true;
         if (!keys.residual.empty()) {
           N2J_RETURN_IF_ERROR(ResidualHolds(e, *residual, jl.residual, x,
                                             *right[k].row, env, &holds));
         }
-        if (holds) matches.push_back(right[k].row);
+        if (holds) jl.matches.push_back(right[k].row);
       }
-      N2J_RETURN_IF_ERROR(EmitJoinResult(e, x, matches, env, &out, &jl.inner));
+      N2J_RETURN_IF_ERROR(EmitJoinResult(e, x, jl.matches, env, &out, jl));
       ++i;
     }
     j = run_end;

@@ -5,6 +5,7 @@
 #include "common/status.h"
 #include "common/thread_pool.h"
 #include "exec/bytecode.h"
+#include "exec/join_table.h"
 #include "obs/trace.h"
 
 namespace n2j {
@@ -90,8 +91,7 @@ Result<Value> PnhlJoin(const Value& outer, const Value& inner,
     FieldCursor inner_key_at;
     FieldCursor set_attr_at;
     FieldCursor elem_key_at;
-    std::unordered_map<Value, std::vector<size_t>, ValueHash> table;
-    table.reserve(seg_end - seg_begin);
+    JoinTable table(seg_end - seg_begin);
     for (size_t i = seg_begin; i < seg_end; ++i) {
       const Value* key = inner_key_at.Find(build[i], params.inner_key);
       if (key == nullptr) {
@@ -99,10 +99,10 @@ Result<Value> PnhlJoin(const Value& outer, const Value& inner,
                                        params.inner_key + "'");
       }
       ++sst.build_inserts;
-      table[*key].push_back(i);
+      table.Insert(*key, static_cast<uint32_t>(i));
     }
-    if (table.size() > sst.peak_table_entries) {
-      sst.peak_table_entries = table.size();
+    if (table.num_keys() > sst.peak_table_entries) {
+      sst.peak_table_entries = table.num_keys();
     }
     // Probe the outer operand (its clustered set elements) against the
     // segment, producing partial results that are merged positionally.
@@ -119,9 +119,7 @@ Result<Value> PnhlJoin(const Value& outer, const Value& inner,
           return Status::InvalidArgument("set elements need key field '" +
                                          params.elem_key + "'");
         }
-        auto it = table.find(*key);
-        if (it == table.end()) continue;
-        for (size_t bi : it->second) {
+        for (uint32_t bi : table.Find(*key)) {
           ++sst.matches;
           partial[s][xi].push_back(
               e.ConcatTuple(InnerPayload(build[bi], params)));
@@ -188,16 +186,16 @@ Result<Value> UnnestJoinNest(const Value& outer, const Value& inner,
   st = PnhlStats();
 
   // Build a hash table over the whole inner table.
-  std::unordered_map<Value, std::vector<const Value*>, ValueHash> table;
-  table.reserve(inner.set_size());
-  for (const Value& t : inner.elements()) {
-    const Value* key = t.FindField(params.inner_key);
+  const std::vector<Value>& build = inner.elements();
+  JoinTable table(build.size());
+  for (size_t i = 0; i < build.size(); ++i) {
+    const Value* key = build[i].FindField(params.inner_key);
     if (key == nullptr) {
       return Status::InvalidArgument("inner tuples need key field '" +
                                      params.inner_key + "'");
     }
     ++st.build_inserts;
-    table[*key].push_back(&t);
+    table.Insert(*key, static_cast<uint32_t>(i));
   }
 
   // Unnest + probe: every (x, element) pair carries a full copy of x's
@@ -221,12 +219,10 @@ Result<Value> UnnestJoinNest(const Value& outer, const Value& inner,
         return Status::InvalidArgument("set elements need key field '" +
                                        params.elem_key + "'");
       }
-      auto hit = table.find(*ekey);
-      if (hit == table.end()) continue;
-      for (const Value* t : hit->second) {
+      for (uint32_t ti : table.Find(*ekey)) {
         ++st.matches;
         groups[key].push_back(
-            e.ConcatTuple(InnerPayload(*t, params)));
+            e.ConcatTuple(InnerPayload(build[ti], params)));
         if (!keep_dangling && groups[key].size() == 1) {
           order.push_back(&x);
         }

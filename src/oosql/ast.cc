@@ -1,5 +1,7 @@
 #include "oosql/ast.h"
 
+#include <algorithm>
+
 #include "common/str_util.h"
 
 namespace n2j {
@@ -71,6 +73,10 @@ QExprPtr SubstituteIdent(const QExprPtr& e, const std::string& name,
   auto copy_with_kids = [&](std::vector<QExprPtr> kids) {
     auto node = std::make_shared<QExpr>(*e);
     node->kids = std::move(kids);
+    node->height = 1;
+    for (const QExprPtr& k : node->kids) {
+      node->height = std::max(node->height, k->height + 1);
+    }
     return QExprPtr(node);
   };
 

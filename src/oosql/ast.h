@@ -50,6 +50,10 @@ struct QExpr {
   QuantKind quant = QuantKind::kExists;
   bool has_where = false;
   std::vector<QExprPtr> kids;
+  /// Nodes on the longest path from here to a leaf, kept by the parser
+  /// and SubstituteIdent so the parser can bound query nesting
+  /// (Parser::kMaxQueryDepth).
+  int height = 1;
 
   /// For kSelect: number of from-clause (var, range) pairs.
   size_t NumRanges() const {

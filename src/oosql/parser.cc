@@ -1,5 +1,7 @@
 #include "oosql/parser.h"
 
+#include <algorithm>
+
 #include "common/str_util.h"
 #include "oosql/lexer.h"
 
@@ -50,6 +52,19 @@ Status Parser::ErrorHere(const std::string& msg) const {
                                       Peek().Describe().c_str()));
 }
 
+Status Parser::TooDeep() const {
+  return ErrorHere(StrFormat("query nesting deeper than %d levels",
+                             kMaxQueryDepth));
+}
+
+Result<QExprPtr> Parser::Finish(std::shared_ptr<QExpr> node) const {
+  for (const QExprPtr& k : node->kids) {
+    node->height = std::max(node->height, k->height + 1);
+  }
+  if (node->height > kMaxQueryDepth) return TooDeep();
+  return QExprPtr(std::move(node));
+}
+
 Result<QExprPtr> Parser::ParseQuery() {
   N2J_ASSIGN_OR_RETURN(QExprPtr e, ParseExpr());
   Match(TokenKind::kSemicolon);
@@ -67,7 +82,7 @@ Result<QExprPtr> Parser::ParseExpr() {
     auto node = NewNode(QExpr::Kind::kBinary, op);
     node->bop = BinOp::kOr;
     node->kids = {l, r};
-    l = node;
+    N2J_ASSIGN_OR_RETURN(l, Finish(std::move(node)));
   }
   return l;
 }
@@ -80,19 +95,21 @@ Result<QExprPtr> Parser::ParseAnd() {
     auto node = NewNode(QExpr::Kind::kBinary, op);
     node->bop = BinOp::kAnd;
     node->kids = {l, r};
-    l = node;
+    N2J_ASSIGN_OR_RETURN(l, Finish(std::move(node)));
   }
   return l;
 }
 
 Result<QExprPtr> Parser::ParseNot() {
   if (Check(TokenKind::kNot)) {
+    Level level(&depth_);
+    if (depth_ > kMaxQueryDepth) return TooDeep();
     Token op = Advance();
     N2J_ASSIGN_OR_RETURN(QExprPtr e, ParseNot());
     auto node = NewNode(QExpr::Kind::kUnary, op);
     node->uop = UnOp::kNot;
     node->kids = {e};
-    return QExprPtr(node);
+    return Finish(std::move(node));
   }
   return ParseComparison();
 }
@@ -121,7 +138,7 @@ Result<QExprPtr> Parser::ParseComparison() {
   auto node = NewNode(QExpr::Kind::kBinary, tok);
   node->bop = op;
   node->kids = {l, r};
-  return QExprPtr(node);
+  return Finish(std::move(node));
 }
 
 Result<QExprPtr> Parser::ParseAdditive() {
@@ -144,7 +161,7 @@ Result<QExprPtr> Parser::ParseAdditive() {
     auto node = NewNode(QExpr::Kind::kBinary, tok);
     node->bop = op;
     node->kids = {l, r};
-    l = node;
+    N2J_ASSIGN_OR_RETURN(l, Finish(std::move(node)));
   }
 }
 
@@ -168,18 +185,20 @@ Result<QExprPtr> Parser::ParseMultiplicative() {
     auto node = NewNode(QExpr::Kind::kBinary, tok);
     node->bop = op;
     node->kids = {l, r};
-    l = node;
+    N2J_ASSIGN_OR_RETURN(l, Finish(std::move(node)));
   }
 }
 
 Result<QExprPtr> Parser::ParseUnary() {
   if (Check(TokenKind::kDash)) {
+    Level level(&depth_);
+    if (depth_ > kMaxQueryDepth) return TooDeep();
     Token tok = Advance();
     N2J_ASSIGN_OR_RETURN(QExprPtr e, ParseUnary());
     auto node = NewNode(QExpr::Kind::kUnary, tok);
     node->uop = UnOp::kNeg;
     node->kids = {e};
-    return QExprPtr(node);
+    return Finish(std::move(node));
   }
   return ParsePostfix();
 }
@@ -194,7 +213,7 @@ Result<QExprPtr> Parser::ParsePostfix() {
       auto node = NewNode(QExpr::Kind::kField, tok);
       node->str = field.text;
       node->kids = {e};
-      e = node;
+      N2J_ASSIGN_OR_RETURN(e, Finish(std::move(node)));
     } else if (Check(TokenKind::kLBracket)) {
       Token tok = Advance();
       auto node = NewNode(QExpr::Kind::kTupleProject, tok);
@@ -206,7 +225,7 @@ Result<QExprPtr> Parser::ParsePostfix() {
       N2J_RETURN_IF_ERROR(
           Expect(TokenKind::kRBracket, "closing tuple projection").status());
       node->kids = {e};
-      e = node;
+      N2J_ASSIGN_OR_RETURN(e, Finish(std::move(node)));
     } else {
       return e;
     }
@@ -238,7 +257,7 @@ Result<QExprPtr> Parser::ParseSelect() {
   //   select F(x) from x in X where P(x, Yp) with Yp = select ...
   // Definitions are macro-expanded into the block (they may reference
   // the range variables and earlier definitions).
-  QExprPtr result = node;
+  N2J_ASSIGN_OR_RETURN(QExprPtr result, Finish(std::move(node)));
   if (Match(TokenKind::kWith)) {
     std::vector<std::pair<std::string, QExprPtr>> defs;
     do {
@@ -249,8 +268,12 @@ Result<QExprPtr> Parser::ParseSelect() {
       N2J_ASSIGN_OR_RETURN(QExprPtr def, ParseExpr());
       defs.emplace_back(name.text, def);
     } while (Match(TokenKind::kComma));
+    // Each expansion at most adds a definition's height to the block's,
+    // so checking after every step keeps the next one's recursion
+    // bounded too.
     for (auto it = defs.rbegin(); it != defs.rend(); ++it) {
       result = SubstituteIdent(result, it->first, it->second);
+      if (result->height > kMaxQueryDepth) return TooDeep();
     }
   }
   return result;
@@ -274,10 +297,14 @@ Result<QExprPtr> Parser::ParseQuantifier() {
     N2J_ASSIGN_OR_RETURN(QExprPtr pred, ParseExpr());
     node->kids.push_back(pred);
   }
-  return QExprPtr(node);
+  return Finish(std::move(node));
 }
 
 Result<QExprPtr> Parser::ParsePrimary() {
+  // Every recursion through the grammar except `not` and unary minus
+  // (which count their own levels) passes through here.
+  Level level(&depth_);
+  if (depth_ > kMaxQueryDepth) return TooDeep();
   const Token& t = Peek();
   switch (t.kind) {
     case TokenKind::kInt: {
@@ -330,7 +357,7 @@ Result<QExprPtr> Parser::ParsePrimary() {
       N2J_RETURN_IF_ERROR(
           Expect(TokenKind::kRParen, "closing aggregate").status());
       node->kids = {arg};
-      return QExprPtr(node);
+      return Finish(std::move(node));
     }
     case TokenKind::kIsEmpty: {
       Token tok = Advance();
@@ -341,7 +368,7 @@ Result<QExprPtr> Parser::ParsePrimary() {
           Expect(TokenKind::kRParen, "closing isempty").status());
       auto node = NewNode(QExpr::Kind::kIsEmptyCall, tok);
       node->kids = {arg};
-      return QExprPtr(node);
+      return Finish(std::move(node));
     }
     case TokenKind::kIdent: {
       Token tok = Advance();
@@ -365,7 +392,7 @@ Result<QExprPtr> Parser::ParsePrimary() {
         } while (Match(TokenKind::kComma));
         N2J_RETURN_IF_ERROR(
             Expect(TokenKind::kRParen, "closing tuple").status());
-        return QExprPtr(node);
+        return Finish(std::move(node));
       }
       N2J_ASSIGN_OR_RETURN(QExprPtr e, ParseExpr());
       N2J_RETURN_IF_ERROR(
@@ -383,7 +410,7 @@ Result<QExprPtr> Parser::ParsePrimary() {
       }
       N2J_RETURN_IF_ERROR(
           Expect(TokenKind::kRBrace, "closing set literal").status());
-      return QExprPtr(node);
+      return Finish(std::move(node));
     }
     default:
       return ErrorHere("expected an expression");

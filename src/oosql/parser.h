@@ -32,6 +32,18 @@ namespace n2j {
 /// quantifiers, aggregates, select blocks, parenthesized expressions).
 class Parser {
  public:
+  /// Deepest query nesting accepted. It bounds both the parser's own
+  /// recursion (parentheses, sub-selects, quantifiers, `not`, unary
+  /// minus) and the height of the AST, which left-deep operator chains
+  /// such as `a + b + ...` grow without recursing. A deeper query fails
+  /// with a ParseError instead of exhausting the stack here or in a
+  /// later recursive pass (translate, typecheck, rewrite, evaluate).
+  /// One level of sub-select nesting takes about ten parser frames,
+  /// some 16 KB of stack in an AddressSanitizer debug build, where 500
+  /// levels already overflow an 8 MB stack; 256 leaves the later passes
+  /// the other half.
+  static constexpr int kMaxQueryDepth = 256;
+
   explicit Parser(std::vector<Token> tokens) : tokens_(std::move(tokens)) {}
 
   /// Parses a single query expression; fails if trailing tokens remain
@@ -56,6 +68,22 @@ class Parser {
   bool Match(TokenKind kind);
   Result<Token> Expect(TokenKind kind, const char* context);
   Status ErrorHere(const std::string& msg) const;
+  Status TooDeep() const;
+  /// Sets `node`'s height from its children; fails past kMaxQueryDepth.
+  Result<QExprPtr> Finish(std::shared_ptr<QExpr> node) const;
+  /// One level of parser recursion, counted in depth_ for the duration
+  /// of a call; the recursive productions fail once it passes
+  /// kMaxQueryDepth.
+  class Level {
+   public:
+    explicit Level(int* depth) : depth_(depth) { ++*depth_; }
+    ~Level() { --*depth_; }
+    Level(const Level&) = delete;
+    Level& operator=(const Level&) = delete;
+
+   private:
+    int* depth_;
+  };
 
   Result<QExprPtr> ParseExpr();        // or-level
   Result<QExprPtr> ParseAnd();
@@ -73,6 +101,7 @@ class Parser {
 
   std::vector<Token> tokens_;
   size_t pos_ = 0;
+  int depth_ = 0;  // open recursion levels (see Level)
 };
 
 }  // namespace n2j

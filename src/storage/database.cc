@@ -1,5 +1,7 @@
 #include "storage/database.h"
 
+#include <algorithm>
+
 #include "stats/stats.h"
 #include "storage/columnar.h"
 
@@ -73,13 +75,12 @@ Result<Oid> Database::NewObject(const std::string& class_name, Value attrs) {
   names.push_back(cls->oid_field);
   names.insert(names.end(), attrs.tuple_shape()->names().begin(),
                attrs.tuple_shape()->names().end());
-  std::vector<Value> values;
-  values.reserve(attrs.tuple_size() + 1);
-  values.push_back(Value::MakeOidValue(oid));
-  values.insert(values.end(), attrs.tuple_values().begin(),
-                attrs.tuple_values().end());
-  Value object = Value::TupleFromShape(TupleShape::Intern(std::move(names)),
-                                       std::move(values));
+  Value* slots = nullptr;
+  Value object =
+      Value::NewTuple(TupleShape::Intern(std::move(names)), &slots);
+  slots[0] = Value::MakeOidValue(oid);
+  std::copy(attrs.tuple_values().begin(), attrs.tuple_values().end(),
+            slots + 1);
 
   N2J_RETURN_IF_ERROR(store_.Put(oid, object));
   tables_.at(cls->extent).Append(std::move(object));

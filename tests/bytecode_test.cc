@@ -252,6 +252,64 @@ TEST_F(BytecodeTest, GoldenDisassemblyJoinKeyExtractor) {
             "ret r5\n");
 }
 
+TEST_F(BytecodeTest, FoldedKeyProjectionMatchesInterpreter) {
+  // x[a, c].a — the shape of Q4's antijoin key s1[pid].pid — compiles
+  // to one projection that selects field a; no projected tuple is built.
+  ExprPtr body = Expr::Access(Expr::TupleProject(Expr::Var("x"), {"a", "c"}),
+                              "a");
+  Value x = EvalExpr(*db_, Expr::Table("X"));
+  CompiledLambda cl = CompileBody(body, "x", FirstElemShape(x));
+  ASSERT_TRUE(cl.ok());
+  EXPECT_EQ(cl.program()->Disassemble(),
+            "program regs=2 params=1\n"
+            "  0: projfld r1 <- r0 [a, c].a\n"
+            "ret r1\n");
+  EXPECT_EQ(MapBothEngines(body),
+            EvalExpr(*db_, Expr::Map("x", Expr::Access(Expr::Var("x"), "a"),
+                                     Expr::Table("X"))));
+
+  // The column-batch VM runs the same folded instruction.
+  CompiledBatchLambda bl;
+  Environment env;
+  Evaluator ev(*db_);
+  bl.Compile(ev, *body, {"x"}, env, FirstElemShape(x));
+  ASSERT_TRUE(bl.ok());
+  std::vector<Value>& col = bl.vm().ParamColumn(0);
+  col.assign(x.elements().begin(), x.elements().end());
+  ASSERT_TRUE(bl.vm().Run(col.size()));
+  for (size_t i = 0; i < x.set_size(); ++i) {
+    EXPECT_EQ(bl.vm().ResultColumn()[i], *x.elements()[i].FindField("a"));
+  }
+}
+
+TEST_F(BytecodeTest, FoldedKeyProjectionKeepsProjectionErrors) {
+  // The folded form reports the projection's own errors, exactly as the
+  // interpreter evaluates x[..] before the field access.
+  ExprPtr xa = Expr::Access(Expr::Var("x"), "a");
+  const ExprPtr bodies[] = {
+      // A projected name is missing: "no field 'zzz' in tuple".
+      Expr::Access(Expr::TupleProject(Expr::Var("x"), {"a", "zzz"}), "a"),
+      // The base is not a tuple: "tuple projection on non-tuple".
+      Expr::Access(Expr::TupleProject(xa, {"a"}), "a"),
+      // Not folded (c is not projected): the field access fails on the
+      // projected tuple.
+      Expr::Access(Expr::TupleProject(Expr::Var("x"), {"a"}), "c"),
+  };
+  for (const ExprPtr& body : bodies) {
+    ExprPtr e = Expr::Map("x", body, Expr::Table("X"));
+    EvalOptions interp;
+    interp.compiled = false;
+    Evaluator iev(*db_, interp);
+    Result<Value> ir = iev.Eval(e);
+    Evaluator cev(*db_);
+    Result<Value> cr = cev.Eval(e);
+    ASSERT_FALSE(ir.ok()) << AlgebraStr(e);
+    ASSERT_FALSE(cr.ok()) << AlgebraStr(e);
+    EXPECT_EQ(ir.status().ToString(), cr.status().ToString());
+    EXPECT_GT(cev.stats().compiled_evals, 0u);
+  }
+}
+
 // ---- Frame reuse ----------------------------------------------------
 
 TEST_F(BytecodeTest, FrameIsReusedAcrossTuples) {

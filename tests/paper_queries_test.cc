@@ -248,6 +248,118 @@ TEST_F(PaperQueriesTest, ShreddedBackend_Q6_NestjoinShape) {
             EvalExpr(*db_, Expr::Table("SUPPLIER")).set_size());
 }
 
+// Golden work counters: the exact EvalStats of every paper query at
+// |PART| = 800 (the perfbench generator settings, seed 1) under the
+// heuristic planner on the nested backend. A counter change is a plan or
+// operator change; executor work that only touches allocation or data
+// layout must leave every one of them unchanged, and a parallel run must
+// merge to the same totals.
+TEST(PaperQueriesGoldenStats, HeuristicWorkAtPart800) {
+  SupplierPartConfig config;
+  config.seed = 1;
+  config.num_parts = 800;
+  config.num_suppliers = 200;
+  config.parts_per_supplier = 8;
+  config.red_fraction = 0.2;
+  config.match_fraction = 0.92;
+  config.num_deliveries = 400;
+  auto db = MakeSupplierPartDatabase(config);
+
+  struct Golden {
+    const char* label;
+    const char* text;
+    // Every counter not listed here must be zero.
+    std::vector<std::pair<std::string, uint64_t>> counters;
+  };
+  const Golden kGolden[] = {
+      {"Q1",
+       "select (sname = s.sname, pnames = select p.pname from p in PART "
+       "where p[pid] in s.parts and p.color = \"red\") from s in SUPPLIER",
+       {{"tuples_scanned", 1374},
+        {"predicate_evals", 800},
+        {"hash_inserts", 174},
+        {"hash_probes", 1598},
+        {"nodes_evaluated", 5},
+        {"compiled_evals", 1504},
+        {"joins_membership", 1}}},
+      {"Q2",
+       "select d from d in (select e from e in DELIVERY "
+       "where e.supplier.sname = \"s1\") where d.date > 940600",
+       {{"tuples_scanned", 400},
+        {"predicate_evals", 400},
+        {"derefs", 400},
+        {"nodes_evaluated", 2},
+        {"compiled_evals", 400}}},
+      {"Q3.1",
+       "select s.sname from s in SUPPLIER where s.parts supseteq "
+       "(select x from t in SUPPLIER, x in t.parts where t.sname = \"s1\")",
+       {{"tuples_scanned", 2001},
+        {"predicate_evals", 1798},
+        {"nodes_evaluated", 607},
+        {"compiled_evals", 1799},
+        {"interp_fallback_evals", 200}}},
+      {"Q3.2",
+       "select d from d in DELIVERY where "
+       "exists x in d.supply : x.part.color = \"red\"",
+       {{"tuples_scanned", 1663},
+        {"predicate_evals", 1663},
+        {"derefs", 1263},
+        {"nodes_evaluated", 2},
+        {"compiled_evals", 400}}},
+      {"Q4",
+       "select s.eid from s in SUPPLIER where "
+       "exists z in s.parts : not exists p in PART : z.pid = p.pid",
+       {{"tuples_scanned", 2718},
+        {"hash_inserts", 800},
+        {"hash_probes", 1598},
+        {"nodes_evaluated", 5},
+        {"compiled_evals", 2518},
+        {"joins_hash", 1}}},
+      {"Q5",
+       "select s.sname from s in SUPPLIER where "
+       "exists x in s.parts : exists p in PART : "
+       "x.pid = p.pid and p.color = \"red\"",
+       {{"tuples_scanned", 1338},
+        {"predicate_evals", 800},
+        {"hash_inserts", 174},
+        {"hash_probes", 1598},
+        {"nodes_evaluated", 5},
+        {"compiled_evals", 2736},
+        {"joins_membership", 1}}},
+      {"Q6",
+       "select (sname = s.sname, partssuppl = select p from p in PART "
+       "where p[pid] in s.parts) from s in SUPPLIER",
+       {{"tuples_scanned", 1200},
+        {"hash_inserts", 800},
+        {"hash_probes", 1598},
+        {"nodes_evaluated", 4},
+        {"compiled_evals", 2478},
+        {"joins_membership", 1}}},
+  };
+
+  size_t num_fields = 0;
+  const EvalStatsField* fields = EvalStatsFields(&num_fields);
+  for (int threads : {1, 4}) {
+    EvalOptions eopts;
+    eopts.num_threads = threads;
+    PlannerOptions popts;
+    popts.strategy = PlanStrategy::kHeuristic;
+    QueryEngine engine(db.get(), RewriteOptions(), eopts, popts);
+    for (const Golden& g : kGolden) {
+      Result<QueryReport> r = engine.Run(g.text);
+      ASSERT_TRUE(r.ok()) << g.label << ": " << r.status().ToString();
+      for (size_t f = 0; f < num_fields; ++f) {
+        uint64_t want = 0;
+        for (const auto& [name, value] : g.counters) {
+          if (name == fields[f].name) want = value;
+        }
+        EXPECT_EQ(r->exec_stats.*fields[f].member, want)
+            << g.label << " threads=" << threads << " " << fields[f].name;
+      }
+    }
+  }
+}
+
 TEST_F(PaperQueriesTest, ExplainOutputMentionsRulesAndPlans) {
   Result<QueryReport> r = engine_->Run(
       "select s.eid from s in SUPPLIER where "

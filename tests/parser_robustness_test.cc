@@ -100,6 +100,80 @@ TEST(ParserRobustnessTest, DeeplyNestedInputTerminates) {
   EXPECT_TRUE(r.ok()) << r.status().ToString();
 }
 
+std::string Repeat(const std::string& piece, int n) {
+  std::string out;
+  out.reserve(piece.size() * static_cast<size_t>(n));
+  for (int i = 0; i < n; ++i) out += piece;
+  return out;
+}
+
+// WHERE clause of a query over PART, nested `depth` levels deep in one of
+// four ways.
+std::string ParenQuery(int depth) {
+  return "select p.pname from p in PART where " + Repeat("(", depth) +
+         "p.price > 0" + Repeat(")", depth);
+}
+std::string PlusChainQuery(int terms) {
+  return "select p.pname from p in PART where p.price" +
+         Repeat(" + 1", terms - 1) + " > 0";
+}
+std::string NotQuery(int depth) {
+  return "select p.pname from p in PART where " + Repeat("not ", depth) +
+         "p.price > 0";
+}
+std::string NestedSelectQuery(int depth) {
+  std::string q = "p.pname";
+  for (int i = 0; i < depth; ++i) {
+    q = "select " + q + " from v" + std::to_string(i) + " in {1}";
+  }
+  return "select " + q + " from p in PART";
+}
+
+// Each of these used to overflow the stack (the process died with
+// SIGSEGV) in the parser or a later recursive pass, at least in a
+// sanitizer build. Past Parser::kMaxQueryDepth they now fail with a
+// clean ParseError.
+TEST(ParserRobustnessTest, TooDeepQueriesFailWithParseError) {
+  auto db = testutil::SmallSupplierDb();
+  QueryEngine engine(db.get());
+  const std::string kTooDeep[] = {
+      ParenQuery(3000),
+      PlusChainQuery(10000),
+      NotQuery(3000),
+      NestedSelectQuery(600),
+  };
+  for (const std::string& text : kTooDeep) {
+    Result<QueryReport> r = engine.Run(text);
+    ASSERT_FALSE(r.ok()) << text.substr(0, 80);
+    EXPECT_EQ(r.status().code(), StatusCode::kParseError);
+    EXPECT_NE(r.status().message().find(
+                  "nesting deeper than " +
+                  std::to_string(Parser::kMaxQueryDepth) + " levels"),
+              std::string::npos)
+        << r.status().ToString();
+  }
+}
+
+// The limit is not a tighter bound on ordinary queries: nesting just
+// under it parses, translates, rewrites and runs.
+TEST(ParserRobustnessTest, QueriesJustUnderTheDepthLimitRun) {
+  auto db = testutil::SmallSupplierDb();
+  QueryEngine engine(db.get());
+  const int kUnder = Parser::kMaxQueryDepth - 12;
+  const std::string kDeep[] = {
+      ParenQuery(kUnder),
+      PlusChainQuery(kUnder),
+      NotQuery(kUnder),
+      NestedSelectQuery(kUnder),
+  };
+  for (const std::string& text : kDeep) {
+    Result<QueryReport> r = engine.Run(text);
+    ASSERT_TRUE(r.ok()) << text.substr(0, 80) << "\n"
+                        << r.status().ToString();
+    EXPECT_TRUE(r->result.is_set());
+  }
+}
+
 TEST(ParserRobustnessTest, TranslatorRejectsParsedNonsense) {
   // Things that parse but cannot type-check must fail as TypeError.
   auto db = std::make_unique<Database>();

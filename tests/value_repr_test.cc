@@ -132,7 +132,7 @@ TEST_P(ValueReprPropertyTest, CopiesSharePayloadAndCompareByIdentity) {
     EXPECT_EQ(v.Hash(), copy.Hash());
     if (v.is_tuple()) {
       EXPECT_EQ(v.tuple_shape(), copy.tuple_shape());
-      EXPECT_EQ(&v.tuple_values(), &copy.tuple_values());
+      EXPECT_EQ(v.tuple_values().data(), copy.tuple_values().data());
     }
     if (v.is_set()) {
       EXPECT_EQ(&v.elements(), &copy.elements());
@@ -223,6 +223,76 @@ TEST(ValueReprTest, ApproxBytesCountsPayloadsOnce) {
   // Nesting grows the estimate monotonically.
   Value outer = Value::Tuple({Field("inner", t)});
   EXPECT_GT(outer.ApproxBytes(), t.ApproxBytes());
+}
+
+TEST(ValueReprTest, ApproxBytesChargesHeaderPlusSixteenBytesPerField) {
+  // A tuple is one allocation: a 24-byte header (refcount, arity, shape
+  // pointer, hash memo) followed by one 16-byte Value per field.
+  const size_t empty = Value::Tuple({}).ApproxBytes();
+  EXPECT_EQ(empty, sizeof(Value) + 24);
+  Value three = Value::Tuple({Field("a", Value::Int(1)),
+                              Field("b", Value::Double(2.5)),
+                              Field("c", Value::Null())});
+  EXPECT_EQ(three.ApproxBytes(), empty + 3 * sizeof(Value));
+  // A field that owns a payload adds that payload on top of its slot.
+  Value s = Value::String("abc");
+  Value with_string = Value::Tuple({Field("a", Value::Int(1)), Field("s", s)});
+  EXPECT_EQ(with_string.ApproxBytes(), empty + sizeof(Value) + s.ApproxBytes());
+}
+
+TEST(ValueReprTest, NewTupleFillsFieldsInPlace) {
+  const TupleShape* shape = TupleShape::Intern({"a", "b"});
+  Value* slots = nullptr;
+  Value t = Value::NewTuple(shape, &slots);
+  ASSERT_NE(slots, nullptr);
+  // Fields start null and are written through the slot pointer.
+  EXPECT_TRUE(t.field_value(0).is_null());
+  EXPECT_TRUE(t.field_value(1).is_null());
+  slots[0] = Value::Int(1);
+  slots[1] = Value::String("x");
+  Value built = Value::Tuple({Field("a", Value::Int(1)),
+                              Field("b", Value::String("x"))});
+  EXPECT_EQ(t.tuple_shape(), built.tuple_shape());
+  EXPECT_EQ(t, built);
+  EXPECT_EQ(t.Hash(), built.Hash());
+  EXPECT_EQ(t.tuple_values().data(), slots);
+  EXPECT_EQ(t.tuple_size(), 2u);
+  // The empty shape gives the empty tuple.
+  Value* none = nullptr;
+  Value e = Value::NewTuple(TupleShape::Empty(), &none);
+  EXPECT_EQ(e, Value::Tuple({}));
+  EXPECT_EQ(e.tuple_size(), 0u);
+}
+
+TEST(ValueReprTest, DerivedTupleBuildersMatchTheirGeneralForms) {
+  Value x = Value::Tuple({Field("a", Value::Int(1)),
+                          Field("c", Value::Set({Value::Int(2)})),
+                          Field("b", Value::String("s"))});
+  Value y = Value::Tuple({Field("d", Value::Int(4))});
+  const TupleShape* xy = x.tuple_shape()->ConcatWith(y.tuple_shape());
+  EXPECT_EQ(x.ConcatTupleAs(xy, y), x.ConcatTuple(y));
+  EXPECT_EQ(x.WithoutFieldAs(x.tuple_shape()->WithoutField("c"), 1),
+            x.WithoutField("c"));
+  const TupleShape* ext = x.tuple_shape()->ExtendedWith("g");
+  EXPECT_EQ(x.AppendField(ext, Value::Int(9)),
+            x.ExceptUpdate({Field("g", Value::Int(9))}));
+}
+
+TEST(ValueReprTest, SetOfIncreasingElementsKeepsThemAsGiven) {
+  // Strictly increasing input is already canonical; anything else is
+  // still sorted and deduplicated.
+  std::vector<Value> increasing = {Value::Int(1), Value::Int(3),
+                                   Value::String("a")};
+  Value s = Value::Set(increasing);
+  ASSERT_EQ(s.set_size(), 3u);
+  for (size_t i = 0; i < increasing.size(); ++i) {
+    EXPECT_EQ(s.elements()[i], increasing[i]);
+  }
+  Value dup = Value::Set({Value::Int(1), Value::Int(3), Value::Int(3)});
+  EXPECT_EQ(dup, Value::Set({Value::Int(3), Value::Int(1)}));
+  EXPECT_EQ(dup.set_size(), 2u);
+  Value inverted = Value::Set({Value::Int(1), Value::Int(5), Value::Int(2)});
+  EXPECT_EQ(inverted.elements()[1], Value::Int(2));
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, ValueReprPropertyTest,
