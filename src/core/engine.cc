@@ -95,13 +95,12 @@ void RecordQueryOutcome(const Result<QueryReport>& r, int64_t t_start_ns,
   rec.query_hash = Fnv1a(normalized.data(), normalized.size());
 
   if (rep.profile != nullptr) {
-    for (const TraceSpan& s : rep.profile->spans()) {
-      if (s.est_rows < 0.0) continue;
+    for (NodeEstimate& n : rep.profile->EstimatesByPlanNode()) {
       obs::RootEstimate e;
-      e.op = s.detail.empty() ? s.op : s.op + " [" + s.detail + "]";
-      e.est = s.est_rows;
-      e.actual = s.rows_out;
-      e.q = obs::QError(s.est_rows, static_cast<double>(s.rows_out));
+      e.op = std::move(n.op);
+      e.est = n.est;
+      e.actual = n.actual;
+      e.q = obs::QError(n.est, static_cast<double>(n.actual));
       rec.max_q = std::max(rec.max_q, e.q);
       rec.roots.push_back(std::move(e));
       if (rec.roots.size() >= kMaxRecordedRoots) break;
@@ -165,17 +164,17 @@ std::string QueryReport::Explain() const {
   std::string compact = exec_stats.Compact();
   out += "stats:      " + (compact.empty() ? "(none)" : compact) + "\n";
   if (profile != nullptr) {
-    // One est-vs-actual audit line per planner-estimated span — the
-    // EXPLAIN ANALYZE view of the same Q-errors the flight recorder
-    // logs and the drift monitor aggregates.
-    for (const TraceSpan& s : profile->spans()) {
-      if (s.est_rows < 0.0) continue;
-      std::string op = s.detail.empty() ? s.op : s.op + " [" + s.detail + "]";
-      out += StrFormat("qerror:     %s est=%.0f actual=%llu q=%.2f\n",
-                       op.c_str(), s.est_rows,
-                       static_cast<unsigned long long>(s.rows_out),
-                       obs::QError(s.est_rows,
-                                   static_cast<double>(s.rows_out)));
+    // One est-vs-actual audit line per planner-estimated plan node, its
+    // loops summed the way the profile tree collapses them — the EXPLAIN
+    // ANALYZE view of the same Q-errors the flight recorder logs and the
+    // drift monitor aggregates.
+    for (const NodeEstimate& n : profile->EstimatesByPlanNode()) {
+      std::string loops =
+          n.loops > 1 ? StrFormat(" loops=%zu", n.loops) : std::string();
+      out += StrFormat("qerror:     %s%s est=%.0f actual=%llu q=%.2f\n",
+                       n.op.c_str(), loops.c_str(), n.est,
+                       static_cast<unsigned long long>(n.actual),
+                       obs::QError(n.est, static_cast<double>(n.actual)));
     }
   }
   if (profile != nullptr && !profile->spans().empty()) {

@@ -51,7 +51,7 @@ inline void AnnotateEstRows(const PlanAnnotations* plan, const Expr& e,
                             OpSpan* span) {
   if (plan == nullptr || !span->on()) return;
   const PlanAnnotation* pa = plan->Find(&e);
-  if (pa != nullptr) span->EstRows(pa->est_rows);
+  if (pa != nullptr) span->EstRows(&e, pa->est_rows);
 }
 
 }  // namespace n2j

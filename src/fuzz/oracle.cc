@@ -1,5 +1,8 @@
 #include "fuzz/oracle.h"
 
+#include <functional>
+
+#include "adl/analysis.h"
 #include "adl/printer.h"
 #include "adl/typecheck.h"
 #include "core/engine.h"
@@ -26,6 +29,48 @@ uint64_t JoinWork(const EvalStats& s) {
 constexpr uint64_t kWorkRatio = 4;
 constexpr uint64_t kWorkFloor = 64;
 
+/// A flat from-clause may do at most kLinearRatio × FlatJoinWorkBound
+/// plus kWorkFloor units of work. docs/FUZZING.md justifies the ratio.
+constexpr uint64_t kLinearRatio = 4;
+
+/// Scalar: no subquery, quantifier or aggregate anywhere below.
+bool IsScalar(const ExprPtr& e) {
+  switch (e->kind()) {
+    case ExprKind::kConst:
+      return !e->const_value().is_set();
+    case ExprKind::kVar:
+    case ExprKind::kFieldAccess:
+    case ExprKind::kTupleProject:
+    case ExprKind::kTupleConstruct:
+    case ExprKind::kTupleConcat:
+    case ExprKind::kUnary:
+    case ExprKind::kBinary:
+      for (const ExprPtr& c : e->children()) {
+        if (!IsScalar(c)) return false;
+      }
+      return true;
+    default:
+      return false;
+  }
+}
+
+/// `e` is v.a for one of `vars`: sets *var and *attr.
+bool VarAttr(const ExprPtr& e, const std::vector<std::string>& vars,
+             size_t* var, std::string* attr) {
+  if (e->kind() != ExprKind::kFieldAccess ||
+      e->child(0)->kind() != ExprKind::kVar) {
+    return false;
+  }
+  for (size_t i = 0; i < vars.size(); ++i) {
+    if (vars[i] == e->child(0)->name()) {
+      *var = i;
+      *attr = e->name();
+      return true;
+    }
+  }
+  return false;
+}
+
 OracleConfig Cell(const char* name,
                   RewriteOptions rewrite = RewriteOptions(),
                   EvalOptions eval = EvalOptions()) {
@@ -37,6 +82,94 @@ OracleConfig Cell(const char* name,
 }
 
 }  // namespace
+
+uint64_t FlatJoinWorkBound(const Database& db, const ExprPtr& naive) {
+  std::vector<std::string> vars;
+  std::vector<std::vector<Value>> rows;
+  ExprPtr cur = naive;
+  auto add_range = [&](const std::string& v, const ExprPtr& range) {
+    const Table* t = range->kind() == ExprKind::kGetTable
+                         ? db.FindTable(range->name())
+                         : nullptr;
+    if (t == nullptr) return false;
+    vars.push_back(v);
+    Value set = t->AsSetValue();
+    rows.emplace_back(set.elements().begin(), set.elements().end());
+    return true;
+  };
+  while (cur->kind() == ExprKind::kFlatten &&
+         cur->input()->kind() == ExprKind::kMap) {
+    if (!add_range(cur->input()->var(), cur->input()->input())) return 0;
+    cur = cur->input()->body();
+  }
+  if (vars.empty() || cur->kind() != ExprKind::kMap || !IsScalar(cur->body())) {
+    return 0;
+  }
+  ExprPtr in = cur->input();
+  std::vector<ExprPtr> conjuncts;
+  if (in->kind() == ExprKind::kSelect && in->var() == cur->var()) {
+    conjuncts = SplitConjuncts(in->body());
+    in = in->input();
+  }
+  if (!add_range(cur->var(), in)) return 0;
+
+  struct Equality {
+    size_t l, r;
+    std::string la, ra;
+  };
+  std::vector<Equality> eqs;
+  for (const ExprPtr& c : conjuncts) {
+    if (!IsScalar(c)) return 0;
+    size_t used = 0;
+    for (const std::string& v : vars) used += IsFreeIn(v, c) ? 1 : 0;
+    if (used < 2) continue;
+    Equality eq;
+    if (c->kind() != ExprKind::kBinary || c->bin_op() != BinOp::kEq ||
+        !VarAttr(c->child(0), vars, &eq.l, &eq.la) ||
+        !VarAttr(c->child(1), vars, &eq.r, &eq.ra) || eq.l == eq.r) {
+      return 0;
+    }
+    eqs.push_back(eq);
+  }
+
+  auto matches = [](const Equality& eq, const Value& lrow,
+                    const Value& rrow) {
+    const Value* a = lrow.FindField(eq.la);
+    const Value* b = rrow.FindField(eq.ra);
+    return a != nullptr && b != nullptr && *a == *b;
+  };
+  uint64_t bound = 0;
+  for (const std::vector<Value>& r : rows) bound += r.size();
+  for (const Equality& eq : eqs) {
+    for (const Value& a : rows[eq.l]) {
+      for (const Value& b : rows[eq.r]) bound += matches(eq, a, b) ? 1 : 0;
+    }
+  }
+  // Full combinations, enumerated level by level; an equality prunes as
+  // soon as both its variables are bound.
+  std::vector<const Value*> bound_rows(vars.size());
+  std::function<void(size_t)> enumerate = [&](size_t level) {
+    if (level == vars.size()) {
+      ++bound;
+      return;
+    }
+    for (const Value& row : rows[level]) {
+      bound_rows[level] = &row;
+      bool ok = true;
+      for (const Equality& eq : eqs) {
+        size_t hi = std::max(eq.l, eq.r);
+        if (hi == level &&
+            !matches(eq, *bound_rows[eq.l], *bound_rows[eq.r])) {
+          ok = false;
+          break;
+        }
+      }
+      if (ok) enumerate(level + 1);
+    }
+  };
+  enumerate(0);
+  return bound;
+}
 
 std::vector<OracleConfig> DefaultConfigMatrix() {
   std::vector<OracleConfig> m;
@@ -55,6 +188,7 @@ std::vector<OracleConfig> DefaultConfigMatrix() {
   {
     OracleConfig c = Cell("full-nestjoin-hash");
     c.eval.join_algorithm = JoinAlgorithm::kHash;
+    c.linear_join_work = true;
     m.push_back(c);
   }
   {
@@ -147,6 +281,7 @@ std::vector<OracleConfig> DefaultConfigMatrix() {
   for (OracleConfig& c : m) c.eval.compiled = false;
   {
     OracleConfig c = Cell("compiled");
+    c.linear_join_work = true;
     m.push_back(c);
   }
   {
@@ -178,6 +313,7 @@ std::vector<OracleConfig> DefaultConfigMatrix() {
     // plan's deterministic work by the heuristic's.
     OracleConfig c = Cell("cost-based");
     c.cost_based = true;
+    c.linear_join_work = true;
     m.push_back(c);
   }
 
@@ -357,6 +493,14 @@ OracleReport RunDifferentialOracle(const Database& db,
     return report;
   }
 
+  uint64_t flat_bound = 0;
+  for (const OracleConfig& config : matrix) {
+    if (config.linear_join_work) {
+      flat_bound = FlatJoinWorkBound(db, naive);
+      break;
+    }
+  }
+
   for (const OracleConfig& config : matrix) {
     ExprPtr plan = naive;
     std::string trace;
@@ -518,6 +662,19 @@ OracleReport RunDifferentialOracle(const Database& db,
       report.detail = "value mismatch\nexpected: " + expected->ToString() +
                       "\nactual:   " + actual->ToString() +
                       "\nplan: " + AlgebraStr(plan) + "\n" + trace;
+      return report;
+    }
+    if (config.linear_join_work && flat_bound > 0 &&
+        JoinWork(cell_stats) > kLinearRatio * flat_bound + kWorkFloor) {
+      report.status = OracleStatus::kMismatch;
+      report.failing_config = config.name;
+      report.detail =
+          "flat from-clause did " + std::to_string(JoinWork(cell_stats)) +
+          " units of work (scanned + predicates + probes) against a "
+          "linear bound of " + std::to_string(flat_bound) +
+          " (inputs + equality pairs + output)\nstats: " +
+          cell_stats.Compact() + "\nplan: " + AlgebraStr(plan) + "\n" +
+          trace;
       return report;
     }
     if (config.cost_based) {

@@ -36,6 +36,12 @@ struct OracleConfig {
   /// record, and the record's EvalStats snapshot equals the execution's
   /// global counters (error runs must record a non-empty error).
   bool querylog = false;
+  /// Bound this cell's deterministic work on flat from-clauses: when
+  /// every range is a base table and every cross-variable conjunct is an
+  /// attribute equality xi.a = xj.b, the plan must do work linear in its
+  /// inputs, the pairs each equality matches and its output — never
+  /// |X|·|Y| for an equi-joinable pair (see FlatJoinWorkBound).
+  bool linear_join_work = false;
 };
 
 /// The default matrix: ≥ 8 configurations spanning GroupingMode, the
@@ -62,6 +68,16 @@ enum class OracleStatus {
                    // whether that is expected)
 };
 const char* OracleStatusName(OracleStatus s);
+
+/// The linear work bound of a flat from-clause. `naive` must be the
+/// translator's chain ⋃(α[x1 : ... α[xk : f](σ[xk : p](T_k)) ...](T1))
+/// over base tables, with a scalar select clause and scalar
+/// where-conjuncts whose cross-variable ones are all plain-attribute
+/// equalities. Returns Σ|Ti| + Σ (pairs each equality matches) + (full
+/// combinations matching every equality) — the inputs, every
+/// intermediate a connected left-deep join tree can produce, and the
+/// output; 0 when the query does not qualify.
+uint64_t FlatJoinWorkBound(const Database& db, const ExprPtr& naive);
 
 struct OracleReport {
   OracleStatus status = OracleStatus::kOk;

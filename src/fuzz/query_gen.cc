@@ -15,6 +15,12 @@ const char* kSetCmpOps[] = {"subset", "subseteq", "supset",
                             "supseteq", "=", "<>"};
 const char* kSetBinOps[] = {"union", "intersect", "minus"};
 
+/// Chance that a multi-range block's where-clause starts with an equality
+/// between int attributes of two of its range variables — the conjunct
+/// Rule 2 turns into a join key, which the rest of the grammar produces
+/// too rarely to exercise the flat join graph.
+constexpr double kEquiJoinProb = 0.5;
+
 }  // namespace
 
 QueryGenerator::QueryGenerator(const Database& db, uint64_t seed,
@@ -373,7 +379,35 @@ std::string QueryGenerator::GenSelect(int depth, const Scope& outer) {
 
   std::string text = "select " + GenBody(depth, scope) + " from " +
                      Join(range_texts, ", ");
-  if (rng_.Bernoulli(opts_.where_prob)) {
+  std::string equi;
+  if (nranges > 1 && rng_.Bernoulli(kEquiJoinProb)) {
+    // vi.a = vj.b over two distinct range variables with int attributes.
+    std::vector<std::string> keys;
+    std::vector<size_t> owner;
+    for (size_t i = 0; i < scope.size(); ++i) {
+      const Binding& b = scope[i];
+      if (std::find(range_vars.begin(), range_vars.end(), b.name) ==
+          range_vars.end()) {
+        continue;
+      }
+      for (const std::string& f : FieldsOfKind(b.type, Type::Kind::kInt)) {
+        keys.push_back(b.name + "." + f);
+        owner.push_back(i);
+      }
+    }
+    if (!keys.empty()) {
+      int64_t last = static_cast<int64_t>(keys.size()) - 1;
+      size_t l = static_cast<size_t>(rng_.Uniform(0, last));
+      size_t r = static_cast<size_t>(rng_.Uniform(0, last));
+      if (owner[l] != owner[r]) equi = keys[l] + " = " + keys[r];
+    }
+  }
+  if (!equi.empty()) {
+    text += " where " + equi;
+    if (rng_.Bernoulli(opts_.where_prob)) {
+      text += " and " + GenPred(depth, scope);
+    }
+  } else if (rng_.Bernoulli(opts_.where_prob)) {
     text += " where " + GenPred(depth, scope);
   }
   if (use_with) text += " with " + with_name + " = " + with_def;

@@ -14,7 +14,7 @@ namespace fuzz {
 /// Knobs of the grammar-driven OOSQL generator.
 struct GenOptions {
   int max_depth = 3;        // nesting budget for select blocks / predicates
-  int max_ranges = 2;       // from-clause variables per select block
+  int max_ranges = 3;       // from-clause variables per select block
   double where_prob = 0.85;
   double with_prob = 0.12;  // chance of a `with`-bound local subquery
   double nested_body_prob = 0.3;  // select-clause nesting (set-valued body)

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <functional>
+#include <map>
 #include <utility>
 
 #include "common/str_util.h"
@@ -90,6 +91,24 @@ EvalStats TraceCollector::SumExclusiveStats() const {
   EvalStats sum;
   for (const TraceSpan& s : spans_) sum.Merge(s.exclusive);
   return sum;
+}
+
+std::vector<NodeEstimate> TraceCollector::EstimatesByPlanNode() const {
+  std::vector<NodeEstimate> out;
+  std::map<const void*, size_t> index;
+  for (const TraceSpan& s : spans_) {
+    if (s.est_rows < 0.0) continue;
+    auto [it, fresh] = index.emplace(s.plan_node, out.size());
+    if (fresh) {
+      out.push_back(
+          {s.detail.empty() ? s.op : s.op + " [" + s.detail + "]", 0, 0.0, 0});
+    }
+    NodeEstimate& e = out[it->second];
+    ++e.loops;
+    e.est += s.est_rows;
+    e.actual += s.rows_out;
+  }
+  return out;
 }
 
 std::string TraceCollector::Render(const TraceRenderOptions& opts) const {

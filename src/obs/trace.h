@@ -53,6 +53,10 @@ struct TraceSpan {
   /// PlanAnnotations when the evaluator runs a cost-based plan; Render
   /// prints est= next to out= so EXPLAIN shows estimate vs. actual.
   double est_rows = -1.0;
+  /// The plan node the estimate belongs to (set with est_rows): every
+  /// invocation of one node — a correlated subplan runs once per outer
+  /// row — shares it.
+  const void* plan_node = nullptr;
   uint64_t peak_hash_size = 0;  // largest resident hash table (entries)
   EvalStats inclusive;
   EvalStats exclusive;
@@ -68,6 +72,15 @@ struct WorkerSpan {
   const char* phase = "";  // string literal ("select", "join/probe", ...)
   int64_t start_ns = 0;
   int64_t end_ns = 0;
+};
+
+/// Planner estimate against actual rows for one plan node, summed over
+/// the node's invocations.
+struct NodeEstimate {
+  std::string op;  // "op [detail]" of the node's first invocation
+  size_t loops = 0;
+  double est = 0.0;
+  uint64_t actual = 0;
 };
 
 /// Rendering knobs. Golden tests mask wall times (the only
@@ -104,7 +117,10 @@ class TraceCollector {
   void SetRowsIn(int id, uint64_t n) { spans_[size_t(id)].rows_in = n; }
   void SetRowsBuild(int id, uint64_t n) { spans_[size_t(id)].rows_build = n; }
   void SetRowsOut(int id, uint64_t n) { spans_[size_t(id)].rows_out = n; }
-  void SetEstRows(int id, double n) { spans_[size_t(id)].est_rows = n; }
+  void SetEstRows(int id, const void* node, double n) {
+    spans_[size_t(id)].plan_node = node;
+    spans_[size_t(id)].est_rows = n;
+  }
 
   /// Appends to the innermost open span's annotation — how a physical
   /// join implementation describes itself (keys, index, ...) on the
@@ -134,6 +150,11 @@ class TraceCollector {
   /// evaluator's global stats when tracing covered the whole evaluation
   /// (the fuzzer cell and the property test assert exactly this).
   EvalStats SumExclusiveStats() const;
+
+  /// One entry per estimated plan node, in first-invocation order, with
+  /// est and actual summed over loops — the EXPLAIN ANALYZE q-error view
+  /// and the flight recorder's per-node estimates.
+  std::vector<NodeEstimate> EstimatesByPlanNode() const;
 
   /// The profiled-plan tree: repeated siblings with the same (op,
   /// detail) are aggregated into one line with a loops= count, the way
@@ -193,9 +214,10 @@ class OpSpan {
   void RowsOut(uint64_t n) {
     if (tc_ != nullptr) tc_->SetRowsOut(id_, n);
   }
-  /// Planner-estimated output rows; negative values are ignored.
-  void EstRows(double n) {
-    if (tc_ != nullptr && n >= 0.0) tc_->SetEstRows(id_, n);
+  /// Planner-estimated output rows of plan node `node`; negative values
+  /// are ignored.
+  void EstRows(const void* node, double n) {
+    if (tc_ != nullptr && n >= 0.0) tc_->SetEstRows(id_, node, n);
   }
   /// Records the result cardinality when `r` holds a set.
   void RowsOut(const Result<Value>& r) {

@@ -21,7 +21,7 @@ constexpr double kDefaultRows = 1000.0;
 /// A reorder must beat the original order by this factor to be worth
 /// the field-order-restoring map it needs.
 constexpr double kReorderGain = 0.95;
-constexpr size_t kMaxDpTables = 10;
+constexpr size_t kMaxDpLeaves = 10;
 
 const char* JoinOpName(ExprKind k) {
   switch (k) {
@@ -91,77 +91,98 @@ Choice ChooseJoin(const Database& db, const PlannerOptions& po,
   return best;
 }
 
-// ---- Join-order DP over base-table equi-join chains -----------------
+// ---- Join-order DP over equi-join chains -----------------------------
+
+/// One chain input. A base table adds its attributes to the join output
+/// and is keyed by attribute name; a from-variable Rule 2 wrapped as
+/// α[v : (x = v)](E) adds the one field x and is keyed through paths
+/// t.x.a — by variable, so ranges that share attribute names still
+/// resolve.
+struct ChainLeaf {
+  ExprPtr expr;
+  std::vector<std::string> fields;
+  bool wrapped = false;
+};
 
 struct ChainPred {
-  size_t lt = 0, rt = 0;     // table indexes (lt on the original left)
-  std::string la, ra;        // their attributes
+  size_t lt = 0, rt = 0;  // leaf indexes (lt on the original left)
+  std::string la, ra;     // their keys: "a", or "x.a" through a wrap
 };
 
 struct Chain {
-  std::vector<std::string> tables;  // original left-to-right order
+  std::vector<ChainLeaf> leaves;
   std::vector<ChainPred> preds;
 };
 
-/// Index of the table in [from, to) owning `attr`, or SIZE_MAX.
-size_t OwnerOf(const Database& db, const Chain& ch, size_t from, size_t to,
-               const std::string& attr) {
+/// Index of the leaf in [from, to) that `key` reads, or SIZE_MAX.
+size_t OwnerOf(const Chain& ch, size_t from, size_t to,
+               const std::string& key) {
+  size_t dot = key.find('.');
+  std::string field = key.substr(0, dot);
+  bool wrapped = dot != std::string::npos;
   for (size_t i = from; i < to; ++i) {
-    const Table* t = db.FindTable(ch.tables[i]);
-    if (t != nullptr && t->row_type()->is_tuple() &&
-        t->row_type()->FindField(attr) != nullptr) {
+    const ChainLeaf& leaf = ch.leaves[i];
+    if (leaf.wrapped == wrapped &&
+        std::find(leaf.fields.begin(), leaf.fields.end(), field) !=
+            leaf.fields.end()) {
       return i;
     }
   }
   return SIZE_MAX;
 }
 
-/// Flattens a pure equi-join tree over base tables into `ch`. Every
-/// predicate must be a conjunction of attr = attr equalities between
-/// the two sides; anything else (residuals, outer variables, computed
-/// keys) disqualifies the chain.
+/// Flattens a pure equi-join tree over chain leaves into `ch`. Every
+/// predicate must be a conjunction of key = key equalities between the
+/// two sides; anything else (residuals, outer variables, computed keys)
+/// disqualifies the chain.
 bool CollectChain(const Database& db, const ExprPtr& e, Chain* ch) {
   if (e->kind() == ExprKind::kGetTable) {
     const Table* t = db.FindTable(e->name());
     if (t == nullptr || !t->row_type()->is_tuple()) return false;
-    ch->tables.push_back(e->name());
+    ch->leaves.push_back({e, t->row_type()->FieldNames(), false});
+    return true;
+  }
+  if (e->kind() == ExprKind::kMap &&
+      e->body()->kind() == ExprKind::kTupleConstruct &&
+      e->body()->num_children() == 1 &&
+      e->body()->child(0)->kind() == ExprKind::kVar &&
+      e->body()->child(0)->name() == e->var()) {
+    ch->leaves.push_back({e, e->body()->names(), true});
     return true;
   }
   if (e->kind() != ExprKind::kJoin) return false;
-  size_t l0 = ch->tables.size();
+  size_t l0 = ch->leaves.size();
   if (!CollectChain(db, e->left(), ch)) return false;
-  size_t r0 = ch->tables.size();
+  size_t r0 = ch->leaves.size();
   if (!CollectChain(db, e->right(), ch)) return false;
   for (const ExprPtr& c : SplitConjuncts(e->pred())) {
     if (c->kind() != ExprKind::kBinary || c->bin_op() != BinOp::kEq) {
       return false;
     }
-    const std::string* a0 = PlainAttr(c->child(0), e->var());
-    const std::string* a1 = PlainAttr(c->child(1), e->var2());
-    if (a0 == nullptr || a1 == nullptr) {
+    std::string a0 = AttrPathOf(c->child(0), e->var());
+    std::string a1 = AttrPathOf(c->child(1), e->var2());
+    if (a0.empty() || a1.empty()) {
       // Maybe written y.b = x.a.
-      a0 = PlainAttr(c->child(1), e->var());
-      a1 = PlainAttr(c->child(0), e->var2());
+      a0 = AttrPathOf(c->child(1), e->var());
+      a1 = AttrPathOf(c->child(0), e->var2());
     }
-    if (a0 == nullptr || a1 == nullptr) return false;
-    size_t lt = OwnerOf(db, *ch, l0, r0, *a0);
-    size_t rt = OwnerOf(db, *ch, r0, ch->tables.size(), *a1);
+    if (a0.empty() || a1.empty()) return false;
+    size_t lt = OwnerOf(*ch, l0, r0, a0);
+    size_t rt = OwnerOf(*ch, r0, ch->leaves.size(), a1);
     if (lt == SIZE_MAX || rt == SIZE_MAX) return false;
-    ch->preds.push_back(ChainPred{lt, rt, *a0, *a1});
+    ch->preds.push_back(ChainPred{lt, rt, a0, a1});
   }
   return true;
 }
 
-/// All attribute names unique across the chain's tables — required both
-/// for unambiguous predicate resolution and for the original plan to
-/// have evaluated at all (tuple concat rejects duplicates).
-bool AttrsUnique(const Database& db, const Chain& ch) {
+/// All output fields unique across the chain's leaves — required both
+/// for unambiguous key resolution and for the original plan to have
+/// evaluated at all (tuple concat rejects duplicates).
+bool FieldsUnique(const Chain& ch) {
   std::set<std::string> seen;
-  for (const std::string& name : ch.tables) {
-    const Table* t = db.FindTable(name);
-    if (t == nullptr) return false;
-    for (const TypeField& f : t->row_type()->fields()) {
-      if (!seen.insert(f.name).second) return false;
+  for (const ChainLeaf& leaf : ch.leaves) {
+    for (const std::string& f : leaf.fields) {
+      if (!seen.insert(f).second) return false;
     }
   }
   return true;
@@ -176,22 +197,16 @@ struct DpEntry {
 class ChainPlanner {
  public:
   ChainPlanner(const Database& db, const PlannerOptions& po, const Chain& ch)
-      : db_(db), po_(po), ch_(ch) {
-    size_t n = ch.tables.size();
-    rows_.resize(n);
-    stats_.resize(n);
-    for (size_t i = 0; i < n; ++i) {
-      stats_[i] = db.stats().Get(db, ch.tables[i]);
-      rows_[i] = stats_[i] != nullptr
-                     ? static_cast<double>(stats_[i]->row_count)
-                     : kDefaultRows;
+      : db_(db), po_(po), ch_(ch), est_(db) {
+    for (const ChainLeaf& leaf : ch.leaves) {
+      rows_.push_back(est_.Estimate(leaf.expr).RowsOr(kDefaultRows));
     }
   }
 
   /// Cheapest left-deep order, or an empty vector when the join graph
   /// is not stepwise connected.
-  DpEntry Best() const {
-    size_t n = ch_.tables.size();
+  DpEntry Best() {
+    size_t n = ch_.leaves.size();
     std::vector<DpEntry> best(size_t(1) << n);
     for (size_t i = 0; i < n; ++i) {
       DpEntry& e = best[size_t(1) << i];
@@ -223,7 +238,7 @@ class ChainPlanner {
 
   /// Cost of a given left-deep order through the same step model
   /// (kInf when some step is disconnected).
-  double OrderCost(const std::vector<size_t>& order) const {
+  double OrderCost(const std::vector<size_t>& order) {
     double cost = 0.0;
     double rows = rows_[order[0]];
     size_t mask = size_t(1) << order[0];
@@ -238,15 +253,15 @@ class ChainPlanner {
   }
 
  private:
-  const AttrStats* AttrOf(size_t table, const std::string& attr) const {
-    return stats_[table] != nullptr ? stats_[table]->Find(attr) : nullptr;
+  const AttrStats* AttrOf(size_t leaf, const std::string& key) {
+    return est_.Estimate(ch_.leaves[leaf].expr).Find(key);
   }
 
   /// Prices joining table `t` onto the accumulated set `prev_mask`
   /// (estimated `prev_rows` rows). False when no predicate connects
   /// them (cross products are never enumerated).
   bool Step(size_t prev_mask, size_t t, double prev_rows, double* out_rows,
-            double* out_cost) const {
+            double* out_cost) {
     double fan = kInf;
     size_t npreds = 0;
     bool index_ok = false;
@@ -272,8 +287,9 @@ class ChainPlanner {
                        ? static_cast<double>(std::max<uint64_t>(1, ts->distinct))
                        : std::max(1.0, rows_[t]);
       fan = std::min(fan, match * rows_[t] / d_t);
-      index_ok = npreds == 1 &&
-                 db_.FindIndex(ch_.tables[t], *ta) != nullptr;
+      const ExprPtr& leaf = ch_.leaves[t].expr;
+      index_ok = npreds == 1 && leaf->kind() == ExprKind::kGetTable &&
+                 db_.FindIndex(leaf->name(), *ta) != nullptr;
     }
     if (npreds == 0) return false;
     *out_rows = prev_rows * fan;
@@ -294,17 +310,24 @@ class ChainPlanner {
   const Database& db_;
   const PlannerOptions& po_;
   const Chain& ch_;
+  /// Prices the leaves; it pins the extent snapshots it reads, so the
+  /// borrowed AttrStats survive any concurrent catalog refresh for the
+  /// planning pass's lifetime.
+  CardinalityEstimator est_;
   std::vector<double> rows_;
-  /// Pinned snapshots: the planner's borrowed AttrStats survive any
-  /// concurrent catalog refresh for the planning pass's lifetime.
-  std::vector<std::shared_ptr<const ExtentStats>> stats_;
 };
 
+/// `var` read through `key` ("a" → var.a, "x.a" → var.x.a).
+ExprPtr KeyExpr(const std::string& var, const std::string& key) {
+  ExprPtr e = Expr::Var(var);
+  for (const std::string& part : Split(key, '.')) e = Expr::Access(e, part);
+  return e;
+}
+
 /// Rebuilds the chain as a left-deep join tree in `order`, wrapped in a
-/// map that restores the original attribute order so the result is
+/// map that restores the original field order so the result is
 /// bit-identical to the original plan's.
-ExprPtr RebuildChain(const Database& db, const Chain& ch,
-                     const std::vector<size_t>& order,
+ExprPtr RebuildChain(const Chain& ch, const std::vector<size_t>& order,
                      const ExprPtr& original) {
   std::set<std::string> used = AllVars(original);
   auto fresh = [&used](const std::string& hint) {
@@ -317,7 +340,7 @@ ExprPtr RebuildChain(const Database& db, const Chain& ch,
 
   std::vector<bool> placed(ch.preds.size(), false);
   size_t in_acc_mask = size_t(1) << order[0];
-  ExprPtr acc = Expr::Table(ch.tables[order[0]]);
+  ExprPtr acc = ch.leaves[order[0]].expr;
   for (size_t k = 1; k < order.size(); ++k) {
     size_t t = order[k];
     std::string lv = fresh("jo_l");
@@ -326,34 +349,33 @@ ExprPtr RebuildChain(const Database& db, const Chain& ch,
     for (size_t pi = 0; pi < ch.preds.size(); ++pi) {
       if (placed[pi]) continue;
       const ChainPred& p = ch.preds[pi];
-      const std::string *acc_attr, *t_attr;
+      const std::string *acc_key, *t_key;
       if (p.lt == t && (in_acc_mask & (size_t(1) << p.rt)) != 0) {
-        acc_attr = &p.ra;
-        t_attr = &p.la;
+        acc_key = &p.ra;
+        t_key = &p.la;
       } else if (p.rt == t && (in_acc_mask & (size_t(1) << p.lt)) != 0) {
-        acc_attr = &p.la;
-        t_attr = &p.ra;
+        acc_key = &p.la;
+        t_key = &p.ra;
       } else {
         continue;
       }
       placed[pi] = true;
-      conjuncts.push_back(Expr::Eq(Expr::Access(Expr::Var(lv), *acc_attr),
-                                   Expr::Access(Expr::Var(rv), *t_attr)));
+      conjuncts.push_back(Expr::Eq(KeyExpr(lv, *acc_key), KeyExpr(rv, *t_key)));
     }
-    acc = Expr::Join(std::move(acc), Expr::Table(ch.tables[t]), lv, rv,
+    acc = Expr::Join(std::move(acc), ch.leaves[t].expr, lv, rv,
                      Expr::AndAll(conjuncts));
     in_acc_mask |= size_t(1) << t;
   }
 
   // Restore the original field order: the original tree's output tuple
-  // is the left-to-right concatenation of the base tables' attributes.
+  // is the left-to-right concatenation of the leaves' fields.
   std::string z = fresh("jo_z");
   std::vector<std::string> names;
   std::vector<ExprPtr> values;
-  for (const std::string& tname : ch.tables) {
-    for (const TypeField& f : db.FindTable(tname)->row_type()->fields()) {
-      names.push_back(f.name);
-      values.push_back(Expr::Access(Expr::Var(z), f.name));
+  for (const ChainLeaf& leaf : ch.leaves) {
+    for (const std::string& f : leaf.fields) {
+      names.push_back(f);
+      values.push_back(Expr::Access(Expr::Var(z), f));
     }
   }
   return Expr::Map(z, Expr::TupleConstruct(std::move(names),
@@ -366,19 +388,19 @@ ExprPtr TryReorder(const Database& db, const PlannerOptions& po,
                    const ExprPtr& e) {
   Chain ch;
   if (!CollectChain(db, e, &ch)) return nullptr;
-  if (ch.tables.size() < 3 || ch.tables.size() > kMaxDpTables) return nullptr;
-  if (!AttrsUnique(db, ch)) return nullptr;
+  if (ch.leaves.size() < 3 || ch.leaves.size() > kMaxDpLeaves) return nullptr;
+  if (!FieldsUnique(ch)) return nullptr;
 
   ChainPlanner cp(db, po, ch);
   DpEntry best = cp.Best();
   if (best.cost == kInf) return nullptr;
 
-  std::vector<size_t> identity(ch.tables.size());
+  std::vector<size_t> identity(ch.leaves.size());
   for (size_t i = 0; i < identity.size(); ++i) identity[i] = i;
   if (best.order == identity) return nullptr;
   double orig = cp.OrderCost(identity);
   if (orig != kInf && best.cost >= orig * kReorderGain) return nullptr;
-  return RebuildChain(db, ch, best.order, e);
+  return RebuildChain(ch, best.order, e);
 }
 
 ExprPtr ReorderTree(const Database& db, const PlannerOptions& po,
@@ -434,6 +456,7 @@ class Annotator {
           if (db_.FindTable(v) == nullptr) correlated = true;
         }
         if (correlated) {
+          ++plan_->unpriced_correlated;
           PlanAnnotation pa;
           pa.est_rows = self.rows;
           plan_->annotations.nodes[e.get()] = pa;
@@ -539,6 +562,9 @@ const char* PlanStrategyName(PlanStrategy s) {
 
 std::string PhysicalPlan::Describe() const {
   std::string out = StrFormat("est_cost=%.3fms", est_cost / 1e6);
+  if (unpriced_correlated > 0) {
+    out += StrFormat(" +%d unpriced correlated", unpriced_correlated);
+  }
   if (reordered) out += " (join order changed)";
   out += "\n";
   for (const std::string& l : lines) out += "  " + l + "\n";

@@ -58,6 +58,9 @@ struct PhysicalPlan {
   PlanAnnotations annotations;
   /// Total estimated cost (calibrated ns) of all priced operators.
   double est_cost = 0.0;
+  /// Correlated join-family operators, which are rebuilt per outer row
+  /// and never priced: est_cost leaves them out.
+  int unpriced_correlated = 0;
   /// True when the join-order DP changed the join order.
   bool reordered = false;
   /// Pre-order plan lines ("join[hash] est_rows=412 est_cost=0.21ms").

@@ -31,7 +31,81 @@ ExprPtr ReplaceRec(const ExprPtr& e, const ExprPtr& target,
   return changed ? e->WithChildren(std::move(kids)) : e;
 }
 
+/// x, x.a, x.a.b, ... — reading a bound tuple cannot fail.
+bool IsVarPath(const ExprPtr& e) {
+  const Expr* cur = e.get();
+  while (cur->kind() == ExprKind::kFieldAccess) cur = cur->child(0).get();
+  return cur->kind() == ExprKind::kVar;
+}
+
+bool CannotRaiseValue(const ExprPtr& e) {
+  switch (e->kind()) {
+    case ExprKind::kConst:
+    case ExprKind::kVar:
+      return true;
+    case ExprKind::kFieldAccess:
+      return IsVarPath(e);
+    case ExprKind::kTupleConstruct:
+      for (const ExprPtr& c : e->children()) {
+        if (!CannotRaiseValue(c)) return false;
+      }
+      return true;
+    default:
+      return false;
+  }
+}
+
 }  // namespace
+
+bool CannotRaisePred(const ExprPtr& e) {
+  switch (e->kind()) {
+    case ExprKind::kConst:
+      return e->const_value().is_bool();
+    case ExprKind::kUnary:
+      if (e->un_op() == UnOp::kIsEmpty) return CannotRaiseValue(e->child(0));
+      return e->un_op() == UnOp::kNot && CannotRaisePred(e->child(0));
+    case ExprKind::kBinary:
+      switch (e->bin_op()) {
+        case BinOp::kAnd:
+        case BinOp::kOr:
+          return CannotRaisePred(e->child(0)) && CannotRaisePred(e->child(1));
+        case BinOp::kIn:
+        case BinOp::kContains:
+          return CannotRaiseValue(e->child(0)) &&
+                 CannotRaiseValue(e->child(1));
+        default:
+          return IsComparisonOp(e->bin_op()) &&
+                 CannotRaiseValue(e->child(0)) &&
+                 CannotRaiseValue(e->child(1));
+      }
+    case ExprKind::kQuantifier:
+      return CannotRaiseRange(e->range()) && CannotRaisePred(e->body());
+    default:
+      return false;
+  }
+}
+
+bool CannotRaiseRange(const ExprPtr& e) {
+  switch (e->kind()) {
+    case ExprKind::kGetTable:
+    case ExprKind::kVar:
+    case ExprKind::kConst:
+      return true;
+    case ExprKind::kFieldAccess:
+      return IsVarPath(e);
+    case ExprKind::kSelect:
+      return CannotRaisePred(e->body()) && CannotRaiseRange(e->input());
+    case ExprKind::kMap:
+      return CannotRaiseValue(e->body()) && CannotRaiseRange(e->input());
+    case ExprKind::kJoin:
+    case ExprKind::kSemiJoin:
+    case ExprKind::kAntiJoin:
+      return CannotRaiseRange(e->left()) && CannotRaiseRange(e->right()) &&
+             CannotRaisePred(e->pred());
+    default:
+      return false;
+  }
+}
 
 ExprPtr ReplaceSubexpr(const ExprPtr& e, const ExprPtr& target,
                        const ExprPtr& replacement) {

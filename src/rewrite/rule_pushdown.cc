@@ -11,6 +11,12 @@
 // For semijoin/antijoin/nestjoin (whose output is left-shaped) only the
 // left push applies; for the nestjoin, conjuncts touching the group
 // attribute stay put.
+//
+// A selection conjunct that may raise (CannotRaisePred) stays above the
+// join: below it, it would run on rows the join drops, where the naive
+// plan never evaluated it — Rule 2 relies on this to keep such a
+// conjunct over its join tree. (Join-predicate pushdown below does not
+// make this check yet.)
 
 #include "rewrite/rules_internal.h"
 
@@ -77,7 +83,8 @@ ExprPtr ApplyPushdown(const ExprPtr& e, RewriteContext& ctx) {
     // Conjuncts mentioning other free variables still push fine (they
     // are outer bindings), but the selection variable must appear only
     // as field accesses.
-    if (!CollectAttrRefs(c, z, &attrs) || attrs.empty()) {
+    if (!CannotRaisePred(c) || !CollectAttrRefs(c, z, &attrs) ||
+        attrs.empty()) {
       residual.push_back(c);
       continue;
     }

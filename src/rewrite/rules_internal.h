@@ -51,7 +51,10 @@ ExprPtr PassQuantifierNormalize(const ExprPtr& e, RewriteContext& ctx);
 /// Rule 1: σ[x : (¬)∃y∈Y·p](X) → semijoin/antijoin, per conjunct.
 ExprPtr PassRule1(const ExprPtr& e, RewriteContext& ctx);
 
-/// Rule 2: ⋃(α[x : α[y : x∘y](σ[y:p](Y))](X)) → X ⋈_p Y.
+/// Rule 2, general form: ⋃(α[x : α[y : f](σ[y:p](Y))](X)) →
+/// α[t : f[t]](X ⋈_p Y), over whole k-variable from-clause chains:
+/// conjunct placement plus one join tree of the linked independent
+/// ranges.
 ExprPtr PassRule2(const ExprPtr& e, RewriteContext& ctx);
 
 /// Option 1: unnesting of set-valued attributes under a projection that
@@ -81,6 +84,22 @@ ExprPtr ReplaceSubexpr(const ExprPtr& e, const ExprPtr& target,
 /// field access (x.a) — i.e., the tuple is never used wholesale. When
 /// true, rebinding `var` to a wider tuple (nestjoin output) is safe.
 bool OnlyFieldAccesses(const ExprPtr& e, const std::string& var);
+
+/// True when evaluating predicate `e` cannot raise a runtime error:
+/// comparisons (Value::Compare is total), ∈ / ∋ and isempty over
+/// constants and attribute paths (x, x.a, x.a.b — a typed attribute
+/// holds a value of its type), quantifiers over ranges that cannot raise,
+/// and and/or/not of those. Arithmetic (null operands, division by
+/// zero), derefs (dangling oids), set comparisons of subqueries and
+/// aggregates may raise. The naive plan evaluates a where-conjunct only
+/// where the conjuncts before it held, so only these may be moved to
+/// where the naive plan would not have evaluated them.
+bool CannotRaisePred(const ExprPtr& e);
+
+/// True when evaluating set expression `e` eagerly cannot raise: base
+/// tables, variables, constants, attribute paths, and σ/α/⋈/⋉/▷ over
+/// such with predicates and bodies that cannot raise.
+bool CannotRaiseRange(const ExprPtr& e);
 
 /// The decomposed shape of a candidate subquery Y' (Section 5.1's
 /// general format): Y' = α[v : G](σ[y : Q](Y)), where the map and/or the

@@ -39,29 +39,27 @@ double FractionBelow(const AttrStats& a, double c) {
   return Clamp01((c - lo) / (hi - lo));
 }
 
-/// `e` is Access(Var(var), attr) — the only key shape with attributable
-/// statistics. A tuple projection in between (`x[a, b].a`, the shape
-/// the unnest rewrite emits) narrows the row without renaming, so the
-/// access reads the same attribute. Returns the attribute name or null.
-const std::string* SingleAttrOf(const ExprPtr& e, const std::string& var) {
-  if (e->kind() != ExprKind::kFieldAccess) return nullptr;
+}  // namespace
+
+std::string AttrPathOf(const ExprPtr& e, const std::string& var) {
+  if (e->kind() != ExprKind::kFieldAccess) return "";
   const Expr* base = e->child(0).get();
   while (base->kind() == ExprKind::kTupleProject &&
          std::find(base->names().begin(), base->names().end(), e->name()) !=
              base->names().end()) {
     base = base->child(0).get();
   }
-  if (base->kind() != ExprKind::kVar || base->name() != var) return nullptr;
-  return &e->name();
+  if (base->kind() == ExprKind::kVar) {
+    return base->name() == var ? e->name() : "";
+  }
+  std::string prefix = AttrPathOf(e->child(0), var);
+  return prefix.empty() ? "" : prefix + "." + e->name();
 }
-
-}  // namespace
 
 const AttrStats* CardinalityEstimator::KeyAttrStats(
     const ExprPtr& key, const std::string& var, const RelEstimate& rel) const {
-  const std::string* attr = SingleAttrOf(key, var);
-  if (attr == nullptr) return nullptr;
-  return rel.Find(*attr);
+  std::string path = AttrPathOf(key, var);
+  return path.empty() ? nullptr : rel.Find(path);
 }
 
 const AttrStats* CardinalityEstimator::Synthesize(AttrStats s) {
@@ -162,20 +160,30 @@ RelEstimate CardinalityEstimator::EstimateNode(const Expr& e) {
         // output is a set, so distinct combinations of the keyed fields
         // bound the cardinality; fields without attributable stats are
         // treated as functions of the keyed ones (every map-body field
-        // is a function of the input row).
+        // is a function of the input row). A field holding the whole row
+        // — Rule 2's (x = x) wrap — keeps every row distinct and exposes
+        // the row's attributes as "x.a".
         out.rows = in.rows;
         double combos = 1.0;
         bool keyed = false;
+        bool whole_row = false;
         for (size_t i = 0; i < body.num_children(); ++i) {
-          const AttrStats* a =
-              KeyAttrStats(body.child(i), e.var(), in);
+          const ExprPtr& field = body.child(i);
+          if (field->kind() == ExprKind::kVar && field->name() == e.var()) {
+            whole_row = true;
+            for (const auto& [name, a] : in.attrs) {
+              out.attrs[body.names()[i] + "." + name] = a;
+            }
+            continue;
+          }
+          const AttrStats* a = KeyAttrStats(field, e.var(), in);
           if (a != nullptr) out.attrs[body.names()[i]] = a;
           if (a != nullptr && a->scalar) {
             combos *= static_cast<double>(std::max<uint64_t>(1, a->distinct));
             keyed = true;
           }
         }
-        if (keyed) out.rows = std::min(out.rows, combos);
+        if (keyed && !whole_row) out.rows = std::min(out.rows, combos);
         return out;
       }
       if (body.kind() == ExprKind::kExcept) {

@@ -30,8 +30,9 @@ struct RelEstimate {
   double rows = -1.0;
   /// Statistics of the attributes flowing through this expression,
   /// keyed by attribute name as visible *here* (maps that rename
-  /// attributes re-key). Pointers borrow from the StatsCatalog and stay
-  /// valid for the planning pass.
+  /// attributes re-key; an attribute inside a tuple-valued field x is
+  /// keyed "x.a"). Pointers borrow from the StatsCatalog and stay valid
+  /// for the planning pass.
   std::map<std::string, const AttrStats*> attrs;
 
   bool known() const { return rows >= 0.0; }
@@ -55,6 +56,14 @@ struct JoinSelectivity {
   /// True when at least one equi-key pair had stats on both sides.
   bool from_stats = false;
 };
+
+/// The key under which RelEstimate::attrs holds the attribute `e` reads
+/// from `var`: "a" for var.a, "x.a" for var.x.a (the path a Rule 2
+/// wrapped from-variable is read through), "" when `e` is no attribute
+/// path of `var`. A tuple projection in between (`x[a, b].a`, the shape
+/// the unnest rewrite emits) narrows the row without renaming, so the
+/// access reads the same attribute.
+std::string AttrPathOf(const ExprPtr& e, const std::string& var);
 
 class CardinalityEstimator {
  public:
@@ -84,9 +93,9 @@ class CardinalityEstimator {
   RelEstimate EstimateNode(const Expr& e);
   RelEstimate EstimateJoinLike(const Expr& e);
 
-  /// Stats of the attribute a key expression reads, when the key is a
-  /// plain `Access(Var(var), attr)` (optionally through a unary path)
-  /// with known origin stats; nullptr otherwise.
+  /// Stats of the attribute a key expression reads, when the key is an
+  /// attribute path of `var` (`var.a`, or `var.x.a` through a wrapped
+  /// from-variable) with known origin stats; nullptr otherwise.
   const AttrStats* KeyAttrStats(const ExprPtr& key, const std::string& var,
                                 const RelEstimate& rel) const;
 

@@ -12,6 +12,7 @@
 #include "core/engine.h"
 #include "obs/chrome_trace.h"
 #include "obs/metrics.h"
+#include "obs/querylog.h"
 #include "obs/trace.h"
 #include "storage/datagen.h"
 
@@ -150,6 +151,64 @@ TEST_F(ExplainAnalyzeTest, ExplainGrowsProfileSectionWhenTraced) {
   Result<QueryReport> p = plain.Run(kQuery4);
   ASSERT_TRUE(p.ok());
   EXPECT_EQ(p->Explain().find("profile:"), std::string::npos);
+}
+
+// A plan that stays correlated: the semijoin's residual reads the outer
+// x, so it is rebuilt once per X row. EXPLAIN and the flight recorder
+// report one q-error entry per plan node with est and actual summed over
+// the loops (not one per invocation), and the planner says how many
+// operators its est_cost leaves unpriced.
+TEST_F(ExplainAnalyzeTest, CorrelatedPlanReportsOneQErrorPerPlanNode) {
+  EvalOptions eval;
+  eval.trace = &collector_;
+  PlannerOptions popts;
+  popts.strategy = PlanStrategy::kCost;
+  QueryEngine engine(xy_db_.get(), RewriteOptions(), eval, popts);
+  Result<QueryReport> r = engine.Run(
+      "select (a = x.a, ys = select y.e from y in Y where "
+      "exists z in Y : z.a = y.e and z.e > y.a + x.a) from x in X");
+  ASSERT_TRUE(r.ok()) << r.status().ToString();
+  ASSERT_NE(r->plan, nullptr);
+  EXPECT_EQ(r->plan->unpriced_correlated, 1);
+  std::string explain = r->Explain();
+  EXPECT_NE(explain.find("est_cost=0.000ms +1 unpriced correlated"),
+            std::string::npos)
+      << explain;
+
+  std::vector<NodeEstimate> nodes = collector_.EstimatesByPlanNode();
+  size_t qerror_lines = 0;
+  for (size_t pos = explain.find("qerror:"); pos != std::string::npos;
+       pos = explain.find("qerror:", pos + 1)) {
+    ++qerror_lines;
+  }
+  EXPECT_EQ(qerror_lines, nodes.size()) << explain;
+  const NodeEstimate* semi = nullptr;
+  for (const NodeEstimate& n : nodes) {
+    if (n.op.rfind("semijoin", 0) == 0) semi = &n;
+  }
+  ASSERT_NE(semi, nullptr) << explain;
+  size_t semi_loops = 0;
+  uint64_t semi_rows = 0;
+  for (const TraceSpan& s : collector_.spans()) {
+    if (s.op != "semijoin") continue;
+    ++semi_loops;
+    semi_rows += s.rows_out;
+  }
+  EXPECT_GT(semi_loops, 1u);
+  EXPECT_EQ(semi->loops, semi_loops);
+  EXPECT_EQ(semi->actual, semi_rows);
+  EXPECT_NE(explain.find(semi->op + " loops=" + std::to_string(semi_loops)),
+            std::string::npos)
+      << explain;
+
+  std::vector<obs::QueryLogRecord> last = obs::QueryLog::Global().Snapshot(1);
+  ASSERT_EQ(last.size(), 1u);
+  ASSERT_EQ(last[0].roots.size(), nodes.size());
+  for (size_t i = 0; i < nodes.size(); ++i) {
+    EXPECT_EQ(last[0].roots[i].op, nodes[i].op);
+    EXPECT_DOUBLE_EQ(last[0].roots[i].est, nodes[i].est);
+    EXPECT_EQ(last[0].roots[i].actual, nodes[i].actual);
+  }
 }
 
 // The tentpole invariant: the exclusive EvalStats deltas over the whole

@@ -479,6 +479,62 @@ TEST(OptimizerMeasuredChoice, JoinOrderDpReordersSkewedChain) {
   EXPECT_TRUE(pp.reordered) << pp.Describe();
 }
 
+// The same skewed chain written in OOSQL, with attribute names the three
+// tables share: Rule 2 turns the from-clause into a join tree over
+// (x = x)-wrapped ranges, and the DP resolves every key by variable
+// (t.x.a) rather than by attribute name, so it still reorders.
+TEST(OptimizerMeasuredChoice, JoinOrderDpReordersOosqlChain) {
+  auto db = std::make_unique<Database>();
+  for (const char* name : {"A", "B", "C"}) {
+    ASSERT_TRUE(db->CreateTable(name, Type::Tuple({{"k", Type::Int()},
+                                                   {"v", Type::Int()}}))
+                    .ok());
+  }
+  for (int i = 0; i < 2048; ++i) {
+    ASSERT_TRUE(db->Insert("A", Value::Tuple({Field("k", Value::Int(i % 64)),
+                                              Field("v", Value::Int(i))}))
+                    .ok());
+  }
+  for (int i = 0; i < 48; ++i) {
+    ASSERT_TRUE(db->Insert("B", Value::Tuple({Field("k", Value::Int(i % 64)),
+                                              Field("v", Value::Int(i % 64))}))
+                    .ok());
+    ASSERT_TRUE(db->Insert("C", Value::Tuple({Field("k", Value::Int(i % 64)),
+                                              Field("v", Value::Int(i))}))
+                    .ok());
+  }
+  const char* q =
+      "select (a = x.v, c = z.v) from x in A, y in B, z in C "
+      "where x.k = y.k and y.v = z.k";
+
+  PlannerOptions popts;
+  popts.strategy = PlanStrategy::kCost;
+  QueryEngine cost(db.get(), RewriteOptions(), EvalOptions(), popts);
+  Result<QueryReport> c = cost.Run(q);
+  ASSERT_TRUE(c.ok()) << c.status().ToString();
+  ASSERT_NE(c->plan, nullptr);
+  EXPECT_TRUE(c->plan->reordered) << c->Explain();
+
+  QueryEngine heuristic(db.get());
+  Result<QueryReport> h = heuristic.Run(q);
+  ASSERT_TRUE(h.ok()) << h.status().ToString();
+  EXPECT_EQ(c->result, h->result);
+  // Two set-at-a-time joins either way; the cost plan may sort-merge
+  // the small pair.
+  const EvalStats& cs = c->exec_stats;
+  EXPECT_EQ(cs.joins_nested_loop, 0u) << c->Explain();
+  EXPECT_EQ(cs.joins_hash + cs.joins_sortmerge + cs.joins_index, 2u)
+      << c->Explain();
+  EXPECT_EQ(h->exec_stats.joins_hash, 2u);
+
+  RewriteOptions naive = RewriteOptions();
+  naive.enable_map_join = false;
+  QueryEngine nested(db.get(), naive);
+  Result<QueryReport> n = nested.Run(q);
+  ASSERT_TRUE(n.ok()) << n.status().ToString();
+  EXPECT_EQ(c->result, n->result);
+}
+
 // ---------------------------------------------------------------------
 // Layer 3: the planner prices exactly the operator the executor runs
 // ---------------------------------------------------------------------
@@ -531,6 +587,46 @@ TEST(OptimizerPlannedWork, Query5PinsTheMembershipJoin) {
   EXPECT_EQ(cs.hash_probes, hs.hash_probes);
   EXPECT_EQ(cs.joins_membership, hs.joins_membership);
   EXPECT_EQ(cs.joins_nested_loop, hs.joins_nested_loop);
+}
+
+// Counter golden for bench_strategy_ablation's chain3-join at n = 1024
+// (the bench's X, Y, W generator settings). Before general Rule 2 the
+// Y–W join was correlated on x and ran 960 hash joins over 3,813,169
+// scanned tuples; the flat join tree runs exactly two under both
+// strategies.
+TEST(OptimizerPlannedWork, Chain3JoinRunsTwoHashJoins) {
+  const int n = 1024;
+  auto db = std::make_unique<Database>();
+  XYConfig xy;
+  xy.seed = 31;
+  xy.x_rows = n;
+  xy.y_rows = n;
+  xy.key_domain = n;
+  ASSERT_TRUE(AddRandomXY(db.get(), xy).ok());
+  XYConfig zw;
+  zw.seed = 37;
+  zw.x_rows = n / 2;
+  zw.y_rows = n * 2;
+  zw.key_domain = n;
+  zw.value_domain = n;
+  ASSERT_TRUE(AddRandomXY(db.get(), zw, "Z", "W").ok());
+  const char* q =
+      "select (xa = x.a, we = w.e) from x in X, y in Y, w in W "
+      "where x.a = y.a and y.e = w.a";
+
+  for (PlanStrategy strategy : {PlanStrategy::kHeuristic, PlanStrategy::kCost}) {
+    SCOPED_TRACE(PlanStrategyName(strategy));
+    PlannerOptions popts;
+    popts.strategy = strategy;
+    QueryEngine engine(db.get(), RewriteOptions(), EvalOptions(), popts);
+    Result<QueryReport> r = engine.Run(q);
+    ASSERT_TRUE(r.ok()) << r.status().ToString();
+    EXPECT_EQ(r->result.set_size(), 767u);
+    const EvalStats& s = r->exec_stats;
+    EXPECT_EQ(s.joins_hash, 2u) << r->Explain();
+    EXPECT_EQ(s.joins_nested_loop, 0u);
+    EXPECT_EQ(s.tuples_scanned, 9984u) << r->Explain();
+  }
 }
 
 }  // namespace

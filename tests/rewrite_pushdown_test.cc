@@ -75,16 +75,19 @@ TEST_F(PushdownTest, BothSidesOfARegularJoin) {
   EXPECT_TRUE(SelectsDirectlyOn(r.expr, "Y")) << AlgebraStr(r.expr);
 }
 
-TEST_F(PushdownTest, MultiRangePairingQueryUsesNestJoinAndStillPushes) {
-  // The surface form of the same query: the general select-clause body
-  // routes through the nestjoin; the x-only conjunct still pushes below
-  // it in a later round.
+TEST_F(PushdownTest, MultiRangePairingQueryBecomesFlatJoinAndPlaces) {
+  // The surface form of the same query: Rule 2 turns the from-clause
+  // into one flat join and puts each one-variable conjunct on its own
+  // range, below the (x = x) / (y = y) wraps that keep X.a and Y.a apart.
   ExprPtr e = TranslateOrDie(
       *db_,
       "select (xa = x.a, ye = y.e) from x in X, y in Y "
       "where x.a = y.a and x.a > 0 and y.e > 1");
   RewriteResult r = CheckEquivalence(*db_, e);
-  EXPECT_TRUE(r.Fired("NestJoinRewrite")) << r.TraceToString();
+  EXPECT_TRUE(r.Fired("Rule2-MapNestingToJoin")) << r.TraceToString();
+  EXPECT_FALSE(r.Fired("NestJoinRewrite")) << r.TraceToString();
+  EXPECT_TRUE(SelectsDirectlyOn(r.expr, "X")) << AlgebraStr(r.expr);
+  EXPECT_TRUE(SelectsDirectlyOn(r.expr, "Y")) << AlgebraStr(r.expr);
 }
 
 TEST_F(PushdownTest, GroupAttributeConjunctStaysAboveNestJoin) {
