@@ -6,38 +6,24 @@ namespace n2j {
 
 namespace {
 
-/// Indices of children in which `var_` / `var2_` are bound, per kind.
-/// Children not listed see the enclosing scope.
-void BoundChildren(const Expr& e, std::vector<size_t>* out) {
-  out->clear();
+/// True if child `i` of `e` sees `e`'s `var_` / `var2_` bound; the other
+/// children see the enclosing scope.
+bool IsBoundChild(const Expr& e, size_t i) {
   switch (e.kind()) {
     case ExprKind::kLet:
     case ExprKind::kMap:
     case ExprKind::kSelect:
     case ExprKind::kQuantifier:
-      out->push_back(1);
-      break;
+      return i == 1;
     case ExprKind::kJoin:
     case ExprKind::kSemiJoin:
     case ExprKind::kAntiJoin:
-      out->push_back(2);
-      break;
+      return i == 2;
     case ExprKind::kNestJoin:
-      out->push_back(2);
-      out->push_back(3);
-      break;
+      return i == 2 || i == 3;
     default:
-      break;
+      return false;
   }
-}
-
-bool IsBoundChild(const Expr& e, size_t i) {
-  std::vector<size_t> bc;
-  BoundChildren(e, &bc);
-  for (size_t b : bc) {
-    if (b == i) return true;
-  }
-  return false;
 }
 
 void CollectFree(const ExprPtr& e, std::set<std::string>& bound,
@@ -67,7 +53,13 @@ std::set<std::string> FreeVars(const ExprPtr& e) {
 }
 
 bool IsFreeIn(const std::string& var, const ExprPtr& e) {
-  return FreeVars(e).count(var) > 0;
+  if (e->kind() == ExprKind::kVar) return e->name() == var;
+  const bool binds = e->var() == var || e->var2() == var;
+  for (size_t i = 0; i < e->num_children(); ++i) {
+    if (binds && IsBoundChild(*e, i)) continue;
+    if (IsFreeIn(var, e->child(i))) return true;
+  }
+  return false;
 }
 
 bool ContainsBaseTable(const ExprPtr& e) {
@@ -223,38 +215,17 @@ std::vector<ExprPtr> SplitConjuncts(const ExprPtr& pred) {
   return out;
 }
 
-ExprPtr TransformBottomUp(
-    const ExprPtr& e, const std::function<ExprPtr(const ExprPtr&)>& fn) {
-  std::vector<ExprPtr> kids;
-  kids.reserve(e->num_children());
-  bool changed = false;
-  for (const ExprPtr& c : e->children()) {
-    ExprPtr nc = TransformBottomUp(c, fn);
-    if (nc != c) changed = true;
-    kids.push_back(std::move(nc));
+bool DeeperThan(const Expr& e, size_t limit) {
+  std::vector<std::pair<const Expr*, size_t>> stack = {{&e, 1}};
+  while (!stack.empty()) {
+    auto [node, depth] = stack.back();
+    stack.pop_back();
+    if (depth > limit) return true;
+    for (const ExprPtr& c : node->children()) {
+      stack.emplace_back(c.get(), depth + 1);
+    }
   }
-  ExprPtr node = changed ? e->WithChildren(std::move(kids)) : e;
-  ExprPtr replaced = fn(node);
-  return replaced != nullptr ? replaced : node;
-}
-
-ExprPtr TransformTopDown(
-    const ExprPtr& e, const std::function<ExprPtr(const ExprPtr&)>& fn) {
-  ExprPtr node = e;
-  for (int guard = 0; guard < 1000; ++guard) {
-    ExprPtr replaced = fn(node);
-    if (replaced == nullptr) break;
-    node = replaced;
-  }
-  std::vector<ExprPtr> kids;
-  kids.reserve(node->num_children());
-  bool changed = false;
-  for (const ExprPtr& c : node->children()) {
-    ExprPtr nc = TransformTopDown(c, fn);
-    if (nc != c) changed = true;
-    kids.push_back(std::move(nc));
-  }
-  return changed ? node->WithChildren(std::move(kids)) : node;
+  return false;
 }
 
 void VisitPreOrder(const ExprPtr& e,

@@ -44,16 +44,10 @@ std::set<std::string> AllVars(const ExprPtr& e);
 /// `and`s).
 std::vector<ExprPtr> SplitConjuncts(const ExprPtr& pred);
 
-/// Generic bottom-up rewrite: applies `fn` to every node after its
-/// children have been rewritten; `fn` returns nullptr to keep a node.
-ExprPtr TransformBottomUp(
-    const ExprPtr& e, const std::function<ExprPtr(const ExprPtr&)>& fn);
-
-/// Applies `fn` to every node top-down, pre-order; if `fn` returns
-/// non-null the returned subtree replaces the node and is itself
-/// re-visited (fixpoint per node).
-ExprPtr TransformTopDown(
-    const ExprPtr& e, const std::function<ExprPtr(const ExprPtr&)>& fn);
+/// True if `e` is nested more than `limit` levels deep (a leaf is one
+/// level). Iterative, so it is safe on trees too deep for the recursive
+/// passes it guards.
+bool DeeperThan(const Expr& e, size_t limit);
 
 /// Visits every node pre-order.
 void VisitPreOrder(const ExprPtr& e,

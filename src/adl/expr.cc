@@ -1,6 +1,7 @@
 #include "adl/expr.h"
 
 #include "common/status.h"
+#include "common/str_util.h"
 
 namespace n2j {
 
@@ -418,6 +419,34 @@ bool Expr::Equals(const Expr& other) const {
     if (!children_[i]->Equals(*other.children_[i])) return false;
   }
   return true;
+}
+
+uint64_t Expr::StructuralHash() const {
+  auto text = [](const std::string& s) { return Fnv1a(s.data(), s.size()); };
+  uint64_t h = HashCombine(static_cast<uint64_t>(kind_), text(name_));
+  for (const std::string& n : names_) h = HashCombine(h, text(n));
+  h = HashCombine(HashCombine(h, text(var_)), text(var2_));
+  switch (kind_) {
+    case ExprKind::kConst:
+      h = HashCombine(h, value_.Hash());
+      break;
+    case ExprKind::kBinary:
+      h = HashCombine(h, static_cast<uint64_t>(bin_op_));
+      break;
+    case ExprKind::kUnary:
+      h = HashCombine(h, static_cast<uint64_t>(un_op_));
+      break;
+    case ExprKind::kAggregate:
+      h = HashCombine(h, static_cast<uint64_t>(agg_));
+      break;
+    case ExprKind::kQuantifier:
+      h = HashCombine(h, static_cast<uint64_t>(quant_));
+      break;
+    default:
+      break;
+  }
+  for (const ExprPtr& c : children_) h = HashCombine(h, c->StructuralHash());
+  return h;
 }
 
 size_t Expr::TreeSize() const {

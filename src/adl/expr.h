@@ -187,6 +187,9 @@ class Expr : public std::enable_shared_from_this<Expr> {
   /// Structural equality (bound variable names compare literally).
   bool Equals(const Expr& other) const;
 
+  /// Hash consistent with Equals: structurally equal trees hash equal.
+  uint64_t StructuralHash() const;
+
   /// Number of nodes in this subtree.
   size_t TreeSize() const;
 

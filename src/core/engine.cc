@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <set>
 
+#include "adl/analysis.h"
 #include "adl/printer.h"
 #include "common/str_util.h"
 #include "common/thread_pool.h"
@@ -90,9 +91,9 @@ void RecordQueryOutcome(const Result<QueryReport>& r, int64_t t_start_ns,
   if (rep.result.is_set()) rec.rows_out = rep.result.set_size();
   // Hash the translated algebra, not the text: two queries that differ
   // only in OOSQL formatting hash identically.
-  std::string normalized =
-      rep.translated != nullptr ? AlgebraStr(rep.translated) : query_text;
-  rec.query_hash = Fnv1a(normalized.data(), normalized.size());
+  rec.query_hash = rep.translated != nullptr
+                       ? rep.translated->StructuralHash()
+                       : Fnv1a(query_text.data(), query_text.size());
 
   if (rep.profile != nullptr) {
     for (NodeEstimate& n : rep.profile->EstimatesByPlanNode()) {
@@ -158,7 +159,7 @@ std::string QueryReport::Explain() const {
   if (!trace.empty()) {
     out += "rules:\n";
     for (const RuleApplication& a : trace) {
-      out += "  [" + a.rule + "] " + a.detail + "\n";
+      out += "  [" + a.rule + "] " + a.detail() + "\n";
     }
   }
   std::string compact = exec_stats.Compact();
@@ -256,6 +257,14 @@ Result<QueryReport> QueryEngine::Run(const std::string& oosql) const {
 
 Result<QueryReport> QueryEngine::RunAdl(const ExprPtr& adl) const {
   int64_t t_start = MonotonicNanos();
+  if (DeeperThan(*adl, kMaxAdlDepth)) {
+    std::string what =
+        StrFormat("ADL nesting deeper than %zu levels", kMaxAdlDepth);
+    Result<QueryReport> out = Status::InvalidArgument(what);
+    RecordQueryOutcome(out, t_start, "<" + what + ">", *db_, eval_options_,
+                       planner_options_);
+    return out;
+  }
   Result<QueryReport> out = [&]() -> Result<QueryReport> {
     QueryReport report;
     report.translated = adl;

@@ -63,7 +63,16 @@ class QueryEngine {
   /// Runs an OOSQL query end to end.
   Result<QueryReport> Run(const std::string& oosql) const;
 
-  /// Runs a hand-built ADL expression (skipping the front end).
+  /// The deepest ADL tree RunAdl accepts. The printer, rewriter,
+  /// typechecker and evaluator recurse once per level; a sanitizer build
+  /// overflows its stack a little past 600 levels of `1 + 1 + …`.
+  /// Translated queries stay well below this: the parser caps OOSQL
+  /// nesting at Parser::kMaxQueryDepth = 256 levels.
+  static constexpr size_t kMaxAdlDepth = 512;
+
+  /// Runs a hand-built ADL expression (skipping the front end). A tree
+  /// deeper than kMaxAdlDepth fails with InvalidArgument before any
+  /// recursive pass sees it.
   Result<QueryReport> RunAdl(const ExprPtr& adl) const;
 
   /// Translation only (parse + typecheck + lower, no rewrite/execute).

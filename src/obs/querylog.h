@@ -61,9 +61,10 @@ struct ExtentEstimate {
 /// EvalStats snapshot, estimate audits, fallbacks, and the first error.
 struct QueryLogRecord {
   uint64_t id = 0;           // ring sequence number (assigned by Append)
-  uint64_t query_hash = 0;   // normalized hash (over the translated
-                             // algebra, so formatting differences in the
-                             // OOSQL text hash identically)
+  uint64_t query_hash = 0;   // normalized hash (Expr::StructuralHash of
+                             // the translated algebra, so formatting
+                             // differences in the OOSQL text hash
+                             // identically)
   std::string query;         // original text (or algebra for RunAdl)
   std::string error;         // first error, "" on success
 

@@ -49,6 +49,8 @@ bool FindHoistable(const ExprPtr& body, ExprPtr* out) {
   return false;
 }
 
+}  // namespace
+
 ExprPtr ApplyHoist(const ExprPtr& e, RewriteContext& ctx) {
   // Iterators whose parameter expression may contain subqueries.
   size_t body_index = 1;
@@ -73,15 +75,8 @@ ExprPtr ApplyHoist(const ExprPtr& e, RewriteContext& ctx) {
   ExprPtr new_body = ReplaceSubexpr(body, candidate, Expr::Var(v));
   std::vector<ExprPtr> kids = e->children();
   kids[body_index] = new_body;
-  ctx.Note("HoistUncorrelated", AlgebraStr(candidate));
+  ctx.Note("HoistUncorrelated", candidate);
   return Expr::Let(v, candidate, e->WithChildren(std::move(kids)));
-}
-
-}  // namespace
-
-ExprPtr PassHoist(const ExprPtr& e, RewriteContext& ctx) {
-  return TransformBottomUp(
-      e, [&ctx](const ExprPtr& n) { return ApplyHoist(n, ctx); });
 }
 
 }  // namespace rewrite_internal

@@ -40,13 +40,17 @@ struct RewriteOptions {
   bool enable_hoist = true;           // uncorrelated subqueries → let
   bool enable_pushdown = true;        // selection pushdown through joins
   GroupingMode grouping = GroupingMode::kNestJoin;
-  int max_rounds = 8;
 };
 
 /// One rewrite step, for explain output and tests.
 struct RuleApplication {
-  std::string rule;    // e.g. "Rule1-ExistsToSemiJoin"
-  std::string detail;  // human-readable description of the site
+  std::string rule;    // e.g. "Rule1-SemiJoin"
+  ExprPtr site;        // where the rule fired (may be null)
+  std::string suffix;  // text printed after the site
+
+  /// Human-readable description of the site: the site's algebra, then
+  /// the suffix. Printed on demand, never while rewriting.
+  std::string detail() const;
 };
 
 /// The rewriter's verdict on the Complex Object bug for a grouping
@@ -57,6 +61,11 @@ const char* TriBoolName(TriBool t);
 struct RewriteResult {
   ExprPtr expr;
   std::vector<RuleApplication> trace;
+  /// Nodes the rewrite driver entered, counting the ones it skipped at
+  /// once (already at a stage's fixpoint, or holding no site of its
+  /// rules). Deterministic for a given input and options; tests pin it
+  /// as the rewriter's work measure.
+  size_t node_visits = 0;
 
   /// True if some rule of the given name fired.
   bool Fired(const std::string& rule) const;
@@ -70,6 +79,8 @@ struct RewriteResult {
 ///   2. unnesting of set-valued attributes,
 ///   3. new operators (nestjoin),
 ///   4. residual nesting stays — nested-loop execution.
+/// Each stage of rules walks the whole tree before a later stage fires;
+/// the rewrite ends when a pass over all stages fires nothing.
 ///
 /// `db` may be null (only class extents resolve as base tables then);
 /// with it, plain tables type-check too.

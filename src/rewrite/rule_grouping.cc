@@ -252,6 +252,8 @@ bool FindCandidateRec(const ExprPtr& e, const std::string& x,
 
 // ---- The rewrite ---------------------------------------------------------
 
+}  // namespace
+
 ExprPtr ApplyGrouping(const ExprPtr& e, RewriteContext& ctx) {
   bool is_select = e->kind() == ExprKind::kSelect;
   bool is_map = e->kind() == ExprKind::kMap;
@@ -398,21 +400,21 @@ ExprPtr ApplyGrouping(const ExprPtr& e, RewriteContext& ctx) {
       }
       ctx.Note(grouping_safe ? "GroupingUnnest(safe)"
                              : "GroupingUnnest(UNSAFE-forced)",
-               AlgebraStr(cand.subquery) + " ; P(x,∅) = " +
-                   TriBoolName(p_empty));
+               cand.subquery,
+               std::string(" ; P(x,∅) = ") + TriBoolName(p_empty));
     }
   }
   if (!use_grouping) {
     if (ctx.options.grouping == GroupingMode::kGroupingWhenSafe &&
         is_select) {
       // Fall through to the nestjoin; record why.
-      ctx.Note("GroupingRejected",
+      ctx.Note("GroupingRejected", nullptr,
                "P(x,∅) = " + std::string(TriBoolName(p_empty)) +
                    " — using nestjoin instead");
     }
     joined = Expr::NestJoin(X, Y, x, y, Q, ys, G);
     group_value = Expr::Access(Expr::Var(z), ys);
-    ctx.Note("NestJoinRewrite", AlgebraStr(cand.subquery));
+    ctx.Note("NestJoinRewrite", cand.subquery);
   }
 
   // P' = P[Y'/z.ys][x/z or z[SCH(X)]].
@@ -427,13 +429,6 @@ ExprPtr ApplyGrouping(const ExprPtr& e, RewriteContext& ctx) {
     return Expr::Project(Expr::Select(z, p2, joined), sch_x);
   }
   return Expr::Map(z, p2, joined);
-}
-
-}  // namespace
-
-ExprPtr PassGrouping(const ExprPtr& e, RewriteContext& ctx) {
-  return TransformBottomUp(
-      e, [&ctx](const ExprPtr& n) { return ApplyGrouping(n, ctx); });
 }
 
 }  // namespace rewrite_internal

@@ -90,6 +90,8 @@ size_t Root(std::vector<size_t>& parent, size_t i) {
   return i;
 }
 
+}  // namespace
+
 ExprPtr ApplyRule2(const ExprPtr& e, RewriteContext& ctx) {
   FromChain ch;
   if (!MatchChain(e, &ch)) return nullptr;
@@ -302,18 +304,8 @@ ExprPtr ApplyRule2(const ExprPtr& e, RewriteContext& ctx) {
   for (size_t b = last; b-- > 0;) {
     out = Expr::Flatten(Expr::Map(binder[b], out, block_expr[b]));
   }
-  ctx.Note(any_join ? "Rule2-MapNestingToJoin" : "Rule2-PlaceConjuncts",
-           AlgebraStr(e));
+  ctx.Note(any_join ? "Rule2-MapNestingToJoin" : "Rule2-PlaceConjuncts", e);
   return out;
-}
-
-}  // namespace
-
-ExprPtr PassRule2(const ExprPtr& e, RewriteContext& ctx) {
-  // Top-down: a chain is rewritten whole before any suffix of it could
-  // be matched as a chain correlated on the outer levels.
-  return TransformTopDown(
-      e, [&ctx](const ExprPtr& n) { return ApplyRule2(n, ctx); });
 }
 
 }  // namespace rewrite_internal

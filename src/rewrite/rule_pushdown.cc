@@ -40,6 +40,24 @@ bool CollectAttrRefs(const ExprPtr& e, const std::string& var,
   return true;
 }
 
+/// σ[v : preds[var→v]](operand) for a fresh v named after `hint`
+/// (fresh w.r.t. `whole`), noting the pushed predicate; `operand` itself
+/// when nothing is pushed.
+ExprPtr PushBelow(const std::vector<ExprPtr>& pushed, const std::string& var,
+                  const std::string& hint, const ExprPtr& whole,
+                  const ExprPtr& operand, const char* rule,
+                  RewriteContext& ctx) {
+  if (pushed.empty()) return operand;
+  std::string v = FreshVar(hint, whole);
+  std::vector<ExprPtr> preds;
+  for (const ExprPtr& c : pushed) {
+    preds.push_back(Substitute(c, var, Expr::Var(v)));
+  }
+  ExprPtr pred = Expr::AndAll(preds);
+  ctx.Note(rule, pred);
+  return Expr::Select(v, std::move(pred), operand);
+}
+
 bool SubsetOf(const std::set<std::string>& attrs,
               const std::vector<std::string>& schema) {
   for (const std::string& a : attrs) {
@@ -54,6 +72,8 @@ bool SubsetOf(const std::set<std::string>& attrs,
   }
   return true;
 }
+
+}  // namespace
 
 ExprPtr ApplyPushdown(const ExprPtr& e, RewriteContext& ctx) {
   if (e->kind() != ExprKind::kSelect) return nullptr;
@@ -98,31 +118,11 @@ ExprPtr ApplyPushdown(const ExprPtr& e, RewriteContext& ctx) {
   }
   if (left_push.empty() && right_push.empty()) return nullptr;
 
-  ExprPtr new_left = join->child(0);
-  if (!left_push.empty()) {
-    std::string v = FreshVar(join->var(), e);
-    std::vector<ExprPtr> preds;
-    for (const ExprPtr& c : left_push) {
-      preds.push_back(Substitute(c, z, Expr::Var(v)));
-    }
-    ctx.Note("PushSelectionIntoJoin(left)", AlgebraStr(Expr::AndAll(preds)));
-    new_left = Expr::Select(v, Expr::AndAll(preds), new_left);
-  }
-  ExprPtr new_right = join->child(1);
-  if (!right_push.empty()) {
-    std::string v = FreshVar(join->var2(), e);
-    std::vector<ExprPtr> preds;
-    for (const ExprPtr& c : right_push) {
-      preds.push_back(Substitute(c, z, Expr::Var(v)));
-    }
-    ctx.Note("PushSelectionIntoJoin(right)",
-             AlgebraStr(Expr::AndAll(preds)));
-    new_right = Expr::Select(v, Expr::AndAll(preds), new_right);
-  }
-
   std::vector<ExprPtr> kids = join->children();
-  kids[0] = new_left;
-  kids[1] = new_right;
+  kids[0] = PushBelow(left_push, z, join->var(), e, kids[0],
+                      "PushSelectionIntoJoin(left)", ctx);
+  kids[1] = PushBelow(right_push, z, join->var2(), e, kids[1],
+                      "PushSelectionIntoJoin(right)", ctx);
   ExprPtr new_join = join->WithChildren(std::move(kids));
   if (residual.empty()) return new_join;
   return Expr::Select(z, Expr::AndAll(residual), new_join);
@@ -167,41 +167,13 @@ ExprPtr ApplyJoinPredPushdown(const ExprPtr& e, RewriteContext& ctx) {
   }
   if (left_push.empty() && right_push.empty()) return nullptr;
   // Keep at least the residual as the join predicate (true if none).
-  ExprPtr new_left = e->child(0);
-  if (!left_push.empty()) {
-    std::string v = FreshVar(x, e);
-    std::vector<ExprPtr> preds;
-    for (const ExprPtr& c : left_push) {
-      preds.push_back(Substitute(c, x, Expr::Var(v)));
-    }
-    ctx.Note("PushJoinPredicate(left)", AlgebraStr(Expr::AndAll(preds)));
-    new_left = Expr::Select(v, Expr::AndAll(preds), new_left);
-  }
-  ExprPtr new_right = e->child(1);
-  if (!right_push.empty()) {
-    std::string v = FreshVar(y, e);
-    std::vector<ExprPtr> preds;
-    for (const ExprPtr& c : right_push) {
-      preds.push_back(Substitute(c, y, Expr::Var(v)));
-    }
-    ctx.Note("PushJoinPredicate(right)", AlgebraStr(Expr::AndAll(preds)));
-    new_right = Expr::Select(v, Expr::AndAll(preds), new_right);
-  }
   std::vector<ExprPtr> kids = e->children();
-  kids[0] = new_left;
-  kids[1] = new_right;
+  kids[0] = PushBelow(left_push, x, x, e, kids[0], "PushJoinPredicate(left)",
+                      ctx);
+  kids[1] = PushBelow(right_push, y, y, e, kids[1],
+                      "PushJoinPredicate(right)", ctx);
   kids[2] = Expr::AndAll(residual);
   return e->WithChildren(std::move(kids));
-}
-
-}  // namespace
-
-ExprPtr PassPushdown(const ExprPtr& e, RewriteContext& ctx) {
-  ExprPtr out = TransformBottomUp(
-      e, [&ctx](const ExprPtr& n) { return ApplyPushdown(n, ctx); });
-  return TransformBottomUp(out, [&ctx](const ExprPtr& n) {
-    return ApplyJoinPredPushdown(n, ctx);
-  });
 }
 
 }  // namespace rewrite_internal

@@ -22,8 +22,6 @@
 namespace n2j {
 namespace rewrite_internal {
 
-namespace {
-
 // ---- Step 1: range merging ---------------------------------------------
 
 ExprPtr MergeRange(const ExprPtr& e, RewriteContext& ctx) {
@@ -38,7 +36,7 @@ ExprPtr MergeRange(const ExprPtr& e, RewriteContext& ctx) {
     std::string v = FreshVar(e->var(), {range, body});
     ExprPtr q = Substitute(range->child(1), range->var(), Expr::Var(v));
     ExprPtr p = Substitute(body, e->var(), Expr::Var(v));
-    ctx.Note("MergeRange-Select", AlgebraStr(e));
+    ctx.Note("MergeRange-Select", e);
     ExprPtr merged = exists ? Expr::And(q, p) : Expr::Or(Expr::Not(q), p);
     return Expr::Quant(e->quant_kind(), v, range->child(0), merged);
   }
@@ -47,13 +45,27 @@ ExprPtr MergeRange(const ExprPtr& e, RewriteContext& ctx) {
     std::string w = FreshVar(range->var(), {range, body});
     ExprPtr f = Substitute(range->child(1), range->var(), Expr::Var(w));
     ExprPtr p = Substitute(body, e->var(), f);
-    ctx.Note("MergeRange-Map", AlgebraStr(e));
+    ctx.Note("MergeRange-Map", e);
     return Expr::Quant(e->quant_kind(), w, range->child(0), p);
   }
   return nullptr;
 }
 
 // ---- Step 1b: extracting quantifier-independent conjuncts ----------------
+
+namespace {
+
+/// Appends the top-level ∨ spine of `e`, left to right.
+void SplitDisjuncts(const ExprPtr& e, std::vector<ExprPtr>* out) {
+  if (e->kind() == ExprKind::kBinary && e->bin_op() == BinOp::kOr) {
+    SplitDisjuncts(e->child(0), out);
+    SplitDisjuncts(e->child(1), out);
+  } else {
+    out->push_back(e);
+  }
+}
+
+}  // namespace
 
 /// ∃v∈R·(p ∧ q(v)) ⇒ p ∧ ∃v∈R·q(v)   when v is not free in p
 /// ∀v∈R·(p ∨ q(v)) ⇒ p ∨ ∀v∈R·q(v)   (dual)
@@ -73,16 +85,7 @@ ExprPtr ExtractIndependent(const ExprPtr& e, RewriteContext& ctx) {
   if (exists) {
     pieces = SplitConjuncts(body);
   } else {
-    // Flatten the top-level ∨ spine.
-    std::function<void(const ExprPtr&)> split = [&](const ExprPtr& n) {
-      if (n->kind() == ExprKind::kBinary && n->bin_op() == BinOp::kOr) {
-        split(n->child(0));
-        split(n->child(1));
-      } else {
-        pieces.push_back(n);
-      }
-    };
-    split(body);
+    SplitDisjuncts(body, &pieces);
   }
   if (pieces.size() < 2) return nullptr;
   std::vector<ExprPtr> independent;
@@ -104,7 +107,7 @@ ExprPtr ExtractIndependent(const ExprPtr& e, RewriteContext& ctx) {
     }
     return acc;
   };
-  ctx.Note("ExtractIndependentConjuncts", AlgebraStr(e));
+  ctx.Note("ExtractIndependentConjuncts", e);
   ExprPtr remaining = Expr::Quant(e->quant_kind(), e->var(), e->child(0),
                                   combine(dependent, exists));
   ExprPtr outside = combine(independent, exists);
@@ -129,7 +132,7 @@ ExprPtr Exchange(const ExprPtr& e, RewriteContext& ctx) {
   // Moving the inner binder outward must not capture an outer use of its
   // name inside the other range.
   if (IsFreeIn(inner->var(), r1)) return nullptr;
-  ctx.Note("ExchangeQuantifiers", AlgebraStr(e));
+  ctx.Note("ExchangeQuantifiers", e);
   return Expr::Quant(
       e->quant_kind(), inner->var(), r2,
       Expr::Quant(e->quant_kind(), e->var(), r1, inner->child(1)));
@@ -143,7 +146,7 @@ ExprPtr PushNegation(const ExprPtr& e, RewriteContext& ctx) {
   if (e->kind() == ExprKind::kQuantifier &&
       e->quant_kind() == QuantKind::kForall &&
       ContainsBaseTable(e->child(0))) {
-    ctx.Note("ForallToNegatedExists", AlgebraStr(e));
+    ctx.Note("ForallToNegatedExists", e);
     return Expr::Not(Expr::Quant(QuantKind::kExists, e->var(), e->child(0),
                                  Expr::Not(e->child(1))));
   }
@@ -191,6 +194,8 @@ ExprPtr PushNegation(const ExprPtr& e, RewriteContext& ctx) {
 
 // ---- Rule 1 --------------------------------------------------------------
 
+namespace {
+
 struct QuantConjunct {
   bool negated = false;
   ExprPtr quant;  // the kQuantifier node (kExists after normalization)
@@ -215,6 +220,8 @@ bool MatchQuantConjunct(const ExprPtr& c, QuantConjunct* out) {
   return true;
 }
 
+}  // namespace
+
 ExprPtr ApplyRule1(const ExprPtr& e, RewriteContext& ctx) {
   if (e->kind() != ExprKind::kSelect) return nullptr;
   const std::string& x = e->var();
@@ -233,10 +240,10 @@ ExprPtr ApplyRule1(const ExprPtr& e, RewriteContext& ctx) {
       // is left as is).
       if (!IsFreeIn(x, range) && ContainsBaseTable(range)) {
         if (qc.negated) {
-          ctx.Note("Rule1-AntiJoin", AlgebraStr(c));
+          ctx.Note("Rule1-AntiJoin", c);
           input = Expr::AntiJoin(input, range, x, qc.quant->var(), pred);
         } else {
-          ctx.Note("Rule1-SemiJoin", AlgebraStr(c));
+          ctx.Note("Rule1-SemiJoin", c);
           input = Expr::SemiJoin(input, range, x, qc.quant->var(), pred);
         }
         any = true;
@@ -279,10 +286,10 @@ ExprPtr ApplyRule1InJoinPred(const ExprPtr& e, RewriteContext& ctx) {
       const ExprPtr& pred = qc.quant->child(1);
       if (!IsFreeIn(y, range) && ContainsBaseTable(range)) {
         if (qc.negated) {
-          ctx.Note("Rule1-AntiJoin(inner)", AlgebraStr(c));
+          ctx.Note("Rule1-AntiJoin(inner)", c);
           right = Expr::AntiJoin(right, range, y, qc.quant->var(), pred);
         } else {
-          ctx.Note("Rule1-SemiJoin(inner)", AlgebraStr(c));
+          ctx.Note("Rule1-SemiJoin(inner)", c);
           right = Expr::SemiJoin(right, range, y, qc.quant->var(), pred);
         }
         any = true;
@@ -297,34 +304,6 @@ ExprPtr ApplyRule1InJoinPred(const ExprPtr& e, RewriteContext& ctx) {
   kids[1] = right;
   kids[2] = new_pred;
   return e->WithChildren(std::move(kids));
-}
-
-}  // namespace
-
-ExprPtr PassQuantifierNormalize(const ExprPtr& e, RewriteContext& ctx) {
-  ExprPtr cur = e;
-  for (int round = 0; round < 16; ++round) {
-    ExprPtr next = TransformBottomUp(
-        cur, [&ctx](const ExprPtr& n) { return MergeRange(n, ctx); });
-    next = TransformBottomUp(next, [&ctx](const ExprPtr& n) {
-      return ExtractIndependent(n, ctx);
-    });
-    next = TransformBottomUp(
-        next, [&ctx](const ExprPtr& n) { return Exchange(n, ctx); });
-    next = TransformBottomUp(
-        next, [&ctx](const ExprPtr& n) { return PushNegation(n, ctx); });
-    if (next->Equals(*cur)) return next;
-    cur = next;
-  }
-  return cur;
-}
-
-ExprPtr PassRule1(const ExprPtr& e, RewriteContext& ctx) {
-  ExprPtr out = TransformBottomUp(
-      e, [&ctx](const ExprPtr& n) { return ApplyRule1(n, ctx); });
-  return TransformBottomUp(out, [&ctx](const ExprPtr& n) {
-    return ApplyRule1InJoinPred(n, ctx);
-  });
 }
 
 }  // namespace rewrite_internal

@@ -55,7 +55,7 @@ ExprPtr All(const std::string& v, ExprPtr range, ExprPtr pred) {
 /// Expands `lhs op subq` per Table 1, quantifying over the subquery side
 /// `subq` (assumed on the right). Fresh variable names are derived from
 /// the surrounding expression to avoid capture. Exposed for the Table 1
-/// benchmark and tests; the engine itself (PassSetCmp) only applies the
+/// benchmark and tests; the engine itself (ApplySetCmp) only applies the
 /// expansions that lead to a single (negated) existential quantifier over
 /// the subquery — ∈ and ⊇ — since the others block the grouping path.
 ExprPtr ExpandSetComparisonFull(BinOp op, const ExprPtr& lhs,
@@ -110,7 +110,9 @@ bool UnnestableOp(BinOp op) {
   return op == BinOp::kIn || op == BinOp::kSupsetEq;
 }
 
-ExprPtr RewriteNode(const ExprPtr& e, RewriteContext& ctx) {
+}  // namespace
+
+ExprPtr ApplySetCmp(const ExprPtr& e, RewriteContext& ctx) {
   // Table 2, row 1/2: Y' = ∅ / count(Y') = 0 → ¬∃y∈Y'·true.
   // Also: isempty(Y').
   auto not_exists = [&](const ExprPtr& subq) {
@@ -119,7 +121,7 @@ ExprPtr RewriteNode(const ExprPtr& e, RewriteContext& ctx) {
   };
   if (e->kind() == ExprKind::kUnary && e->un_op() == UnOp::kIsEmpty &&
       ContainsBaseTable(e->child(0))) {
-    ctx.Note("Table2-IsEmpty", AlgebraStr(e));
+    ctx.Note("Table2-IsEmpty", e);
     return not_exists(e->child(0));
   }
   if (e->kind() != ExprKind::kBinary) return nullptr;
@@ -150,7 +152,7 @@ ExprPtr RewriteNode(const ExprPtr& e, RewriteContext& ctx) {
         other = &b;
       }
       if (subq_side != nullptr) {
-        ctx.Note("Table2-DisjointIntersect", AlgebraStr(e));
+        ctx.Note("Table2-DisjointIntersect", e);
         std::string v = FreshVar("y", e);
         ExprPtr q = Expr::Not(
             Ex(v, *subq_side, Expr::Bin(BinOp::kIn, Expr::Var(v), *other)));
@@ -162,7 +164,7 @@ ExprPtr RewriteNode(const ExprPtr& e, RewriteContext& ctx) {
     if (IsEmptySetConst(r) && ContainsBaseTable(l)) subq = &l;
     if (IsEmptySetConst(l) && ContainsBaseTable(r)) subq = &r;
     if (subq != nullptr) {
-      ctx.Note("Table2-EmptySet", AlgebraStr(e));
+      ctx.Note("Table2-EmptySet", e);
       ExprPtr q = not_exists(*subq);
       return e->bin_op() == BinOp::kEq ? q : Expr::Not(q);
     }
@@ -177,7 +179,7 @@ ExprPtr RewriteNode(const ExprPtr& e, RewriteContext& ctx) {
       agg = &r;
     }
     if (agg != nullptr && ContainsBaseTable((*agg)->child(0))) {
-      ctx.Note("Table2-CountZero", AlgebraStr(e));
+      ctx.Note("Table2-CountZero", e);
       ExprPtr q = not_exists((*agg)->child(0));
       return e->bin_op() == BinOp::kEq ? q : Expr::Not(q);
     }
@@ -190,24 +192,17 @@ ExprPtr RewriteNode(const ExprPtr& e, RewriteContext& ctx) {
   if (ContainsBaseTable(r) && UnnestableOp(e->bin_op())) {
     ExprPtr out = ExpandSetComparisonFull(e->bin_op(), l, r, e);
     if (out != nullptr) {
-      ctx.Note("Table1-SetCmpToQuantifier", AlgebraStr(e));
+      ctx.Note("Table1-SetCmpToQuantifier", e);
       return out;
     }
   } else if (ContainsBaseTable(l) && UnnestableOp(MirrorOp(e->bin_op()))) {
     ExprPtr out = ExpandSetComparisonFull(MirrorOp(e->bin_op()), r, l, e);
     if (out != nullptr) {
-      ctx.Note("Table1-SetCmpToQuantifier(mirrored)", AlgebraStr(e));
+      ctx.Note("Table1-SetCmpToQuantifier(mirrored)", e);
       return out;
     }
   }
   return nullptr;
-}
-
-}  // namespace
-
-ExprPtr PassSetCmp(const ExprPtr& e, RewriteContext& ctx) {
-  return TransformBottomUp(
-      e, [&ctx](const ExprPtr& n) { return RewriteNode(n, ctx); });
 }
 
 }  // namespace rewrite_internal

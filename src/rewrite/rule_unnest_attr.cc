@@ -110,7 +110,7 @@ bool BuildUnnest(const ExprPtr& select_node, RewriteContext& ctx,
       if (j == i) continue;
       new_conjuncts.push_back(Substitute(conjuncts[j], x, Expr::Var(xp)));
     }
-    ctx.Note("UnnestAttribute", AlgebraStr(select_node));
+    ctx.Note("UnnestAttribute", select_node);
     plan->new_select = Expr::Select(xp, Expr::AndAll(new_conjuncts),
                                     Expr::Unnest(X, attr));
     plan->new_var = xp;
@@ -118,6 +118,8 @@ bool BuildUnnest(const ExprPtr& select_node, RewriteContext& ctx,
   }
   return false;
 }
+
+}  // namespace
 
 ExprPtr ApplyUnnestAttr(const ExprPtr& e, RewriteContext& ctx) {
   // Shape 1: π_A(σ[x : P](X)) with the unnested attribute not in A.
@@ -151,13 +153,6 @@ ExprPtr ApplyUnnestAttr(const ExprPtr& e, RewriteContext& ctx) {
     }
   }
   return nullptr;
-}
-
-}  // namespace
-
-ExprPtr PassUnnestAttr(const ExprPtr& e, RewriteContext& ctx) {
-  return TransformBottomUp(
-      e, [&ctx](const ExprPtr& n) { return ApplyUnnestAttr(n, ctx); });
 }
 
 }  // namespace rewrite_internal

@@ -1,8 +1,8 @@
 #ifndef N2J_REWRITE_RULES_INTERNAL_H_
 #define N2J_REWRITE_RULES_INTERNAL_H_
 
-// Internal interfaces of the rewrite engine: one pass per translation
-// unit, orchestrated by rewriter.cc. Not part of the public API.
+// Internal interfaces of the rewrite engine: one rule family per
+// translation unit, driven by rewriter.cc. Not part of the public API.
 
 #include <string>
 #include <vector>
@@ -24,53 +24,80 @@ struct RewriteContext {
   const RewriteOptions& options;
   std::vector<RuleApplication>* trace;
 
-  void Note(const std::string& rule, const std::string& detail) {
-    trace->push_back({rule, detail});
+  /// Records a fired rule. The site is printed only when the trace is
+  /// rendered (RuleApplication::detail).
+  void Note(const char* rule, ExprPtr site, std::string suffix = {}) {
+    trace->push_back({rule, std::move(site), std::move(suffix)});
   }
 
   TypeChecker MakeChecker() const { return TypeChecker(schema, db); }
 };
 
-// --- Passes (each returns the rewritten tree; input if unchanged) -------
+// --- Rules ---------------------------------------------------------------
+//
+// Each rule looks at one node and returns its replacement, or nullptr
+// when it does not apply there. The driver (rewriter.cc) decides where
+// and in which order they are tried.
 
 /// Constant folding, σ[x:true] / α[x:x] elimination, select/select and
 /// select-over-map fusion (from-clause composition removal), trivial-let
 /// inlining.
-ExprPtr PassSimplify(const ExprPtr& e, RewriteContext& ctx);
+ExprPtr SimplifyNode(const ExprPtr& e, RewriteContext& ctx);
+
+/// Uncorrelated subqueries inside iterator bodies → let-bound constants.
+ExprPtr ApplyHoist(const ExprPtr& e, RewriteContext& ctx);
 
 /// Tables 1 and 2: set comparison operations and emptiness predicates →
 /// (negated) existential quantifier expressions, applied only where a
 /// base table is involved.
-ExprPtr PassSetCmp(const ExprPtr& e, RewriteContext& ctx);
+ExprPtr ApplySetCmp(const ExprPtr& e, RewriteContext& ctx);
 
-/// Range-selection/map merging, universal-quantifier elimination (∀ →
-/// ¬∃¬) with negation normal form, and the quantifier-exchange heuristic
-/// (move base-table quantifiers leftmost).
-ExprPtr PassQuantifierNormalize(const ExprPtr& e, RewriteContext& ctx);
+/// Quantifier normalization: range-selection/map merging, extraction of
+/// quantifier-independent conjuncts, the quantifier-exchange heuristic
+/// (move base-table quantifiers leftmost), and universal-quantifier
+/// elimination (∀ → ¬∃¬) with negation normal form.
+ExprPtr MergeRange(const ExprPtr& e, RewriteContext& ctx);
+ExprPtr ExtractIndependent(const ExprPtr& e, RewriteContext& ctx);
+ExprPtr Exchange(const ExprPtr& e, RewriteContext& ctx);
+ExprPtr PushNegation(const ExprPtr& e, RewriteContext& ctx);
 
-/// Rule 1: σ[x : (¬)∃y∈Y·p](X) → semijoin/antijoin, per conjunct.
-ExprPtr PassRule1(const ExprPtr& e, RewriteContext& ctx);
+/// Rule 1: σ[x : (¬)∃y∈Y·p](X) → semijoin/antijoin, per conjunct; and
+/// its multi-level form inside join predicates.
+ExprPtr ApplyRule1(const ExprPtr& e, RewriteContext& ctx);
+ExprPtr ApplyRule1InJoinPred(const ExprPtr& e, RewriteContext& ctx);
 
 /// Rule 2, general form: ⋃(α[x : α[y : f](σ[y:p](Y))](X)) →
-/// α[t : f[t]](X ⋈_p Y), over whole k-variable from-clause chains:
-/// conjunct placement plus one join tree of the linked independent
-/// ranges.
-ExprPtr PassRule2(const ExprPtr& e, RewriteContext& ctx);
+/// α[t : f[t]](X ⋈_p Y), over a whole k-variable from-clause chain rooted
+/// at `e`: conjunct placement plus one join tree of the linked
+/// independent ranges. The driver tries it top-down, so a chain is
+/// matched whole before any suffix of it.
+ExprPtr ApplyRule2(const ExprPtr& e, RewriteContext& ctx);
 
 /// Option 1: unnesting of set-valued attributes under a projection that
 /// drops them (Example Query 4).
-ExprPtr PassUnnestAttr(const ExprPtr& e, RewriteContext& ctx);
+ExprPtr ApplyUnnestAttr(const ExprPtr& e, RewriteContext& ctx);
 
 /// Options 2/3 for grouping-requiring queries: the [GaWo87] grouping
 /// plan guarded by the Complex-Object-bug analysis, or the nestjoin.
-ExprPtr PassGrouping(const ExprPtr& e, RewriteContext& ctx);
-
-/// Uncorrelated subqueries inside iterator bodies → let-bound constants.
-ExprPtr PassHoist(const ExprPtr& e, RewriteContext& ctx);
+ExprPtr ApplyGrouping(const ExprPtr& e, RewriteContext& ctx);
 
 /// Per-side conjuncts of a residual selection move below the join
-/// (classical selection pushdown, enabled by the join rewrites).
-ExprPtr PassPushdown(const ExprPtr& e, RewriteContext& ctx);
+/// (classical selection pushdown, enabled by the join rewrites); and
+/// one-sided conjuncts of a join predicate move into its operands.
+ExprPtr ApplyPushdown(const ExprPtr& e, RewriteContext& ctx);
+ExprPtr ApplyJoinPredPushdown(const ExprPtr& e, RewriteContext& ctx);
+
+// --- The driver ----------------------------------------------------------
+
+/// The driver's bound on rounds (one walk each) against rule cycles.
+constexpr int kMaxRewriteRounds = 64;
+
+/// Runs the enabled rules over `e` to their fixpoint (see rewriter.cc)
+/// in at most `max_rounds` walks; Rewriter::Rewrite passes
+/// kMaxRewriteRounds. Exposed so tests can hit the bound.
+RewriteResult DriveRewrite(const ExprPtr& e, const Schema& schema,
+                           const Database* db, const RewriteOptions& options,
+                           int max_rounds);
 
 // --- Shared helpers ------------------------------------------------------
 

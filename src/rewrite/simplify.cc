@@ -18,18 +18,20 @@ bool IsEmptySetConst(const ExprPtr& e) {
          e->const_value().set_size() == 0;
 }
 
+}  // namespace
+
 /// One local simplification step; nullptr if none applies.
 ExprPtr SimplifyNode(const ExprPtr& e, RewriteContext& ctx) {
   switch (e->kind()) {
     case ExprKind::kSelect: {
       // σ[x : true](e) = e
       if (IsConstTrue(e->child(1))) {
-        ctx.Note("Simplify-TrueSelect", AlgebraStr(e));
+        ctx.Note("Simplify-TrueSelect", e);
         return e->child(0);
       }
       // σ[x : false](e) = ∅
       if (IsConstFalse(e->child(1))) {
-        ctx.Note("Simplify-FalseSelect", AlgebraStr(e));
+        ctx.Note("Simplify-FalseSelect", e);
         return Expr::Const(Value::EmptySet());
       }
       // σ[x : p](σ[y : q](E)) = σ[y : q ∧ p[x→y]](E)
@@ -45,7 +47,7 @@ ExprPtr SimplifyNode(const ExprPtr& e, RewriteContext& ctx) {
           y = fresh;
         }
         ExprPtr p = Substitute(e->child(1), e->var(), Expr::Var(y));
-        ctx.Note("Simplify-SelectFusion", AlgebraStr(e));
+        ctx.Note("Simplify-SelectFusion", e);
         return Expr::Select(y, Expr::And(q, p), in->child(0));
       }
       // σ[x : p](α[y : f](E)) = α[y : f](σ[y : p[x→f]](E))
@@ -62,7 +64,7 @@ ExprPtr SimplifyNode(const ExprPtr& e, RewriteContext& ctx) {
           y = fresh;
         }
         ExprPtr pushed = Substitute(p, e->var(), f);
-        ctx.Note("MergeFrom-SelectOverMap", AlgebraStr(e));
+        ctx.Note("MergeFrom-SelectOverMap", e);
         return Expr::Map(y, f, Expr::Select(y, pushed, in->child(0)));
       }
       break;
@@ -72,7 +74,7 @@ ExprPtr SimplifyNode(const ExprPtr& e, RewriteContext& ctx) {
       // α[x : x](e) = e
       if (e->child(1)->kind() == ExprKind::kVar &&
           e->child(1)->name() == e->var()) {
-        ctx.Note("Simplify-IdentityMap", AlgebraStr(e));
+        ctx.Note("Simplify-IdentityMap", e);
         return e->child(0);
       }
       // α[x : f](α[y : g](E)) = α[y : f[x→g]](E)
@@ -86,12 +88,12 @@ ExprPtr SimplifyNode(const ExprPtr& e, RewriteContext& ctx) {
           g = Substitute(g, y, Expr::Var(fresh));
           y = fresh;
         }
-        ctx.Note("MergeFrom-MapComposition", AlgebraStr(e));
+        ctx.Note("MergeFrom-MapComposition", e);
         return Expr::Map(y, Substitute(f, e->var(), g), in->child(0));
       }
       // Mapping over the empty set is empty.
       if (IsEmptySetConst(in)) {
-        ctx.Note("Simplify-MapEmpty", AlgebraStr(e));
+        ctx.Note("Simplify-MapEmpty", e);
         return Expr::Const(Value::EmptySet());
       }
       break;
@@ -144,7 +146,7 @@ ExprPtr SimplifyNode(const ExprPtr& e, RewriteContext& ctx) {
     case ExprKind::kQuantifier: {
       // Quantification over a constant empty set.
       if (IsEmptySetConst(e->child(0))) {
-        ctx.Note("Simplify-QuantEmptyRange", AlgebraStr(e));
+        ctx.Note("Simplify-QuantEmptyRange", e);
         return e->quant_kind() == QuantKind::kExists ? Expr::False()
                                                      : Expr::True();
       }
@@ -188,21 +190,6 @@ ExprPtr SimplifyNode(const ExprPtr& e, RewriteContext& ctx) {
       break;
   }
   return nullptr;
-}
-
-}  // namespace
-
-ExprPtr PassSimplify(const ExprPtr& e, RewriteContext& ctx) {
-  // Iterate the bottom-up sweep until no rule fires (fusion rules can
-  // expose each other); bounded for safety.
-  ExprPtr cur = e;
-  for (int round = 0; round < 16; ++round) {
-    ExprPtr next = TransformBottomUp(
-        cur, [&ctx](const ExprPtr& n) { return SimplifyNode(n, ctx); });
-    if (next->Equals(*cur)) return next;
-    cur = next;
-  }
-  return cur;
 }
 
 }  // namespace rewrite_internal

@@ -102,17 +102,6 @@ TEST(AnalysisTest, SplitConjunctsFlattensAnds) {
   EXPECT_EQ(SplitConjuncts(Expr::Or(a, b)).size(), 1u);
 }
 
-TEST(AnalysisTest, TransformBottomUpRewritesLeaves) {
-  ExprPtr e = Expr::And(Expr::Var("p"), Expr::Var("p"));
-  ExprPtr out = TransformBottomUp(e, [](const ExprPtr& n) -> ExprPtr {
-    if (n->kind() == ExprKind::kVar && n->name() == "p") {
-      return Expr::True();
-    }
-    return nullptr;
-  });
-  EXPECT_EQ(AlgebraStr(out), "true ∧ true");
-}
-
 TEST(AnalysisTest, EqualsIsStructural) {
   ExprPtr a = Expr::Select("x", Expr::True(), Expr::Table("T"));
   ExprPtr b = Expr::Select("x", Expr::True(), Expr::Table("T"));

@@ -141,5 +141,53 @@ TEST_F(EngineTest, RuntimeErrorsSurfaceCleanly) {
   EXPECT_EQ(r.status().code(), StatusCode::kRuntimeError);
 }
 
+// `1 + 1 + … + 1` as a left-deep ADL chain `depth` levels deep. `levels`
+// keeps every node, root last, so the caller can free the chain one level
+// at a time (FreeChain): dropping a 100,000-deep chain at its root would
+// recurse through the destructors and overflow the stack.
+ExprPtr PlusChain(int depth, std::vector<ExprPtr>* levels) {
+  ExprPtr chain = Expr::Const(Value::Int(1));
+  levels->push_back(chain);
+  for (int i = 1; i < depth; ++i) {
+    chain = Expr::Bin(BinOp::kAdd, chain, Expr::Const(Value::Int(1)));
+    levels->push_back(chain);
+  }
+  return chain;
+}
+
+void FreeChain(std::vector<ExprPtr>* levels) {
+  while (!levels->empty()) levels->pop_back();
+}
+
+// Past QueryEngine::kMaxAdlDepth, RunAdl fails with InvalidArgument before
+// the printer, rewriter, typechecker or evaluator recurse over the tree
+// (a 100,000-deep chain used to overflow the stack).
+TEST(AdlDepthTest, RunAdlRejectsTooDeepTrees) {
+  auto db = testutil::SmallSupplierDb();
+  QueryEngine engine(db.get());
+  std::vector<ExprPtr> levels;
+  for (int depth : {100000, static_cast<int>(QueryEngine::kMaxAdlDepth) + 1}) {
+    Status s = engine.RunAdl(PlusChain(depth, &levels)).status();
+    FreeChain(&levels);
+    EXPECT_EQ(s.code(), StatusCode::kInvalidArgument) << depth;
+    EXPECT_NE(s.message().find("deeper than " +
+                               std::to_string(QueryEngine::kMaxAdlDepth)),
+              std::string::npos)
+        << s.ToString();
+  }
+}
+
+// The limit is not tighter than the recursive passes need: a chain at the
+// limit rewrites, type-checks and evaluates.
+TEST(AdlDepthTest, RunAdlRunsTreesAtTheLimit) {
+  auto db = testutil::SmallSupplierDb();
+  QueryEngine engine(db.get());
+  std::vector<ExprPtr> levels;
+  const int depth = static_cast<int>(QueryEngine::kMaxAdlDepth);
+  Result<QueryReport> r = engine.RunAdl(PlusChain(depth, &levels));
+  ASSERT_TRUE(r.ok()) << r.status().ToString();
+  EXPECT_EQ(r->result, Value::Int(depth));
+}
+
 }  // namespace
 }  // namespace n2j
