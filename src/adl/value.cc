@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstring>
 #include <iterator>
 #include <new>
 
@@ -70,28 +71,147 @@ Value Value::NewTuple(const TupleShape* shape, Value** slots) {
   return v;
 }
 
-Value Value::Set(std::vector<Value> elements) {
-  // Rows built in canonical input order (select, semijoin, antijoin and
-  // nestjoin outputs) are already strictly increasing: one O(n) pass that
-  // stops at the first inversion replaces the sort. Tuples whose shapes
-  // permute the same field names are not strictly ordered by Compare
-  // (ROADMAP item 6), so over such rows neither this check nor the sort
-  // below guarantees a canonical set.
-  bool increasing = true;
-  for (size_t i = 1; i < elements.size(); ++i) {
-    if (elements[i - 1].Compare(elements[i]) >= 0) {
-      increasing = false;
-      break;
-    }
+namespace {
+
+// Which atom kind supplies a row's sort key (SortRecord::key).
+enum class KeyKind : uint8_t { kNone, kInt, kOid, kString };
+
+KeyKind KeyKindOf(const Value& v) {
+  switch (v.kind()) {
+    case Value::Kind::kInt:
+      return KeyKind::kInt;
+    case Value::Kind::kOid:
+      return KeyKind::kOid;
+    case Value::Kind::kString:
+      return KeyKind::kString;
+    default:
+      return KeyKind::kNone;
   }
-  if (increasing) return SetFromCanonical(std::move(elements));
+}
+
+// An order-preserving 64-bit key: key(a) < key(b) implies a < b under
+// Compare, for two atoms of kind `kind`. Ints flip the sign bit; strings
+// take their first 8 bytes big-endian, zero-padded (Compare orders
+// strings by unsigned bytes, and a zero pad sorts a prefix first).
+uint64_t SortKey(const Value& v, KeyKind kind) {
+  switch (kind) {
+    case KeyKind::kInt:
+      return static_cast<uint64_t>(v.int_value()) ^ (uint64_t{1} << 63);
+    case KeyKind::kOid:
+      return v.oid_value();
+    case KeyKind::kString: {
+      const std::string& str = v.string_value();
+      unsigned char bytes[8] = {};
+      std::memcpy(bytes, str.data(), std::min<size_t>(str.size(), 8));
+      uint64_t key = 0;
+      for (unsigned char b : bytes) key = (key << 8) | b;
+      return key;
+    }
+    case KeyKind::kNone:
+      break;
+  }
+  return 0;
+}
+
+// One row of a key-prefix sort: the row's key and its input position.
+struct SortRecord {
+  uint64_t key;
+  size_t index;
+};
+static_assert(sizeof(SortRecord) == 16, "sort records stay 16 bytes");
+
+// Sorts and deduplicates `rows` on SortRecords when every row is an
+// atom of one key kind, or a tuple of one shape whose first field is;
+// equal keys fall back to Compare. Returns false, leaving `rows`
+// untouched, when the rows do not qualify.
+bool KeyPrefixSort(std::vector<Value>& rows) {
+  const Value& first = rows.front();
+  const TupleShape* shape = first.is_tuple() ? first.tuple_shape() : nullptr;
+  if (shape != nullptr && shape->size() == 0) return false;
+  const KeyKind kind =
+      KeyKindOf(shape != nullptr ? first.tuple_values()[0] : first);
+  if (kind == KeyKind::kNone) return false;
+  std::vector<SortRecord> records(rows.size());
+  for (size_t i = 0; i < rows.size(); ++i) {
+    const Value* key = &rows[i];
+    if (shape != nullptr) {
+      if (!key->is_tuple() || key->tuple_shape() != shape) return false;
+      key = &key->tuple_values()[0];
+    }
+    if (KeyKindOf(*key) != kind) return false;
+    records[i] = {SortKey(*key, kind), i};
+  }
+  std::sort(records.begin(), records.end(),
+            [&rows](const SortRecord& a, const SortRecord& b) {
+              if (a.key != b.key) return a.key < b.key;
+              return rows[a.index].Compare(rows[b.index]) < 0;
+            });
+  std::vector<Value> sorted;
+  sorted.reserve(rows.size());
+  for (size_t i = 0; i < records.size(); ++i) {
+    Value& row = rows[records[i].index];
+    if (i > 0 && records[i].key == records[i - 1].key &&
+        row == sorted.back()) {
+      continue;  // a duplicate sorts next to its first copy
+    }
+    sorted.push_back(std::move(row));
+  }
+  rows = std::move(sorted);
+  return true;
+}
+
+}  // namespace
+
+bool Value::Canonicalize(std::vector<Value>& elements) {
+  // Rows built in canonical input order (select, semijoin, antijoin and
+  // nestjoin outputs, or a map that keeps its input's order) are already
+  // non-decreasing: one O(n) pass that stops at the first inversion
+  // replaces the sort. Tuples whose shapes permute the same field names
+  // are not strictly ordered by Compare (ROADMAP item 8), so over such
+  // rows neither this check nor the sorts below guarantee a canonical
+  // set; the key-prefix sort declines mixed shapes, so it leaves that
+  // behaviour as the plain sort has it.
+  bool duplicates = false;
+  size_t i = 1;
+  for (; i < elements.size(); ++i) {
+    int c = elements[i - 1].Compare(elements[i]);
+    if (c > 0) break;
+    if (c == 0) duplicates = true;
+  }
+  if (i >= elements.size()) {
+    if (duplicates) {
+      elements.erase(std::unique(elements.begin(), elements.end()),
+                     elements.end());
+    }
+    return false;
+  }
+  if (KeyPrefixSort(elements)) return true;
   std::sort(elements.begin(), elements.end());
   elements.erase(std::unique(elements.begin(), elements.end()),
                  elements.end());
+  return true;
+}
+
+Value Value::Set(std::vector<Value> elements) {
+  Canonicalize(elements);
   return SetFromCanonical(std::move(elements));
 }
 
 Value Value::SetFromCanonical(std::vector<Value> elements) {
+#ifndef NDEBUG
+  // Producers that claim canonical order by construction (select,
+  // semijoin, antijoin, identity nestjoin groups) must really deliver
+  // it. Rows of different shapes and sets are skipped: Compare is not a
+  // strict weak order across permuted shapes (ROADMAP item 8).
+  for (size_t i = 1; i < elements.size(); ++i) {
+    const Value& a = elements[i - 1];
+    const Value& b = elements[i];
+    bool comparable = a.is_tuple() ? b.is_tuple() &&
+                                         a.tuple_shape() == b.tuple_shape()
+                                   : a.kind() == b.kind() && !a.is_set();
+    N2J_CHECK(!comparable || a.Compare(b) < 0);
+  }
+#endif
   Value v;
   v.kind_ = Kind::kSet;
   v.rep_.p = new SetPayload(std::move(elements));

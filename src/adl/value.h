@@ -111,8 +111,17 @@ class Value {
   static Value NewTuple(const TupleShape* shape, Value** slots);
   /// Builds a set; canonicalizes (sorts and deduplicates) the elements.
   static Value Set(std::vector<Value> elements);
-  /// Builds a set from elements already sorted and deduplicated.
+  /// Builds a set from elements already sorted and deduplicated. When
+  /// NDEBUG is off it checks that adjacent tuples of one shape (and
+  /// adjacent atoms of one kind) strictly increase.
   static Value SetFromCanonical(std::vector<Value> elements);
+  /// Sorts and deduplicates `elements` in place, the canonical form Set
+  /// builds. Non-decreasing input only drops its duplicates; otherwise
+  /// the rows are comparison-sorted — on 16-byte (key prefix, index)
+  /// records when every row is an int, oid or string atom of one kind,
+  /// or a tuple of one shape whose first field is. Returns whether a
+  /// comparison sort ran.
+  static bool Canonicalize(std::vector<Value>& elements);
   static Value EmptySet() { return SetFromCanonical({}); }
 
   Kind kind() const { return kind_; }

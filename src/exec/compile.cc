@@ -496,10 +496,14 @@ void CompiledBatchLambda::CompileKey(Evaluator& ev,
   Finish(ev, std::move(c.prog), ret);
 }
 
+const TupleShape* FirstElemShape(std::span<const Value> rows) {
+  if (rows.empty()) return nullptr;
+  return rows[0].is_tuple() ? rows[0].tuple_shape() : nullptr;
+}
+
 const TupleShape* FirstElemShape(const Value& set) {
-  if (!set.is_set() || set.set_size() == 0) return nullptr;
-  const Value& first = set.elements()[0];
-  return first.is_tuple() ? first.tuple_shape() : nullptr;
+  if (!set.is_set()) return nullptr;
+  return FirstElemShape(set.elements());
 }
 
 }  // namespace n2j

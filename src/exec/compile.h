@@ -25,6 +25,7 @@
 // runtime error (or lack of one, under short-circuiting) lazily.
 
 #include <memory>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -38,6 +39,7 @@ class Evaluator;
 
 /// Shape of the first element when it is a tuple — the compile-time
 /// seed for a lambda parameter's field-access inline caches.
+const TupleShape* FirstElemShape(std::span<const Value> rows);
 const TupleShape* FirstElemShape(const Value& set);
 
 /// A lambda compiled for one operator invocation. Tri-state:
@@ -156,6 +158,9 @@ struct JoinLambdas {
   std::vector<uint32_t> key_seen;
   // Nestjoin output shape, resolved once per left-tuple shape.
   ShapeCursor nest_shape;
+  // Nestjoin whose inner is the bare right variable (IsIdentityInner):
+  // the inner is neither compiled nor run. Set once per operator.
+  bool identity_inner = false;
 };
 
 }  // namespace n2j

@@ -161,6 +161,15 @@ const TupleShape* JoinKeyShape(size_t n) {
   return s;
 }
 
+bool IsIdentityInner(const Expr& nestjoin) {
+  if (nestjoin.kind() != ExprKind::kNestJoin) return false;
+  const Expr& inner = *nestjoin.inner();
+  // With var = var2 the right variable shadows the left one; leave that
+  // rare form to the general path.
+  return inner.kind() == ExprKind::kVar && inner.name() == nestjoin.var2() &&
+         nestjoin.var() != nestjoin.var2();
+}
+
 Value JoinKeyFromParts(std::vector<Value> parts) {
   if (parts.size() == 1) return std::move(parts[0]);
   Value* slots = nullptr;

@@ -95,6 +95,11 @@ struct JoinShape {
 /// `db` resolves the index; with a null `db` no index is reported.
 JoinShape MatchJoin(const Expr& join, const Database* db);
 
+/// A nestjoin whose inner function is its bare right variable, so each
+/// group is the matching right rows themselves: the executor collects
+/// them without running the inner.
+bool IsIdentityInner(const Expr& nestjoin);
+
 /// Hash/sort key built from evaluated equi-key expressions. A single key
 /// is returned bare — no tuple wrap — since join keys only ever meet
 /// keys built the same way from the matching key list; composite keys

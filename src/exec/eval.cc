@@ -36,6 +36,7 @@ constexpr StatField kStatFields[] = {
     {"hash_inserts", "h_ins", &EvalStats::hash_inserts},
     {"hash_probes", "h_probe", &EvalStats::hash_probes},
     {"rows_sorted", "sorted", &EvalStats::rows_sorted},
+    {"set_sorted_rows", "set_sorted", &EvalStats::set_sorted_rows},
     {"index_probes", "idx", &EvalStats::index_probes},
     {"pnhl_partitions", "pnhl", &EvalStats::pnhl_partitions},
     {"derefs", "derefs", &EvalStats::derefs},
@@ -163,10 +164,9 @@ void Evaluator::MergeWorkerStats(
   for (const auto& w : workers) stats_.Merge(w->stats_);
 }
 
-Result<Value> Evaluator::ParallelMapSelect(const Expr& e, const Value& in,
-                                           Environment& env,
-                                           bool is_select) {
-  const std::vector<Value>& xs = in.elements();
+Status Evaluator::ParallelMapSelect(const Expr& e, std::span<const Value> xs,
+                                    Environment& env, bool is_select,
+                                    std::vector<Value>* out) {
   const size_t n = xs.size();
   ThreadPool& tp = pool();
   tp.set_morsel_phase(is_select ? "select" : "map");
@@ -177,7 +177,7 @@ Result<Value> Evaluator::ParallelMapSelect(const Expr& e, const Value& in,
   // and inline caches, so workers never share one.
   std::vector<CompiledLambda> lambdas(static_cast<size_t>(num_workers));
   if (opts_.compiled && n > 0) {
-    const TupleShape* shape0 = FirstElemShape(in);
+    const TupleShape* shape0 = FirstElemShape(xs);
     for (int w = 0; w < num_workers; ++w) {
       lambdas[static_cast<size_t>(w)].Compile(
           *workers[static_cast<size_t>(w)], *e.child(1), {e.var()},
@@ -186,8 +186,8 @@ Result<Value> Evaluator::ParallelMapSelect(const Expr& e, const Value& in,
   }
 
   size_t morsel_size = PickMorselSize(n, num_workers);
-  std::vector<Value> out(n);   // map results, slot per input element
-  std::vector<char> keep(n, 0);  // select verdicts
+  std::vector<Value> mapped(is_select ? 0 : n);  // slot per input element
+  std::vector<char> keep(is_select ? n : 0, 0);  // select verdicts
   Status s = tp.RunMorsels(
       NumMorsels(n, morsel_size), [&](int w, size_t m) -> Status {
         Evaluator& ev = *workers[static_cast<size_t>(w)];
@@ -207,7 +207,7 @@ Result<Value> Evaluator::ParallelMapSelect(const Expr& e, const Value& in,
               }
               keep[i] = r->bool_value() ? 1 : 0;
             } else {
-              out[i] = std::move(*r);
+              mapped[i] = std::move(*r);
             }
             continue;
           }
@@ -222,22 +222,21 @@ Result<Value> Evaluator::ParallelMapSelect(const Expr& e, const Value& in,
             }
             keep[i] = r->bool_value() ? 1 : 0;
           } else {
-            out[i] = std::move(*r);
+            mapped[i] = std::move(*r);
           }
         }
         return Status::OK();
       });
   MergeWorkerStats(workers);
   N2J_RETURN_IF_ERROR(s);
-  if (is_select) {
-    std::vector<Value> selected;
-    for (size_t i = 0; i < n; ++i) {
-      if (keep[i]) selected.push_back(xs[i]);
-    }
-    // Input order is canonical and selection preserves it.
-    return Value::SetFromCanonical(std::move(selected));
+  if (!is_select) {
+    *out = std::move(mapped);
+    return Status::OK();
   }
-  return Value::Set(std::move(out));
+  for (size_t i = 0; i < n; ++i) {
+    if (keep[i]) out->push_back(xs[i]);
+  }
+  return Status::OK();
 }
 
 Result<Value> Evaluator::TableValue(const std::string& name) {
@@ -250,7 +249,99 @@ Result<Value> Evaluator::TableValue(const std::string& name) {
   return v;
 }
 
+namespace {
+
+// Nodes whose body runs in EvalRows: their output can stay raw for an
+// iterating consumer.
+bool EmitsRows(ExprKind kind) {
+  switch (kind) {
+    case ExprKind::kMap:
+    case ExprKind::kSelect:
+    case ExprKind::kFlatten:
+    case ExprKind::kProduct:
+    case ExprKind::kUnnest:
+    case ExprKind::kJoin:
+    case ExprKind::kSemiJoin:
+    case ExprKind::kAntiJoin:
+    case ExprKind::kNestJoin:
+      return true;
+    default:
+      return false;
+  }
+}
+
+#ifndef NDEBUG
+// RowOrder::kDistinct's promise: no two rows are equal. Like
+// Value::SetFromCanonical's check it skips rows of mixed shapes or
+// kinds, and sets: Compare is not a strict weak order across permuted
+// shapes (ROADMAP item 8).
+void CheckDuplicateFree(const std::vector<Value>& rows) {
+  if (rows.size() < 2) return;
+  const Value& first = rows[0];
+  for (const Value& r : rows) {
+    bool uniform = first.is_tuple()
+                       ? r.is_tuple() && r.tuple_shape() == first.tuple_shape()
+                       : r.kind() == first.kind() && !r.is_set();
+    if (!uniform) return;
+  }
+  std::vector<Value> sorted = rows;
+  std::sort(sorted.begin(), sorted.end());
+  N2J_CHECK(std::adjacent_find(sorted.begin(), sorted.end()) == sorted.end());
+}
+#endif
+
+}  // namespace
+
+Value Evaluator::ToSet(std::vector<Value> rows) {
+  const size_t n = rows.size();
+  if (Value::Canonicalize(rows)) stats_.set_sorted_rows += n;
+  return Value::SetFromCanonical(std::move(rows));
+}
+
+Rows Evaluator::EmitRows(std::vector<Value> rows, RowOrder order,
+                         bool as_set, OpSpan& span) {
+#ifndef NDEBUG
+  if (order == RowOrder::kDistinct) CheckDuplicateFree(rows);
+#endif
+  Rows out;
+  if (order == RowOrder::kCanonical) {
+    out = Rows::Of(Value::SetFromCanonical(std::move(rows)));
+  } else if (as_set || order == RowOrder::kBag) {
+    out = Rows::Of(ToSet(std::move(rows)));
+  } else {
+    out = Rows::Raw(std::move(rows));
+  }
+  span.RowsOut(static_cast<uint64_t>(out.set_size()));
+  return out;
+}
+
+Result<Rows> Evaluator::EvalRows(const Expr& e, Environment& env,
+                                 bool as_set) {
+  if (!EmitsRows(e.kind())) {
+    N2J_ASSIGN_OR_RETURN(Value v, EvalNode(e, env));
+    return Rows::Of(std::move(v));
+  }
+  ++stats_.nodes_evaluated;
+  switch (e.kind()) {
+    case ExprKind::kMap:
+    case ExprKind::kSelect:
+      return EvalMapSelect(e, env, as_set);
+    case ExprKind::kFlatten:
+      return EvalFlatten(e, env, as_set);
+    case ExprKind::kProduct:
+      return EvalProduct(e, env, as_set);
+    case ExprKind::kUnnest:
+      return EvalUnnest(e, env, as_set);
+    default:
+      return EvalJoinLike(e, env, as_set);
+  }
+}
+
 Result<Value> Evaluator::EvalNode(const Expr& e, Environment& env) {
+  if (EmitsRows(e.kind())) {
+    N2J_ASSIGN_OR_RETURN(Rows rows, EvalRows(e, env, /*as_set=*/true));
+    return std::move(rows.value);
+  }
   ++stats_.nodes_evaluated;
   switch (e.kind()) {
     case ExprKind::kConst:
@@ -345,7 +436,7 @@ Result<Value> Evaluator::EvalNode(const Expr& e, Environment& env) {
         N2J_ASSIGN_OR_RETURN(Value v, EvalNode(*c, env));
         elems.push_back(std::move(v));
       }
-      return Value::Set(std::move(elems));
+      return ToSet(std::move(elems));
     }
 
     case ExprKind::kDeref: {
@@ -370,102 +461,6 @@ Result<Value> Evaluator::EvalNode(const Expr& e, Environment& env) {
 
     case ExprKind::kAggregate:
       return EvalAggregate(e, env);
-
-    case ExprKind::kMap: {
-      if (opts_.enable_pnhl) {
-        Result<Value> fast = TryPnhlMap(e, env);
-        if (fast.ok()) return fast;
-        if (fast.status().code() != StatusCode::kUnsupported) {
-          return fast.status();
-        }
-      }
-      OpSpan span(opts_.trace, stats_, "map");
-      AnnotateEstRows(opts_.plan, e, &span);
-      N2J_ASSIGN_OR_RETURN(Value in, EvalNode(*e.child(0), env));
-      if (!in.is_set()) return Status::RuntimeError("map over non-set");
-      span.RowsIn(in.set_size());
-      Result<Value> result = [&]() -> Result<Value> {
-        if (opts_.num_threads > 1 && in.set_size() > 1) {
-          return ParallelMapSelect(e, in, env, /*is_select=*/false);
-        }
-        CompiledLambda body;
-        if (opts_.compiled && in.set_size() > 0) {
-          body.Compile(*this, *e.child(1), {e.var()}, env,
-                       FirstElemShape(in));
-        }
-        std::vector<Value> out;
-        out.reserve(in.set_size());
-        if (body.ok()) {
-          for (const Value& x : in.elements()) {
-            ++stats_.tuples_scanned;
-            Value* r = body.Run(x);
-            if (r == nullptr) return body.status();
-            out.push_back(std::move(*r));
-          }
-          return Value::Set(std::move(out));
-        }
-        for (const Value& x : in.elements()) {
-          ++stats_.tuples_scanned;
-          if (body.fallback()) ++stats_.interp_fallback_evals;
-          env.Push(e.var(), x);
-          Result<Value> r = EvalNode(*e.child(1), env);
-          env.Pop();
-          if (!r.ok()) return r.status();
-          out.push_back(std::move(r).value());
-        }
-        return Value::Set(std::move(out));
-      }();
-      span.RowsOut(result);
-      return result;
-    }
-
-    case ExprKind::kSelect: {
-      OpSpan span(opts_.trace, stats_, "select");
-      AnnotateEstRows(opts_.plan, e, &span);
-      N2J_ASSIGN_OR_RETURN(Value in, EvalNode(*e.child(0), env));
-      if (!in.is_set()) return Status::RuntimeError("select over non-set");
-      span.RowsIn(in.set_size());
-      Result<Value> result = [&]() -> Result<Value> {
-        if (opts_.num_threads > 1 && in.set_size() > 1) {
-          return ParallelMapSelect(e, in, env, /*is_select=*/true);
-        }
-        CompiledLambda pred;
-        if (opts_.compiled && in.set_size() > 0) {
-          pred.Compile(*this, *e.child(1), {e.var()}, env,
-                       FirstElemShape(in));
-        }
-        std::vector<Value> out;
-        if (pred.ok()) {
-          for (const Value& x : in.elements()) {
-            ++stats_.tuples_scanned;
-            ++stats_.predicate_evals;
-            Value* r = pred.Run(x);
-            if (r == nullptr) return pred.status();
-            if (!r->is_bool()) {
-              return Status::RuntimeError("selection predicate not boolean");
-            }
-            if (r->bool_value()) out.push_back(x);
-          }
-          return Value::SetFromCanonical(std::move(out));
-        }
-        for (const Value& x : in.elements()) {
-          ++stats_.tuples_scanned;
-          ++stats_.predicate_evals;
-          if (pred.fallback()) ++stats_.interp_fallback_evals;
-          env.Push(e.var(), x);
-          Result<Value> r = EvalNode(*e.child(1), env);
-          env.Pop();
-          if (!r.ok()) return r.status();
-          if (!r->is_bool()) {
-            return Status::RuntimeError("selection predicate not boolean");
-          }
-          if (r->bool_value()) out.push_back(x);
-        }
-        return Value::SetFromCanonical(std::move(out));
-      }();
-      span.RowsOut(result);
-      return result;
-    }
 
     case ExprKind::kProject: {
       OpSpan span(opts_.trace, stats_, "project");
@@ -507,61 +502,11 @@ Result<Value> Evaluator::EvalNode(const Expr& e, Environment& env) {
         }
       }
       span.RowsOut(static_cast<uint64_t>(out.size()));
-      return Value::Set(std::move(out));
-    }
-
-    case ExprKind::kFlatten: {
-      OpSpan span(opts_.trace, stats_, "flatten");
-      AnnotateEstRows(opts_.plan, e, &span);
-      N2J_ASSIGN_OR_RETURN(Value in, EvalNode(*e.child(0), env));
-      if (!in.is_set()) return Status::RuntimeError("flatten over non-set");
-      span.RowsIn(in.set_size());
-      std::vector<Value> out;
-      for (const Value& x : in.elements()) {
-        ++stats_.tuples_scanned;
-        if (!x.is_set()) {
-          return Status::RuntimeError("flatten element not a set");
-        }
-        for (const Value& y : x.elements()) out.push_back(y);
-      }
-      span.RowsOut(static_cast<uint64_t>(out.size()));
-      return Value::Set(std::move(out));
+      return ToSet(std::move(out));
     }
 
     case ExprKind::kNest:
       return EvalNest(e, env);
-
-    case ExprKind::kUnnest:
-      return EvalUnnest(e, env);
-
-    case ExprKind::kProduct: {
-      OpSpan span(opts_.trace, stats_, "product");
-      AnnotateEstRows(opts_.plan, e, &span);
-      N2J_ASSIGN_OR_RETURN(Value l, EvalNode(*e.child(0), env));
-      N2J_ASSIGN_OR_RETURN(Value r, EvalNode(*e.child(1), env));
-      if (!l.is_set() || !r.is_set()) {
-        return Status::RuntimeError("product over non-sets");
-      }
-      span.RowsIn(l.set_size());
-      span.RowsBuild(r.set_size());
-      std::vector<Value> out;
-      out.reserve(l.set_size() * r.set_size());
-      for (const Value& x : l.elements()) {
-        for (const Value& y : r.elements()) {
-          ++stats_.tuples_scanned;
-          N2J_ASSIGN_OR_RETURN(Value combined, ConcatTuples(x, y));
-          out.push_back(std::move(combined));
-        }
-      }
-      span.RowsOut(static_cast<uint64_t>(out.size()));
-      return Value::Set(std::move(out));
-    }
-
-    case ExprKind::kJoin:
-    case ExprKind::kSemiJoin:
-    case ExprKind::kAntiJoin:
-    case ExprKind::kNestJoin:
-      return EvalJoinLike(e, env);
 
     case ExprKind::kDivide:
       return EvalDivide(e, env);
@@ -590,8 +535,117 @@ Result<Value> Evaluator::EvalNode(const Expr& e, Environment& env) {
       }
       return l.SetDifference(r);
     }
+
+    default:  // the EmitsRows kinds, run above
+      break;
   }
   return Status::Internal("unhandled expression kind");
+}
+
+Result<Rows> Evaluator::EvalMapSelect(const Expr& e, Environment& env,
+                                      bool as_set) {
+  const bool is_select = e.kind() == ExprKind::kSelect;
+  if (!is_select && opts_.enable_pnhl) {
+    Result<Value> fast = TryPnhlMap(e, env);
+    if (fast.ok()) return Rows::Of(std::move(fast).value());
+    if (fast.status().code() != StatusCode::kUnsupported) {
+      return fast.status();
+    }
+  }
+  OpSpan span(opts_.trace, stats_, is_select ? "select" : "map");
+  AnnotateEstRows(opts_.plan, e, &span);
+  N2J_ASSIGN_OR_RETURN(Rows in, EvalRows(*e.child(0), env, false));
+  if (!in.is_set()) {
+    return Status::RuntimeError(is_select ? "select over non-set"
+                                          : "map over non-set");
+  }
+  span.RowsIn(in.set_size());
+  std::span<const Value> xs = in.elements();
+  std::vector<Value> out;
+  // One lambda result: the mapped row, or the row itself if it passes.
+  auto take = [&](const Value& x, Value* r) -> Status {
+    if (!is_select) {
+      out.push_back(std::move(*r));
+      return Status::OK();
+    }
+    if (!r->is_bool()) {
+      return Status::RuntimeError("selection predicate not boolean");
+    }
+    if (r->bool_value()) out.push_back(x);
+    return Status::OK();
+  };
+  if (opts_.num_threads > 1 && xs.size() > 1) {
+    N2J_RETURN_IF_ERROR(ParallelMapSelect(e, xs, env, is_select, &out));
+  } else {
+    CompiledLambda body;
+    if (opts_.compiled && !xs.empty()) {
+      body.Compile(*this, *e.child(1), {e.var()}, env, FirstElemShape(xs));
+    }
+    if (!is_select) out.reserve(xs.size());
+    for (const Value& x : xs) {
+      ++stats_.tuples_scanned;
+      if (is_select) ++stats_.predicate_evals;
+      if (body.ok()) {
+        Value* r = body.Run(x);
+        if (r == nullptr) return body.status();
+        N2J_RETURN_IF_ERROR(take(x, r));
+        continue;
+      }
+      if (body.fallback()) ++stats_.interp_fallback_evals;
+      env.Push(e.var(), x);
+      Result<Value> r = EvalNode(*e.child(1), env);
+      env.Pop();
+      if (!r.ok()) return r.status();
+      N2J_RETURN_IF_ERROR(take(x, &*r));
+    }
+  }
+  // Selection keeps a subsequence of its input in input order; a map
+  // can send two rows to one.
+  RowOrder order = !is_select       ? RowOrder::kBag
+                   : in.canonical() ? RowOrder::kCanonical
+                                    : RowOrder::kDistinct;
+  return EmitRows(std::move(out), order, as_set, span);
+}
+
+Result<Rows> Evaluator::EvalFlatten(const Expr& e, Environment& env,
+                                    bool as_set) {
+  OpSpan span(opts_.trace, stats_, "flatten");
+  AnnotateEstRows(opts_.plan, e, &span);
+  N2J_ASSIGN_OR_RETURN(Rows in, EvalRows(*e.child(0), env, false));
+  if (!in.is_set()) return Status::RuntimeError("flatten over non-set");
+  span.RowsIn(in.set_size());
+  std::vector<Value> out;
+  for (const Value& x : in.elements()) {
+    ++stats_.tuples_scanned;
+    if (!x.is_set()) {
+      return Status::RuntimeError("flatten element not a set");
+    }
+    for (const Value& y : x.elements()) out.push_back(y);
+  }
+  return EmitRows(std::move(out), RowOrder::kBag, as_set, span);
+}
+
+Result<Rows> Evaluator::EvalProduct(const Expr& e, Environment& env,
+                                    bool as_set) {
+  OpSpan span(opts_.trace, stats_, "product");
+  AnnotateEstRows(opts_.plan, e, &span);
+  N2J_ASSIGN_OR_RETURN(Value l, EvalNode(*e.child(0), env));
+  N2J_ASSIGN_OR_RETURN(Value r, EvalNode(*e.child(1), env));
+  if (!l.is_set() || !r.is_set()) {
+    return Status::RuntimeError("product over non-sets");
+  }
+  span.RowsIn(l.set_size());
+  span.RowsBuild(r.set_size());
+  std::vector<Value> out;
+  out.reserve(l.set_size() * r.set_size());
+  for (const Value& x : l.elements()) {
+    for (const Value& y : r.elements()) {
+      ++stats_.tuples_scanned;
+      N2J_ASSIGN_OR_RETURN(Value combined, ConcatTuples(x, y));
+      out.push_back(std::move(combined));
+    }
+  }
+  return EmitRows(std::move(out), RowOrder::kDistinct, as_set, span);
 }
 
 Result<Value> Evaluator::EvalBinary(const Expr& e, Environment& env) {
@@ -668,7 +722,7 @@ Result<Value> Evaluator::EvalAggregate(const Expr& e, Environment& env) {
 
 Result<Value> Evaluator::EvalNest(const Expr& e, Environment& env) {
   OpSpan span(opts_.trace, stats_, "nest");
-      AnnotateEstRows(opts_.plan, e, &span);
+  AnnotateEstRows(opts_.plan, e, &span);
   N2J_ASSIGN_OR_RETURN(Value in, EvalNode(*e.child(0), env));
   if (!in.is_set()) return Status::RuntimeError("nest over non-set");
   span.RowsIn(in.set_size());
@@ -734,15 +788,16 @@ Result<Value> Evaluator::EvalNest(const Expr& e, Environment& env) {
   out.reserve(group_order.size());
   for (const Value& key : group_order) {
     const TupleShape* shape = key.tuple_shape()->ExtendedWith(e.name());
-    out.push_back(key.AppendField(shape, Value::Set(std::move(groups[key]))));
+    out.push_back(key.AppendField(shape, ToSet(std::move(groups[key]))));
   }
-  return Value::Set(std::move(out));
+  return ToSet(std::move(out));
 }
 
-Result<Value> Evaluator::EvalUnnest(const Expr& e, Environment& env) {
+Result<Rows> Evaluator::EvalUnnest(const Expr& e, Environment& env,
+                                   bool as_set) {
   OpSpan span(opts_.trace, stats_, "unnest");
-      AnnotateEstRows(opts_.plan, e, &span);
-  N2J_ASSIGN_OR_RETURN(Value in, EvalNode(*e.child(0), env));
+  AnnotateEstRows(opts_.plan, e, &span);
+  N2J_ASSIGN_OR_RETURN(Rows in, EvalRows(*e.child(0), env, false));
   if (!in.is_set()) return Status::RuntimeError("unnest over non-set");
   span.RowsIn(in.set_size());
   // Rows (and set elements) of one input almost always share one
@@ -753,6 +808,13 @@ Result<Value> Evaluator::EvalUnnest(const Expr& e, Environment& env) {
   const TupleShape* rest_shape = nullptr;
   const TupleShape* elem_shape = nullptr;
   const TupleShape* out_shape = nullptr;
+  // μ repeats a row only when two input tuples agree on every attribute
+  // but a and share an element. A canonical input of one shape is
+  // sorted on the attributes before a first, so if any two tuples agree
+  // there, two adjacent ones do: with a not first, comparing adjacent
+  // tuples on that prefix proves the output duplicate-free.
+  bool distinct = in.canonical();
+  const Value* prev = nullptr;
   std::vector<Value> out;
   size_t expected = 0;
   for (const Value& x : in.elements()) {
@@ -766,6 +828,7 @@ Result<Value> Evaluator::EvalUnnest(const Expr& e, Environment& env) {
       return Status::RuntimeError("unnest element not tuple");
     }
     if (x.tuple_shape() != x_shape) {
+      if (x_shape != nullptr) distinct = false;
       x_shape = x.tuple_shape();
       attr_at = x_shape->IndexOf(e.name());
       rest_shape = x_shape->WithoutField(e.name());
@@ -774,6 +837,17 @@ Result<Value> Evaluator::EvalUnnest(const Expr& e, Environment& env) {
     if (attr_at < 0) {
       return Status::RuntimeError("unnest: no attribute '" + e.name() + "'");
     }
+    if (attr_at == 0) distinct = false;
+    if (distinct && prev != nullptr) {
+      std::span<const Value> a = prev->tuple_values();
+      std::span<const Value> b = x.tuple_values();
+      bool same_prefix = true;
+      for (int i = 0; i < attr_at && same_prefix; ++i) {
+        same_prefix = a[static_cast<size_t>(i)] == b[static_cast<size_t>(i)];
+      }
+      distinct = !same_prefix;
+    }
+    prev = &x;
     const Value& attr = x.field_value(static_cast<size_t>(attr_at));
     if (!attr.is_set()) {
       return Status::RuntimeError("unnest: attribute '" + e.name() +
@@ -786,6 +860,8 @@ Result<Value> Evaluator::EvalUnnest(const Expr& e, Environment& env) {
             "unnest: set elements must be tuples (NF2)");
       }
       if (elem.tuple_shape() != elem_shape) {
+        // Mixed element shapes: leave deduplication to the sort.
+        if (elem_shape != nullptr) distinct = false;
         elem_shape = elem.tuple_shape();
         out_shape = elem_shape->ConcatWith(rest_shape);
         N2J_CHECK(out_shape != nullptr);  // field names must not collide
@@ -794,13 +870,14 @@ Result<Value> Evaluator::EvalUnnest(const Expr& e, Environment& env) {
       out.push_back(elem.ConcatTupleAs(out_shape, rest_tuple));
     }
   }
-  span.RowsOut(static_cast<uint64_t>(out.size()));
-  return Value::Set(std::move(out));
+  return EmitRows(std::move(out),
+                  distinct ? RowOrder::kDistinct : RowOrder::kBag, as_set,
+                  span);
 }
 
 Result<Value> Evaluator::EvalDivide(const Expr& e, Environment& env) {
   OpSpan span(opts_.trace, stats_, "divide");
-      AnnotateEstRows(opts_.plan, e, &span);
+  AnnotateEstRows(opts_.plan, e, &span);
   N2J_ASSIGN_OR_RETURN(Value l, EvalNode(*e.child(0), env));
   N2J_ASSIGN_OR_RETURN(Value r, EvalNode(*e.child(1), env));
   if (!l.is_set() || !r.is_set()) {
@@ -842,15 +919,16 @@ Result<Value> Evaluator::EvalDivide(const Expr& e, Environment& env) {
   if (opts_.trace != nullptr) opts_.trace->NotePeakHash(by_a.size());
   std::vector<Value> out;
   for (auto& [a, bs] : by_a) {
-    Value b_set = Value::Set(bs);
+    Value b_set = ToSet(bs);
     ++stats_.hash_probes;
     if (r.IsSubsetOf(b_set, false)) out.push_back(a);
   }
   span.RowsOut(static_cast<uint64_t>(out.size()));
-  return Value::Set(std::move(out));
+  return ToSet(std::move(out));
 }
 
-Result<Value> Evaluator::EvalJoinLike(const Expr& e, Environment& env) {
+Result<Rows> Evaluator::EvalJoinLike(const Expr& e, Environment& env,
+                                     bool as_set) {
   const char* op = "join";
   switch (e.kind()) {
     case ExprKind::kSemiJoin:
@@ -875,7 +953,7 @@ Result<Value> Evaluator::EvalJoinLike(const Expr& e, Environment& env) {
     const PlanAnnotation* pa = opts_.plan->Find(&e);
     if (pa != nullptr && pa->algorithm.has_value()) algorithm = *pa->algorithm;
   }
-  N2J_ASSIGN_OR_RETURN(Value l, EvalNode(*e.child(0), env));
+  N2J_ASSIGN_OR_RETURN(Rows l, EvalRows(*e.child(0), env, false));
   N2J_ASSIGN_OR_RETURN(Value r, EvalNode(*e.child(1), env));
   if (!l.is_set() || !r.is_set()) {
     return Status::RuntimeError("join over non-sets");
@@ -890,41 +968,53 @@ Result<Value> Evaluator::EvalJoinLike(const Expr& e, Environment& env) {
     method = shape.Dispatch(algorithm);
   }
   span.Label(JoinMethodName(method));
-  Result<Value> result = [&]() -> Result<Value> {
+  std::vector<Value> out;
+  Status s = [&]() -> Status {
     switch (method) {
       case JoinMethod::kIndex:
         ++stats_.joins_index;
-        return IndexJoin(e, shape, l, env);
+        return IndexJoin(e, shape, l, env, &out);
       case JoinMethod::kHash:
         ++stats_.joins_hash;
-        return HashJoin(e, shape, l, r, env);
+        return HashJoin(e, shape, l, r, env, &out);
       case JoinMethod::kSortMerge:
         ++stats_.joins_sortmerge;
-        return SortMergeJoin(e, shape, l, r, env);
+        return SortMergeJoin(e, shape, l, r, env, &out);
       case JoinMethod::kMembership:
         ++stats_.joins_membership;
-        return MembershipJoin(e, shape, l, r, env);
+        return MembershipJoin(e, shape, l, r, env, &out);
       case JoinMethod::kNestedLoop:
         break;
     }
     ++stats_.joins_nested_loop;
-    return NestedLoopJoin(e, l, r, env);
+    return NestedLoopJoin(e, l, r, env, &out);
   }();
-  span.RowsOut(result);
-  return result;
+  N2J_RETURN_IF_ERROR(s);
+  // A semijoin or antijoin keeps a subsequence of the probe side, in
+  // probe order unless sort-merge reordered it by key. Distinct probe
+  // rows give distinct output rows, except that the index join pairs
+  // with the table's stored rows, which may repeat.
+  RowOrder order = RowOrder::kDistinct;
+  if (l.canonical() && method != JoinMethod::kSortMerge &&
+      (e.kind() == ExprKind::kSemiJoin || e.kind() == ExprKind::kAntiJoin)) {
+    order = RowOrder::kCanonical;
+  } else if (method == JoinMethod::kIndex && e.kind() == ExprKind::kJoin) {
+    order = RowOrder::kBag;
+  }
+  return EmitRows(std::move(out), order, as_set, span);
 }
 
-Result<Value> Evaluator::NestedLoopJoin(const Expr& e, const Value& l,
-                                        const Value& r, Environment& env) {
-  std::vector<Value> out;
+Status Evaluator::NestedLoopJoin(const Expr& e, const Rows& l, const Value& r,
+                                 Environment& env, std::vector<Value>* out) {
+  const bool identity = IsIdentityInner(e);
   CompiledLambda pred_cl;
   CompiledLambda inner_cl;
   if (opts_.compiled && l.set_size() > 0 && r.set_size() > 0) {
     pred_cl.Compile(*this, *e.pred(), {e.var(), e.var2()}, env,
-                    FirstElemShape(l));
-    if (e.kind() == ExprKind::kNestJoin) {
+                    FirstElemShape(l.elements()));
+    if (e.kind() == ExprKind::kNestJoin && !identity) {
       inner_cl.Compile(*this, *e.inner(), {e.var(), e.var2()}, env,
-                       FirstElemShape(l));
+                       FirstElemShape(l.elements()));
     }
   }
   // Per-left-tuple result assembly, shared by both engines.
@@ -933,10 +1023,10 @@ Result<Value> Evaluator::NestedLoopJoin(const Expr& e, const Value& l,
                         std::vector<Value>&& group) -> Status {
     switch (e.kind()) {
       case ExprKind::kSemiJoin:
-        if (matched) out.push_back(x);
+        if (matched) out->push_back(x);
         break;
       case ExprKind::kAntiJoin:
-        if (!matched) out.push_back(x);
+        if (!matched) out->push_back(x);
         break;
       case ExprKind::kNestJoin: {
         if (!x.is_tuple()) {
@@ -946,8 +1036,12 @@ Result<Value> Evaluator::NestedLoopJoin(const Expr& e, const Value& l,
           return Status::RuntimeError("nestjoin result attribute '" +
                                       e.name() + "' collides");
         }
-        out.push_back(x.AppendField(nest_shape.Extended(x, e.name()),
-                                    Value::Set(std::move(group))));
+        // An identity group holds right rows in the canonical right
+        // set's order.
+        out->push_back(x.AppendField(
+            nest_shape.Extended(x, e.name()),
+            identity ? Value::SetFromCanonical(std::move(group))
+                     : ToSet(std::move(group))));
         break;
       }
       default:
@@ -971,11 +1065,13 @@ Result<Value> Evaluator::NestedLoopJoin(const Expr& e, const Value& l,
           switch (e.kind()) {
             case ExprKind::kJoin: {
               N2J_ASSIGN_OR_RETURN(Value combined, ConcatTuples(x, y));
-              out.push_back(std::move(combined));
+              out->push_back(std::move(combined));
               break;
             }
             case ExprKind::kNestJoin: {
-              if (inner_cl.ok()) {
+              if (identity) {
+                group.push_back(y);
+              } else if (inner_cl.ok()) {
                 Value* iv = inner_cl.Run(x, y);
                 if (iv == nullptr) return inner_cl.status();
                 group.push_back(std::move(*iv));
@@ -1000,7 +1096,7 @@ Result<Value> Evaluator::NestedLoopJoin(const Expr& e, const Value& l,
       }
       N2J_RETURN_IF_ERROR(finish_row(x, matched, std::move(group)));
     }
-    return Value::Set(std::move(out));
+    return Status::OK();
   }
   for (const Value& x : l.elements()) {
     ++stats_.tuples_scanned;
@@ -1021,10 +1117,14 @@ Result<Value> Evaluator::NestedLoopJoin(const Expr& e, const Value& l,
               env.Pop();
               return combined.status();
             }
-            out.push_back(std::move(*combined));
+            out->push_back(std::move(*combined));
             break;
           }
           case ExprKind::kNestJoin: {
+            if (identity) {
+              group.push_back(y);
+              break;
+            }
             Result<Value> iv = EvalNode(*e.inner(), env);
             if (!iv.ok()) {
               env.Pop();
@@ -1049,7 +1149,7 @@ Result<Value> Evaluator::NestedLoopJoin(const Expr& e, const Value& l,
     }
     N2J_RETURN_IF_ERROR(finish_row(x, matched, std::move(group)));
   }
-  return Value::Set(std::move(out));
+  return Status::OK();
 }
 
 Value EvalOrDie(const Database& db, const ExprPtr& e) {

@@ -6,6 +6,7 @@
 #include <functional>
 #include <map>
 #include <memory>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -23,6 +24,7 @@ class CompiledLambda;
 struct EquiJoinKeys;
 struct JoinLambdas;
 struct JoinShape;
+class OpSpan;
 class TraceCollector;
 struct PlanAnnotations;
 
@@ -35,6 +37,10 @@ struct EvalStats {
   uint64_t hash_inserts = 0;     // hash-table build inserts
   uint64_t hash_probes = 0;      // hash-table probes
   uint64_t rows_sorted = 0;      // rows sorted by sort-merge joins
+  // Rows the evaluator canonicalized with a comparison sort: operator
+  // outputs, nestjoin and nest groups, set literals. Rows canonical by
+  // construction or already in order count nothing.
+  uint64_t set_sorted_rows = 0;
   uint64_t index_probes = 0;     // pre-built index lookups
   uint64_t pnhl_partitions = 0;  // PNHL fast-path segments (0 = unused)
   uint64_t derefs = 0;           // oid dereferences
@@ -181,6 +187,48 @@ struct EvalOptions {
   int vector_batch_size = 1024;
 };
 
+/// What an operator knows about the rows it emits (Evaluator's
+/// EmitRows).
+enum class RowOrder {
+  kCanonical,  // sorted and duplicate-free: wrapped without compares
+  kDistinct,   // duplicate-free in any order: may stay raw
+  kBag,        // may repeat a row: always canonicalized
+};
+
+/// An operator's output before canonicalization (Evaluator's EvalRows):
+/// either a value — a canonical set, or whatever a node that yields no
+/// rows returned — or raw rows, possibly unsorted but never with
+/// duplicates, that an iterating consumer reads without paying for a
+/// sort. Raw rows hold exactly the set's elements, so a consumer does
+/// the work it would do on the canonical set and row counts stay set
+/// cardinalities.
+struct Rows {
+  Value value;
+  std::vector<Value> raw;
+  bool is_raw = false;
+
+  static Rows Of(Value v) {
+    Rows r;
+    r.value = std::move(v);
+    return r;
+  }
+  static Rows Raw(std::vector<Value> rows) {
+    Rows r;
+    r.raw = std::move(rows);
+    r.is_raw = true;
+    return r;
+  }
+  bool is_set() const { return is_raw || value.is_set(); }
+  /// Whether elements() is a canonical set's sequence.
+  bool canonical() const { return !is_raw; }
+  /// Precondition: is_set().
+  std::span<const Value> elements() const {
+    if (is_raw) return raw;
+    return value.elements();
+  }
+  size_t set_size() const { return elements().size(); }
+};
+
 /// Variable bindings during evaluation, innermost last.
 class Environment {
  public:
@@ -271,35 +319,60 @@ class Evaluator {
   std::unique_ptr<Evaluator> ForkWorker() const;
 
  private:
+  // Canonical sets by construction: μ, α, σ, ⋃ (flatten), × and the
+  // join family run in EvalRows, which hands raw rows to a consumer
+  // that only iterates them (the join probe side and the inputs of α,
+  // μ, ⋃ and σ) and canonicalizes once, in EmitRows, for everyone else.
+  // Only duplicate-free rows stay raw: σ, × and the join family keep
+  // their inputs' distinctness (the index join's ⋈ excepted: table rows
+  // may repeat), μ does when its canonical input shows no two tuples
+  // agreeing outside the unnested attribute, and α and ⋃, which can
+  // repeat rows, always canonicalize. EvalNode is EvalRows with
+  // `as_set` on for those nodes.
   Result<Value> EvalNode(const Expr& e, Environment& env);
+  Result<Rows> EvalRows(const Expr& e, Environment& env, bool as_set);
+  /// Closes a rows-producing operator: kCanonical rows are wrapped
+  /// without compares, kDistinct rows are canonicalized when `as_set`
+  /// and left raw otherwise, kBag rows are always canonicalized. Records
+  /// the span's output rows.
+  Rows EmitRows(std::vector<Value> rows, RowOrder order, bool as_set,
+                OpSpan& span);
+  /// Value::Set, counting EvalStats::set_sorted_rows.
+  Value ToSet(std::vector<Value> rows);
+  Result<Rows> EvalMapSelect(const Expr& e, Environment& env, bool as_set);
+  Result<Rows> EvalFlatten(const Expr& e, Environment& env, bool as_set);
+  Result<Rows> EvalProduct(const Expr& e, Environment& env, bool as_set);
   Result<Value> EvalBinary(const Expr& e, Environment& env);
   Result<Value> EvalQuantifier(const Expr& e, Environment& env);
   Result<Value> EvalAggregate(const Expr& e, Environment& env);
   Result<Value> EvalNest(const Expr& e, Environment& env);
-  Result<Value> EvalUnnest(const Expr& e, Environment& env);
+  Result<Rows> EvalUnnest(const Expr& e, Environment& env, bool as_set);
   Result<Value> EvalDivide(const Expr& e, Environment& env);
-  Result<Value> EvalJoinLike(const Expr& e, Environment& env);
+  Result<Rows> EvalJoinLike(const Expr& e, Environment& env, bool as_set);
 
+  // The join family's physical implementations append their output
+  // rows to `out` in probe order — except sort-merge, which emits in
+  // key order — for EvalJoinLike to close.
   // Nested-loop implementations (physical baseline).
-  Result<Value> NestedLoopJoin(const Expr& e, const Value& l, const Value& r,
-                               Environment& env);
+  Status NestedLoopJoin(const Expr& e, const Rows& l, const Value& r,
+                        Environment& env, std::vector<Value>* out);
   // Set-oriented implementations (physical.cc / physical_sortmerge.cc /
   // physical_membership.cc). Each runs on the node's pre-matched shape;
   // EvalJoinLike only calls one whose inputs the shape provides.
-  Result<Value> HashJoin(const Expr& e, const JoinShape& shape,
-                         const Value& l, const Value& r, Environment& env);
-  Result<Value> SortMergeJoin(const Expr& e, const JoinShape& shape,
-                              const Value& l, const Value& r,
-                              Environment& env);
-  Result<Value> IndexJoin(const Expr& e, const JoinShape& shape,
-                          const Value& l, Environment& env);
+  Status HashJoin(const Expr& e, const JoinShape& shape, const Rows& l,
+                  const Value& r, Environment& env, std::vector<Value>* out);
+  Status SortMergeJoin(const Expr& e, const JoinShape& shape, const Rows& l,
+                       const Value& r, Environment& env,
+                       std::vector<Value>* out);
+  Status IndexJoin(const Expr& e, const JoinShape& shape, const Rows& l,
+                   Environment& env, std::vector<Value>* out);
   /// Hash implementation for the shape's membership conjunct (f(y) ∈
   /// x.c, x.c ∋ f(y), ∃v ∈ x.c · k(v) = f(y)): builds on the right key
   /// and probes with the left tuple's set elements — the access pattern
   /// behind the paper's Query 5 semijoin and Query 6 nestjoin.
-  Result<Value> MembershipJoin(const Expr& e, const JoinShape& shape,
-                               const Value& l, const Value& r,
-                               Environment& env);
+  Status MembershipJoin(const Expr& e, const JoinShape& shape, const Rows& l,
+                        const Value& r, Environment& env,
+                        std::vector<Value>* out);
 
   /// Fast path for the Section 6.2 set-valued-attribute join (PNHL);
   /// returns kUnsupported when `e` is not that map pattern.
@@ -322,23 +395,25 @@ class Evaluator {
   void MergeWorkerStats(
       const std::vector<std::unique_ptr<Evaluator>>& workers);
 
-  /// Parallel morsels for map/select over a materialized set.
-  Result<Value> ParallelMapSelect(const Expr& e, const Value& in,
-                                  Environment& env, bool is_select);
+  /// Parallel morsels for map/select over materialized rows; appends
+  /// the mapped (or selected) rows to `out` in input order.
+  Status ParallelMapSelect(const Expr& e, std::span<const Value> xs,
+                           Environment& env, bool is_select,
+                           std::vector<Value>* out);
   /// Partitioned parallel hash join: parallel build-key evaluation,
   /// hash-partitioned build (one partition per worker, scan order
   /// preserved inside buckets), then parallel probe morsels.
-  Result<Value> ParallelHashJoin(const Expr& e, const Value& l,
-                                 const Value& r, Environment& env,
-                                 const EquiJoinKeys& keys);
+  Status ParallelHashJoin(const Expr& e, const Rows& l, const Value& r,
+                          Environment& env, const EquiJoinKeys& keys,
+                          std::vector<Value>* out);
   /// Parallel probe morsels for the membership join (build stays
   /// serial; the probe side dominates). `compile_worker` populates one
   /// JoinLambdas per worker frame (compiled via that worker's evaluator
   /// and environment) before the morsels run; `probe_one` receives the
   /// worker's frame, the left tuple and its position in `l`, and leaves
   /// the tuple's matches in jl.matches.
-  Result<Value> ParallelMembershipProbe(
-      const Expr& e, const Value& l, Environment& env,
+  Status ParallelMembershipProbe(
+      const Expr& e, const Rows& l, Environment& env, std::vector<Value>* out,
       const std::function<void(Evaluator& worker, Environment& wenv,
                                JoinLambdas* jl)>& compile_worker,
       const std::function<Status(Evaluator& worker, Environment& wenv,
@@ -349,7 +424,7 @@ class Evaluator {
   /// `jl` when compiled evaluation is on. A null `r` skips the right
   /// (build) key — an index join has no build side.
   void CompileJoinLambdas(const Expr& e, const EquiJoinKeys& keys,
-                          const Expr& residual, const Value& l,
+                          const Expr& residual, const Rows& l,
                           const Value* r, Environment& env, JoinLambdas* jl);
   /// One row's join key: through `cl` when it compiled, else by
   /// interpreting `keys` under a binding of `var` to `row`.
@@ -366,11 +441,14 @@ class Evaluator {
   /// the matching right tuples (post-residual), appends the appropriate
   /// output to `out`. Used by the hash/sort-merge/index/membership
   /// variants. The nestjoin inner function runs compiled when jl.inner
-  /// is ok.
+  /// is ok; an identity inner (the bare right variable) is not run, and
+  /// its group is canonical without compares when `canonical_build`
+  /// (the matches point into a canonical set's elements) and the
+  /// matches sit at increasing positions.
   Status EmitJoinResult(const Expr& e, const Value& x,
                         const std::vector<const Value*>& matches,
-                        Environment& env, std::vector<Value>* out,
-                        JoinLambdas& jl);
+                        bool canonical_build, Environment& env,
+                        std::vector<Value>* out, JoinLambdas& jl);
   /// The rows of `chain` (indices into `build`) that pass the residual
   /// for left tuple `x`, in chain order, into jl.matches.
   Status CollectMatches(const Expr& e, const Expr& residual,

@@ -6,6 +6,8 @@
 // sort-merge variant lives in physical_sortmerge.cc, the membership
 // join in physical_membership.cc.
 
+#include <iterator>
+
 #include "exec/compile.h"
 #include "exec/equi_join.h"
 #include "exec/eval.h"
@@ -17,8 +19,8 @@ namespace n2j {
 
 Status Evaluator::EmitJoinResult(const Expr& e, const Value& x,
                                  const std::vector<const Value*>& matches,
-                                 Environment& env, std::vector<Value>* out,
-                                 JoinLambdas& jl) {
+                                 bool canonical_build, Environment& env,
+                                 std::vector<Value>* out, JoinLambdas& jl) {
   switch (e.kind()) {
     case ExprKind::kJoin:
       for (const Value* y : matches) {
@@ -43,7 +45,16 @@ Status Evaluator::EmitJoinResult(const Expr& e, const Value& x,
       CompiledLambda& inner = jl.inner;
       std::vector<Value> group;
       group.reserve(matches.size());
-      if (inner.ok()) {
+      // An identity group is the matches themselves: canonical as they
+      // stand when they sit at increasing positions of a canonical build.
+      bool canonical = false;
+      if (jl.identity_inner) {
+        canonical = canonical_build;
+        for (size_t i = 0; i < matches.size(); ++i) {
+          if (i > 0 && matches[i] <= matches[i - 1]) canonical = false;
+          group.push_back(*matches[i]);
+        }
+      } else if (inner.ok()) {
         for (const Value* y : matches) {
           Value* iv = inner.Run(x, *y);
           if (iv == nullptr) return inner.status();
@@ -65,8 +76,10 @@ Status Evaluator::EmitJoinResult(const Expr& e, const Value& x,
         }
         env.Pop();
       }
-      out->push_back(x.AppendField(jl.nest_shape.Extended(x, e.name()),
-                                   Value::Set(std::move(group))));
+      out->push_back(x.AppendField(
+          jl.nest_shape.Extended(x, e.name()),
+          canonical ? Value::SetFromCanonical(std::move(group))
+                    : ToSet(std::move(group))));
       return Status::OK();
     }
     default:
@@ -75,24 +88,23 @@ Status Evaluator::EmitJoinResult(const Expr& e, const Value& x,
 }
 
 void Evaluator::CompileJoinLambdas(const Expr& e, const EquiJoinKeys& keys,
-                                   const Expr& residual, const Value& l,
+                                   const Expr& residual, const Rows& l,
                                    const Value* r, Environment& env,
                                    JoinLambdas* jl) {
+  jl->identity_inner = IsIdentityInner(e);
   if (!opts_.compiled) return;
   if (r != nullptr && r->set_size() > 0) {
     jl->right_key.CompileKey(*this, keys.right_keys, e.var2(), env,
                              FirstElemShape(*r));
   }
   if (l.set_size() == 0) return;
-  jl->left_key.CompileKey(*this, keys.left_keys, e.var(), env,
-                          FirstElemShape(l));
+  const TupleShape* l_shape = FirstElemShape(l.elements());
+  jl->left_key.CompileKey(*this, keys.left_keys, e.var(), env, l_shape);
   if (!keys.residual.empty()) {
-    jl->residual.Compile(*this, residual, {e.var(), e.var2()}, env,
-                         FirstElemShape(l));
+    jl->residual.Compile(*this, residual, {e.var(), e.var2()}, env, l_shape);
   }
-  if (e.kind() == ExprKind::kNestJoin) {
-    jl->inner.Compile(*this, *e.inner(), {e.var(), e.var2()}, env,
-                      FirstElemShape(l));
+  if (e.kind() == ExprKind::kNestJoin && !jl->identity_inner) {
+    jl->inner.Compile(*this, *e.inner(), {e.var(), e.var2()}, env, l_shape);
   }
 }
 
@@ -146,13 +158,13 @@ Status Evaluator::ResidualHolds(const Expr& e, const Expr& residual,
   return Status::OK();
 }
 
-Result<Value> Evaluator::HashJoin(const Expr& e, const JoinShape& shape,
-                                  const Value& l, const Value& r,
-                                  Environment& env) {
+Status Evaluator::HashJoin(const Expr& e, const JoinShape& shape,
+                           const Rows& l, const Value& r, Environment& env,
+                           std::vector<Value>* out) {
   const EquiJoinKeys& keys = shape.keys;
   if (opts_.trace != nullptr) opts_.trace->AnnotateOpen(keys.Describe());
   if (opts_.num_threads > 1 && (l.set_size() > 1 || r.set_size() > 1)) {
-    return ParallelHashJoin(e, l, r, env, keys);
+    return ParallelHashJoin(e, l, r, env, keys, out);
   }
 
   ExprPtr residual = Expr::AndAll(keys.residual);
@@ -172,7 +184,6 @@ Result<Value> Evaluator::HashJoin(const Expr& e, const JoinShape& shape,
   if (opts_.trace != nullptr) opts_.trace->NotePeakHash(table.num_keys());
 
   // Probe phase over the left operand.
-  std::vector<Value> out;
   for (const Value& x : l.elements()) {
     ++stats_.tuples_scanned;
     N2J_ASSIGN_OR_RETURN(
@@ -180,9 +191,11 @@ Result<Value> Evaluator::HashJoin(const Expr& e, const JoinShape& shape,
     ++stats_.hash_probes;
     N2J_RETURN_IF_ERROR(CollectMatches(e, *residual, keys, build,
                                        table.Find(key), x, env, jl));
-    N2J_RETURN_IF_ERROR(EmitJoinResult(e, x, jl.matches, env, &out, jl));
+    N2J_RETURN_IF_ERROR(EmitJoinResult(e, x, jl.matches,
+                                       /*canonical_build=*/true, env, out,
+                                       jl));
   }
-  return Value::Set(std::move(out));
+  return Status::OK();
 }
 
 Status Evaluator::CollectMatches(const Expr& e, const Expr& residual,
@@ -218,11 +231,12 @@ Status Evaluator::CollectMatches(const Expr& e, const Expr& residual,
 // Every intermediate is indexed by input position, so the result (and,
 // after the per-worker merge, every EvalStats counter) is independent
 // of thread scheduling.
-Result<Value> Evaluator::ParallelHashJoin(const Expr& e, const Value& l,
-                                          const Value& r, Environment& env,
-                                          const EquiJoinKeys& keys) {
+Status Evaluator::ParallelHashJoin(const Expr& e, const Rows& l,
+                                   const Value& r, Environment& env,
+                                   const EquiJoinKeys& keys,
+                                   std::vector<Value>* out) {
   const std::vector<Value>& build = r.elements();
-  const std::vector<Value>& probe = l.elements();
+  std::span<const Value> probe = l.elements();
   ThreadPool& tp = pool();
   const int num_workers = tp.num_workers();
   std::vector<std::unique_ptr<Evaluator>> workers = ForkWorkers(num_workers);
@@ -316,26 +330,24 @@ Result<Value> Evaluator::ParallelHashJoin(const Expr& e, const Value& l,
       N2J_RETURN_IF_ERROR(ev.CollectMatches(
           e, *residual, keys, build,
           tables[hash % num_partitions].Find(key, hash), x, wenv, jl));
-      N2J_RETURN_IF_ERROR(
-          ev.EmitJoinResult(e, x, jl.matches, wenv, &outs[m], jl));
+      N2J_RETURN_IF_ERROR(ev.EmitJoinResult(e, x, jl.matches,
+                                            /*canonical_build=*/true, wenv,
+                                            &outs[m], jl));
     }
     return Status::OK();
   });
   MergeWorkerStats(workers);
   N2J_RETURN_IF_ERROR(s);
-
-  size_t total = 0;
-  for (const auto& o : outs) total += o.size();
-  std::vector<Value> out;
-  out.reserve(total);
-  for (auto& o : outs) {
-    for (Value& v : o) out.push_back(std::move(v));
+  for (std::vector<Value>& o : outs) {
+    out->insert(out->end(), std::make_move_iterator(o.begin()),
+                std::make_move_iterator(o.end()));
   }
-  return Value::Set(std::move(out));
+  return Status::OK();
 }
 
-Result<Value> Evaluator::IndexJoin(const Expr& e, const JoinShape& shape,
-                                   const Value& l, Environment& env) {
+Status Evaluator::IndexJoin(const Expr& e, const JoinShape& shape,
+                            const Rows& l, Environment& env,
+                            std::vector<Value>* out) {
   // The shape guarantees a base-table right side probed through a
   // prebuilt index on the single right key attribute y.<field>.
   const EquiJoinKeys& keys = shape.keys;
@@ -351,7 +363,6 @@ Result<Value> Evaluator::IndexJoin(const Expr& e, const JoinShape& shape,
   ExprPtr residual = Expr::AndAll(keys.residual);
   JoinLambdas jl;
   CompileJoinLambdas(e, keys, *residual, l, nullptr, env, &jl);
-  std::vector<Value> out;
   for (const Value& x : l.elements()) {
     ++stats_.tuples_scanned;
     N2J_ASSIGN_OR_RETURN(
@@ -370,9 +381,12 @@ Result<Value> Evaluator::IndexJoin(const Expr& e, const JoinShape& shape,
         if (holds) jl.matches.push_back(&y);
       }
     }
-    N2J_RETURN_IF_ERROR(EmitJoinResult(e, x, jl.matches, env, &out, jl));
+    // The matches point into the table's insertion-ordered rows.
+    N2J_RETURN_IF_ERROR(EmitJoinResult(e, x, jl.matches,
+                                       /*canonical_build=*/false, env, out,
+                                       jl));
   }
-  return Value::Set(std::move(out));
+  return Status::OK();
 }
 
 }  // namespace n2j

@@ -12,6 +12,8 @@
 // (∃x ∈ s.parts · x.pid = p.pid). The conjunct is matched once per node
 // by MatchJoin (exec/equi_join.h).
 
+#include <iterator>
+
 #include "exec/compile.h"
 #include "exec/equi_join.h"
 #include "exec/eval.h"
@@ -20,9 +22,9 @@
 
 namespace n2j {
 
-Result<Value> Evaluator::MembershipJoin(const Expr& e, const JoinShape& shape,
-                                        const Value& l, const Value& r,
-                                        Environment& env) {
+Status Evaluator::MembershipJoin(const Expr& e, const JoinShape& shape,
+                                 const Rows& l, const Value& r,
+                                 Environment& env, std::vector<Value>* out) {
   const MembershipKey& key = shape.membership;
   if (opts_.trace != nullptr) {
     opts_.trace->AnnotateOpen("attr=" + key.attr);
@@ -64,21 +66,22 @@ Result<Value> Evaluator::MembershipJoin(const Expr& e, const JoinShape& shape,
   // Sizes one worker frame's key stamps and compiles its probe-side
   // lambdas; also invoked for the serial path (with this evaluator as
   // the single "worker").
+  const TupleShape* l_shape = FirstElemShape(l.elements());
+  const bool identity = IsIdentityInner(e);
   auto compile_probe = [&](Evaluator& ev, Environment& wenv,
                            JoinLambdas* jl) {
     if (key.elem_key != nullptr) jl->key_seen.assign(table.num_keys(), 0);
+    jl->identity_inner = identity;
     if (!opts_.compiled || l.set_size() == 0) return;
     if (key.elem_key != nullptr) {
       jl->elem_key.Compile(ev, *key.elem_key, {key.elem_var}, wenv,
                            elem_shape);
     }
     if (!trivial_residual) {
-      jl->residual.Compile(ev, *residual, {e.var(), e.var2()}, wenv,
-                           FirstElemShape(l));
+      jl->residual.Compile(ev, *residual, {e.var(), e.var2()}, wenv, l_shape);
     }
-    if (e.kind() == ExprKind::kNestJoin) {
-      jl->inner.Compile(ev, *e.inner(), {e.var(), e.var2()}, wenv,
-                        FirstElemShape(l));
+    if (e.kind() == ExprKind::kNestJoin && !identity) {
+      jl->inner.Compile(ev, *e.inner(), {e.var(), e.var2()}, wenv, l_shape);
     }
   };
 
@@ -130,33 +133,33 @@ Result<Value> Evaluator::MembershipJoin(const Expr& e, const JoinShape& shape,
   };
 
   if (opts_.num_threads > 1 && l.set_size() > 1) {
-    return ParallelMembershipProbe(e, l, env, compile_probe, probe_one);
+    return ParallelMembershipProbe(e, l, env, out, compile_probe, probe_one);
   }
 
   JoinLambdas jl;
   compile_probe(*this, env, &jl);
-  std::vector<Value> out;
-  const std::vector<Value>& probe = l.elements();
+  std::span<const Value> probe = l.elements();
   for (size_t i = 0; i < probe.size(); ++i) {
     ++stats_.tuples_scanned;
     N2J_RETURN_IF_ERROR(probe_one(*this, env, probe[i], i, jl));
-    N2J_RETURN_IF_ERROR(
-        EmitJoinResult(e, probe[i], jl.matches, env, &out, jl));
+    N2J_RETURN_IF_ERROR(EmitJoinResult(e, probe[i], jl.matches,
+                                       /*canonical_build=*/true, env, out,
+                                       jl));
   }
-  return Value::Set(std::move(out));
+  return Status::OK();
 }
 
 // Probe-side morsel parallelism: the build table is shared read-only;
 // each morsel probes its left-tuple range with a per-worker evaluator
 // and emits into its own output slot, concatenated in morsel order.
-Result<Value> Evaluator::ParallelMembershipProbe(
-    const Expr& e, const Value& l, Environment& env,
+Status Evaluator::ParallelMembershipProbe(
+    const Expr& e, const Rows& l, Environment& env, std::vector<Value>* out,
     const std::function<void(Evaluator& worker, Environment& wenv,
                              JoinLambdas* jl)>& compile_worker,
     const std::function<Status(Evaluator& worker, Environment& wenv,
                                const Value& x, size_t pos,
                                JoinLambdas& jl)>& probe_one) {
-  const std::vector<Value>& probe = l.elements();
+  std::span<const Value> probe = l.elements();
   ThreadPool& tp = pool();
   tp.set_morsel_phase("membership/probe");
   const int num_workers = tp.num_workers();
@@ -183,22 +186,19 @@ Result<Value> Evaluator::ParallelMembershipProbe(
       const Value& x = probe[i];
       ++ev.stats_.tuples_scanned;
       N2J_RETURN_IF_ERROR(probe_one(ev, wenv, x, i, jl));
-      N2J_RETURN_IF_ERROR(
-          ev.EmitJoinResult(e, x, jl.matches, wenv, &outs[m], jl));
+      N2J_RETURN_IF_ERROR(ev.EmitJoinResult(e, x, jl.matches,
+                                            /*canonical_build=*/true, wenv,
+                                            &outs[m], jl));
     }
     return Status::OK();
   });
   MergeWorkerStats(workers);
   N2J_RETURN_IF_ERROR(s);
-
-  size_t total = 0;
-  for (const auto& o : outs) total += o.size();
-  std::vector<Value> out;
-  out.reserve(total);
-  for (auto& o : outs) {
-    for (Value& v : o) out.push_back(std::move(v));
+  for (std::vector<Value>& o : outs) {
+    out->insert(out->end(), std::make_move_iterator(o.begin()),
+                std::make_move_iterator(o.end()));
   }
-  return Value::Set(std::move(out));
+  return Status::OK();
 }
 
 }  // namespace n2j

@@ -23,9 +23,9 @@ struct Keyed {
 
 }  // namespace
 
-Result<Value> Evaluator::SortMergeJoin(const Expr& e, const JoinShape& shape,
-                                       const Value& l, const Value& r,
-                                       Environment& env) {
+Status Evaluator::SortMergeJoin(const Expr& e, const JoinShape& shape,
+                                const Rows& l, const Value& r,
+                                Environment& env, std::vector<Value>* out) {
   const EquiJoinKeys& keys = shape.keys;
   if (opts_.trace != nullptr) opts_.trace->AnnotateOpen(keys.Describe());
 
@@ -33,12 +33,13 @@ Result<Value> Evaluator::SortMergeJoin(const Expr& e, const JoinShape& shape,
   JoinLambdas jl;
   CompileJoinLambdas(e, keys, *residual, l, &r, env, &jl);
 
-  auto build_keyed = [&](const Value& operand, const std::string& var,
+  auto build_keyed = [&](std::span<const Value> operand,
+                         const std::string& var,
                          const std::vector<ExprPtr>& key_exprs,
                          CompiledLambda& key_cl,
                          std::vector<Keyed>* out) -> Status {
-    out->reserve(operand.set_size());
-    for (const Value& row : operand.elements()) {
+    out->reserve(operand.size());
+    for (const Value& row : operand) {
       ++stats_.tuples_scanned;
       N2J_ASSIGN_OR_RETURN(Value key,
                            JoinKey(key_cl, key_exprs, var, row, env));
@@ -55,11 +56,10 @@ Result<Value> Evaluator::SortMergeJoin(const Expr& e, const JoinShape& shape,
   std::vector<Keyed> left;
   std::vector<Keyed> right;
   N2J_RETURN_IF_ERROR(
-      build_keyed(l, e.var(), keys.left_keys, jl.left_key, &left));
-  N2J_RETURN_IF_ERROR(
-      build_keyed(r, e.var2(), keys.right_keys, jl.right_key, &right));
+      build_keyed(l.elements(), e.var(), keys.left_keys, jl.left_key, &left));
+  N2J_RETURN_IF_ERROR(build_keyed(r.elements(), e.var2(), keys.right_keys,
+                                  jl.right_key, &right));
 
-  std::vector<Value> out;
   size_t i = 0;
   size_t j = 0;
   while (i < left.size()) {
@@ -90,12 +90,14 @@ Result<Value> Evaluator::SortMergeJoin(const Expr& e, const JoinShape& shape,
         }
         if (holds) jl.matches.push_back(right[k].row);
       }
-      N2J_RETURN_IF_ERROR(EmitJoinResult(e, x, jl.matches, env, &out, jl));
+      N2J_RETURN_IF_ERROR(EmitJoinResult(e, x, jl.matches,
+                                         /*canonical_build=*/true, env, out,
+                                         jl));
       ++i;
     }
     j = run_end;
   }
-  return Value::Set(std::move(out));
+  return Status::OK();
 }
 
 }  // namespace n2j

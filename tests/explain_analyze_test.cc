@@ -108,10 +108,10 @@ TEST_F(ExplainAnalyzeTest, GoldenProfileQuery6) {
   EXPECT_EQ(rendered,
             "query                                 in=0 out=20 | nodes=1\n"
             "  map                                 in=20 out=20 |"
-            " scanned=20 nodes=1 compiled=20\n"
+            " scanned=20 set_sorted=20 nodes=1 compiled=20\n"
             "    nestjoin [membership attr=parts]  in=20 build=50 out=20"
             " peak_hash=50 | scanned=70 h_ins=50 h_probe=117 nodes=2"
-            " compiled=148 mem_joins=1\n")
+            " compiled=50 mem_joins=1\n")
       << "actual:\n" << rendered;
 }
 
@@ -208,6 +208,79 @@ TEST_F(ExplainAnalyzeTest, CorrelatedPlanReportsOneQErrorPerPlanNode) {
     EXPECT_EQ(last[0].roots[i].op, nodes[i].op);
     EXPECT_DOUBLE_EQ(last[0].roots[i].est, nodes[i].est);
     EXPECT_EQ(last[0].roots[i].actual, nodes[i].actual);
+  }
+}
+
+// Span `in=`/`out=` counts are set cardinalities on every edge, also
+// where an operator hands its consumer rows before canonicalization.
+// Two suppliers that differ only in `parts` share part 2, so unnesting
+// them would repeat the row (name = "s1", pid = 2): unnest must notice
+// and emit the 6-row set (set_sorted=7), not 7 rows. Without the shared
+// part the unnest's 7 rows are distinct and reach the antijoin unsorted.
+TEST_F(ExplainAnalyzeTest, RawEdgesCountSetCardinalities) {
+  for (bool shared_part : {true, false}) {
+    Database db;
+    TypePtr pid_tuple = Type::Tuple({{"pid", Type::Int()}});
+    ASSERT_TRUE(db.CreateTable("PART", pid_tuple).ok());
+    ASSERT_TRUE(db.CreateTable("SUPP", Type::Tuple({{"name", Type::String()},
+                                                   {"parts", Type::Set(
+                                                                 pid_tuple)}}))
+                    .ok());
+    for (int pid : {3, 5}) {
+      ASSERT_TRUE(
+          db.Insert("PART", Value::Tuple({Field("pid", Value::Int(pid))}))
+              .ok());
+    }
+    auto supplier = [](const char* name, std::vector<int> pids) {
+      std::vector<Value> parts;
+      for (int pid : pids) {
+        parts.push_back(Value::Tuple({Field("pid", Value::Int(pid))}));
+      }
+      return Value::Tuple({Field("name", Value::String(name)),
+                           Field("parts", Value::Set(std::move(parts)))});
+    };
+    ASSERT_TRUE(db.Insert("SUPP", supplier("s2", {9, 1})).ok());
+    ASSERT_TRUE(db.Insert("SUPP", supplier("s1", {2, 3, 4})).ok());
+    ASSERT_TRUE(db.Insert("SUPP", supplier(shared_part ? "s1" : "s0",
+                                           {2, 5}))
+                    .ok());
+    ExprPtr q = Expr::Map(
+        "w", Expr::Access(Expr::Var("w"), "name"),
+        Expr::AntiJoin(Expr::Unnest(Expr::Table("SUPP"), "parts"),
+                       Expr::Table("PART"), "z", "p",
+                       Expr::Eq(Expr::Access(Expr::Var("z"), "pid"),
+                                Expr::Access(Expr::Var("p"), "pid"))));
+    TraceCollector tc;
+    EvalOptions opts;
+    opts.trace = &tc;
+    Evaluator ev(db, opts);
+    Result<Value> r = ev.Eval(q);
+    ASSERT_TRUE(r.ok()) << r.status().ToString();
+    std::string rendered = tc.Render({.show_time = false});
+    if (shared_part) {
+      EXPECT_EQ(rendered,
+                "query                       in=0 out=2 | nodes=1\n"
+                "  map                       in=4 out=2 | scanned=4"
+                " set_sorted=4 nodes=1 compiled=4\n"
+                "    antijoin [hash keys=1]  in=6 build=2 out=4 peak_hash=2"
+                " | scanned=8 h_ins=2 h_probe=6 nodes=2 compiled=8"
+                " hash_joins=1\n"
+                "      unnest                in=3 out=6 | scanned=3"
+                " set_sorted=7 nodes=1\n")
+          << "actual:\n" << rendered;
+    } else {
+      // The map's rows arrive in name order: no sort is needed.
+      EXPECT_EQ(rendered,
+                "query                       in=0 out=3 | nodes=1\n"
+                "  map                       in=5 out=3 | scanned=5"
+                " nodes=1 compiled=5\n"
+                "    antijoin [hash keys=1]  in=7 build=2 out=5 peak_hash=2"
+                " | scanned=9 h_ins=2 h_probe=7 nodes=2 compiled=9"
+                " hash_joins=1\n"
+                "      unnest                in=3 out=7 | scanned=3"
+                " nodes=1\n")
+          << "actual:\n" << rendered;
+    }
   }
 }
 

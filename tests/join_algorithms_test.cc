@@ -288,6 +288,225 @@ TEST_F(JoinAlgorithmsTest, IndexIgnoresRowsInsertedAfterBuild) {
   EXPECT_NE(db_->FindIndex("Y", "a")->Lookup(Value::Int(99)), nullptr);
 }
 
+// Raw probe rows and identity nestjoin groups (canonical sets by
+// construction): an antijoin probed by unnest's raw rows, and nestjoins
+// whose inner is the bare right variable, return the identical value
+// under every physical join and thread count. PART's rows are inserted
+// out of canonical order, so the index join's matches (insertion order)
+// are not canonical; two suppliers that differ only in `parts` share a
+// part, so the unnest would repeat a row and must canonicalize it away
+// before the consumer sees it.
+TEST(JoinParityTest, RawProbesAndIdentityGroupsAgreeAcrossJoins) {
+  Database db;
+  TypePtr pid_tuple = Type::Tuple({{"pid", Type::Int()}});
+  ASSERT_TRUE(db.CreateTable("PART", Type::Tuple({{"pname", Type::String()},
+                                                  {"pid", Type::Int()}}))
+                  .ok());
+  ASSERT_TRUE(
+      db.CreateTable(
+            "SUPP",
+            Type::Tuple({{"name", Type::String()},
+                         {"parts", Type::Set(Type::Tuple(
+                                       {{"pid", Type::Int()},
+                                        {"alts", Type::Set(pid_tuple)}}))}}))
+          .ok());
+  // Canonical PART order is by pname, which is not pid order, and the
+  // two rows of pid 3 are inserted in reverse canonical order.
+  const std::pair<const char*, int> kParts[] = {
+      {"n1", 9}, {"n5", 1}, {"z3", 3}, {"n7", 8},
+      {"n4", 3}, {"n8", 6}, {"n9", 4}};
+  for (const auto& [pname, pid] : kParts) {
+    ASSERT_TRUE(db.Insert("PART",
+                          Value::Tuple({Field("pname", Value::String(pname)),
+                                        Field("pid", Value::Int(pid))}))
+                    .ok());
+  }
+  ASSERT_TRUE(db.CreateIndex("PART", "pid").ok());
+  auto part = [](int pid, std::vector<int> alts) {
+    std::vector<Value> alt_rows;
+    for (int a : alts) {
+      alt_rows.push_back(Value::Tuple({Field("pid", Value::Int(a))}));
+    }
+    return Value::Tuple({Field("pid", Value::Int(pid)),
+                         Field("alts", Value::Set(std::move(alt_rows)))});
+  };
+  auto supplier = [](const char* name, std::vector<Value> parts) {
+    return Value::Tuple({Field("name", Value::String(name)),
+                         Field("parts", Value::Set(std::move(parts)))});
+  };
+  // Part 2 matches no PART row by pid or by alts, so both copies of
+  // (pid = 2, alts = {(pid = 2)}, name = "s1") survive the antijoins.
+  ASSERT_TRUE(db.Insert("SUPP", supplier("s1", {part(2, {2}), part(3, {3, 4}),
+                                                part(9, {1, 9})}))
+                  .ok());
+  ASSERT_TRUE(db.Insert("SUPP", supplier("s1", {part(2, {2}), part(5, {6}),
+                                                part(8, {})}))
+                  .ok());
+  ASSERT_TRUE(db.Insert("SUPP", supplier("s2", {part(7, {8, 7}),
+                                                part(1, {9, 1})}))
+                  .ok());
+  ASSERT_TRUE(db.Insert("SUPP", supplier("s3", {})).ok());
+  // A canonical probe side for the membership nestjoin: SUPP's part ids.
+  ASSERT_TRUE(
+      db.CreateTable("SP", Type::Tuple({{"name", Type::String()},
+                                        {"pids", Type::Set(pid_tuple)}}))
+          .ok());
+  for (const Value& s : db.FindTable("SUPP")->rows()) {
+    std::vector<Value> pids;
+    for (const Value& p : s.FindField("parts")->elements()) {
+      pids.push_back(p.ProjectTuple({"pid"}));
+    }
+    Value row = Value::Tuple({Field("name", *s.FindField("name")),
+                              Field("pids", Value::Set(std::move(pids)))});
+    ASSERT_TRUE(db.Insert("SP", std::move(row)).ok());
+  }
+
+  ExprPtr mu = Expr::Unnest(Expr::Table("SUPP"), "parts");
+  ASSERT_EQ(EvalExpr(db, mu).set_size(), 7u);  // 8 unnested, one repeated
+  ExprPtr eq = Expr::Eq(Expr::Access(Expr::Var("z"), "pid"),
+                        Expr::Access(Expr::Var("p"), "pid"));
+  ExprPtr member =
+      Expr::Bin(BinOp::kIn, Expr::TupleProject(Expr::Var("p"), {"pid"}),
+                Expr::Access(Expr::Var("z"), "alts"));
+  std::vector<ExprPtr> queries;
+  for (ExprPtr pred : {eq, member}) {
+    ExprPtr anti = Expr::AntiJoin(mu, Expr::Table("PART"), "z", "p", pred);
+    queries.push_back(anti);
+    queries.push_back(
+        Expr::Map("w", Expr::Access(Expr::Var("w"), "name"), anti));
+    queries.push_back(
+        Expr::NestJoin(mu, Expr::Table("PART"), "z", "p", pred, "ps"));
+  }
+  queries.push_back(Expr::NestJoin(
+      Expr::Table("SP"), Expr::Table("PART"), "z", "p",
+      Expr::Bin(BinOp::kIn, Expr::TupleProject(Expr::Var("p"), {"pid"}),
+                Expr::Access(Expr::Var("z"), "pids")),
+      "ps"));
+  EvalStats ran;  // which physical joins the runs below exercised
+  for (const ExprPtr& q : queries) {
+    EvalOptions reference;
+    reference.use_hash_joins = false;
+    reference.compiled = false;
+    Value expected = EvalExpr(db, q, reference);
+    for (JoinAlgorithm algo :
+         {JoinAlgorithm::kNestedLoop, JoinAlgorithm::kHash,
+          JoinAlgorithm::kSortMerge, JoinAlgorithm::kIndex}) {
+      for (int threads : {1, 4}) {
+        for (bool compiled : {false, true}) {
+          EvalOptions opts;
+          opts.join_algorithm = algo;
+          opts.num_threads = threads;
+          opts.compiled = compiled;
+          Evaluator ev(db, opts);
+          Result<Value> run = ev.Eval(q);
+          ASSERT_TRUE(run.ok()) << run.status().ToString();
+          ran.Merge(ev.stats());
+          const Value& actual = *run;
+          EXPECT_EQ(actual, expected)
+              << AlgebraStr(q) << " algo=" << static_cast<int>(algo)
+              << " threads=" << threads << " compiled=" << compiled;
+          EXPECT_EQ(actual.ToString(), expected.ToString());
+        }
+      }
+    }
+  }
+  EXPECT_GT(ran.joins_nested_loop, 0u);
+  EXPECT_GT(ran.joins_hash, 0u);
+  EXPECT_GT(ran.joins_sortmerge, 0u);
+  EXPECT_GT(ran.joins_index, 0u);
+  EXPECT_GT(ran.joins_membership, 0u);
+  // Both antijoins keep the repeated unnest row exactly once.
+  for (size_t i : {size_t{0}, size_t{3}}) {
+    Value anti = EvalExpr(db, queries[i]);
+    size_t twos = 0;
+    for (const Value& row : anti.elements()) {
+      if (row.FindField("pid")->int_value() == 2) ++twos;
+    }
+    EXPECT_EQ(twos, 1u) << AlgebraStr(queries[i]);
+  }
+}
+
+// Operators that can map two rows to one (α, ⋃, and μ over tuples that
+// agree outside the unnested attribute) canonicalize before a consumer
+// iterates their output, so the consumer runs once per distinct row.
+TEST(JoinParityTest, ConsumersRunOncePerDistinctRow) {
+  Database db;
+  ASSERT_TRUE(db.CreateTable("T", Type::Tuple({{"a", Type::Int()},
+                                               {"k", Type::Int()}}))
+                  .ok());
+  for (int i = 0; i < 30; ++i) {  // 30 rows, 3 values of a
+    ASSERT_TRUE(db.Insert("T", Value::Tuple({Field("a", Value::Int(i % 3)),
+                                             Field("k", Value::Int(i))}))
+                    .ok());
+  }
+  TypePtr b_tuple = Type::Tuple({{"b", Type::Int()}});
+  ASSERT_TRUE(db.CreateTable("U", Type::Tuple({{"k", Type::Int()},
+                                               {"bs", Type::Set(b_tuple)}}))
+                  .ok());
+  auto b = [](int v) { return Value::Tuple({Field("b", Value::Int(v))}); };
+  for (int i = 0; i < 10; ++i) {
+    // Rows 2j and 2j + 1 share k = j and the element (b = 7): μ_bs makes
+    // 20 rows, 15 of them distinct.
+    ASSERT_TRUE(db.Insert("U", Value::Tuple({Field("k", Value::Int(i / 2)),
+                                             Field("bs", Value::Set({b(i % 2),
+                                                                     b(7)}))}))
+                    .ok());
+  }
+  auto x = [](const char* f) { return Expr::Access(Expr::Var("x"), f); };
+  auto nonneg = [&](const char* f, ExprPtr in) {
+    return Expr::Select(
+        "x", Expr::Bin(BinOp::kGe, x(f), Expr::Const(Value::Int(0))),
+        std::move(in));
+  };
+  ExprPtr a_of_t = Expr::Map(
+      "t", Expr::TupleConstruct({"a"}, {Expr::Access(Expr::Var("t"), "a")}),
+      Expr::Table("T"));
+  // {(a = t.a), (a = 9)} per row: the three sets overlap on (a = 9).
+  ExprPtr a_sets = Expr::Map(
+      "t",
+      Expr::SetConstruct(
+          {Expr::TupleConstruct({"a"}, {Expr::Access(Expr::Var("t"), "a")}),
+           Expr::TupleConstruct({"a"}, {Expr::Const(Value::Int(9))})}),
+      Expr::Table("T"));
+  struct Case {
+    const char* name;
+    ExprPtr query;
+    size_t rows;  // distinct rows the consumer reads
+  };
+  const Case cases[] = {
+      {"select over map", nonneg("a", a_of_t), 3},
+      {"select over flatten", nonneg("a", Expr::Flatten(a_sets)), 4},
+      {"select over unnest",
+       nonneg("b", Expr::Unnest(Expr::Table("U"), "bs")), 15},
+  };
+  for (const Case& c : cases) {
+    for (int threads : {1, 4}) {
+      EvalOptions opts;
+      opts.num_threads = threads;
+      Evaluator ev(db, opts);
+      Result<Value> r = ev.Eval(c.query);
+      ASSERT_TRUE(r.ok()) << c.name << ": " << r.status().ToString();
+      EXPECT_EQ(r->set_size(), c.rows) << c.name;
+      EXPECT_EQ(ev.stats().predicate_evals, c.rows)
+          << c.name << " threads=" << threads;
+    }
+  }
+  // A join probes once per distinct row of a repeating probe side.
+  ExprPtr nest = Expr::NestJoin(
+      a_of_t, Expr::Table("T"), "x", "y",
+      Expr::Eq(x("a"), Expr::Access(Expr::Var("y"), "a")), "g");
+  for (int threads : {1, 4}) {
+    EvalOptions opts;
+    opts.num_threads = threads;
+    Evaluator ev(db, opts);
+    Result<Value> r = ev.Eval(nest);
+    ASSERT_TRUE(r.ok()) << r.status().ToString();
+    EXPECT_EQ(r->set_size(), 3u);
+    EXPECT_EQ(ev.stats().joins_hash, 1u);
+    EXPECT_EQ(ev.stats().hash_probes, 3u) << "threads=" << threads;
+  }
+}
+
 TEST_F(JoinAlgorithmsTest, CreateIndexValidation) {
   EXPECT_FALSE(db_->CreateIndex("NOPE", "a").ok());
   EXPECT_FALSE(db_->CreateIndex("Y", "nope").ok());

@@ -6,6 +6,9 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cstdint>
+
 #include "adl/value.h"
 #include "common/rng.h"
 
@@ -175,6 +178,122 @@ TEST_P(ValuePropertyTest, ProjectConcatExceptRoundTrips) {
     EXPECT_EQ(ab.ConcatTuple(c), t);
     // except with the original values is the identity.
     EXPECT_EQ(t.ExceptUpdate({Field("b", *t.FindField("b"))}), t);
+  }
+}
+
+// Rows for the key-prefix sort, drawn from small pools so duplicates and
+// equal keys are common. Families 0-6 qualify for the 16-byte record
+// sort (one atom kind, or one tuple shape whose first field has one
+// kind); 7 and 8 exercise its fallbacks to the plain sort.
+constexpr int kKeySortFamilies = 9;
+
+Value KeySortRow(Rng& rng, int family) {
+  static const int64_t kInts[] = {INT64_MIN, INT64_MIN + 1, -1000, -1, 0,
+                                  1,         7,             INT64_MAX - 1,
+                                  INT64_MAX};
+  static const char* const kPrefix = "abcdefgh";
+  auto int_atom = [&] {
+    if (rng.Bernoulli(0.5)) return Value::Int(rng.Uniform(-3, 3));
+    return Value::Int(kInts[rng.Uniform(0, 8)]);
+  };
+  auto oid_atom = [&] {
+    static const uint16_t kClasses[] = {0, 1, 0xffff};
+    const uint64_t seq = static_cast<uint64_t>(rng.Uniform(0, 4))
+                         << (rng.Uniform(0, 1) * 40);
+    return Value::MakeOidValue(MakeOid(kClasses[rng.Uniform(0, 2)], seq));
+  };
+  auto string_atom = [&] {
+    std::string str;
+    switch (rng.Uniform(0, 5)) {
+      case 0:
+        break;  // empty
+      case 1:  // shares the 8-byte prefix, differs after it
+        str = std::string(kPrefix) +
+              rng.NextString(static_cast<int>(rng.Uniform(0, 2)));
+        break;
+      case 2:  // a prefix of the prefix, or it with trailing NULs
+        str = std::string(kPrefix, static_cast<size_t>(rng.Uniform(0, 8)));
+        str.append(static_cast<size_t>(rng.Uniform(0, 2)), '\0');
+        break;
+      case 3:  // embedded NULs
+        str = std::string("ab\0", 3) + rng.NextString(1);
+        break;
+      case 4:  // bytes >= 0x80 must sort after ASCII
+        str = std::string(1, static_cast<char>(0x80 + rng.Uniform(0, 0x7f))) +
+              rng.NextString(1);
+        break;
+      default:
+        str = rng.NextString(static_cast<int>(rng.Uniform(1, 10)));
+        break;
+    }
+    return Value::String(std::move(str));
+  };
+  auto keyed = [&](Value k) {
+    return Value::Tuple({Field("k", std::move(k)),
+                         Field("v", Value::Int(rng.Uniform(0, 2)))});
+  };
+  switch (family) {
+    case 0:
+      return int_atom();
+    case 1:
+      return oid_atom();
+    case 2:
+      return string_atom();
+    case 3:
+      return keyed(int_atom());
+    case 4:
+      return keyed(oid_atom());
+    case 5:
+      return keyed(string_atom());
+    case 6:  // every key equal: Compare decides every pair
+      return keyed(Value::String(std::string(kPrefix) + "tail"));
+    case 7:  // int and double first fields: no single key kind
+      return keyed(rng.Bernoulli(0.5)
+                       ? int_atom()
+                       : Value::Double(rng.Uniform(-2, 2) / 2.0));
+    default:  // mixed shapes and kinds
+      switch (rng.Uniform(0, 2)) {
+        case 0:
+          return keyed(string_atom());
+        case 1:
+          return Value::Tuple({Field("k", string_atom()),
+                               Field("v", Value::Int(rng.Uniform(0, 2))),
+                               Field("w", Value::Null())});
+        default:
+          return string_atom();
+      }
+  }
+}
+
+TEST_P(ValuePropertyTest, KeyPrefixSortMatchesStdSort) {
+  Rng rng(static_cast<uint64_t>(GetParam()) + 700);
+  for (int round = 0; round < 20 * kKeySortFamilies; ++round) {
+    const int family = round % kKeySortFamilies;
+    std::vector<Value> rows;
+    const int n = static_cast<int>(rng.Uniform(0, 40));
+    for (int i = 0; i < n; ++i) rows.push_back(KeySortRow(rng, family));
+    std::vector<Value> expected = rows;
+    std::sort(expected.begin(), expected.end());
+    expected.erase(std::unique(expected.begin(), expected.end()),
+                   expected.end());
+
+    std::vector<Value> actual = rows;
+    Value::Canonicalize(actual);
+    ASSERT_EQ(actual.size(), expected.size()) << "family " << family;
+    for (size_t i = 0; i < actual.size(); ++i) {
+      EXPECT_EQ(actual[i].Compare(expected[i]), 0)
+          << "family " << family << " row " << i << ": "
+          << actual[i].ToString() << " vs " << expected[i].ToString();
+      EXPECT_EQ(actual[i].ToString(), expected[i].ToString());
+    }
+    EXPECT_EQ(Value::Set(rows), Value::SetFromCanonical(expected));
+
+    // Non-decreasing input only drops its duplicates, without a sort.
+    std::vector<Value> sorted = rows;
+    std::sort(sorted.begin(), sorted.end());
+    EXPECT_FALSE(Value::Canonicalize(sorted));
+    EXPECT_EQ(Value::SetFromCanonical(sorted),
+              Value::SetFromCanonical(expected));
   }
 }
 
