@@ -217,6 +217,62 @@ Value ProjectWithPlan(const Instr& ins, const ShapeCache& sc,
   return out;
 }
 
+/// `v`, or the object it names when it is an oid (one counted deref):
+/// the implicit traversal of a field access through a reference.
+/// nullptr with *err set when the oid dangles.
+inline const Value* ThroughOid(const Database& db, EvalStats* stats,
+                               const Value& v, Status* err) {
+  if (!v.is_oid()) return &v;
+  ++stats->derefs;
+  const Value* obj = db.FindObject(v.oid_value());
+  if (obj == nullptr) *err = ObjectStore::DanglingOid(v.oid_value());
+  return obj;
+}
+
+/// Field names[ins.b] of `in` through kDerefField's one-entry inline
+/// cache, with kField's checks (kField keeps its own inline copy);
+/// nullptr with *err set when `in` is not a tuple or lacks the field.
+inline const Value* CachedField(const Instr& ins, const std::string& name,
+                                const Value& in, Status* err) {
+  if (!in.is_tuple()) {
+    *err = Status::RuntimeError("field access '" + name +
+                                "' on non-tuple value");
+    return nullptr;
+  }
+  const TupleShape* shape = in.tuple_shape();
+  if (shape != ins.cache_shape) {
+    ins.cache_shape = shape;
+    ins.cache_index = shape->IndexOf(name);
+  }
+  if (ins.cache_index < 0) {
+    *err = Status::RuntimeError("no field '" + name + "' in " +
+                                in.ToString());
+    return nullptr;
+  }
+  return &in.tuple_values()[static_cast<size_t>(ins.cache_index)];
+}
+
+/// kDeref: the object `ref` names, or nullptr with *err set.
+inline const Value* DerefObject(const Database& db, EvalStats* stats,
+                                const Value& ref, Status* err) {
+  if (!ref.is_oid()) {
+    *err = Status::RuntimeError("deref on non-oid value");
+    return nullptr;
+  }
+  return ThroughOid(db, stats, ref, err);
+}
+
+/// kDerefField: deref(ref).name with the unfused pair's checks in order —
+/// kDeref's, then kField's (which follows an oid-valued object once
+/// more) — reading the field off the stored object.
+inline const Value* DerefField(const Database& db, EvalStats* stats,
+                               const Instr& ins, const std::string& name,
+                               const Value& ref, Status* err) {
+  const Value* obj = DerefObject(db, stats, ref, err);
+  if (obj != nullptr) obj = ThroughOid(db, stats, *obj, err);
+  return obj == nullptr ? nullptr : CachedField(ins, name, *obj, err);
+}
+
 }  // namespace
 
 Vm::Vm(const Program* prog, const Database* db, EvalStats* stats)
@@ -247,13 +303,12 @@ bool Vm::RunRange(size_t begin, size_t end) {
 
       case OpCode::kField: {
         const Value* in = &regs[ins.a];
-        Value derefed;
         if (in->is_oid()) {
           ++stats_->derefs;
-          Result<Value> d = db_->Deref(in->oid_value());
-          if (!d.ok()) return Fail(d.status());
-          derefed = std::move(*d);
-          in = &derefed;
+          in = db_->FindObject(in->oid_value());
+          if (in == nullptr) {
+            return Fail(ObjectStore::DanglingOid(regs[ins.a].oid_value()));
+          }
         }
         const std::string& name = prog_->names[ins.b];
         if (!in->is_tuple()) {
@@ -271,6 +326,14 @@ bool Vm::RunRange(size_t begin, size_t end) {
         }
         regs[ins.dst] =
             in->tuple_values()[static_cast<size_t>(ins.cache_index)];
+        break;
+      }
+
+      case OpCode::kDerefField: {
+        const Value* f = DerefField(*db_, stats_, ins, prog_->names[ins.b],
+                                    regs[ins.a], &status_);
+        if (f == nullptr) return false;
+        regs[ins.dst] = *f;
         break;
       }
 
@@ -357,14 +420,9 @@ bool Vm::RunRange(size_t begin, size_t end) {
       }
 
       case OpCode::kDeref: {
-        const Value& in = regs[ins.a];
-        if (!in.is_oid()) {
-          return Fail(Status::RuntimeError("deref on non-oid value"));
-        }
-        ++stats_->derefs;
-        Result<Value> d = db_->Deref(in.oid_value());
-        if (!d.ok()) return Fail(d.status());
-        regs[ins.dst] = std::move(*d);
+        const Value* obj = DerefObject(*db_, stats_, regs[ins.a], &status_);
+        if (obj == nullptr) return false;
+        regs[ins.dst] = *obj;
         break;
       }
 
@@ -588,13 +646,12 @@ bool BatchVm::RunRange(size_t begin, size_t end, const uint32_t* sel,
         for (size_t s = 0; s < nsel; ++s) {
           const uint32_t l = sel[s];
           const Value* in = &src[l];
-          Value derefed;
           if (in->is_oid()) {
             ++stats_->derefs;
-            Result<Value> d = db_->Deref(in->oid_value());
-            if (!d.ok()) return Fail(d.status());
-            derefed = std::move(*d);
-            in = &derefed;
+            in = db_->FindObject(in->oid_value());
+            if (in == nullptr) {
+              return Fail(ObjectStore::DanglingOid(src[l].oid_value()));
+            }
           }
           if (!in->is_tuple()) {
             return Fail(Status::RuntimeError("field access '" + name +
@@ -612,6 +669,20 @@ bool BatchVm::RunRange(size_t begin, size_t end, const uint32_t* sel,
                                              in->ToString()));
           }
           dst[l] = in->tuple_values()[static_cast<size_t>(ins.cache_index)];
+        }
+        break;
+      }
+
+      case OpCode::kDerefField: {
+        const std::string& name = prog_->names[ins.b];
+        const std::vector<Value>& src = cols_[ins.a];
+        std::vector<Value>& dst = cols_[ins.dst];
+        for (size_t s = 0; s < nsel; ++s) {
+          const uint32_t l = sel[s];
+          const Value* f =
+              DerefField(*db_, stats_, ins, name, src[l], &status_);
+          if (f == nullptr) return false;
+          dst[l] = *f;
         }
         break;
       }
@@ -725,14 +796,9 @@ bool BatchVm::RunRange(size_t begin, size_t end, const uint32_t* sel,
         std::vector<Value>& dst = cols_[ins.dst];
         for (size_t s = 0; s < nsel; ++s) {
           const uint32_t l = sel[s];
-          const Value& in = src[l];
-          if (!in.is_oid()) {
-            return Fail(Status::RuntimeError("deref on non-oid value"));
-          }
-          ++stats_->derefs;
-          Result<Value> d = db_->Deref(in.oid_value());
-          if (!d.ok()) return Fail(d.status());
-          dst[l] = std::move(*d);
+          const Value* obj = DerefObject(*db_, stats_, src[l], &status_);
+          if (obj == nullptr) return false;
+          dst[l] = *obj;
         }
         break;
       }
@@ -1043,6 +1109,13 @@ std::string Program::Disassemble() const {
       case OpCode::kDeref:
         out += StrFormat("deref   %s <- *%s", RegName(ins.dst).c_str(),
                          RegName(ins.a).c_str());
+        break;
+      case OpCode::kDerefField:
+        out += StrFormat("dfield  %s <- *%s .%s", RegName(ins.dst).c_str(),
+                         RegName(ins.a).c_str(), names[ins.b].c_str());
+        if (ins.cache_shape != nullptr && ins.cache_index >= 0) {
+          out += StrFormat("@%d", ins.cache_index);
+        }
         break;
       case OpCode::kUnary:
         out += StrFormat("unary   %s <- %s %s", RegName(ins.dst).c_str(),

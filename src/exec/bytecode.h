@@ -62,6 +62,7 @@ enum class OpCode : uint8_t {
   kGuard,      // type check of regs[a] ahead of operand evaluation
   kMakeSet,    // dst = {operands[a..a+b)}
   kDeref,      // dst = *regs[a]
+  kDerefField, // dst = (*regs[a]).names[b]  (deref(e).a; inline cache)
   kUnary,      // dst = UnOp(flag) regs[a]
   kBinary,     // dst = regs[a] BinOp(flag) regs[b]
   kAndProbe,   // if !regs[a] { dst = false; jump b }  (bool check)
@@ -79,8 +80,9 @@ constexpr uint8_t kProjectField = 1;
 
 /// One instruction. dst and the operand fields address registers or the
 /// program's pools depending on the opcode (see OpCode). The cache
-/// fields are the kField inline cache: programs are per-operator and
-/// per-worker, so the cache is written without synchronization.
+/// fields are the kField / kDerefField inline cache: programs are
+/// per-operator and per-worker, so the cache is written without
+/// synchronization.
 struct Instr {
   OpCode op;
   uint8_t flag = 0;  // BinOp / UnOp / AggKind / quantifier-exists / ...

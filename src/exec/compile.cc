@@ -180,7 +180,18 @@ uint32_t Compiler::CompileNode(const Expr& e) {
           return dst;
         }
       }
-      uint32_t src = CompileNode(*e.child(0));
+      if (base.kind() == ExprKind::kDeref) {
+        // deref(e).a — a path step through a reference — reads the one
+        // field off the stored object instead of copying the object out
+        // first. A deref's result shape is never static, so its inline
+        // cache starts cold, as kField's would over the deref register.
+        uint32_t src = CompileNode(*base.child(0));
+        if (failed_) return kNoReg;
+        uint32_t dst = AllocReg();
+        Emit(OpCode::kDerefField, dst, src, AddName(e.name()));
+        return dst;
+      }
+      uint32_t src = CompileNode(base);
       if (failed_) return kNoReg;
       uint32_t dst = AllocReg();
       size_t at = Emit(OpCode::kField, dst, src, AddName(e.name()));

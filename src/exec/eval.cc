@@ -367,21 +367,23 @@ Result<Value> Evaluator::EvalNode(const Expr& e, Environment& env) {
     }
 
     case ExprKind::kFieldAccess: {
-      N2J_ASSIGN_OR_RETURN(Value in, EvalNode(*e.child(0), env));
+      N2J_ASSIGN_OR_RETURN(Value v, EvalNode(*e.child(0), env));
       // Implicit pointer traversal: accessing a field through a reference
-      // dereferences the oid first (path expressions, Section 6.2).
-      if (in.is_oid()) {
+      // reads it off the stored object (path expressions, Section 6.2).
+      const Value* in = &v;
+      if (v.is_oid()) {
         ++stats_.derefs;
-        N2J_ASSIGN_OR_RETURN(in, db_.Deref(in.oid_value()));
+        in = db_.FindObject(v.oid_value());
+        if (in == nullptr) return ObjectStore::DanglingOid(v.oid_value());
       }
-      if (!in.is_tuple()) {
+      if (!in->is_tuple()) {
         return Status::RuntimeError("field access '" + e.name() +
                                     "' on non-tuple value");
       }
-      const Value* f = in.FindField(e.name());
+      const Value* f = in->FindField(e.name());
       if (f == nullptr) {
         return Status::RuntimeError("no field '" + e.name() + "' in " +
-                                    in.ToString());
+                                    in->ToString());
       }
       return *f;
     }
@@ -445,7 +447,9 @@ Result<Value> Evaluator::EvalNode(const Expr& e, Environment& env) {
         return Status::RuntimeError("deref on non-oid value");
       }
       ++stats_.derefs;
-      return db_.Deref(in.oid_value());
+      const Value* obj = db_.FindObject(in.oid_value());
+      if (obj == nullptr) return ObjectStore::DanglingOid(in.oid_value());
+      return *obj;
     }
 
     case ExprKind::kUnary: {

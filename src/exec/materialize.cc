@@ -1,7 +1,6 @@
 #include "exec/materialize.h"
 
 #include <algorithm>
-#include <map>
 
 #include "common/status.h"
 #include "obs/trace.h"
@@ -10,7 +9,7 @@ namespace n2j {
 
 namespace {
 
-Result<Value> GetRef(const Value& x, const std::string& ref_attr) {
+Result<Oid> GetRef(const Value& x, const std::string& ref_attr) {
   if (!x.is_tuple()) {
     return Status::InvalidArgument("materialize input element not a tuple");
   }
@@ -19,7 +18,7 @@ Result<Value> GetRef(const Value& x, const std::string& ref_attr) {
     return Status::InvalidArgument("attribute '" + ref_attr +
                                    "' is not an oid");
   }
-  return *ref;
+  return ref->oid_value();
 }
 
 }  // namespace
@@ -41,13 +40,11 @@ Result<Value> Materialize(const Database& db, const Value& input,
     std::vector<Value> out;
     out.reserve(input.set_size());
     for (const Value& x : input.elements()) {
-      N2J_ASSIGN_OR_RETURN(Value ref, GetRef(x, ref_attr));
-      Result<Value> obj = db.Deref(ref.oid_value());
-      if (!obj.ok()) {
-        if (drop_dangling && obj.status().code() == StatusCode::kNotFound) {
-          continue;
-        }
-        return obj.status();
+      N2J_ASSIGN_OR_RETURN(Oid oid, GetRef(x, ref_attr));
+      const Value* obj = db.FindObject(oid);
+      if (obj == nullptr) {
+        if (drop_dangling) continue;
+        return ObjectStore::DanglingOid(oid);
       }
       out.push_back(x.ExceptUpdate({Field(result_attr, *obj)}));
     }
@@ -60,31 +57,29 @@ Result<Value> Materialize(const Database& db, const Value& input,
   std::vector<Oid> oids;
   oids.reserve(input.set_size());
   for (const Value& x : input.elements()) {
-    N2J_ASSIGN_OR_RETURN(Value ref, GetRef(x, ref_attr));
-    oids.push_back(ref.oid_value());
+    N2J_ASSIGN_OR_RETURN(Oid oid, GetRef(x, ref_attr));
+    oids.push_back(oid);
   }
   std::sort(oids.begin(), oids.end());
   oids.erase(std::unique(oids.begin(), oids.end()), oids.end());
 
-  std::map<Oid, Value> objects;
-  for (Oid oid : oids) {
-    Result<Value> obj = db.Deref(oid);
-    if (!obj.ok()) {
-      if (drop_dangling && obj.status().code() == StatusCode::kNotFound) {
-        continue;
-      }
-      return obj.status();
+  // objects[i] is oids[i]'s object (borrowed), nullptr if dropped.
+  std::vector<const Value*> objects(oids.size());
+  for (size_t i = 0; i < oids.size(); ++i) {
+    objects[i] = db.FindObject(oids[i]);
+    if (objects[i] == nullptr && !drop_dangling) {
+      return ObjectStore::DanglingOid(oids[i]);
     }
-    objects.emplace(oid, std::move(*obj));
   }
 
   std::vector<Value> out;
   out.reserve(input.set_size());
   for (const Value& x : input.elements()) {
     Oid oid = x.FindField(ref_attr)->oid_value();
-    auto it = objects.find(oid);
-    if (it == objects.end()) continue;  // dropped dangling reference
-    out.push_back(x.ExceptUpdate({Field(result_attr, it->second)}));
+    size_t i = static_cast<size_t>(
+        std::lower_bound(oids.begin(), oids.end(), oid) - oids.begin());
+    if (objects[i] == nullptr) continue;  // dropped dangling reference
+    out.push_back(x.ExceptUpdate({Field(result_attr, *objects[i])}));
   }
   span.RowsOut(static_cast<uint64_t>(out.size()));
   return Value::Set(std::move(out));

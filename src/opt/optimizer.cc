@@ -54,15 +54,26 @@ Choice ChooseJoin(const Database& db, const PlannerOptions& po,
   JoinShape shape = MatchJoin(e, &db);
   // Set elements per left row behind a membership conjunct (4 when the
   // container has no stats): the membership join's probes per row, and
-  // the elements a nested loop's ∃v ∈ x.c quantifier walks per pair.
+  // what a nested loop's membership test costs per pair.
   double fanout = 4.0;
+  // A nested-loop pair's work in predicate evaluations.
+  double pair_work = 1.0;
   if (shape.membership.found()) {
     const AttrStats* cs = l.Find(shape.membership.attr);
     if (cs != nullptr && cs->set_valued) {
       fanout = std::max(1.0, cs->avg_fanout);
     }
+    if (shape.membership.elem_key != nullptr) {
+      // ∃v ∈ x.c · k(v) = f(y): the quantifier walks the set.
+      pair_work = fanout;
+    } else {
+      // f(y) ∈ x.c: build the projection f(y), then binary-search the
+      // canonical set x.c.
+      pair_work = (c.pred_eval + c.emit_row +
+                   std::log2(fanout) * c.sort_per_cmp) /
+                  c.pred_eval;
+    }
   }
-  double pair_work = shape.membership.elem_key != nullptr ? fanout : 1.0;
 
   Choice best;
   for (JoinAlgorithm a : {JoinAlgorithm::kNestedLoop, JoinAlgorithm::kHash,

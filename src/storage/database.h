@@ -51,6 +51,9 @@ class Database {
 
   /// Dereferences an oid via the object store.
   Result<Value> Deref(Oid oid) const { return store_.Get(oid); }
+  /// Deref without the copy: the stored object, valid until the next
+  /// NewObject, or nullptr for a dangling oid (ObjectStore::DanglingOid).
+  const Value* FindObject(Oid oid) const { return store_.Find(oid); }
 
   /// Names of all tables (extents + plain), sorted.
   std::vector<std::string> TableNames() const;

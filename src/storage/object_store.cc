@@ -7,55 +7,114 @@ namespace n2j {
 Status ObjectStore::Put(Oid oid, Value object) {
   uint16_t cls = OidClassId(oid);
   uint64_t seq = OidSeq(oid);
-  std::vector<Value>& vec = by_class_[cls];
-  if (seq != vec.size()) {
+  if (cls >= classes_.size()) classes_.resize(size_t{cls} + 1);
+  ClassObjects& c = classes_[cls];
+  if (seq != c.objects.size()) {
     return Status::InvalidArgument(
         StrFormat("oids must be allocated densely: class %u expects seq "
                   "%llu, got %llu",
-                  cls, static_cast<unsigned long long>(vec.size()),
+                  cls, static_cast<unsigned long long>(c.objects.size()),
                   static_cast<unsigned long long>(seq)));
   }
-  vec.push_back(std::move(object));
+  if (seq % page_size_ == 0) c.page_slot.push_back(kNone);
+  c.objects.push_back(std::move(object));
   ++count_;
   return Status::OK();
 }
 
+const Value* ObjectStore::Find(Oid oid) const {
+  const Value* obj = Lookup(oid);
+  if (obj == nullptr) return nullptr;
+  std::lock_guard<std::mutex> lock(mu_);
+  ++stats_.gets;
+  TouchPage(OidClassId(oid), OidSeq(oid) / page_size_);
+  return obj;
+}
+
 Result<Value> ObjectStore::Get(Oid oid) const {
-  uint16_t cls = OidClassId(oid);
-  uint64_t seq = OidSeq(oid);
-  auto it = by_class_.find(cls);
-  if (it == by_class_.end() || seq >= it->second.size()) {
-    return Status::NotFound(StrFormat(
-        "dangling oid @%u.%llu", cls, static_cast<unsigned long long>(seq)));
-  }
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    ++stats_.gets;
-    PageId page = (static_cast<uint64_t>(cls) << 32) | (seq / page_size_);
-    TouchPage(page);
-  }
-  return it->second[seq];
+  const Value* obj = Find(oid);
+  if (obj == nullptr) return DanglingOid(oid);
+  return *obj;
 }
 
-bool ObjectStore::Contains(Oid oid) const {
-  auto it = by_class_.find(OidClassId(oid));
-  return it != by_class_.end() && OidSeq(oid) < it->second.size();
+Status ObjectStore::DanglingOid(Oid oid) {
+  return Status::NotFound(
+      StrFormat("dangling oid @%u.%llu", OidClassId(oid),
+                static_cast<unsigned long long>(OidSeq(oid))));
 }
 
-void ObjectStore::TouchPage(PageId page) const {
-  auto it = cached_.find(page);
-  if (it != cached_.end()) {
+void ObjectStore::ResetStats() const {
+  std::lock_guard<std::mutex> lock(mu_);
+  stats_.Reset();
+  for (int32_t s = head_; s != kNone; s = slots_[s].next) {
+    classes_[slots_[s].cls].page_slot[slots_[s].page] = kNone;
+  }
+  slots_.clear();  // keeps its capacity
+  head_ = tail_ = free_ = kNone;
+  cached_ = 0;
+}
+
+void ObjectStore::Unlink(int32_t s) const {
+  Slot& n = slots_[s];
+  if (n.prev != kNone) {
+    slots_[n.prev].next = n.next;
+  } else {
+    head_ = n.next;
+  }
+  if (n.next != kNone) {
+    slots_[n.next].prev = n.prev;
+  } else {
+    tail_ = n.prev;
+  }
+}
+
+void ObjectStore::PushFront(int32_t s) const {
+  Slot& n = slots_[s];
+  n.prev = kNone;
+  n.next = head_;
+  if (head_ != kNone) {
+    slots_[head_].prev = s;
+  } else {
+    tail_ = s;
+  }
+  head_ = s;
+}
+
+void ObjectStore::TouchPage(uint16_t cls, uint64_t page) const {
+  int32_t& at = classes_[cls].page_slot[page];
+  if (at != kNone) {
     ++stats_.page_hits;
-    lru_.splice(lru_.begin(), lru_, it->second);
+    if (at != head_) {
+      Unlink(at);
+      PushFront(at);
+    }
     return;
   }
   ++stats_.page_misses;
-  lru_.push_front(page);
-  cached_[page] = lru_.begin();
-  while (cached_.size() > cache_pages_) {
-    cached_.erase(lru_.back());
-    lru_.pop_back();
+  // Evict from the cold end until the new page fits — all of the list
+  // when the capacity is 0, several pages after a shrink.
+  while (cached_ > 0 && cached_ >= cache_pages_) {
+    int32_t victim = tail_;
+    Unlink(victim);
+    Slot& v = slots_[victim];
+    classes_[v.cls].page_slot[v.page] = kNone;
+    v.next = free_;
+    free_ = victim;
+    --cached_;
   }
+  if (cache_pages_ == 0) return;
+  int32_t s = free_;
+  if (s != kNone) {
+    free_ = slots_[s].next;
+  } else {
+    s = static_cast<int32_t>(slots_.size());
+    slots_.emplace_back();
+  }
+  slots_[s].cls = cls;
+  slots_[s].page = page;
+  PushFront(s);
+  at = s;
+  ++cached_;
 }
 
 }  // namespace n2j

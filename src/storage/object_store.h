@@ -2,10 +2,7 @@
 #define N2J_STORAGE_OBJECT_STORE_H_
 
 #include <cstdint>
-#include <list>
-#include <map>
 #include <mutex>
-#include <unordered_map>
 #include <vector>
 
 #include "adl/value.h"
@@ -30,6 +27,11 @@ struct StoreStats {
 /// This gives pointer dereferencing a realistic locality profile without
 /// a disk: random pointer chasing thrashes the cache, oid-sorted batched
 /// dereferencing (the assembly strategy) streams through it.
+///
+/// The LRU lives on flat arrays: each class keeps a page → cache-slot
+/// index next to its objects, and the cached pages form an intrusive
+/// doubly-linked list over a slot array with a free list. Once every
+/// page has been touched a dereference allocates nothing.
 class ObjectStore {
  public:
   /// page_size = objects per page; cache_pages = LRU capacity.
@@ -40,43 +42,77 @@ class ObjectStore {
   /// seq order per class (the Database allocator guarantees this).
   Status Put(Oid oid, Value object);
 
-  /// Dereferences an oid, updating the cost-model counters.
+  /// Dereferences an oid, updating the cost-model counters. Returns the
+  /// stored object, borrowed: it stays valid until the next Put (queries
+  /// never Put). nullptr means the oid dangles; DanglingOid(oid) is the
+  /// error to report.
+  const Value* Find(Oid oid) const;
+
+  /// Find that copies the object out, or the dangling-oid error.
   Result<Value> Get(Oid oid) const;
 
+  /// NotFound("dangling oid @cls.seq").
+  static Status DanglingOid(Oid oid);
+
   /// True if the oid maps to an object.
-  bool Contains(Oid oid) const;
+  bool Contains(Oid oid) const { return Lookup(oid) != nullptr; }
 
   size_t size() const { return count_; }
 
   const StoreStats& stats() const { return stats_; }
-  void ResetStats() const {
-    std::lock_guard<std::mutex> lock(mu_);
-    stats_.Reset();
-    lru_.clear();
-    cached_.clear();
-  }
+  void ResetStats() const;
 
   uint32_t page_size() const { return page_size_; }
+  /// Takes effect at the next page miss, which evicts down to `n`.
   void set_cache_pages(uint32_t n) { cache_pages_ = n; }
 
  private:
-  using PageId = uint64_t;  // (class_id << 32) | page index
+  static constexpr int32_t kNone = -1;
 
-  void TouchPage(PageId page) const;
+  struct ClassObjects {
+    std::vector<Value> objects;              // indexed by seq (dense)
+    mutable std::vector<int32_t> page_slot;  // page → slot, or kNone
+  };
+  /// A cached page: list links (front = most recent) and its owner.
+  struct Slot {
+    int32_t prev = kNone;
+    int32_t next = kNone;
+    uint16_t cls = 0;
+    uint64_t page = 0;
+  };
+
+  /// The object under `oid`, without touching the page model.
+  const Value* Lookup(Oid oid) const {
+    uint16_t cls = OidClassId(oid);
+    uint64_t seq = OidSeq(oid);
+    if (cls >= classes_.size() || seq >= classes_[cls].objects.size()) {
+      return nullptr;
+    }
+    return &classes_[cls].objects[seq];
+  }
+
+  void TouchPage(uint16_t cls, uint64_t page) const;
+  void Unlink(int32_t s) const;
+  void PushFront(int32_t s) const;
 
   uint32_t page_size_;
   uint32_t cache_pages_;
-  // Per class: objects indexed by seq (dense, append-only).
-  std::map<uint16_t, std::vector<Value>> by_class_;
+  // Indexed by class id (schema ids are dense from 1).
+  std::vector<ClassObjects> classes_;
   size_t count_ = 0;
 
-  // Page-cache cost model (mutable: Get() is logically const; the mutex
+  // Page-cache cost model (mutable: Find() is logically const; the mutex
   // makes concurrent dereferences from parallel workers safe — page
   // hit/miss counts then depend on interleaving, but their sum does not).
+  // The mutex guards stats_, slots_, the list heads and every page_slot
+  // entry; objects and the page_slot sizes change only in Put.
   mutable std::mutex mu_;
   mutable StoreStats stats_;
-  mutable std::list<PageId> lru_;  // front = most recent
-  mutable std::unordered_map<PageId, std::list<PageId>::iterator> cached_;
+  mutable std::vector<Slot> slots_;
+  mutable int32_t head_ = kNone;  // most recently used
+  mutable int32_t tail_ = kNone;  // least recently used
+  mutable int32_t free_ = kNone;  // free slots, linked through next
+  mutable uint32_t cached_ = 0;   // pages in the list
 };
 
 }  // namespace n2j

@@ -8,7 +8,9 @@
 
 #include <gtest/gtest.h>
 
+#include "common/str_util.h"
 #include "exec/bytecode.h"
+#include "shred/shred.h"
 #include "storage/datagen.h"
 #include "tests/test_util.h"
 
@@ -165,6 +167,121 @@ TEST_F(BytecodeTest, DerefLowersAndMatchesInterpreter) {
   EvalOptions interp;
   interp.compiled = false;
   EXPECT_EQ(EvalExpr(*sp, e, interp), EvalExpr(*sp, e));
+}
+
+// ---- deref(e).a as one instruction ----------------------------------
+
+TEST_F(BytecodeTest, GoldenDisassemblyDerefField) {
+  // deref(d.supplier).sname, a path step through a reference, is one
+  // dfield instruction; the deref's result shape is never static, so
+  // its cache starts cold.
+  auto sp = testutil::SmallSupplierDb();
+  ExprPtr body = Expr::Access(
+      Expr::Deref(Expr::Access(Expr::Var("d"), "supplier"), "Supplier"),
+      "sname");
+  CompiledLambda cl;
+  Environment env;
+  Evaluator ev(*sp);
+  const TupleShape* ds =
+      FirstElemShape(EvalExpr(*sp, Expr::Table("DELIVERY")));
+  cl.Compile(ev, *body, {"d"}, env, ds);
+  ASSERT_TRUE(cl.ok());
+  EXPECT_EQ(cl.program()->Disassemble(),
+            StrFormat("program regs=3 params=1\n"
+                      "  0: field   r1 <- r0 .supplier@%d\n"
+                      "  1: dfield  r2 <- *r1 .sname\n"
+                      "ret r2\n",
+                      ds->IndexOf("supplier")));
+}
+
+TEST_F(BytecodeTest, DerefFieldErrorsMatchInterpreter) {
+  auto sp = testutil::SmallSupplierDb();
+  // Objects the schema never makes, stored under an unused class id: a
+  // non-tuple, and an oid-valued object that a field access follows.
+  const uint16_t kOdd = 77;
+  ASSERT_TRUE(sp->store().Put(MakeOid(kOdd, 0), Value::Int(5)).ok());
+  ASSERT_TRUE(sp->store()
+                  .Put(MakeOid(kOdd, 1),
+                       Value::MakeOidValue(MakeOid(kOdd, 0)))
+                  .ok());
+  auto deref_field = [](ExprPtr ref, const char* name) {
+    return Expr::Access(Expr::Deref(std::move(ref), "Supplier"), name);
+  };
+  auto oid = [](uint16_t cls, uint64_t seq) {
+    return Expr::Const(Value::MakeOidValue(MakeOid(cls, seq)));
+  };
+  struct Case {
+    const char* label;
+    ExprPtr body;
+    const char* message;
+  };
+  const Case cases[] = {
+      {"non-oid", deref_field(Expr::Access(Expr::Var("d"), "date"), "sname"),
+       "deref on non-oid value"},
+      {"dangling seq", deref_field(oid(2, 999999), "sname"),
+       "dangling oid @2.999999"},
+      {"dangling class", deref_field(oid(900, 3), "sname"),
+       "dangling oid @900.3"},
+      {"non-tuple", deref_field(oid(kOdd, 0), "sname"),
+       "field access 'sname' on non-tuple value"},
+      {"oid object", deref_field(oid(kOdd, 1), "sname"),
+       "field access 'sname' on non-tuple value"},
+      {"missing field",
+       deref_field(Expr::Access(Expr::Var("d"), "supplier"), "zzz"),
+       "no field 'zzz' in"},
+  };
+  for (const Case& c : cases) {
+    ExprPtr e = Expr::Map("d", c.body, Expr::Table("DELIVERY"));
+    EvalOptions interp;
+    interp.compiled = false;
+    Evaluator iev(*sp, interp);
+    Result<Value> ir = iev.Eval(e);
+    Evaluator cev(*sp);
+    Result<Value> cr = cev.Eval(e);
+    ASSERT_FALSE(ir.ok()) << c.label;
+    ASSERT_FALSE(cr.ok()) << c.label;
+    EXPECT_EQ(ir.status().ToString(), cr.status().ToString()) << c.label;
+    EXPECT_NE(cr.status().message().find(c.message), std::string::npos)
+        << c.label << ": " << cr.status().ToString();
+    EXPECT_EQ(iev.stats().derefs, cev.stats().derefs) << c.label;
+    EXPECT_GT(cev.stats().compiled_evals, 0u) << c.label;
+  }
+}
+
+TEST_F(BytecodeTest, DerefFieldRunsInBothShreddedExecutors) {
+  // Q2's path step, in a map and in a select, through the shredded
+  // backend, scalar and vectorized (the column-batch VM runs the same
+  // dfield instruction): the nested backend's results and deref counts.
+  auto sp = testutil::SmallSupplierDb();
+  const char* queries[] = {
+      "select (n = d.supplier.sname, t = d.date) from d in DELIVERY",
+      "select d from d in DELIVERY where d.supplier.sname < \"s5\"",
+  };
+  for (const char* q : queries) {
+    ExprPtr e = testutil::TranslateOrDie(*sp, q);
+    EvalOptions nested;
+    EvalStats ref_stats;
+    Result<Value> ref = shred::EvalWithBackend(*sp, e, nested, &ref_stats);
+    ASSERT_TRUE(ref.ok()) << q << "\n" << ref.status().ToString();
+    EXPECT_GT(ref_stats.derefs, 0u) << q;
+    for (bool vectorized : {false, true}) {
+      EvalOptions o;
+      o.backend = Backend::kShredded;
+      o.vectorized = vectorized;
+      EvalStats stats;
+      Result<Value> got = shred::EvalWithBackend(*sp, e, o, &stats);
+      ASSERT_TRUE(got.ok()) << q << "\n" << got.status().ToString();
+      EXPECT_GT(got->set_size(), 0u) << q;
+      EXPECT_EQ(*ref, *got) << q << " vectorized=" << vectorized;
+      EXPECT_EQ(ref_stats.derefs, stats.derefs)
+          << q << " vectorized=" << vectorized;
+      if (vectorized) {
+        EXPECT_GT(stats.vec_batches, 0u) << q;
+      } else {
+        EXPECT_EQ(stats.vec_batches, 0u) << q;
+      }
+    }
+  }
 }
 
 // ---- Golden disassembly for the Figure-1 lambdas --------------------

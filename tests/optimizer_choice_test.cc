@@ -589,6 +589,56 @@ TEST(OptimizerPlannedWork, Query5PinsTheMembershipJoin) {
   EXPECT_EQ(cs.joins_nested_loop, hs.joins_nested_loop);
 }
 
+// Paper Example Query 1 rewrites to a nestjoin of SUPPLIER with
+// σ[p : red](PART) on the direct membership p[pid] ∈ s.parts. A nested
+// loop pays a projection and a binary search of s.parts per pair; priced
+// as one plain predicate evaluation, the cost planner pinned it at
+// |PART| = 100 (550 pair evaluations). Priced per pair, it pins the
+// membership join and does exactly the heuristic run's work.
+TEST(OptimizerPlannedWork, Query1PinsTheMembershipJoin) {
+  SupplierPartConfig config;
+  config.seed = 1;
+  config.num_parts = 100;
+  config.num_suppliers = 25;
+  config.parts_per_supplier = 8;
+  config.red_fraction = 0.2;
+  config.match_fraction = 0.92;
+  config.num_deliveries = 50;
+  auto db = MakeSupplierPartDatabase(config);
+  const char* q1 =
+      "select (sname = s.sname, pnames = select p.pname from p in PART "
+      "where p[pid] in s.parts and p.color = \"red\") from s in SUPPLIER";
+
+  QueryEngine heuristic(db.get());
+  PlannerOptions popts;
+  popts.strategy = PlanStrategy::kCost;
+  QueryEngine cost(db.get(), RewriteOptions(), EvalOptions(), popts);
+  Result<QueryReport> h = heuristic.Run(q1);
+  Result<QueryReport> c = cost.Run(q1);
+  ASSERT_TRUE(h.ok()) << h.status().ToString();
+  ASSERT_TRUE(c.ok()) << c.status().ToString();
+  ASSERT_NE(c->plan, nullptr);
+
+  const Expr* nest = FindJoinNode(c->plan->root);
+  ASSERT_NE(nest, nullptr);
+  ASSERT_EQ(nest->kind(), ExprKind::kNestJoin);
+  const PlanAnnotation* pa = c->plan->annotations.Find(nest);
+  ASSERT_NE(pa, nullptr);
+  EXPECT_TRUE(pa->algorithm.has_value()) << c->plan->Describe();
+  EXPECT_EQ(pa->label, "membership") << c->plan->Describe();
+
+  EXPECT_EQ(c->result, h->result);
+  const EvalStats& cs = c->exec_stats;
+  const EvalStats& hs = h->exec_stats;
+  EXPECT_EQ(cs.joins_membership, 1u);
+  EXPECT_EQ(cs.joins_nested_loop, 0u);
+  EXPECT_EQ(cs.tuples_scanned, hs.tuples_scanned);
+  EXPECT_EQ(cs.predicate_evals, hs.predicate_evals);
+  EXPECT_EQ(cs.hash_probes, hs.hash_probes);
+  EXPECT_EQ(cs.joins_membership, hs.joins_membership);
+  EXPECT_EQ(cs.joins_nested_loop, hs.joins_nested_loop);
+}
+
 // Counter golden for bench_strategy_ablation's chain3-join at n = 1024
 // (the bench's X, Y, W generator settings). Before general Rule 2 the
 // Y–W join was correlated on x and ran 960 hash joins over 3,813,169
