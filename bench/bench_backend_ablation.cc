@@ -1,5 +1,5 @@
-// Experiment: evaluation-backend ablation (ISSUE 7 + ISSUE 8) — the
-// same nested queries four ways:
+// Experiment: evaluation-backend ablation — the same nested queries
+// three ways:
 //
 //   nested-loop  naive translation, tuple-at-a-time interpretation
 //                (the paper's starting point)
@@ -7,10 +7,8 @@
 //                physical operators (the paper's destination)
 //   shredded     naive translation lowered to a DAG of flat queries
 //                over columnar relations, stitched back together,
-//                executed row-at-a-time (the ISSUE 7 engine)
-//   shred-vec    the same shredded DAG through the vectorized batch
-//                pipeline: fused select-map-join loops over column
-//                batches, batch hash probes (ISSUE 8)
+//                executed row-at-a-time, serially and over 2 and
+//                --threads workers
 //
 // Every cell asserts bit-identical results against the nested-loop
 // reference before timing (N2J_CHECK aborts fail CI); wall times land
@@ -71,7 +69,7 @@ std::unique_ptr<Database> MakeDb(int n) {
   return MakeSupplierPartDatabase(sp);
 }
 
-// --threads=N (default 4): worker count for the shred-vec-mtN columns.
+// --threads=N (default 4): worker count for the shredded-mtN columns.
 // Parsed (and stripped) in main() before benchmark::Initialize.
 int g_threads = 4;
 
@@ -79,13 +77,13 @@ int g_threads = 4;
 /// fidelity contract says it may only fail where the interpreter fails,
 /// and the interpreter succeeded on this workload).
 Value MustEvalShredded(const Database& db, const ExprPtr& e,
-                       bool vectorized = false, EvalStats* stats = nullptr,
-                       int num_threads = 1) {
+                       EvalStats* stats = nullptr, int num_threads = 1,
+                       TraceCollector* trace = nullptr) {
   EvalOptions opts;
   opts.backend = Backend::kShredded;
   opts.compiled = bench::BenchCompiledMode();
-  opts.vectorized = vectorized;
   opts.num_threads = num_threads;
+  opts.trace = trace;
   EvalStats local;
   Result<Value> r = shred::EvalWithBackend(db, e, opts, &local);
   if (!r.ok()) {
@@ -97,15 +95,36 @@ Value MustEvalShredded(const Database& db, const ExprPtr& e,
   return *r;
 }
 
+/// Times the shredded backend serially and at 2 and g_threads workers
+/// after checking each against `reference` — bit-identical results and,
+/// for the parallel runs, exactly the serial counters.
+void RunShreddedCells(bench::Trajectory* traj, const Database& db,
+                      const BackendQuery& q, const ExprPtr& naive, int n,
+                      const Value& reference, const std::string& mtN) {
+  EvalStats serial_stats, mt2_stats, mtn_stats;
+  N2J_CHECK(reference == MustEvalShredded(db, naive, &serial_stats));
+  N2J_CHECK(reference == MustEvalShredded(db, naive, &mt2_stats, 2));
+  N2J_CHECK(reference == MustEvalShredded(db, naive, &mtn_stats, g_threads));
+  N2J_CHECK(serial_stats.Compact() == mt2_stats.Compact());
+  N2J_CHECK(serial_stats.Compact() == mtn_stats.Compact());
+  double serial_ms = TimeMs([&] { MustEvalShredded(db, naive); });
+  double mt2_ms = TimeMs([&] { MustEvalShredded(db, naive, nullptr, 2); });
+  double mtn_ms =
+      TimeMs([&] { MustEvalShredded(db, naive, nullptr, g_threads); });
+  std::printf(" %12.3f %12.3f %12.3f\n", serial_ms, mt2_ms, mtn_ms);
+  traj->Add(q.tag, "shredded", n, serial_ms, serial_stats);
+  traj->Add(q.tag, "shredded-mt2", n, mt2_ms, mt2_stats);
+  traj->Add(q.tag, mtN, n, mtn_ms, mtn_stats);
+}
+
 void RunBackendComparison(bench::Trajectory* traj) {
   Section("Evaluation backend — nested-loop vs optimized vs shredded "
-          "(scalar, vectorized, morsel-parallel; results asserted "
-          "bit-identical)");
-  const std::string mtN = "shred-vec-mt" + std::to_string(g_threads);
-  const std::string mtN_hdr = "svec-mt" + std::to_string(g_threads);
-  std::printf("%-20s %6s %12s %12s %12s %12s %12s %12s\n", "query", "n",
-              "nl (ms)", "opt (ms)", "shred (ms)", "shred-vec",
-              "svec-mt2", mtN_hdr.c_str());
+          "(serial and morsel-parallel; results asserted bit-identical)");
+  const std::string mtN = "shredded-mt" + std::to_string(g_threads);
+  const std::string mtN_hdr = "shred-mt" + std::to_string(g_threads);
+  std::printf("%-20s %6s %12s %12s %12s %12s %12s\n", "query", "n",
+              "nl (ms)", "opt (ms)", "shred (ms)", "shred-mt2",
+              mtN_hdr.c_str());
   EvalOptions nl_opts;
   nl_opts.use_hash_joins = false;
   nl_opts.enable_pnhl = false;
@@ -118,60 +137,34 @@ void RunBackendComparison(bench::Trajectory* traj) {
       const ExprPtr& naive = typed->expr;
       ExprPtr optimized = MustRewrite(*db, naive).expr;
 
-      // Result-equivalence gate: every cell agrees bit-for-bit.
-      EvalStats nl_stats, opt_stats, shred_stats, vec_stats;
-      EvalStats mt2_stats, mtn_stats;
+      EvalStats nl_stats, opt_stats;
       Value reference = MustEval(*db, naive, nl_opts, &nl_stats);
-      Value opt = MustEval(*db, optimized, EvalOptions(), &opt_stats);
-      Value shredded =
-          MustEvalShredded(*db, naive, /*vectorized=*/false, &shred_stats);
-      Value vec =
-          MustEvalShredded(*db, naive, /*vectorized=*/true, &vec_stats);
-      Value mt2 = MustEvalShredded(*db, naive, /*vectorized=*/true,
-                                   &mt2_stats, /*num_threads=*/2);
-      Value mtn = MustEvalShredded(*db, naive, /*vectorized=*/true,
-                                   &mtn_stats, g_threads);
-      N2J_CHECK(reference == opt);
-      N2J_CHECK(reference == shredded);
-      N2J_CHECK(reference == vec);
-      N2J_CHECK(reference == mt2);
-      N2J_CHECK(reference == mtn);
-      // Morsel parallelism must not change the work, only the wall
-      // clock: exact counter agreement with the serial pipeline.
-      N2J_CHECK(vec_stats.Compact() == mt2_stats.Compact());
-      N2J_CHECK(vec_stats.Compact() == mtn_stats.Compact());
-
+      N2J_CHECK(reference == MustEval(*db, optimized, EvalOptions(),
+                                      &opt_stats));
       double nl_ms = TimeMs([&] { MustEval(*db, naive, nl_opts); });
       double opt_ms = TimeMs([&] { MustEval(*db, optimized); });
-      double shred_ms = TimeMs([&] { MustEvalShredded(*db, naive); });
-      double vec_ms =
-          TimeMs([&] { MustEvalShredded(*db, naive, /*vectorized=*/true); });
-      double mt2_ms = TimeMs([&] {
-        MustEvalShredded(*db, naive, /*vectorized=*/true, nullptr,
-                         /*num_threads=*/2);
-      });
-      double mtn_ms = TimeMs([&] {
-        MustEvalShredded(*db, naive, /*vectorized=*/true, nullptr, g_threads);
-      });
-      std::printf("%-20s %6d %12.3f %12.3f %12.3f %12.3f %12.3f %12.3f\n",
-                  q.tag, n, nl_ms, opt_ms, shred_ms, vec_ms, mt2_ms, mtn_ms);
+      std::printf("%-20s %6d %12.3f %12.3f", q.tag, n, nl_ms, opt_ms);
       traj->Add(q.tag, "nested-loop", n, nl_ms, nl_stats);
       traj->Add(q.tag, "optimized", n, opt_ms, opt_stats);
-      traj->Add(q.tag, "shredded", n, shred_ms, shred_stats);
-      traj->Add(q.tag, "shredded-vec", n, vec_ms, vec_stats);
-      traj->Add(q.tag, "shred-vec-mt2", n, mt2_ms, mt2_stats);
-      traj->Add(q.tag, mtN, n, mtn_ms, mtn_stats);
+      RunShreddedCells(traj, *db, q, naive, n, reference, mtN);
+
+      if (n == 1024) {
+        // One traced run per backend, outside the timed loops, feeds the
+        // trajectory's operator_profile.
+        bench::ProfileOnce(traj, *db, optimized, q.tag, "optimized", n);
+        TraceCollector tc;
+        MustEvalShredded(*db, naive, nullptr, 1, &tc);
+        traj->AddOperatorProfile(q.tag, "shredded", n, tc);
+      }
     }
   }
 
-  // Shredded-only sweep at n=4096: big enough that even the single-
-  // context self-join root splits into several candidate windows. The
-  // quadratic nested-loop reference is too slow here, so the scalar
-  // shredded engine (asserted against it at the sizes above) is the
-  // equivalence reference.
-  Section("Morsel-parallel scaling at n=4096 (shredded backends only)");
-  std::printf("%-20s %6s %12s %12s %12s %12s\n", "query", "n", "shred (ms)",
-              "shred-vec", "svec-mt2", mtN_hdr.c_str());
+  // Shredded-only sweep at n=4096: the quadratic nested-loop reference
+  // is too slow here, so the serial shredded engine (asserted against it
+  // at the sizes above) is the equivalence reference.
+  Section("Morsel-parallel scaling at n=4096 (shredded backend only)");
+  std::printf("%-20s %6s %12s %12s %12s\n", "query", "n", "shred (ms)",
+              "shred-mt2", mtN_hdr.c_str());
   {
     const int n = 4096;
     auto db = MakeDb(n);
@@ -180,50 +173,21 @@ void RunBackendComparison(bench::Trajectory* traj) {
       Result<TypedExpr> typed = tr.TranslateString(q.oosql);
       N2J_CHECK(typed.ok());
       const ExprPtr& naive = typed->expr;
-      EvalStats shred_stats, vec_stats, mt2_stats, mtn_stats;
-      Value reference =
-          MustEvalShredded(*db, naive, /*vectorized=*/false, &shred_stats);
-      Value vec =
-          MustEvalShredded(*db, naive, /*vectorized=*/true, &vec_stats);
-      Value mt2 = MustEvalShredded(*db, naive, /*vectorized=*/true,
-                                   &mt2_stats, /*num_threads=*/2);
-      Value mtn = MustEvalShredded(*db, naive, /*vectorized=*/true,
-                                   &mtn_stats, g_threads);
-      N2J_CHECK(reference == vec);
-      N2J_CHECK(reference == mt2);
-      N2J_CHECK(reference == mtn);
-      N2J_CHECK(vec_stats.Compact() == mt2_stats.Compact());
-      N2J_CHECK(vec_stats.Compact() == mtn_stats.Compact());
-
-      double shred_ms = TimeMs([&] { MustEvalShredded(*db, naive); });
-      double vec_ms =
-          TimeMs([&] { MustEvalShredded(*db, naive, /*vectorized=*/true); });
-      double mt2_ms = TimeMs([&] {
-        MustEvalShredded(*db, naive, /*vectorized=*/true, nullptr,
-                         /*num_threads=*/2);
-      });
-      double mtn_ms = TimeMs([&] {
-        MustEvalShredded(*db, naive, /*vectorized=*/true, nullptr, g_threads);
-      });
-      std::printf("%-20s %6d %12.3f %12.3f %12.3f %12.3f\n", q.tag, n,
-                  shred_ms, vec_ms, mt2_ms, mtn_ms);
-      traj->Add(q.tag, "shredded", n, shred_ms, shred_stats);
-      traj->Add(q.tag, "shredded-vec", n, vec_ms, vec_stats);
-      traj->Add(q.tag, "shred-vec-mt2", n, mt2_ms, mt2_stats);
-      traj->Add(q.tag, mtN, n, mtn_ms, mtn_stats);
+      Value reference = MustEvalShredded(*db, naive);
+      std::printf("%-20s %6d", q.tag, n);
+      RunShreddedCells(traj, *db, q, naive, n, reference, mtN);
     }
   }
   std::printf(
       "\n'nested-loop' interprets the naive translation tuple-at-a-time;\n"
       "'optimized' runs the paper's full rewrite strategy; 'shredded'\n"
       "lowers the *naive* translation to flat columnar queries and\n"
-      "stitches the nested result; 'shred-vec' runs the same flat DAG\n"
-      "in fused column batches; the mtN columns run that pipeline over\n"
-      "N worker threads (--threads, default 4) with bit-identical output\n"
-      "and exactly equal counters, asserted before timing.\n");
+      "stitches the nested result; the mtN columns run it over N worker\n"
+      "threads (--threads, default 4) with bit-identical output and\n"
+      "exactly equal counters, asserted before timing.\n");
 }
 
-enum class Fig1Mode { kOptimized, kShredded, kShreddedVec };
+enum class Fig1Mode { kOptimized, kShredded };
 
 void BM_BackendFig1(benchmark::State& state, Fig1Mode mode) {
   auto db = MakeDb(static_cast<int>(state.range(0)));
@@ -240,10 +204,6 @@ void BM_BackendFig1(benchmark::State& state, Fig1Mode mode) {
       case Fig1Mode::kShredded:
         benchmark::DoNotOptimize(MustEvalShredded(*db, naive));
         break;
-      case Fig1Mode::kShreddedVec:
-        benchmark::DoNotOptimize(
-            MustEvalShredded(*db, naive, /*vectorized=*/true));
-        break;
     }
   }
 }
@@ -253,12 +213,8 @@ void BM_Fig1Optimized(benchmark::State& state) {
 void BM_Fig1Shredded(benchmark::State& state) {
   BM_BackendFig1(state, Fig1Mode::kShredded);
 }
-void BM_Fig1ShreddedVec(benchmark::State& state) {
-  BM_BackendFig1(state, Fig1Mode::kShreddedVec);
-}
 BENCHMARK(BM_Fig1Optimized)->Arg(128)->Arg(512);
 BENCHMARK(BM_Fig1Shredded)->Arg(128)->Arg(512);
-BENCHMARK(BM_Fig1ShreddedVec)->Arg(128)->Arg(512);
 
 }  // namespace
 }  // namespace n2j

@@ -26,9 +26,6 @@
 //                    columnar relations and stitches the nested result
 //                    (EXPLAIN then shows the shredded plan); default is
 //                    the nested-loop interpreter
-//   \vectorized [on|off] toggle/set batch (column-at-a-time) execution
-//                    inside the shredded backend (no argument: toggle;
-//                    only takes effect with \backend shredded)
 //   \metrics         print the process-wide metrics registry
 //   \openmetrics     print the registry in OpenMetrics text format
 //                    (Prometheus-scrapable; ends with # EOF)
@@ -135,7 +132,6 @@ int main() {
 
   bool rewrites_enabled = true;
   bool compiled_enabled = true;
-  bool vectorized_enabled = true;
   PlanStrategy strategy = PlanStrategy::kHeuristic;
   Backend backend = Backend::kNested;
   bool profile_on = false;
@@ -167,7 +163,6 @@ int main() {
     eval_opts.backend = backend;
     eval_opts.num_threads = num_threads;
     eval_opts.compiled = compiled_enabled;
-    eval_opts.vectorized = vectorized_enabled;
     if (profile_on || !trace_path.empty()) {
       eval_opts.trace = &collector;
     }
@@ -233,24 +228,6 @@ int main() {
         }
         std::printf("compiled evaluation %s\n",
                     compiled_enabled ? "ON" : "OFF");
-      } else if (cmd == "\\vectorized") {
-        std::string arg;
-        if (iss >> arg) {
-          if (arg == "on") {
-            vectorized_enabled = true;
-          } else if (arg == "off") {
-            vectorized_enabled = false;
-          } else {
-            std::printf("usage: \\vectorized [on|off]\n");
-          }
-        } else {
-          vectorized_enabled = !vectorized_enabled;
-        }
-        std::printf("vectorized execution %s%s\n",
-                    vectorized_enabled ? "ON" : "OFF",
-                    backend == Backend::kShredded
-                        ? ""
-                        : " (takes effect under \\backend shredded)");
       } else if (cmd == "\\profile") {
         if (ParseOnOff(iss, "\\profile", &profile_on)) {
           std::printf("profiling %s\n", profile_on ? "ON" : "OFF");

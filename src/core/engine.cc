@@ -57,9 +57,6 @@ void RecordQueryOutcome(const Result<QueryReport>& r, int64_t t_start_ns,
     reg.GetCounter("n2j_compiled_evals_total").Add(s.compiled_evals);
     reg.GetCounter("n2j_interp_fallback_evals_total")
         .Add(s.interp_fallback_evals);
-    reg.GetCounter("n2j_vec_batches_total").Add(s.vec_batches);
-    reg.GetCounter("n2j_vec_pipelines_total").Add(s.vec_pipelines);
-    reg.GetCounter("n2j_vec_fallbacks_total").Add(s.vec_fallbacks);
   } else {
     reg.GetCounter("n2j_query_errors_total").Add();
   }
@@ -72,9 +69,7 @@ void RecordQueryOutcome(const Result<QueryReport>& r, int64_t t_start_ns,
   rec.backend =
       eval_options.backend == Backend::kShredded ? "shredded" : "nested";
   rec.threads = eval_options.num_threads;
-  rec.batch_size = eval_options.vector_batch_size;
   rec.compiled = eval_options.compiled;
-  rec.vectorized = eval_options.vectorized;
   rec.wall_ms = MsSince(t_start_ns);
   if (!r.ok()) {
     rec.error = r.status().ToString();

@@ -595,439 +595,6 @@ bool Vm::RunRange(size_t begin, size_t end) {
   return true;
 }
 
-BatchVm::BatchVm(const Program* prog, const Database* db, EvalStats* stats)
-    : prog_(prog), db_(db), stats_(stats) {
-  cols_.resize(prog->num_regs);
-}
-
-bool BatchVm::Run(size_t n) {
-  ++stats_->vec_batches;
-  // One program run per lane, same as the scalar Vm's one bump per
-  // tuple — compiled_evals counts evaluations, not dispatches.
-  stats_->compiled_evals += n;
-  for (std::vector<Value>& col : cols_) {
-    if (col.size() < n) col.resize(n);
-  }
-  if (all_lanes_.size() < n) {
-    size_t old = all_lanes_.size();
-    all_lanes_.resize(n);
-    for (size_t i = old; i < n; ++i) {
-      all_lanes_[i] = static_cast<uint32_t>(i);
-    }
-  }
-  return RunRange(0, prog_->code.size(), all_lanes_.data(), n);
-}
-
-bool BatchVm::RunRange(size_t begin, size_t end, const uint32_t* sel,
-                       size_t nsel) {
-  const Instr* code = prog_->code.data();
-  size_t pc = begin;
-  while (pc < end) {
-    const Instr& ins = code[pc];
-    switch (ins.op) {
-      case OpCode::kLoadConst: {
-        const Value& v = prog_->consts[ins.a];
-        std::vector<Value>& dst = cols_[ins.dst];
-        for (size_t s = 0; s < nsel; ++s) dst[sel[s]] = v;
-        break;
-      }
-
-      case OpCode::kMove: {
-        const std::vector<Value>& src = cols_[ins.a];
-        std::vector<Value>& dst = cols_[ins.dst];
-        for (size_t s = 0; s < nsel; ++s) dst[sel[s]] = src[sel[s]];
-        break;
-      }
-
-      case OpCode::kField: {
-        const std::string& name = prog_->names[ins.b];
-        const std::vector<Value>& src = cols_[ins.a];
-        std::vector<Value>& dst = cols_[ins.dst];
-        for (size_t s = 0; s < nsel; ++s) {
-          const uint32_t l = sel[s];
-          const Value* in = &src[l];
-          if (in->is_oid()) {
-            ++stats_->derefs;
-            in = db_->FindObject(in->oid_value());
-            if (in == nullptr) {
-              return Fail(ObjectStore::DanglingOid(src[l].oid_value()));
-            }
-          }
-          if (!in->is_tuple()) {
-            return Fail(Status::RuntimeError("field access '" + name +
-                                             "' on non-tuple value"));
-          }
-          // The inline cache is shared across lanes; batches over one
-          // columnar extent are monomorphic, so it hits every lane.
-          const TupleShape* shape = in->tuple_shape();
-          if (shape != ins.cache_shape) {
-            ins.cache_shape = shape;
-            ins.cache_index = shape->IndexOf(name);
-          }
-          if (ins.cache_index < 0) {
-            return Fail(Status::RuntimeError("no field '" + name + "' in " +
-                                             in->ToString()));
-          }
-          dst[l] = in->tuple_values()[static_cast<size_t>(ins.cache_index)];
-        }
-        break;
-      }
-
-      case OpCode::kDerefField: {
-        const std::string& name = prog_->names[ins.b];
-        const std::vector<Value>& src = cols_[ins.a];
-        std::vector<Value>& dst = cols_[ins.dst];
-        for (size_t s = 0; s < nsel; ++s) {
-          const uint32_t l = sel[s];
-          const Value* f =
-              DerefField(*db_, stats_, ins, name, src[l], &status_);
-          if (f == nullptr) return false;
-          dst[l] = *f;
-        }
-        break;
-      }
-
-      case OpCode::kProject: {
-        const std::vector<std::string>& names = prog_->name_lists[ins.b];
-        ShapeCache& sc = prog_->shape_caches[ins.c];
-        const std::vector<Value>& src_col = cols_[ins.a];
-        std::vector<Value>& dst = cols_[ins.dst];
-        for (size_t s = 0; s < nsel; ++s) {
-          const uint32_t l = sel[s];
-          const Value& in = src_col[l];
-          if (!in.is_tuple()) {
-            return Fail(
-                Status::RuntimeError("tuple projection on non-tuple"));
-          }
-          if (const std::string* missing =
-                  PlanProjection(sc, in.tuple_shape(), names)) {
-            return Fail(
-                Status::RuntimeError("no field '" + *missing + "' in tuple"));
-          }
-          dst[l] = ProjectWithPlan(ins, sc, in);
-        }
-        break;
-      }
-
-      case OpCode::kMakeTuple: {
-        std::vector<Value>& dst = cols_[ins.dst];
-        for (size_t s = 0; s < nsel; ++s) {
-          const uint32_t l = sel[s];
-          Value* slots = nullptr;
-          dst[l] = Value::NewTuple(prog_->shapes[ins.c], &slots);
-          for (uint32_t i = 0; i < ins.b; ++i) {
-            slots[i] = cols_[prog_->operands[ins.a + i]][l];
-          }
-        }
-        break;
-      }
-
-      case OpCode::kConcat: {
-        std::vector<Value>& dst = cols_[ins.dst];
-        for (size_t s = 0; s < nsel; ++s) {
-          const uint32_t l = sel[s];
-          Result<Value> c = ConcatTuplesChecked(cols_[ins.a][l],
-                                                cols_[ins.b][l]);
-          if (!c.ok()) return Fail(c.status());
-          dst[l] = std::move(*c);
-        }
-        break;
-      }
-
-      case OpCode::kGuard: {
-        const std::vector<Value>& src = cols_[ins.a];
-        for (size_t s = 0; s < nsel; ++s) {
-          if (!src[sel[s]].is_tuple()) {
-            return Fail(Status::RuntimeError("except on non-tuple"));
-          }
-        }
-        break;
-      }
-
-      case OpCode::kExcept: {
-        const std::vector<std::string>& names = prog_->name_lists[ins.d];
-        ShapeCache& sc = prog_->shape_caches[ins.c];
-        std::vector<Value>& dst = cols_[ins.dst];
-        for (size_t s = 0; s < nsel; ++s) {
-          const uint32_t l = sel[s];
-          const Value& base = cols_[ins.a][l];
-          if (base.tuple_shape() != sc.in) {
-            sc.in = base.tuple_shape();
-            const TupleShape* shape = sc.in;
-            sc.index.clear();
-            for (const std::string& n : names) {
-              int i = shape->IndexOf(n);
-              if (i < 0) {
-                shape = shape->ExtendedWith(n);
-                i = static_cast<int>(shape->size()) - 1;
-              }
-              sc.index.push_back(i);
-            }
-            sc.out = shape;
-          }
-          std::span<const Value> src = base.tuple_values();
-          Value* slots = nullptr;
-          Value t = Value::NewTuple(sc.out, &slots);
-          std::copy(src.begin(), src.end(), slots);
-          for (size_t k = 0; k < sc.index.size(); ++k) {
-            slots[sc.index[k]] = cols_[prog_->operands[ins.b + k]][l];
-          }
-          dst[l] = std::move(t);
-        }
-        break;
-      }
-
-      case OpCode::kMakeSet: {
-        std::vector<Value>& dst = cols_[ins.dst];
-        for (size_t s = 0; s < nsel; ++s) {
-          const uint32_t l = sel[s];
-          std::vector<Value> elems;
-          elems.reserve(ins.b);
-          for (uint32_t i = 0; i < ins.b; ++i) {
-            elems.push_back(cols_[prog_->operands[ins.a + i]][l]);
-          }
-          dst[l] = Value::Set(std::move(elems));
-        }
-        break;
-      }
-
-      case OpCode::kDeref: {
-        const std::vector<Value>& src = cols_[ins.a];
-        std::vector<Value>& dst = cols_[ins.dst];
-        for (size_t s = 0; s < nsel; ++s) {
-          const uint32_t l = sel[s];
-          const Value* obj = DerefObject(*db_, stats_, src[l], &status_);
-          if (obj == nullptr) return false;
-          dst[l] = *obj;
-        }
-        break;
-      }
-
-      case OpCode::kUnary: {
-        const UnOp op = static_cast<UnOp>(ins.flag);
-        const std::vector<Value>& src = cols_[ins.a];
-        std::vector<Value>& dst = cols_[ins.dst];
-        for (size_t s = 0; s < nsel; ++s) {
-          const uint32_t l = sel[s];
-          Result<Value> r = ApplyUnOp(op, src[l]);
-          if (!r.ok()) return Fail(r.status());
-          dst[l] = std::move(*r);
-        }
-        break;
-      }
-
-      case OpCode::kBinary: {
-        const BinOp op = static_cast<BinOp>(ins.flag);
-        const std::vector<Value>& lc = cols_[ins.a];
-        const std::vector<Value>& rc = cols_[ins.b];
-        std::vector<Value>& dst = cols_[ins.dst];
-        // Tight monomorphic loops for the comparison/arithmetic ops that
-        // dominate predicate columns; per-lane dispatch for the rest.
-        switch (op) {
-          case BinOp::kEq:
-            for (size_t s = 0; s < nsel; ++s) {
-              const uint32_t l = sel[s];
-              dst[l] = Value::Bool(lc[l] == rc[l]);
-            }
-            break;
-          case BinOp::kNe:
-            for (size_t s = 0; s < nsel; ++s) {
-              const uint32_t l = sel[s];
-              dst[l] = Value::Bool(lc[l] != rc[l]);
-            }
-            break;
-          case BinOp::kLt:
-            for (size_t s = 0; s < nsel; ++s) {
-              const uint32_t l = sel[s];
-              dst[l] = Value::Bool(lc[l].Compare(rc[l]) < 0);
-            }
-            break;
-          case BinOp::kLe:
-            for (size_t s = 0; s < nsel; ++s) {
-              const uint32_t l = sel[s];
-              dst[l] = Value::Bool(lc[l].Compare(rc[l]) <= 0);
-            }
-            break;
-          case BinOp::kGt:
-            for (size_t s = 0; s < nsel; ++s) {
-              const uint32_t l = sel[s];
-              dst[l] = Value::Bool(lc[l].Compare(rc[l]) > 0);
-            }
-            break;
-          case BinOp::kGe:
-            for (size_t s = 0; s < nsel; ++s) {
-              const uint32_t l = sel[s];
-              dst[l] = Value::Bool(lc[l].Compare(rc[l]) >= 0);
-            }
-            break;
-          default:
-            for (size_t s = 0; s < nsel; ++s) {
-              const uint32_t l = sel[s];
-              const Value& lv = lc[l];
-              const Value& rv = rc[l];
-              if ((op == BinOp::kAdd || op == BinOp::kSub ||
-                   op == BinOp::kMul) &&
-                  lv.is_int() && rv.is_int()) {
-                int64_t a = lv.int_value(), b = rv.int_value();
-                dst[l] = Value::Int(op == BinOp::kAdd   ? a + b
-                                    : op == BinOp::kSub ? a - b
-                                                        : a * b);
-                continue;
-              }
-              Result<Value> rr = ApplyBinOp(op, lv, rv);
-              if (!rr.ok()) return Fail(rr.status());
-              dst[l] = std::move(*rr);
-            }
-            break;
-        }
-        break;
-      }
-
-      case OpCode::kAndProbe:
-      case OpCode::kOrProbe: {
-        // Structured divergence: short-circuited lanes get their result
-        // now, the rest run the rhs region (which ends with the
-        // kBoolMove into dst) under a narrowed selection, and execution
-        // rejoins at the jump target with the full selection.
-        const bool is_and = ins.op == OpCode::kAndProbe;
-        const std::vector<Value>& src = cols_[ins.a];
-        std::vector<Value>& dst = cols_[ins.dst];
-        std::vector<uint32_t> taken;
-        taken.reserve(nsel);
-        for (size_t s = 0; s < nsel; ++s) {
-          const uint32_t l = sel[s];
-          const Value& v = src[l];
-          if (!v.is_bool()) {
-            return Fail(Status::RuntimeError("and/or on non-bool"));
-          }
-          if (v.bool_value() == is_and) {
-            taken.push_back(l);
-          } else {
-            dst[l] = Value::Bool(!is_and);
-          }
-        }
-        if (!taken.empty() &&
-            !RunRange(pc + 1, ins.b, taken.data(), taken.size())) {
-          return false;
-        }
-        pc = ins.b;
-        continue;
-      }
-
-      case OpCode::kBoolMove: {
-        const std::vector<Value>& src = cols_[ins.a];
-        std::vector<Value>& dst = cols_[ins.dst];
-        for (size_t s = 0; s < nsel; ++s) {
-          const uint32_t l = sel[s];
-          const Value& r = src[l];
-          if (!r.is_bool()) {
-            return Fail(Status::RuntimeError("and/or on non-bool"));
-          }
-          dst[l] = r;
-        }
-        break;
-      }
-
-      case OpCode::kQuant: {
-        // The loop trip count is data-dependent, so the body runs per
-        // lane with a one-lane selection — same element order, stats
-        // bumps, and early exit as the scalar VM.
-        const bool exists = ins.flag != 0;
-        const size_t body_begin = pc + 1;
-        const size_t body_end = body_begin + ins.c;
-        for (size_t s = 0; s < nsel; ++s) {
-          const uint32_t l = sel[s];
-          const Value range = cols_[ins.a][l];
-          if (!range.is_set()) {
-            return Fail(Status::RuntimeError("quantifier range not a set"));
-          }
-          bool result = !exists;
-          for (const Value& x : range.elements()) {
-            ++stats_->tuples_scanned;
-            ++stats_->predicate_evals;
-            cols_[ins.b][l] = x;
-            if (!RunRange(body_begin, body_end, &l, 1)) return false;
-            const Value& p = cols_[ins.d][l];
-            if (!p.is_bool()) {
-              return Fail(
-                  Status::RuntimeError("quantifier predicate not boolean"));
-            }
-            if (exists && p.bool_value()) {
-              result = true;
-              break;
-            }
-            if (!exists && !p.bool_value()) {
-              result = false;
-              break;
-            }
-          }
-          cols_[ins.dst][l] = Value::Bool(result);
-        }
-        pc = body_end;
-        continue;
-      }
-
-      case OpCode::kAggregate: {
-        const AggKind kind = static_cast<AggKind>(ins.flag);
-        const std::vector<Value>& src = cols_[ins.a];
-        std::vector<Value>& dst = cols_[ins.dst];
-        for (size_t s = 0; s < nsel; ++s) {
-          const uint32_t l = sel[s];
-          Result<Value> r = ApplyAggregate(kind, src[l]);
-          if (!r.ok()) return Fail(r.status());
-          dst[l] = std::move(*r);
-        }
-        break;
-      }
-
-      case OpCode::kSetOp: {
-        const std::vector<Value>& lc = cols_[ins.a];
-        const std::vector<Value>& rc = cols_[ins.b];
-        std::vector<Value>& dst = cols_[ins.dst];
-        for (size_t s = 0; s < nsel; ++s) {
-          const uint32_t l = sel[s];
-          const Value& lv = lc[l];
-          const Value& rv = rc[l];
-          if (!lv.is_set() || !rv.is_set()) {
-            static const char* kMsgs[] = {"union over non-sets",
-                                          "intersect over non-sets",
-                                          "difference over non-sets"};
-            return Fail(Status::RuntimeError(kMsgs[ins.flag]));
-          }
-          dst[l] = ins.flag == 0   ? lv.SetUnion(rv)
-                   : ins.flag == 1 ? lv.SetIntersect(rv)
-                                   : lv.SetDifference(rv);
-        }
-        break;
-      }
-
-      case OpCode::kMakeKey: {
-        std::vector<Value>& dst = cols_[ins.dst];
-        if (ins.b == 1) {
-          std::vector<Value>& src = cols_[prog_->operands[ins.a]];
-          for (size_t s = 0; s < nsel; ++s) {
-            const uint32_t l = sel[s];
-            dst[l] = std::move(src[l]);
-          }
-          break;
-        }
-        for (size_t s = 0; s < nsel; ++s) {
-          const uint32_t l = sel[s];
-          Value* slots = nullptr;
-          Value key = Value::NewTuple(prog_->shapes[ins.c], &slots);
-          for (uint32_t i = 0; i < ins.b; ++i) {
-            slots[i] = std::move(cols_[prog_->operands[ins.a + i]][l]);
-          }
-          dst[l] = std::move(key);
-        }
-        break;
-      }
-    }
-    ++pc;
-  }
-  return true;
-}
-
 namespace {
 
 std::string RegName(uint32_t r) { return StrFormat("r%u", r); }

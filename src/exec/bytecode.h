@@ -154,64 +154,6 @@ class Vm {
   Status status_;
 };
 
-/// Column-batch evaluation of the same Program the scalar Vm runs: each
-/// register holds a column of Values (one lane per input row) and each
-/// instruction processes every *selected* lane before the next
-/// instruction runs. Control flow stays structured, so divergence is a
-/// selection-vector split, not a per-lane program counter:
-///
-///   * kAndProbe/kOrProbe partition the selection — short-circuited
-///     lanes write their result immediately, the remaining lanes run
-///     the rhs region with a narrowed selection, and all lanes rejoin
-///     at the jump target;
-///   * kQuant runs its body per lane with a one-lane selection (the
-///     loop trip count is data-dependent), preserving the scalar VM's
-///     per-element stats bumps and early exit.
-///
-/// Per-lane evaluation order within one instruction is selection order,
-/// so across the whole program each lane performs exactly the
-/// instruction sequence the scalar Vm would — same checks, same
-/// short-circuits, same errors. Only the interleaving *across* lanes
-/// differs, which is why any lane error makes the whole batch bail
-/// (status() holds the first error in batch order, which may not be the
-/// first in row order): callers that need exact first-error semantics
-/// rerun the batch tuple-at-a-time. The vectorized shredded executor
-/// (shred/vexec.cc) does exactly that.
-///
-/// Like the scalar Vm, a BatchVm is single-consumer and reuses its
-/// column frame across Run() calls; lanes beyond the current count hold
-/// stale values that are never read (the compiler's register allocation
-/// is write-before-read for everything but parameters).
-class BatchVm {
- public:
-  BatchVm(const Program* prog, const Database* db, EvalStats* stats);
-
-  /// Parameter column for slot i. Resize to the lane count and fill
-  /// before Run (lanes beyond the filled prefix are undefined).
-  std::vector<Value>& ParamColumn(size_t i) { return cols_[i]; }
-  /// Evaluates all n lanes. False on any lane error — see status();
-  /// column contents are then unspecified.
-  bool Run(size_t n);
-  /// The result column, valid until the next Run(); the caller may move
-  /// from lanes [0, n).
-  std::vector<Value>& ResultColumn() { return cols_[prog_->ret_slot]; }
-  const Status& status() const { return status_; }
-
- private:
-  bool RunRange(size_t begin, size_t end, const uint32_t* sel, size_t nsel);
-  bool Fail(Status s) {
-    status_ = std::move(s);
-    return false;
-  }
-
-  const Program* prog_;
-  const Database* db_;
-  EvalStats* stats_;
-  std::vector<std::vector<Value>> cols_;  // one column per register
-  std::vector<uint32_t> all_lanes_;       // identity selection, reused
-  Status status_;
-};
-
 /// Value-level semantics of the scalar operators, shared by the tree
 /// interpreter and the VM so the two agree on results and error
 /// messages by construction. And/or short-circuit before evaluation and

@@ -15,10 +15,9 @@ constexpr uint32_t kNoReg = 0xffffffffu;
 
 /// RAII metrics probe around one lambda compilation. References into the
 /// process-wide registry are resolved once (instruments live forever).
-template <typename Lambda>
 class CompileProbe {
  public:
-  explicit CompileProbe(const Lambda& lambda)
+  explicit CompileProbe(const CompiledLambda& lambda)
       : lambda_(lambda), t0_ns_(MonotonicNanos()) {}
   ~CompileProbe() {
     static obs::Counter& compiles =
@@ -34,7 +33,7 @@ class CompileProbe {
   }
 
  private:
-  const Lambda& lambda_;
+  const CompiledLambda& lambda_;
   int64_t t0_ns_;
 };
 
@@ -381,7 +380,7 @@ uint32_t Compiler::CompileNode(const Expr& e) {
 }
 
 /// Compiles the key expressions and combines them exactly like
-/// JoinKeyFromParts (shared by the scalar and batch key compilers).
+/// JoinKeyFromParts.
 /// Returns the result slot, or kNoReg when any key failed to compile.
 uint32_t CompileKeyParts(Compiler& c, const std::vector<ExprPtr>& keys) {
   std::vector<uint32_t> parts;
@@ -452,53 +451,6 @@ void CompiledLambda::CompileKey(Evaluator& ev,
   CompileProbe probe(*this);
   Compiler c(ev, env);
   c.AddParam(var, param0_shape);
-  uint32_t ret = CompileKeyParts(c, keys);
-  if (c.failed()) {
-    state_ = State::kFallback;
-    return;
-  }
-  Finish(ev, std::move(c.prog), ret);
-}
-
-void CompiledBatchLambda::Finish(Evaluator& ev, Program prog,
-                                 uint32_t ret_slot) {
-  if (prog.num_regs > 0xffff) {
-    state_ = State::kFallback;
-    return;
-  }
-  prog.ret_slot = ret_slot;
-  prog_ = std::make_unique<Program>(std::move(prog));
-  vm_ = std::make_unique<BatchVm>(prog_.get(), &ev.db(), &ev.stats());
-  state_ = State::kOk;
-}
-
-void CompiledBatchLambda::Compile(Evaluator& ev, const Expr& body,
-                                  const std::vector<std::string>& params,
-                                  const Environment& env,
-                                  const TupleShape* param0_shape) {
-  CompileProbe probe(*this);
-  Compiler c(ev, env);
-  for (size_t i = 0; i < params.size(); ++i) {
-    c.AddParam(params[i], i == 0 ? param0_shape : nullptr);
-  }
-  uint32_t ret = c.CompileNode(body);
-  if (c.failed()) {
-    state_ = State::kFallback;
-    return;
-  }
-  Finish(ev, std::move(c.prog), ret);
-}
-
-void CompiledBatchLambda::CompileKey(Evaluator& ev,
-                                     const std::vector<ExprPtr>& keys,
-                                     const std::vector<std::string>& params,
-                                     const Environment& env,
-                                     const TupleShape* param0_shape) {
-  CompileProbe probe(*this);
-  Compiler c(ev, env);
-  for (size_t i = 0; i < params.size(); ++i) {
-    c.AddParam(params[i], i == 0 ? param0_shape : nullptr);
-  }
   uint32_t ret = CompileKeyParts(c, keys);
   if (c.failed()) {
     state_ = State::kFallback;

@@ -96,49 +96,6 @@ class CompiledLambda {
   std::unique_ptr<Vm> vm_;
 };
 
-/// A lambda compiled for column-batch evaluation: the same Program a
-/// CompiledLambda would build, executed by the BatchVm over parameter
-/// columns instead of one register frame per tuple. Same tri-state and
-/// whole-body-or-refuse discipline; a fallback makes the caller run
-/// that operator tuple-at-a-time. The vectorized shredded executor
-/// compiles every range predicate, join key, and scalar output of a
-/// flat node through this before committing to the batch pipeline.
-class CompiledBatchLambda {
- public:
-  /// Batch sibling of CompiledLambda::Compile; params occupy parameter
-  /// columns 0..n-1.
-  void Compile(Evaluator& ev, const Expr& body,
-               const std::vector<std::string>& params,
-               const Environment& env,
-               const TupleShape* param0_shape = nullptr);
-
-  /// Batch sibling of CompiledLambda::CompileKey, generalized to
-  /// multi-variable key expressions (probe keys reference any bound
-  /// variable of the pipeline, not just the range variable).
-  void CompileKey(Evaluator& ev, const std::vector<ExprPtr>& keys,
-                  const std::vector<std::string>& params,
-                  const Environment& env,
-                  const TupleShape* param0_shape = nullptr);
-
-  bool ok() const { return state_ == State::kOk; }
-  bool fallback() const { return state_ == State::kFallback; }
-
-  /// The column frame. Fill ParamColumn(0..n-1), Run(n), read
-  /// ResultColumn(). Precondition: ok().
-  BatchVm& vm() { return *vm_; }
-  const Status& status() const { return vm_->status(); }
-  const Program* program() const { return prog_.get(); }
-
- private:
-  enum class State { kOff, kOk, kFallback };
-
-  void Finish(Evaluator& ev, Program prog, uint32_t ret_slot);
-
-  State state_ = State::kOff;
-  std::unique_ptr<Program> prog_;
-  std::unique_ptr<BatchVm> vm_;
-};
-
 /// The compiled fragments one join-family operator invocation can use,
 /// plus the probe loop's reusable scratch. Parallel join operators build
 /// one per worker frame so every worker owns its programs (register

@@ -48,7 +48,7 @@ constexpr StatField kStatFields[] = {
     {"joins_sortmerge", "sm_joins", &EvalStats::joins_sortmerge},
     {"joins_index", "idx_joins", &EvalStats::joins_index},
     {"joins_membership", "mem_joins", &EvalStats::joins_membership},
-    {"vec_batches", "v_batch", &EvalStats::vec_batches},
+    // Always 0; kept for the traced counters perfbench/run.py reads.
     {"vec_pipelines", "v_pipe", &EvalStats::vec_pipelines},
     {"vec_fallbacks", "v_fall", &EvalStats::vec_fallbacks},
 };

@@ -58,12 +58,10 @@ struct EvalStats {
   uint64_t joins_sortmerge = 0;
   uint64_t joins_index = 0;
   uint64_t joins_membership = 0;
-  // Vectorized (batch-at-a-time) execution in the shredded backend.
-  uint64_t vec_batches = 0;    // column batches run through the batch VM
-  uint64_t vec_pipelines = 0;  // fused range pipelines executed
-  // Flat-DAG nodes that refused vectorization (opaque range, a lambda
-  // the compiler does not cover, missing columnar projection) or hit an
-  // error mid-batch and reran row-wise for exact first-error order.
+  // Always 0: counters of the removed vectorized shredded executor,
+  // kept only because perfbench/run.py --trace 1 reads
+  // exec.vec_pipelines and exec.vec_fallbacks from the traced run.
+  uint64_t vec_pipelines = 0;
   uint64_t vec_fallbacks = 0;
 
   void Reset() { *this = EvalStats(); }
@@ -172,19 +170,6 @@ struct EvalOptions {
   /// outlive the evaluation. nullptr = heuristic dispatch, exactly the
   /// pre-planner behavior.
   const PlanAnnotations* plan = nullptr;
-  /// Vectorized batch execution for the shredded backend: flat-DAG
-  /// nodes whose ranges and outputs all compile run as fused pipelines
-  /// over column batches (shred/vexec.cc) instead of tuple-at-a-time;
-  /// nodes that do not qualify fall back per node, and any mid-batch
-  /// error reruns the node row-wise so first-error order is identical.
-  /// Results are bit-equal either way (fuzzer-pinned). Ignored by the
-  /// kNested backend.
-  bool vectorized = true;
-  /// Rows per column batch in the vectorized executor. The default
-  /// balances cache residency against per-batch overhead; tests vary it
-  /// (1, 1023, 1024, 1025) to pin batch-boundary semantics. Values < 1
-  /// are clamped to 1.
-  int vector_batch_size = 1024;
 };
 
 /// What an operator knows about the rows it emits (Evaluator's

@@ -12,9 +12,13 @@ namespace fuzz {
 
 namespace {
 
-uint64_t RoundSeed(uint64_t seed, int round) {
-  uint64_t h = Fnv1a(&round, sizeof(round), seed ^ 0x6e326a5f66757a7aULL);
-  return h == 0 ? 1 : h;
+// The splitmix64 step: a bijection on 64-bit words whose output bits
+// each depend on every input bit.
+uint64_t SplitMix64(uint64_t x) {
+  x += 0x9e3779b97f4a7c15ULL;
+  x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9ULL;
+  x = (x ^ (x >> 27)) * 0x94d049bb133111ebULL;
+  return x ^ (x >> 31);
 }
 
 int64_t ElapsedMs(std::chrono::steady_clock::time_point start) {
@@ -24,6 +28,15 @@ int64_t ElapsedMs(std::chrono::steady_clock::time_point start) {
 }
 
 }  // namespace
+
+uint64_t RoundSeed(uint64_t seed, int round) {
+  // The seed is mixed before the round is added, so two campaigns meet
+  // on a round seed only if their mixed seeds differ by the difference
+  // of two round indices — for any pair of small seeds, never.
+  const uint64_t base = SplitMix64(seed ^ 0x6e326a5f66757a7aULL);
+  const uint64_t h = SplitMix64(base + static_cast<uint64_t>(round));
+  return h == 0 ? 1 : h;
+}
 
 std::string FuzzSummary::ToString() const {
   return StrFormat(

@@ -54,6 +54,12 @@ struct FuzzSummary {
   std::string ToString() const;
 };
 
+/// The per-round seed of campaign `seed` (the database tables' seed;
+/// the generator's is derived from it). Depends only on (seed, round),
+/// and different small seeds share no round seed, so each campaign
+/// draws its own queries.
+uint64_t RoundSeed(uint64_t seed, int round);
+
 /// The differential fuzzing loop: per round, build a random database
 /// (random schema + data), generate a random well-typed OOSQL query, and
 /// run the oracle across the configuration matrix. Mismatches are

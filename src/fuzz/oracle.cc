@@ -319,16 +319,12 @@ std::vector<OracleConfig> DefaultConfigMatrix() {
 
   // The shredded backend (shred/): flat-DAG translation, columnar
   // scans, hash-join expansion and id-keyed stitching must reproduce
-  // the nested-loop oracle bit-for-bit on every generated query. These
-  // four cells pin the scalar flat executor (vectorized = false) so the
-  // row-wise engine keeps its own differential coverage; the vectorized
-  // cells below flip the batch pipeline on.
+  // the nested-loop oracle bit-for-bit on every generated query.
   {
     // Naive translation, serial — shredded-vs-nested-loop head-on.
     OracleConfig c = Cell("shredded");
     c.skip_rewrite = true;
     c.eval.backend = Backend::kShredded;
-    c.eval.vectorized = false;
     m.push_back(c);
   }
   {
@@ -336,7 +332,6 @@ std::vector<OracleConfig> DefaultConfigMatrix() {
     OracleConfig c = Cell("shredded-mt4");
     c.skip_rewrite = true;
     c.eval.backend = Backend::kShredded;
-    c.eval.vectorized = false;
     c.eval.num_threads = 4;
     m.push_back(c);
   }
@@ -346,7 +341,6 @@ std::vector<OracleConfig> DefaultConfigMatrix() {
     OracleConfig c = Cell("shredded-traced");
     c.skip_rewrite = true;
     c.eval.backend = Backend::kShredded;
-    c.eval.vectorized = false;
     c.trace = true;
     m.push_back(c);
   }
@@ -356,47 +350,9 @@ std::vector<OracleConfig> DefaultConfigMatrix() {
     // seams rather than the structural fast paths.
     OracleConfig c = Cell("shredded-rewritten");
     c.eval.backend = Backend::kShredded;
-    c.eval.vectorized = false;
     m.push_back(c);
   }
 
-  // Vectorized batch execution over the shredded DAG: fused
-  // select-map-join pipelines, batch hash probes, per-node scalar
-  // fallback — must stay bit-equal to the nested-loop oracle, including
-  // first-error order across batch boundaries.
-  {
-    OracleConfig c = Cell("vectorized");
-    c.skip_rewrite = true;
-    c.eval.backend = Backend::kShredded;
-    m.push_back(c);
-  }
-  {
-    OracleConfig c = Cell("vectorized-mt4");
-    c.skip_rewrite = true;
-    c.eval.backend = Backend::kShredded;
-    c.eval.num_threads = 4;
-    m.push_back(c);
-  }
-  {
-    // Tiny batches put every query's rows across many batch boundaries
-    // — the divergence/rejoin and error-bail seams get maximal traffic.
-    OracleConfig c = Cell("vectorized-b3");
-    c.skip_rewrite = true;
-    c.eval.backend = Backend::kShredded;
-    c.eval.vector_batch_size = 3;
-    m.push_back(c);
-  }
-  {
-    // Tiny batches AND morsel parallelism: every batch becomes its own
-    // unit, so the order-restoring merge and per-worker lane compiles
-    // see the maximum number of seams per query.
-    OracleConfig c = Cell("vectorized-b3-mt4");
-    c.skip_rewrite = true;
-    c.eval.backend = Backend::kShredded;
-    c.eval.vector_batch_size = 3;
-    c.eval.num_threads = 4;
-    m.push_back(c);
-  }
   {
     // Tracing over the parallel scalar engine: worker counters must
     // merge into the delegate's stats before each shred-node span
@@ -404,7 +360,6 @@ std::vector<OracleConfig> DefaultConfigMatrix() {
     OracleConfig c = Cell("shredded-traced-mt4");
     c.skip_rewrite = true;
     c.eval.backend = Backend::kShredded;
-    c.eval.vectorized = false;
     c.eval.num_threads = 4;
     c.trace = true;
     m.push_back(c);

@@ -71,9 +71,7 @@ std::string QueryLogRecord::ToJson() const {
   AppendKv(&out, "strategy", strategy, &first);
   AppendKv(&out, "backend", backend, &first);
   AppendKv(&out, "threads", static_cast<uint64_t>(threads), &first);
-  AppendKv(&out, "batch", static_cast<uint64_t>(batch_size), &first);
   AppendKv(&out, "compiled", compiled, &first);
-  AppendKv(&out, "vectorized", vectorized, &first);
   AppendKv(&out, "wall_ms", wall_ms, &first);
   AppendKv(&out, "rewrite_ms", rewrite_ms, &first);
   AppendKv(&out, "eval_ms", eval_ms, &first);
@@ -360,9 +358,7 @@ bool QueryLogRecord::FromJson(const std::string& line, QueryLogRecord* out) {
   out->strategy = GetString(root, "strategy");
   out->backend = GetString(root, "backend");
   out->threads = static_cast<int>(GetNumber(root, "threads", 1));
-  out->batch_size = static_cast<int>(GetNumber(root, "batch", 1024));
   out->compiled = GetBool(root, "compiled", true);
-  out->vectorized = GetBool(root, "vectorized", true);
   out->wall_ms = GetNumber(root, "wall_ms", 0.0);
   out->rewrite_ms = GetNumber(root, "rewrite_ms", 0.0);
   out->eval_ms = GetNumber(root, "eval_ms", 0.0);

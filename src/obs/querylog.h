@@ -5,7 +5,7 @@
 // ring buffer of per-query records. QueryEngine::Run/RunAdl append one
 // record per finished query (success or error) — fuzzer and bench runs
 // included — so the last few thousand queries of any process are always
-// reconstructible: what ran, under which strategy/backend/thread/batch
+// reconstructible: what ran, under which strategy/backend/thread
 // configuration, how long each phase took, the exact operator counters,
 // the planner's est-vs-actual cardinalities (Q-error), and every
 // fallback the engine took.
@@ -71,9 +71,7 @@ struct QueryLogRecord {
   std::string strategy;      // "heuristic" | "cost"
   std::string backend;       // "nested" | "shredded"
   int threads = 1;
-  int batch_size = 1024;
   bool compiled = true;
-  bool vectorized = true;
 
   double wall_ms = 0.0;      // end-to-end Run latency
   double rewrite_ms = 0.0;   // rewriter phase
@@ -85,11 +83,9 @@ struct QueryLogRecord {
   std::vector<ExtentEstimate> extents; // per-extent stats drift
   double max_q = 0.0;        // max Q-error over roots + extents (0=none)
 
-  /// Fallback total: interpreter fallbacks of the compiled engine plus
-  /// vectorized fallbacks (including shredded probe-abandon reruns).
-  uint64_t fallbacks() const {
-    return stats.interp_fallback_evals + stats.vec_fallbacks;
-  }
+  /// Fallback total: per-tuple interpreter evaluations the compiled
+  /// engine fell back to.
+  uint64_t fallbacks() const { return stats.interp_fallback_evals; }
 
   /// One RFC 8259 object, single line, no trailing newline.
   std::string ToJson() const;

@@ -42,12 +42,52 @@ struct Choice {
   double cost = kInf;
 };
 
+/// Estimated rows of the set-valued operators inside `e` (table scans,
+/// maps, selects, ...): the work of evaluating `e` once when it holds a
+/// subquery. Operators without an estimate count nothing.
+double SubqueryRows(CardinalityEstimator& est, const ExprPtr& e) {
+  double rows = 0.0;
+  VisitPreOrder(e, [&](const ExprPtr& x) {
+    switch (x->kind()) {
+      case ExprKind::kGetTable:
+      case ExprKind::kMap:
+      case ExprKind::kSelect:
+      case ExprKind::kProject:
+      case ExprKind::kFlatten:
+      case ExprKind::kNest:
+      case ExprKind::kUnnest:
+      case ExprKind::kProduct:
+      case ExprKind::kJoin:
+      case ExprKind::kSemiJoin:
+      case ExprKind::kAntiJoin:
+      case ExprKind::kNestJoin:
+      case ExprKind::kDivide:
+      case ExprKind::kUnion:
+      case ExprKind::kIntersect:
+      case ExprKind::kDifference:
+        rows += std::max(0.0, est.Estimate(x).rows);
+        break;
+      default:
+        break;
+    }
+  });
+  return rows;
+}
+
+double SubqueryRows(CardinalityEstimator& est,
+                    const std::vector<ExprPtr>& keys) {
+  double rows = 0.0;
+  for (const ExprPtr& k : keys) rows += SubqueryRows(est, k);
+  return rows;
+}
+
 /// Prices the operator each requestable algorithm dispatches to on this
 /// node's shape — exactly what the evaluator would run — and returns
 /// the cheapest request.
 Choice ChooseJoin(const Database& db, const PlannerOptions& po,
-                  const Expr& e, const RelEstimate& l, const RelEstimate& r,
-                  double out, double matches) {
+                  CardinalityEstimator& est, const Expr& e,
+                  const RelEstimate& l, const RelEstimate& r, double out,
+                  double matches) {
   double lr = l.RowsOr(kDefaultRows);
   double rr = r.RowsOr(kDefaultRows);
   const CostConstants& c = po.costs;
@@ -74,6 +114,14 @@ Choice ChooseJoin(const Database& db, const PlannerOptions& po,
                   c.pred_eval;
     }
   }
+  // Subqueries in the predicate, one predicate evaluation per row they
+  // produce: a nested loop runs them for every pair, while the hashed
+  // and sorted joins run each side's keys once per row of that side.
+  pair_work += SubqueryRows(est, e.pred());
+  const double left_key_work =
+      lr * SubqueryRows(est, shape.keys.left_keys) * c.pred_eval;
+  const double right_key_work =
+      rr * SubqueryRows(est, shape.keys.right_keys) * c.pred_eval;
 
   Choice best;
   for (JoinAlgorithm a : {JoinAlgorithm::kNestedLoop, JoinAlgorithm::kHash,
@@ -85,16 +133,19 @@ Choice ChooseJoin(const Database& db, const PlannerOptions& po,
         cost = NestedLoopJoinCost(lr * pair_work, rr, out, c);
         break;
       case JoinMethod::kHash:
-        cost = HashJoinCost(lr, rr, out, c);
+        cost = HashJoinCost(lr, rr, out, c) + left_key_work + right_key_work;
         break;
       case JoinMethod::kSortMerge:
-        cost = SortMergeJoinCost(lr, rr, out, c);
+        cost = SortMergeJoinCost(lr, rr, out, c) + left_key_work +
+               right_key_work;
         break;
       case JoinMethod::kIndex:
-        cost = IndexJoinCost(lr, matches, out, c);
+        cost = IndexJoinCost(lr, matches, out, c) + left_key_work;
         break;
       case JoinMethod::kMembership:
-        cost = MembershipJoinCost(lr * fanout, rr, out, c);
+        cost = MembershipJoinCost(lr * fanout, rr, out, c) +
+               rr * SubqueryRows(est, shape.membership.right_key) *
+                   c.pred_eval;
         break;
     }
     if (cost < best.cost) best = Choice{a, JoinMethodName(m), cost};
@@ -485,7 +536,7 @@ class Annotator {
             JoinSelectivity sel = est_.EstimateJoinSelectivity(*e, l, r);
             matches = l.RowsOr(kDefaultRows) * sel.fanout;
           }
-          Choice c = ChooseJoin(db_, po_, *e, l, r, out, matches);
+          Choice c = ChooseJoin(db_, po_, est_, *e, l, r, out, matches);
           PlanAnnotation pa;
           pa.algorithm = c.algo;
           pa.est_rows = self.rows;

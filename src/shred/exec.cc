@@ -1,18 +1,78 @@
 #include <algorithm>
+#include <functional>
 #include <iterator>
+#include <memory>
 #include <optional>
-#include <unordered_map>
+#include <set>
+#include <string>
 #include <utility>
+#include <vector>
 
 #include "adl/analysis.h"
 #include "common/str_util.h"
+#include "common/thread_pool.h"
 #include "exec/equi_join.h"
-#include "shred/exec_internal.h"
+#include "exec/join_table.h"
+#include "obs/trace.h"
 #include "shred/shred.h"
+#include "storage/columnar.h"
 
 namespace n2j {
 namespace shred {
+namespace {
 
+// One column of the working relation. `extent`/`row_ids` are provenance:
+// set when the column's values are rows of a columnar extent, so a later
+// kChildAttr range can slice the CSR child relation instead of
+// re-evaluating the field access per row.
+struct Col {
+  std::string var;
+  std::vector<Value> vals;
+  std::shared_ptr<const ColumnarExtent> extent;
+  std::vector<uint32_t> row_ids;
+};
+
+// The working relation of one DAG node: context columns plus one column
+// per expanded range. `ctx[i]` is row i's synthetic parent id — the
+// index of the context row it descends from. Rows stay sorted by ctx,
+// which makes stitching a single linear pass.
+struct Rel {
+  std::vector<Col> cols;
+  std::vector<uint32_t> ctx;
+  size_t size() const { return ctx.size(); }
+};
+
+void PushRow(Environment* env, const Rel& rel, size_t row) {
+  for (const Col& c : rel.cols) env->Push(c.var, c.vals[row]);
+}
+
+void PopRow(Environment* env, const Rel& rel) {
+  for (size_t i = 0; i < rel.cols.size(); ++i) env->Pop();
+}
+
+// Concatenates `src`'s rows after `dst`'s (same skeleton). The morsel
+// merge: per-morsel slots appended in morsel order reproduce the serial
+// engine's row order exactly.
+void AppendRel(Rel* dst, Rel&& src) {
+  for (size_t i = 0; i < dst->cols.size(); ++i) {
+    Col& d = dst->cols[i];
+    Col& s = src.cols[i];
+    std::move(s.vals.begin(), s.vals.end(), std::back_inserter(d.vals));
+    d.row_ids.insert(d.row_ids.end(), s.row_ids.begin(), s.row_ids.end());
+  }
+  dst->ctx.insert(dst->ctx.end(), src.ctx.begin(), src.ctx.end());
+}
+
+// A range predicate split into equi-join keys and residual conjuncts:
+// scan_keys[i] is a function of the range variable alone, probe_keys[i]
+// of the outer bindings alone. scan_keys empty = not a join.
+struct EquiSplit {
+  std::vector<ExprPtr> scan_keys;
+  std::vector<ExprPtr> probe_keys;
+  std::vector<ExprPtr> residual;
+};
+
+/// Splits r.pred (non-null) by r.var.
 EquiSplit SplitEquiPred(const RangeSpec& r) {
   // Split p into equi-key pairs (one side a function of the range var
   // alone, the other side free of it) and residual conjuncts.
@@ -37,6 +97,118 @@ EquiSplit SplitEquiPred(const RangeSpec& r) {
   }
   return s;
 }
+
+// The build side of one range join: the scan elements' keys either in a
+// JoinTable (hash) or sorted with their element index (sort-merge).
+struct JoinBuild {
+  bool sort_merge = false;
+  JoinTable table;
+  std::vector<std::pair<Value, uint32_t>> sorted;
+};
+
+// Executes a ShredPlan. Every counter goes through the row-wise
+// delegate's stats (inner_), so all trace spans — the per-node spans
+// here and the operator spans the delegate opens — measure deltas of ONE
+// stats struct and their exclusive sums match the global counters by
+// construction.
+class ShredExecutor {
+ public:
+  ShredExecutor(const Database& db, const ShredPlan& plan,
+                const EvalOptions& opts)
+      : db_(db), plan_(plan), opts_(opts), inner_(db, InnerOpts(opts)) {}
+
+  Result<Value> Run();
+  EvalStats& stats() { return inner_.stats(); }
+
+ private:
+  // The row-wise delegate shares opts (threads, compiled, tracing) but
+  // never re-dispatches to the shredded backend.
+  static EvalOptions InnerOpts(EvalOptions o) {
+    o.backend = Backend::kNested;
+    o.plan = nullptr;
+    return o;
+  }
+
+  // ---- Morsel parallelism --------------------------------------------
+  // The coordinator partitions row ranges into morsels, each worker runs
+  // its morsels with a private row-wise delegate and a private output
+  // slot, and the coordinator concatenates the slots in morsel order —
+  // so output row order, and with it stitching and set semantics, is
+  // bit-identical to the serial engine.
+
+  /// True when EvalOptions asks for intra-query parallelism.
+  bool parallel() const { return opts_.num_threads > 1; }
+  /// The executor's pool (lazy; sink wired to the trace collector's
+  /// thread-safe worker-span timeline, like Evaluator::pool()).
+  ThreadPool& pool();
+  /// Per-worker row-wise delegates, forked lazily from inner_ and
+  /// reused across parallel sections. Invariant: their stats are zero
+  /// outside a parallel section — every section ends in
+  /// MergeWorkerStats() or ResetWorkerStats().
+  std::vector<std::unique_ptr<Evaluator>>& workers();
+  /// Folds every worker's counters into inner_.stats() — before the
+  /// enclosing span closes, so span exclusive deltas keep summing to
+  /// the globals — then zeroes the workers for the next section.
+  void MergeWorkerStats();
+  /// Zeroes worker stats without merging (the join-abandon ledger merges
+  /// a per-morsel prefix itself and discards the rest).
+  void ResetWorkerStats();
+
+  /// Executes one DAG node over its context rows. Returns one stitched
+  /// set per context row.
+  Result<std::vector<Value>> ExecNode(const FlatNode& node, Rel ctx);
+
+  /// Folds per-work-row outputs into one set per context row. `ctx` must
+  /// be non-decreasing (work rows stay sorted by context id).
+  static std::vector<Value> StitchByCtx(std::vector<Value> outs,
+                                        const std::vector<uint32_t>& ctx,
+                                        size_t nctx);
+
+  Result<Rel> ExpandRange(const RangeSpec& r, Rel work);
+  Result<std::optional<Rel>> TryJoinExpand(
+      const RangeSpec& r, const Rel& work, const std::vector<Value>& elems,
+      const std::shared_ptr<const ColumnarExtent>& columnar);
+  Result<std::vector<Value>> EvalOutputs(const OutputSpec& out,
+                                         const Rel& work);
+
+  // Row-range loop bodies, shared verbatim by the serial whole-range
+  // calls (delegate = inner_) and the parallel per-morsel calls
+  // (delegate = one worker, emitting into a private slot).
+  Status NlScanRows(Evaluator& ev, const RangeSpec& r, const Rel& work,
+                    const std::vector<Value>& elems, size_t row_begin,
+                    size_t row_end, Rel* out);
+  Status PerRowExpandRows(Evaluator& ev, const RangeSpec& r, const Rel& work,
+                          const ColumnarChild* csr, const Col* parent,
+                          size_t row_begin, size_t row_end, Rel* out);
+  /// The probe half of the hash / sort-merge join. Sets *abandoned (with
+  /// an OK status) when a probe-key evaluation fails: the caller falls
+  /// back to the nested-loop scan, which reproduces the interpreter's
+  /// behavior exactly. Residual errors propagate.
+  Status ProbeRows(Evaluator& ev, const RangeSpec& r, const Rel& work,
+                   const std::vector<Value>& elems, const EquiSplit& split,
+                   const JoinBuild& build, size_t row_begin, size_t row_end,
+                   Rel* out, bool* abandoned);
+  /// Runs `body(worker_delegate, row_begin, row_end, slot)` over morsels
+  /// of [0, nrows), each slot a copy of the (empty) skeleton `*out`,
+  /// merges worker stats, and appends the slots to `out` in morsel
+  /// order. Returns the lowest-numbered failing morsel's error.
+  Status ParallelRows(
+      size_t nrows, const char* phase,
+      const std::function<Status(Evaluator&, size_t, size_t, Rel*)>& body,
+      Rel* out);
+
+  Rel Skeleton(const Rel& work, const RangeSpec& r,
+               const std::shared_ptr<const ColumnarExtent>& columnar);
+  static void Emit(const Rel& work, size_t row, const Value& elem,
+                   uint32_t elem_row_id, Rel* out);
+
+  const Database& db_;
+  const ShredPlan& plan_;
+  EvalOptions opts_;
+  Evaluator inner_;
+  std::unique_ptr<ThreadPool> pool_;
+  std::vector<std::unique_ptr<Evaluator>> workers_;
+};
 
 Rel ShredExecutor::Skeleton(
     const Rel& work, const RangeSpec& r,
@@ -69,23 +241,6 @@ void ShredExecutor::Emit(const Rel& work, size_t row, const Value& elem,
   if (ncol.extent != nullptr) ncol.row_ids.push_back(elem_row_id);
   out->ctx.push_back(work.ctx[row]);
 }
-
-namespace {
-
-// Concatenates `src`'s rows after `dst`'s (same skeleton). The morsel
-// merge: per-morsel slots appended in morsel order reproduce the serial
-// engine's row order exactly.
-void AppendRel(Rel* dst, Rel&& src) {
-  for (size_t i = 0; i < dst->cols.size(); ++i) {
-    Col& d = dst->cols[i];
-    Col& s = src.cols[i];
-    std::move(s.vals.begin(), s.vals.end(), std::back_inserter(d.vals));
-    d.row_ids.insert(d.row_ids.end(), s.row_ids.begin(), s.row_ids.end());
-  }
-  dst->ctx.insert(dst->ctx.end(), src.ctx.begin(), src.ctx.end());
-}
-
-}  // namespace
 
 ThreadPool& ShredExecutor::pool() {
   if (pool_ == nullptr) {
@@ -211,32 +366,6 @@ Result<std::vector<Value>> ShredExecutor::ExecNode(const FlatNode& node,
   span.RowsIn(nctx);
   if (nctx == 0) return std::vector<Value>{};
 
-  if (opts_.vectorized && node.vectorizable) {
-    EvalStats before = inner_.stats();
-    Result<std::optional<std::vector<Value>>> v =
-        TryExecNodeVectorized(node, ctx, span);
-    if (v.ok() && v->has_value()) return std::move(**v);
-    // Refusal (a lambda did not compile, no columnar projection): nothing
-    // ran, the scalar engine does the node from scratch. Error: every
-    // evaluation the pipeline performed, the scalar engine performs too
-    // (unless it errors even earlier), so rerunning it surfaces the
-    // row-order first error the fidelity contract promises. The failed
-    // attempt's counters roll back to the pre-attempt snapshot first: a
-    // parallel pipeline has already run units past the erroring one
-    // (morsels don't cancel), so its partial counts are not the serial
-    // engine's partial counts — discarding the attempt entirely is the
-    // one accounting that is exact for every thread count. The node's
-    // span nets the attempt out to zero the same way.
-    if (!v.ok()) inner_.stats() = before;
-    ++inner_.stats().vec_fallbacks;
-  }
-  return ExecNodeScalar(node, std::move(ctx), span);
-}
-
-Result<std::vector<Value>> ShredExecutor::ExecNodeScalar(const FlatNode& node,
-                                                         Rel ctx,
-                                                         OpSpan& span) {
-  const size_t nctx = ctx.size();
   Rel work;
   work.cols = std::move(ctx.cols);
   work.ctx.resize(nctx);
@@ -478,24 +607,23 @@ Result<std::optional<Rel>> ShredExecutor::TryJoinExpand(
     }
   }
 
-  const bool sort_merge = opts_.join_algorithm == JoinAlgorithm::kSortMerge;
-  std::unordered_map<Value, std::vector<uint32_t>, ValueHash> buckets;
-  std::vector<std::pair<Value, uint32_t>> sorted;
-  if (sort_merge) {
-    sorted.reserve(keys.size());
+  JoinBuild build;
+  build.sort_merge = opts_.join_algorithm == JoinAlgorithm::kSortMerge;
+  if (build.sort_merge) {
+    build.sorted.reserve(keys.size());
     for (size_t i = 0; i < keys.size(); ++i) {
-      sorted.emplace_back(keys[i], static_cast<uint32_t>(i));
+      build.sorted.emplace_back(std::move(keys[i]), static_cast<uint32_t>(i));
     }
-    std::stable_sort(sorted.begin(), sorted.end(),
+    std::stable_sort(build.sorted.begin(), build.sorted.end(),
                      [](const auto& a, const auto& b) {
                        return a.first.Compare(b.first) < 0;
                      });
-    inner_.stats().rows_sorted += sorted.size();
+    inner_.stats().rows_sorted += build.sorted.size();
     ++inner_.stats().joins_sortmerge;
   } else {
-    buckets.reserve(keys.size());
+    build.table = JoinTable(keys.size());
     for (size_t i = 0; i < keys.size(); ++i) {
-      buckets[keys[i]].push_back(static_cast<uint32_t>(i));
+      build.table.Insert(std::move(keys[i]), static_cast<uint32_t>(i));
     }
     ++inner_.stats().joins_hash;
   }
@@ -503,9 +631,10 @@ Result<std::optional<Rel>> ShredExecutor::TryJoinExpand(
   inner_.stats().tuples_scanned += keys.size();
   if (opts_.trace != nullptr) {
     opts_.trace->AnnotateOpen(StrFormat(
-        " %s keys=%zu residual=%zu", sort_merge ? "sortmerge" : "hash",
+        " %s keys=%zu residual=%zu", build.sort_merge ? "sortmerge" : "hash",
         scan_keys.size(), residual.size()));
-    opts_.trace->NotePeakHash(sort_merge ? sorted.size() : buckets.size());
+    opts_.trace->NotePeakHash(build.sort_merge ? build.sorted.size()
+                                               : build.table.num_keys());
   }
 
   Rel out = Skeleton(work, r, columnar);
@@ -539,9 +668,8 @@ Result<std::optional<Rel>> ShredExecutor::TryJoinExpand(
           EvalStats before = ev.stats();
           MorselRange rg = MorselAt(nrows, morsel, m);
           bool ab = false;
-          Status st = ProbeRows(ev, r, work, elems, split, sort_merge,
-                                &buckets, &sorted, rg.begin, rg.end,
-                                &slots[m], &ab);
+          Status st = ProbeRows(ev, r, work, elems, split, build,
+                                rg.begin, rg.end, &slots[m], &ab);
           deltas[m] = ev.stats();
           deltas[m].Subtract(before);
           abandons[m] = ab ? 1 : 0;
@@ -572,23 +700,54 @@ Result<std::optional<Rel>> ShredExecutor::TryJoinExpand(
   }
 
   bool abandoned = false;
-  N2J_RETURN_IF_ERROR(ProbeRows(inner_, r, work, elems, split, sort_merge,
-                                &buckets, &sorted, 0, nrows, &out,
-                                &abandoned));
+  N2J_RETURN_IF_ERROR(ProbeRows(inner_, r, work, elems, split, build, 0,
+                                nrows, &out, &abandoned));
   if (abandoned) return std::optional<Rel>();
   return std::optional<Rel>(std::move(out));
 }
 
-Status ShredExecutor::ProbeRows(
-    Evaluator& ev, const RangeSpec& r, const Rel& work,
-    const std::vector<Value>& elems, const EquiSplit& split, bool sort_merge,
-    const std::unordered_map<Value, std::vector<uint32_t>, ValueHash>* buckets,
-    const std::vector<std::pair<Value, uint32_t>>* sorted, size_t row_begin,
-    size_t row_end, Rel* out, bool* abandoned) {
+Status ShredExecutor::ProbeRows(Evaluator& ev, const RangeSpec& r,
+                                const Rel& work,
+                                const std::vector<Value>& elems,
+                                const EquiSplit& split, const JoinBuild& build,
+                                size_t row_begin, size_t row_end, Rel* out,
+                                bool* abandoned) {
   const std::vector<ExprPtr>& probe_keys = split.probe_keys;
   const std::vector<ExprPtr>& residual = split.residual;
   Environment env;
   std::vector<Value> parts(probe_keys.size());
+  // One candidate pair: residual conjuncts run in source order with
+  // short-circuit — identical to the And chain the interpreter would walk
+  // once the (already verified) key equalities held. Errors here imply
+  // the interpreter errors on the same pair, so they propagate.
+  auto match = [&](size_t row, uint32_t idx) -> Status {
+    const Value& elem = elems[idx];
+    if (!residual.empty()) {
+      env.Push(r.var, elem);
+      ++ev.stats().predicate_evals;
+      bool pass = true;
+      Status st;
+      for (const ExprPtr& rc : residual) {
+        Result<Value> p = ev.Eval(rc, env);
+        if (!p.ok()) {
+          st = p.status();
+          break;
+        }
+        if (!p->is_bool()) {
+          st = Status::RuntimeError("selection predicate not boolean");
+          break;
+        }
+        if (!p->bool_value()) {
+          pass = false;
+          break;
+        }
+      }
+      env.Pop();
+      if (!st.ok() || !pass) return st;
+    }
+    Emit(work, row, elem, idx, out);
+    return Status::OK();
+  };
   for (size_t row = row_begin; row < row_end; ++row) {
     PushRow(&env, work, row);
     bool failed = false;
@@ -608,61 +767,26 @@ Status ShredExecutor::ProbeRows(
     Value key = JoinKeyFromParts(parts);
     ++ev.stats().hash_probes;
 
-    const uint32_t* cand = nullptr;
-    size_t ncand = 0;
-    std::vector<uint32_t> range_cands;
-    if (sort_merge) {
-      auto lo = std::lower_bound(sorted->begin(), sorted->end(), key,
+    Status st;
+    if (build.sort_merge) {
+      const auto& sorted = build.sorted;
+      auto lo = std::lower_bound(sorted.begin(), sorted.end(), key,
                                  [](const auto& p, const Value& k) {
                                    return p.first.Compare(k) < 0;
                                  });
-      auto hi = std::upper_bound(lo, sorted->end(), key,
-                                 [](const Value& k, const auto& p) {
-                                   return k.Compare(p.first) < 0;
-                                 });
-      for (auto it = lo; it != hi; ++it) range_cands.push_back(it->second);
-      cand = range_cands.data();
-      ncand = range_cands.size();
+      for (auto it = lo; it != sorted.end() && st.ok() &&
+                         key.Compare(it->first) == 0;
+           ++it) {
+        st = match(row, it->second);
+      }
     } else {
-      auto it = buckets->find(key);
-      if (it != buckets->end()) {
-        cand = it->second.data();
-        ncand = it->second.size();
+      for (uint32_t idx : build.table.Find(key)) {
+        st = match(row, idx);
+        if (!st.ok()) break;
       }
-    }
-
-    for (size_t ci = 0; ci < ncand; ++ci) {
-      const Value& elem = elems[cand[ci]];
-      bool pass = true;
-      if (!residual.empty()) {
-        // Residual conjuncts run in source order with short-circuit —
-        // identical to the And chain the interpreter would walk once the
-        // (already verified) key equalities held. Errors here imply the
-        // interpreter errors on the same pair, so they propagate.
-        env.Push(r.var, elem);
-        ++ev.stats().predicate_evals;
-        for (const ExprPtr& rc : residual) {
-          Result<Value> p = ev.Eval(rc, env);
-          if (!p.ok()) {
-            env.Pop();
-            PopRow(&env, work);
-            return p.status();
-          }
-          if (!p->is_bool()) {
-            env.Pop();
-            PopRow(&env, work);
-            return Status::RuntimeError("selection predicate not boolean");
-          }
-          if (!p->bool_value()) {
-            pass = false;
-            break;
-          }
-        }
-        env.Pop();
-      }
-      if (pass) Emit(work, row, elem, cand[ci], out);
     }
     PopRow(&env, work);
+    N2J_RETURN_IF_ERROR(st);
   }
   return Status::OK();
 }
@@ -758,6 +882,8 @@ Result<std::vector<Value>> ShredExecutor::EvalOutputs(const OutputSpec& out,
   }
   return Status::Internal("unreachable output kind");
 }
+
+}  // namespace
 
 Result<Value> EvalShredded(const Database& db, const ExprPtr& query,
                            const EvalOptions& opts, EvalStats* stats,

@@ -86,16 +86,6 @@ struct FlatNode {
   std::vector<RangeSpec> ranges;
   OutputSpec out;
   std::string label;  // trace-span / plan label ("node0 ranges=2")
-  /// Translate-time vectorization mark: every range is structural
-  /// (kExtent/kChildAttr) or a constant set, so the whole node can run
-  /// as one fused batch pipeline (vexec.cc) — survivor indices flow
-  /// between ranges, values materialize only at the outputs. A kOpaque
-  /// range (correlated subquery per work row) pins the node to the
-  /// row-wise engine. Runtime adds its own gates (every predicate and
-  /// scalar output must batch-compile, extents need a columnar
-  /// projection); a node that fails those falls back per node and
-  /// counts EvalStats::vec_fallbacks.
-  bool vectorizable = false;
 };
 
 /// A shredded query: root-level let bindings (evaluated in order before

@@ -25,14 +25,6 @@ bool Contains(const std::vector<std::string>& v, const std::string& s) {
   return std::find(v.begin(), v.end(), s) != v.end();
 }
 
-bool ContainsQuantifier(const ExprPtr& e) {
-  bool found = false;
-  VisitPreOrder(e, [&found](const ExprPtr& x) {
-    if (x->kind() == ExprKind::kQuantifier) found = true;
-  });
-  return found;
-}
-
 /// Builds the DAG bottom-up from the query's comprehension spine.
 class Translator {
  public:
@@ -226,20 +218,6 @@ class Translator {
       }
     }
     node.label = StrFormat("node%d", id);
-    node.vectorizable = !node.ranges.empty();
-    for (const RangeSpec& r : node.ranges) {
-      // Opaque ranges re-enter the interpreter per work row; batching
-      // buys nothing and the subquery rarely compiles anyway.
-      if (r.kind == RangeKind::kOpaque) node.vectorizable = false;
-      // Quantifier-dominated predicates: each lane's kQuant walks a
-      // whole inner set, so the per-tuple work dwarfs what batching
-      // saves, and materializing every (row, element) candidate first
-      // costs more than the scalar path's short-circuit scan (measured:
-      // the paper's dangling-supplier query ran ~25% slower vectorized).
-      if (r.pred != nullptr && ContainsQuantifier(r.pred)) {
-        node.vectorizable = false;
-      }
-    }
     plan_.nodes[static_cast<size_t>(id)] = std::move(node);
     return id;
   }
@@ -295,7 +273,6 @@ std::string ShredPlan::Describe() const {
     if (!n.ctx_vars.empty()) {
       out += StrFormat(" [ctx: %s]", Join(n.ctx_vars, ", ").c_str());
     }
-    if (n.vectorizable) out += " [vec]";
     out += "\n";
     for (const RangeSpec& r : n.ranges) {
       out += StrFormat("    %s in %s", r.var.c_str(), RangeKindName(r.kind));

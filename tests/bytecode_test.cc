@@ -250,8 +250,8 @@ TEST_F(BytecodeTest, DerefFieldErrorsMatchInterpreter) {
 
 TEST_F(BytecodeTest, DerefFieldRunsInBothShreddedExecutors) {
   // Q2's path step, in a map and in a select, through the shredded
-  // backend, scalar and vectorized (the column-batch VM runs the same
-  // dfield instruction): the nested backend's results and deref counts.
+  // backend's serial row loop and its morsel-parallel workers: the
+  // nested backend's results and deref counts.
   auto sp = testutil::SmallSupplierDb();
   const char* queries[] = {
       "select (n = d.supplier.sname, t = d.date) from d in DELIVERY",
@@ -264,22 +264,16 @@ TEST_F(BytecodeTest, DerefFieldRunsInBothShreddedExecutors) {
     Result<Value> ref = shred::EvalWithBackend(*sp, e, nested, &ref_stats);
     ASSERT_TRUE(ref.ok()) << q << "\n" << ref.status().ToString();
     EXPECT_GT(ref_stats.derefs, 0u) << q;
-    for (bool vectorized : {false, true}) {
+    for (int nt : {1, 4}) {
       EvalOptions o;
       o.backend = Backend::kShredded;
-      o.vectorized = vectorized;
+      o.num_threads = nt;
       EvalStats stats;
       Result<Value> got = shred::EvalWithBackend(*sp, e, o, &stats);
       ASSERT_TRUE(got.ok()) << q << "\n" << got.status().ToString();
       EXPECT_GT(got->set_size(), 0u) << q;
-      EXPECT_EQ(*ref, *got) << q << " vectorized=" << vectorized;
-      EXPECT_EQ(ref_stats.derefs, stats.derefs)
-          << q << " vectorized=" << vectorized;
-      if (vectorized) {
-        EXPECT_GT(stats.vec_batches, 0u) << q;
-      } else {
-        EXPECT_EQ(stats.vec_batches, 0u) << q;
-      }
+      EXPECT_EQ(*ref, *got) << q << " nt=" << nt;
+      EXPECT_EQ(ref_stats.derefs, stats.derefs) << q << " nt=" << nt;
     }
   }
 }
@@ -384,19 +378,6 @@ TEST_F(BytecodeTest, FoldedKeyProjectionMatchesInterpreter) {
   EXPECT_EQ(MapBothEngines(body),
             EvalExpr(*db_, Expr::Map("x", Expr::Access(Expr::Var("x"), "a"),
                                      Expr::Table("X"))));
-
-  // The column-batch VM runs the same folded instruction.
-  CompiledBatchLambda bl;
-  Environment env;
-  Evaluator ev(*db_);
-  bl.Compile(ev, *body, {"x"}, env, FirstElemShape(x));
-  ASSERT_TRUE(bl.ok());
-  std::vector<Value>& col = bl.vm().ParamColumn(0);
-  col.assign(x.elements().begin(), x.elements().end());
-  ASSERT_TRUE(bl.vm().Run(col.size()));
-  for (size_t i = 0; i < x.set_size(); ++i) {
-    EXPECT_EQ(bl.vm().ResultColumn()[i], *x.elements()[i].FindField("a"));
-  }
 }
 
 TEST_F(BytecodeTest, FoldedKeyProjectionKeepsProjectionErrors) {

@@ -25,6 +25,7 @@
 #include <chrono>
 #include <cstdio>
 #include <fstream>
+#include <iterator>
 #include <map>
 #include <sstream>
 #include <string>
@@ -637,6 +638,100 @@ TEST(OptimizerPlannedWork, Query1PinsTheMembershipJoin) {
   EXPECT_EQ(cs.hash_probes, hs.hash_probes);
   EXPECT_EQ(cs.joins_membership, hs.joins_membership);
   EXPECT_EQ(cs.joins_nested_loop, hs.joins_nested_loop);
+}
+
+/// Creates table `name` with int columns `cols` and one row per entry of
+/// `rows`.
+void AddIntTable(Database* db, const std::string& name,
+                 const std::vector<std::string>& cols,
+                 const std::vector<std::vector<int>>& rows) {
+  std::vector<TypeField> fields;
+  for (const std::string& c : cols) fields.push_back({c, Type::Int()});
+  N2J_CHECK(db->CreateTable(name, Type::Tuple(fields)).ok());
+  for (const std::vector<int>& row : rows) {
+    std::vector<Field> vals;
+    for (size_t i = 0; i < cols.size(); ++i) {
+      vals.emplace_back(cols[i], Value::Int(row[i]));
+    }
+    N2J_CHECK(db->Insert(name, Value::Tuple(std::move(vals))).ok());
+  }
+}
+
+/// Deterministic work of one run: the counters a join choice moves.
+uint64_t JoinWork(const EvalStats& s) {
+  return s.tuples_scanned + s.predicate_evals + s.hash_probes;
+}
+
+/// Runs `q` under both planners and checks that the cost planner keeps
+/// the query's one join off the nested loop, with no more deterministic
+/// work than the heuristic's hash join.
+void ExpectCostPlanAvoidsNestedLoop(Database* db, const char* q) {
+  QueryEngine heuristic(db);
+  PlannerOptions popts;
+  popts.strategy = PlanStrategy::kCost;
+  QueryEngine cost(db, RewriteOptions(), EvalOptions(), popts);
+  Result<QueryReport> h = heuristic.Run(q);
+  Result<QueryReport> c = cost.Run(q);
+  ASSERT_TRUE(h.ok()) << h.status().ToString();
+  ASSERT_TRUE(c.ok()) << c.status().ToString();
+  ASSERT_NE(c->plan, nullptr);
+  const Expr* join = FindJoinNode(c->plan->root);
+  ASSERT_NE(join, nullptr);
+  const PlanAnnotation* pa = c->plan->annotations.Find(join);
+  ASSERT_NE(pa, nullptr);
+  EXPECT_NE(pa->label, "nested-loop") << c->plan->Describe();
+
+  EXPECT_EQ(c->result, h->result);
+  EXPECT_EQ(h->exec_stats.joins_hash, 1u);
+  EXPECT_EQ(c->exec_stats.joins_nested_loop, 0u);
+  EXPECT_LE(JoinWork(c->exec_stats), JoinWork(h->exec_stats))
+      << "cost: " << c->exec_stats.Compact()
+      << "\nheuristic: " << h->exec_stats.Compact();
+}
+
+// A join key that scans a table per left row. The nestjoin of the one
+// constant row with F2 keys on max(select v0.d from v2 in F1) = v1.b.
+// Priced at one predicate evaluation per pair, the cost planner pinned a
+// nested loop (est_cost 0.001 ms) that rescans F1 for every F2 row; the
+// hash join scans it once.
+TEST(OptimizerPlannedWork, TableScanningJoinKeyAvoidsNestedLoop) {
+  auto db = std::make_unique<Database>();
+  AddIntTable(db.get(), "F1", {"a"},
+              {{0}, {3}, {5}, {3}, {1}, {4}, {6}, {7}});
+  AddIntTable(db.get(), "F2", {"a", "b"},
+              {{4, 5}, {2, 2}, {2, 3}, {4, 2}, {1, 1}, {3, 5}, {0, 1},
+               {0, 2}, {1, 3}, {3, 1}, {4, 3}, {0, 0}, {2, 4}, {2, 6},
+               {4, 7}});
+  ExpectCostPlanAvoidsNestedLoop(
+      db.get(),
+      "select v0 from v0 in {(d = 0)} where ((d = 0) in "
+      "select (d = count(F1)) from v1 in F2 "
+      "where max(select v0.d from v2 in F1) = v1.b)");
+}
+
+// Both keys hold a subquery: min(select 0 from v2 in v1.c) reads the
+// right row's set, count(select 0 from v4 in F0 where v0.a <> 0) scans
+// F0 per left row. The nested loop evaluated both per pair.
+TEST(OptimizerPlannedWork, SubqueryKeysOnBothSidesAvoidNestedLoop) {
+  auto db = std::make_unique<Database>();
+  TypePtr elem = Type::Tuple({{"d", Type::Int()}});
+  ASSERT_TRUE(db->CreateTable("F0", Type::Tuple({{"a", Type::Int()},
+                                                 {"c", Type::Set(elem)}}))
+                  .ok());
+  auto d = [](int v) { return Value::Tuple({Field("d", Value::Int(v))}); };
+  const int as[] = {0, 0, 0, 4, 4, 3, 0, 2, 3};
+  for (size_t i = 0; i < std::size(as); ++i) {
+    Value c = i == 6 ? Value::Set({d(3), d(4)}) : Value::EmptySet();
+    ASSERT_TRUE(db->Insert("F0", Value::Tuple({Field("a", Value::Int(as[i])),
+                                               Field("c", c)}))
+                    .ok());
+  }
+  AddIntTable(db.get(), "F2", {"a"}, {{1}});
+  ExpectCostPlanAvoidsNestedLoop(
+      db.get(),
+      "select v1 from v0 in F2, v1 in F0 "
+      "where min(select 0 from v2 in v1.c) = "
+      "count(select 0 from v4 in F0 where v0.a <> 0)");
 }
 
 // Counter golden for bench_strategy_ablation's chain3-join at n = 1024

@@ -29,9 +29,7 @@ QueryLogRecord SampleRecord() {
   r.strategy = "cost";
   r.backend = "shredded";
   r.threads = 4;
-  r.batch_size = 3;
   r.compiled = false;
-  r.vectorized = true;
   r.wall_ms = 12.345678;
   r.rewrite_ms = 1.5;
   r.eval_ms = 10.25;
@@ -40,7 +38,6 @@ QueryLogRecord SampleRecord() {
   r.stats.hash_probes = 77;
   r.stats.joins_hash = 3;
   r.stats.interp_fallback_evals = 5;
-  r.stats.vec_fallbacks = 2;
   r.roots.push_back(RootEstimate{"semijoin [hash keys=1]", 120.0, 100, 1.2});
   r.extents.push_back(ExtentEstimate{"SUPPLIER", 25, 50, 2.0});
   r.max_q = 2.0;
@@ -63,9 +60,7 @@ TEST(QueryLogRecord, JsonRoundTripsThroughStrictReader) {
   EXPECT_EQ(back.strategy, r.strategy);
   EXPECT_EQ(back.backend, r.backend);
   EXPECT_EQ(back.threads, r.threads);
-  EXPECT_EQ(back.batch_size, r.batch_size);
   EXPECT_EQ(back.compiled, r.compiled);
-  EXPECT_EQ(back.vectorized, r.vectorized);
   EXPECT_DOUBLE_EQ(back.wall_ms, 12.3457);  // %.6g writer precision
   EXPECT_EQ(back.rows_out, r.rows_out);
   EXPECT_EQ(back.stats.Compact(), r.stats.Compact());
@@ -79,6 +74,44 @@ TEST(QueryLogRecord, JsonRoundTripsThroughStrictReader) {
   EXPECT_EQ(back.extents[0].est, 25u);
   EXPECT_EQ(back.extents[0].actual, 50u);
   EXPECT_DOUBLE_EQ(back.max_q, 2.0);
+}
+
+TEST(QueryLogRecord, ParsesLinesWithTheRetiredBatchKeys) {
+  // A line as written before the batch executor was removed: it carries
+  // "batch" and "vectorized" keys and a "vec_batches" counter that the
+  // record no longer has. The reader skips them and keeps the rest.
+  const std::string line =
+      R"({"id":7,"hash":"0123456789abcdef",)"
+      R"("query":"select p.pname from p in PART","error":"",)"
+      R"("strategy":"cost","backend":"shredded","threads":2,"batch":64,)"
+      R"("compiled":true,"vectorized":true,"wall_ms":1.5,)"
+      R"("rewrite_ms":0.25,"eval_ms":1,"rows_out":40,"max_q":0,)"
+      R"("stats":{"tuples_scanned":40,"predicate_evals":0,)"
+      R"("hash_inserts":0,"hash_probes":0,"rows_sorted":0,)"
+      R"("set_sorted_rows":0,"index_probes":0,"pnhl_partitions":0,)"
+      R"("derefs":0,"nodes_evaluated":0,"compiled_evals":0,)"
+      R"("interp_fallback_evals":3,"joins_nested_loop":0,"joins_hash":0,)"
+      R"("joins_sortmerge":0,"joins_index":0,"joins_membership":0,)"
+      R"("vec_batches":1,"vec_pipelines":1,"vec_fallbacks":0},)"
+      R"("roots":[],"extents":[]})";
+  QueryLogRecord r;
+  ASSERT_TRUE(QueryLogRecord::FromJson(line, &r));
+  EXPECT_EQ(r.id, 7u);
+  EXPECT_EQ(r.query_hash, 0x0123456789abcdefULL);
+  EXPECT_EQ(r.query, "select p.pname from p in PART");
+  EXPECT_EQ(r.backend, "shredded");
+  EXPECT_EQ(r.threads, 2);
+  EXPECT_TRUE(r.compiled);
+  EXPECT_DOUBLE_EQ(r.wall_ms, 1.5);
+  EXPECT_EQ(r.rows_out, 40u);
+  EXPECT_EQ(r.stats.tuples_scanned, 40u);
+  EXPECT_EQ(r.stats.vec_pipelines, 1u);
+  EXPECT_EQ(r.fallbacks(), 3u);
+  // Written back, the line has none of the retired keys.
+  const std::string again = r.ToJson();
+  EXPECT_EQ(again.find("\"batch\""), std::string::npos) << again;
+  EXPECT_EQ(again.find("\"vectorized\""), std::string::npos) << again;
+  EXPECT_EQ(again.find("vec_batches"), std::string::npos) << again;
 }
 
 TEST(QueryLogRecord, FromJsonRejectsMalformedInput) {
