@@ -94,9 +94,11 @@ void PrintLogRecord(const obs::QueryLogRecord& r) {
   char qbuf[16] = "-";
   if (r.max_q >= 1.0) std::snprintf(qbuf, sizeof(qbuf), "%.2f", r.max_q);
   std::printf(
-      "  #%-5llu %8.3fms (rw %.3f, eval %.3f) rows=%llu fb=%llu q=%s  %s\n",
-      static_cast<unsigned long long>(r.id), r.wall_ms, r.rewrite_ms,
-      r.eval_ms, static_cast<unsigned long long>(r.rows_out),
+      "  #%-5llu %8.3fms (tr %.3f, rw %.3f, plan %.3f, eval %.3f) rows=%llu "
+      "fb=%llu q=%s  %s\n",
+      static_cast<unsigned long long>(r.id), r.wall_ms, r.translate_ms,
+      r.rewrite_ms, r.plan_ms, r.eval_ms,
+      static_cast<unsigned long long>(r.rows_out),
       static_cast<unsigned long long>(r.fallbacks()), qbuf, q.c_str());
 }
 

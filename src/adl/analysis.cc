@@ -1,5 +1,7 @@
 #include "adl/analysis.h"
 
+#include <algorithm>
+
 #include "common/status.h"
 
 namespace n2j {
@@ -26,29 +28,56 @@ bool IsBoundChild(const Expr& e, size_t i) {
   }
 }
 
-void CollectFree(const ExprPtr& e, std::set<std::string>& bound,
-                 std::set<std::string>* out) {
-  if (e->kind() == ExprKind::kVar) {
-    if (bound.count(e->name()) == 0) out->insert(e->name());
+/// Names borrowed from a tree's nodes, which outlive the walk.
+using NameRefs = std::vector<const std::string*>;
+
+/// Appends every free occurrence in `e` (duplicates included); `bound`
+/// is the stack of binders in scope.
+void CollectFree(const Expr& e, NameRefs& bound, NameRefs* out) {
+  if (e.kind() == ExprKind::kVar) {
+    for (const std::string* b : bound) {
+      if (*b == e.name()) return;
+    }
+    out->push_back(&e.name());
     return;
   }
-  for (size_t i = 0; i < e->num_children(); ++i) {
-    bool shadows1 = IsBoundChild(*e, i) && !e->var().empty();
-    bool shadows2 = IsBoundChild(*e, i) && !e->var2().empty();
-    bool added1 = shadows1 && bound.insert(e->var()).second;
-    bool added2 = shadows2 && bound.insert(e->var2()).second;
-    CollectFree(e->child(i), bound, out);
-    if (added1) bound.erase(e->var());
-    if (added2) bound.erase(e->var2());
+  for (size_t i = 0; i < e.num_children(); ++i) {
+    const size_t depth = bound.size();
+    if (IsBoundChild(e, i)) {
+      if (!e.var().empty()) bound.push_back(&e.var());
+      if (!e.var2().empty()) bound.push_back(&e.var2());
+    }
+    CollectFree(*e.child(i), bound, out);
+    bound.resize(depth);
   }
+}
+
+bool NameLess(const std::string* a, const std::string* b) { return *a < *b; }
+
+/// Sorts `names` by value and drops repeats.
+void SortUnique(NameRefs* names) {
+  std::sort(names->begin(), names->end(), NameLess);
+  names->erase(std::unique(names->begin(), names->end(),
+                           [](const std::string* a, const std::string* b) {
+                             return *a == *b;
+                           }),
+               names->end());
 }
 
 }  // namespace
 
-std::set<std::string> FreeVars(const ExprPtr& e) {
-  std::set<std::string> bound;
-  std::set<std::string> out;
-  CollectFree(e, bound, &out);
+bool HasVar(const VarSet& vars, const std::string& v) {
+  return std::binary_search(vars.begin(), vars.end(), v);
+}
+
+VarSet FreeVars(const ExprPtr& e) {
+  NameRefs bound;
+  NameRefs free;
+  CollectFree(*e, bound, &free);
+  SortUnique(&free);
+  VarSet out;
+  out.reserve(free.size());
+  for (const std::string* v : free) out.push_back(*v);
   return out;
 }
 
@@ -70,21 +99,22 @@ bool ContainsBaseTable(const ExprPtr& e) {
   return false;
 }
 
-bool IsUncorrelated(const ExprPtr& e, const std::set<std::string>& vars) {
-  std::set<std::string> free = FreeVars(e);
+bool IsUncorrelated(const ExprPtr& e,
+                    const std::vector<std::string>& vars) {
+  VarSet free = FreeVars(e);
   for (const std::string& v : vars) {
-    if (free.count(v) > 0) return false;
+    if (HasVar(free, v)) return false;
   }
   return true;
 }
 
 namespace {
 
-void CollectAllVars(const ExprPtr& e, std::set<std::string>* out) {
-  if (e->kind() == ExprKind::kVar) out->insert(e->name());
-  if (!e->var().empty()) out->insert(e->var());
-  if (!e->var2().empty()) out->insert(e->var2());
-  for (const ExprPtr& c : e->children()) CollectAllVars(c, out);
+void CollectAllVars(const Expr& e, NameRefs* out) {
+  if (e.kind() == ExprKind::kVar) out->push_back(&e.name());
+  if (!e.var().empty()) out->push_back(&e.var());
+  if (!e.var2().empty()) out->push_back(&e.var2());
+  for (const ExprPtr& c : e.children()) CollectAllVars(*c, out);
 }
 
 /// Rebuilds a binder node with a renamed bound variable (var or var2).
@@ -145,13 +175,18 @@ ExprPtr RenameBinder(const ExprPtr& e, bool second, const std::string& fresh) {
 }  // namespace
 
 std::set<std::string> AllVars(const ExprPtr& e) {
+  NameRefs vars;
+  CollectAllVars(*e, &vars);
   std::set<std::string> out;
-  CollectAllVars(e, &out);
+  for (const std::string* v : vars) out.insert(*v);
   return out;
 }
 
-ExprPtr Substitute(const ExprPtr& e, const std::string& var,
-                   const ExprPtr& replacement) {
+namespace {
+
+/// Substitute with the replacement's free variables computed once.
+ExprPtr SubstituteRec(const ExprPtr& e, const std::string& var,
+                      const ExprPtr& replacement, const VarSet& repl_free) {
   if (e->kind() == ExprKind::kVar) {
     return e->name() == var ? replacement : e;
   }
@@ -159,12 +194,11 @@ ExprPtr Substitute(const ExprPtr& e, const std::string& var,
   // Alpha-rename binders that would capture free variables of the
   // replacement, or that shadow `var` (in which case the bound children
   // must not be rewritten).
-  std::set<std::string> repl_free = FreeVars(replacement);
   for (int pass = 0; pass < 2; ++pass) {
     bool second = pass == 1;
     const std::string& bv = second ? node->var2() : node->var();
     if (bv.empty() || bv == var) continue;
-    if (repl_free.count(bv) > 0) {
+    if (HasVar(repl_free, bv)) {
       // Would capture: rename the binder first.
       std::string fresh = FreshVar(bv, {node, replacement});
       node = RenameBinder(node, second, fresh);
@@ -179,12 +213,23 @@ ExprPtr Substitute(const ExprPtr& e, const std::string& var,
       kids.push_back(node->child(i));
       continue;
     }
-    ExprPtr nc = Substitute(node->child(i), var, replacement);
+    ExprPtr nc = SubstituteRec(node->child(i), var, replacement, repl_free);
     if (nc != node->child(i)) changed = true;
     kids.push_back(std::move(nc));
   }
   if (!changed && node == e) return e;
   return node->WithChildren(std::move(kids));
+}
+
+}  // namespace
+
+ExprPtr Substitute(const ExprPtr& e, const std::string& var,
+                   const ExprPtr& replacement) {
+  // A variable leaf needs no free-variable set.
+  if (e->kind() == ExprKind::kVar) {
+    return e->name() == var ? replacement : e;
+  }
+  return SubstituteRec(e, var, replacement, FreeVars(replacement));
 }
 
 std::string FreshVar(const std::string& hint, const ExprPtr& e) {
@@ -193,12 +238,16 @@ std::string FreshVar(const std::string& hint, const ExprPtr& e) {
 
 std::string FreshVar(const std::string& hint,
                      const std::vector<ExprPtr>& exprs) {
-  std::set<std::string> used;
-  for (const ExprPtr& e : exprs) CollectAllVars(e, &used);
-  if (used.count(hint) == 0) return hint;
+  NameRefs used;
+  for (const ExprPtr& e : exprs) CollectAllVars(*e, &used);
+  SortUnique(&used);
+  auto taken = [&used](const std::string& name) {
+    return std::binary_search(used.begin(), used.end(), &name, NameLess);
+  };
+  if (!taken(hint)) return hint;
   for (int i = 1;; ++i) {
     std::string cand = hint + std::to_string(i);
-    if (used.count(cand) == 0) return cand;
+    if (!taken(cand)) return cand;
   }
 }
 

@@ -4,14 +4,23 @@
 #include <functional>
 #include <set>
 #include <string>
+#include <vector>
 
 #include "adl/expr.h"
 
 namespace n2j {
 
+/// A set of variable names: a sorted, duplicate-free vector. A query
+/// tree has a handful of variables, where one flat vector beats a
+/// node-per-name std::set.
+using VarSet = std::vector<std::string>;
+
+/// True if the VarSet `vars` holds `v`.
+bool HasVar(const VarSet& vars, const std::string& v);
+
 /// Returns the free variables of `e` (variables not bound by an enclosing
 /// map/select/quantifier/join/let binder within `e` itself).
-std::set<std::string> FreeVars(const ExprPtr& e);
+VarSet FreeVars(const ExprPtr& e);
 
 /// True if `var` occurs free in `e`.
 bool IsFreeIn(const std::string& var, const ExprPtr& e);
@@ -21,9 +30,9 @@ bool IsFreeIn(const std::string& var, const ExprPtr& e);
 /// iterator parameter expressions.
 bool ContainsBaseTable(const ExprPtr& e);
 
-/// True if `e` is an *uncorrelated* expression w.r.t. the given variables:
-/// none of them occur free in `e`.
-bool IsUncorrelated(const ExprPtr& e, const std::set<std::string>& vars);
+/// True if `e` is an *uncorrelated* expression w.r.t. the given variables
+/// (in any order): none of them occur free in `e`.
+bool IsUncorrelated(const ExprPtr& e, const std::vector<std::string>& vars);
 
 /// Capture-avoiding substitution of `replacement` for free occurrences of
 /// `var` in `e`. Binders shadow as usual; N2J_CHECKs against variable

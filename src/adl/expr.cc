@@ -98,36 +98,45 @@ bool IsSetComparisonOp(BinOp op) {
   }
 }
 
+std::shared_ptr<Expr> Expr::New(ExprKind kind) {
+  // One allocation for the node and its reference counts. The local
+  // class may call the private constructor; std::make_shared may not.
+  struct Node : Expr {
+    explicit Node(ExprKind k) : Expr(k) {}
+  };
+  return std::make_shared<Node>(kind);
+}
+
 ExprPtr Expr::Const(Value v) {
-  Expr* e = new Expr(ExprKind::kConst);
+  std::shared_ptr<Expr> e = New(ExprKind::kConst);
   e->value_ = std::move(v);
-  return ExprPtr(e);
+  return e;
 }
 
 ExprPtr Expr::Var(std::string name) {
-  Expr* e = new Expr(ExprKind::kVar);
+  std::shared_ptr<Expr> e = New(ExprKind::kVar);
   e->name_ = std::move(name);
-  return ExprPtr(e);
+  return e;
 }
 
 ExprPtr Expr::Table(std::string name) {
-  Expr* e = new Expr(ExprKind::kGetTable);
+  std::shared_ptr<Expr> e = New(ExprKind::kGetTable);
   e->name_ = std::move(name);
-  return ExprPtr(e);
+  return e;
 }
 
 ExprPtr Expr::Let(std::string var, ExprPtr def, ExprPtr body) {
-  Expr* e = new Expr(ExprKind::kLet);
+  std::shared_ptr<Expr> e = New(ExprKind::kLet);
   e->var_ = std::move(var);
   e->children_ = {std::move(def), std::move(body)};
-  return ExprPtr(e);
+  return e;
 }
 
 ExprPtr Expr::Access(ExprPtr in, std::string field) {
-  Expr* e = new Expr(ExprKind::kFieldAccess);
+  std::shared_ptr<Expr> e = New(ExprKind::kFieldAccess);
   e->name_ = std::move(field);
   e->children_ = {std::move(in)};
-  return ExprPtr(e);
+  return e;
 }
 
 ExprPtr Expr::Path(ExprPtr e, const std::vector<std::string>& fields) {
@@ -136,191 +145,191 @@ ExprPtr Expr::Path(ExprPtr e, const std::vector<std::string>& fields) {
 }
 
 ExprPtr Expr::TupleProject(ExprPtr in, std::vector<std::string> names) {
-  Expr* e = new Expr(ExprKind::kTupleProject);
+  std::shared_ptr<Expr> e = New(ExprKind::kTupleProject);
   e->names_ = std::move(names);
   e->children_ = {std::move(in)};
-  return ExprPtr(e);
+  return e;
 }
 
 ExprPtr Expr::TupleConstruct(std::vector<std::string> names,
                              std::vector<ExprPtr> values) {
   N2J_CHECK(names.size() == values.size());
-  Expr* e = new Expr(ExprKind::kTupleConstruct);
+  std::shared_ptr<Expr> e = New(ExprKind::kTupleConstruct);
   e->names_ = std::move(names);
   e->children_ = std::move(values);
-  return ExprPtr(e);
+  return e;
 }
 
 ExprPtr Expr::TupleConcat(ExprPtr l, ExprPtr r) {
-  Expr* e = new Expr(ExprKind::kTupleConcat);
+  std::shared_ptr<Expr> e = New(ExprKind::kTupleConcat);
   e->children_ = {std::move(l), std::move(r)};
-  return ExprPtr(e);
+  return e;
 }
 
 ExprPtr Expr::ExceptOp(ExprPtr in, std::vector<std::string> names,
                        std::vector<ExprPtr> values) {
   N2J_CHECK(names.size() == values.size());
-  Expr* e = new Expr(ExprKind::kExcept);
+  std::shared_ptr<Expr> e = New(ExprKind::kExcept);
   e->names_ = std::move(names);
   e->children_.push_back(std::move(in));
   for (ExprPtr& v : values) e->children_.push_back(std::move(v));
-  return ExprPtr(e);
+  return e;
 }
 
 ExprPtr Expr::SetConstruct(std::vector<ExprPtr> elements) {
-  Expr* e = new Expr(ExprKind::kSetConstruct);
+  std::shared_ptr<Expr> e = New(ExprKind::kSetConstruct);
   e->children_ = std::move(elements);
-  return ExprPtr(e);
+  return e;
 }
 
 ExprPtr Expr::Deref(ExprPtr in, std::string class_name) {
-  Expr* e = new Expr(ExprKind::kDeref);
+  std::shared_ptr<Expr> e = New(ExprKind::kDeref);
   e->name_ = std::move(class_name);
   e->children_ = {std::move(in)};
-  return ExprPtr(e);
+  return e;
 }
 
 ExprPtr Expr::Un(UnOp op, ExprPtr in) {
-  Expr* e = new Expr(ExprKind::kUnary);
+  std::shared_ptr<Expr> e = New(ExprKind::kUnary);
   e->un_op_ = op;
   e->children_ = {std::move(in)};
-  return ExprPtr(e);
+  return e;
 }
 
 ExprPtr Expr::Bin(BinOp op, ExprPtr l, ExprPtr r) {
-  Expr* e = new Expr(ExprKind::kBinary);
+  std::shared_ptr<Expr> e = New(ExprKind::kBinary);
   e->bin_op_ = op;
   e->children_ = {std::move(l), std::move(r)};
-  return ExprPtr(e);
+  return e;
 }
 
 ExprPtr Expr::Quant(QuantKind q, std::string var, ExprPtr range,
                     ExprPtr pred) {
-  Expr* e = new Expr(ExprKind::kQuantifier);
+  std::shared_ptr<Expr> e = New(ExprKind::kQuantifier);
   e->quant_ = q;
   e->var_ = std::move(var);
   e->children_ = {std::move(range), std::move(pred)};
-  return ExprPtr(e);
+  return e;
 }
 
 ExprPtr Expr::Agg(AggKind k, ExprPtr in) {
-  Expr* e = new Expr(ExprKind::kAggregate);
+  std::shared_ptr<Expr> e = New(ExprKind::kAggregate);
   e->agg_ = k;
   e->children_ = {std::move(in)};
-  return ExprPtr(e);
+  return e;
 }
 
 ExprPtr Expr::Map(std::string var, ExprPtr body, ExprPtr input) {
-  Expr* e = new Expr(ExprKind::kMap);
+  std::shared_ptr<Expr> e = New(ExprKind::kMap);
   e->var_ = std::move(var);
   e->children_ = {std::move(input), std::move(body)};
-  return ExprPtr(e);
+  return e;
 }
 
 ExprPtr Expr::Select(std::string var, ExprPtr pred, ExprPtr input) {
-  Expr* e = new Expr(ExprKind::kSelect);
+  std::shared_ptr<Expr> e = New(ExprKind::kSelect);
   e->var_ = std::move(var);
   e->children_ = {std::move(input), std::move(pred)};
-  return ExprPtr(e);
+  return e;
 }
 
 ExprPtr Expr::Project(ExprPtr input, std::vector<std::string> names) {
-  Expr* e = new Expr(ExprKind::kProject);
+  std::shared_ptr<Expr> e = New(ExprKind::kProject);
   e->names_ = std::move(names);
   e->children_ = {std::move(input)};
-  return ExprPtr(e);
+  return e;
 }
 
 ExprPtr Expr::Flatten(ExprPtr input) {
-  Expr* e = new Expr(ExprKind::kFlatten);
+  std::shared_ptr<Expr> e = New(ExprKind::kFlatten);
   e->children_ = {std::move(input)};
-  return ExprPtr(e);
+  return e;
 }
 
 ExprPtr Expr::Nest(ExprPtr input, std::vector<std::string> grouped_attrs,
                    std::string new_attr) {
-  Expr* e = new Expr(ExprKind::kNest);
+  std::shared_ptr<Expr> e = New(ExprKind::kNest);
   e->names_ = std::move(grouped_attrs);
   e->name_ = std::move(new_attr);
   e->children_ = {std::move(input)};
-  return ExprPtr(e);
+  return e;
 }
 
 ExprPtr Expr::Unnest(ExprPtr input, std::string attr) {
-  Expr* e = new Expr(ExprKind::kUnnest);
+  std::shared_ptr<Expr> e = New(ExprKind::kUnnest);
   e->name_ = std::move(attr);
   e->children_ = {std::move(input)};
-  return ExprPtr(e);
+  return e;
 }
 
 ExprPtr Expr::Product(ExprPtr l, ExprPtr r) {
-  Expr* e = new Expr(ExprKind::kProduct);
+  std::shared_ptr<Expr> e = New(ExprKind::kProduct);
   e->children_ = {std::move(l), std::move(r)};
-  return ExprPtr(e);
+  return e;
 }
 
 ExprPtr Expr::Join(ExprPtr l, ExprPtr r, std::string lvar, std::string rvar,
                    ExprPtr pred) {
-  Expr* e = new Expr(ExprKind::kJoin);
+  std::shared_ptr<Expr> e = New(ExprKind::kJoin);
   e->var_ = std::move(lvar);
   e->var2_ = std::move(rvar);
   e->children_ = {std::move(l), std::move(r), std::move(pred)};
-  return ExprPtr(e);
+  return e;
 }
 
 ExprPtr Expr::SemiJoin(ExprPtr l, ExprPtr r, std::string lvar,
                        std::string rvar, ExprPtr pred) {
-  Expr* e = new Expr(ExprKind::kSemiJoin);
+  std::shared_ptr<Expr> e = New(ExprKind::kSemiJoin);
   e->var_ = std::move(lvar);
   e->var2_ = std::move(rvar);
   e->children_ = {std::move(l), std::move(r), std::move(pred)};
-  return ExprPtr(e);
+  return e;
 }
 
 ExprPtr Expr::AntiJoin(ExprPtr l, ExprPtr r, std::string lvar,
                        std::string rvar, ExprPtr pred) {
-  Expr* e = new Expr(ExprKind::kAntiJoin);
+  std::shared_ptr<Expr> e = New(ExprKind::kAntiJoin);
   e->var_ = std::move(lvar);
   e->var2_ = std::move(rvar);
   e->children_ = {std::move(l), std::move(r), std::move(pred)};
-  return ExprPtr(e);
+  return e;
 }
 
 ExprPtr Expr::NestJoin(ExprPtr l, ExprPtr r, std::string lvar,
                        std::string rvar, ExprPtr pred,
                        std::string result_attr, ExprPtr inner) {
-  Expr* e = new Expr(ExprKind::kNestJoin);
+  std::shared_ptr<Expr> e = New(ExprKind::kNestJoin);
   e->var_ = lvar;
   e->var2_ = rvar;
   e->name_ = std::move(result_attr);
   if (inner == nullptr) inner = Expr::Var(rvar);
   e->children_ = {std::move(l), std::move(r), std::move(pred),
                   std::move(inner)};
-  return ExprPtr(e);
+  return e;
 }
 
 ExprPtr Expr::Divide(ExprPtr l, ExprPtr r) {
-  Expr* e = new Expr(ExprKind::kDivide);
+  std::shared_ptr<Expr> e = New(ExprKind::kDivide);
   e->children_ = {std::move(l), std::move(r)};
-  return ExprPtr(e);
+  return e;
 }
 
 ExprPtr Expr::Union(ExprPtr l, ExprPtr r) {
-  Expr* e = new Expr(ExprKind::kUnion);
+  std::shared_ptr<Expr> e = New(ExprKind::kUnion);
   e->children_ = {std::move(l), std::move(r)};
-  return ExprPtr(e);
+  return e;
 }
 
 ExprPtr Expr::Intersect(ExprPtr l, ExprPtr r) {
-  Expr* e = new Expr(ExprKind::kIntersect);
+  std::shared_ptr<Expr> e = New(ExprKind::kIntersect);
   e->children_ = {std::move(l), std::move(r)};
-  return ExprPtr(e);
+  return e;
 }
 
 ExprPtr Expr::Difference(ExprPtr l, ExprPtr r) {
-  Expr* e = new Expr(ExprKind::kDifference);
+  std::shared_ptr<Expr> e = New(ExprKind::kDifference);
   e->children_ = {std::move(l), std::move(r)};
-  return ExprPtr(e);
+  return e;
 }
 
 ExprPtr Expr::AndAll(const std::vector<ExprPtr>& conjuncts) {
@@ -389,7 +398,7 @@ const ExprPtr& Expr::range() const {
 
 ExprPtr Expr::WithChildren(std::vector<ExprPtr> new_children) const {
   N2J_CHECK(new_children.size() == children_.size());
-  Expr* e = new Expr(kind_);
+  std::shared_ptr<Expr> e = New(kind_);
   e->value_ = value_;
   e->name_ = name_;
   e->names_ = names_;
@@ -400,7 +409,7 @@ ExprPtr Expr::WithChildren(std::vector<ExprPtr> new_children) const {
   e->agg_ = agg_;
   e->quant_ = quant_;
   e->children_ = std::move(new_children);
-  return ExprPtr(e);
+  return e;
 }
 
 bool Expr::Equals(const Expr& other) const {

@@ -201,6 +201,8 @@ class Expr : public std::enable_shared_from_this<Expr> {
 
  private:
   explicit Expr(ExprKind kind) : kind_(kind) {}
+  /// A new, empty node of `kind`.
+  static std::shared_ptr<Expr> New(ExprKind kind);
 
   ExprKind kind_;
   Value value_;

@@ -32,22 +32,31 @@ TypePtr Type::OidType() {
   return t;
 }
 
+std::shared_ptr<Type> Type::New(Kind kind) {
+  // One allocation for the type and its reference counts (see
+  // Expr::New).
+  struct Node : Type {
+    explicit Node(Kind k) : Type(k) {}
+  };
+  return std::make_shared<Node>(kind);
+}
+
 TypePtr Type::Ref(std::string class_name) {
-  auto* t = new Type(Kind::kRef);
+  std::shared_ptr<Type> t = New(Kind::kRef);
   t->class_name_ = std::move(class_name);
-  return TypePtr(t);
+  return t;
 }
 
 TypePtr Type::Tuple(std::vector<TypeField> fields) {
-  auto* t = new Type(Kind::kTuple);
+  std::shared_ptr<Type> t = New(Kind::kTuple);
   t->fields_ = std::move(fields);
-  return TypePtr(t);
+  return t;
 }
 
 TypePtr Type::Set(TypePtr element) {
-  auto* t = new Type(Kind::kSet);
+  std::shared_ptr<Type> t = New(Kind::kSet);
   t->element_ = std::move(element);
-  return TypePtr(t);
+  return t;
 }
 
 TypePtr Type::FindField(std::string_view name) const {

@@ -85,6 +85,8 @@ class Type {
 
  private:
   explicit Type(Kind kind) : kind_(kind) {}
+  /// A new, empty type of `kind`.
+  static std::shared_ptr<Type> New(Kind kind);
 
   Kind kind_;
   std::string class_name_;

@@ -32,33 +32,71 @@ void CollectExtents(const ExprPtr& e, std::set<std::string>* out) {
   }
 }
 
+/// The registry instruments every query feeds, looked up by name once
+/// per process: the registry never drops an instrument (Reset() zeroes
+/// it in place), so the references stay valid. Creating them together
+/// also makes every one of them exist after the first query, so
+/// Render() output is stable across workloads.
+struct QueryInstruments {
+  explicit QueryInstruments(obs::MetricsRegistry& reg)
+      : queries(reg.GetCounter("n2j_queries_total")),
+        query_errors(reg.GetCounter("n2j_query_errors_total")),
+        query_ms(reg.GetHistogram("n2j_query_ms")),
+        rewrite_ms(reg.GetHistogram("n2j_rewrite_ms")),
+        eval_ms(reg.GetHistogram("n2j_eval_ms")),
+        joins_nested_loop(reg.GetCounter("n2j_joins_nested_loop_total")),
+        joins_hash(reg.GetCounter("n2j_joins_hash_total")),
+        joins_sortmerge(reg.GetCounter("n2j_joins_sortmerge_total")),
+        joins_index(reg.GetCounter("n2j_joins_index_total")),
+        joins_membership(reg.GetCounter("n2j_joins_membership_total")),
+        compiled_evals(reg.GetCounter("n2j_compiled_evals_total")),
+        interp_fallback_evals(
+            reg.GetCounter("n2j_interp_fallback_evals_total")) {}
+
+  static const QueryInstruments& Get() {
+    static const QueryInstruments instruments(
+        obs::MetricsRegistry::Global());
+    return instruments;
+  }
+
+  obs::Counter& queries;
+  obs::Counter& query_errors;
+  obs::Histogram& query_ms;
+  obs::Histogram& rewrite_ms;
+  obs::Histogram& eval_ms;
+  obs::Counter& joins_nested_loop;
+  obs::Counter& joins_hash;
+  obs::Counter& joins_sortmerge;
+  obs::Counter& joins_index;
+  obs::Counter& joins_membership;
+  obs::Counter& compiled_evals;
+  obs::Counter& interp_fallback_evals;
+};
+
 // Estimated spans dominate the record size; a pathological plan with
 // hundreds of annotated nodes should not bloat one ring slot.
 constexpr size_t kMaxRecordedRoots = 16;
 
 /// Records one finished query (success or error) into the process-wide
-/// registry and the flight recorder. The per-algorithm join counters are
-/// fed with Add(0) too, so every instrument exists after the first query
-/// and Render() output is stable across workloads.
+/// registry and the flight recorder.
 void RecordQueryOutcome(const Result<QueryReport>& r, int64_t t_start_ns,
                         const std::string& query_text, const Database& db,
                         const EvalOptions& eval_options,
                         const PlannerOptions& planner_options) {
-  obs::MetricsRegistry& reg = obs::MetricsRegistry::Global();
-  reg.GetCounter("n2j_queries_total").Add();
-  reg.GetHistogram("n2j_query_ms").Observe(MsSince(t_start_ns));
+  const QueryInstruments& m = QueryInstruments::Get();
+  m.queries.Add();
+  m.query_ms.Observe(MsSince(t_start_ns));
   if (r.ok()) {
     const EvalStats& s = r->exec_stats;
-    reg.GetCounter("n2j_joins_nested_loop_total").Add(s.joins_nested_loop);
-    reg.GetCounter("n2j_joins_hash_total").Add(s.joins_hash);
-    reg.GetCounter("n2j_joins_sortmerge_total").Add(s.joins_sortmerge);
-    reg.GetCounter("n2j_joins_index_total").Add(s.joins_index);
-    reg.GetCounter("n2j_joins_membership_total").Add(s.joins_membership);
-    reg.GetCounter("n2j_compiled_evals_total").Add(s.compiled_evals);
-    reg.GetCounter("n2j_interp_fallback_evals_total")
-        .Add(s.interp_fallback_evals);
+    m.joins_nested_loop.Add(s.joins_nested_loop);
+    m.joins_hash.Add(s.joins_hash);
+    m.joins_sortmerge.Add(s.joins_sortmerge);
+    m.joins_index.Add(s.joins_index);
+    m.joins_membership.Add(s.joins_membership);
+    m.compiled_evals.Add(s.compiled_evals);
+    m.interp_fallback_evals.Add(s.interp_fallback_evals);
   } else {
-    reg.GetCounter("n2j_query_errors_total").Add();
+    m.query_errors.Add();
   }
 
   obs::QueryLog& qlog = obs::QueryLog::Global();
@@ -80,7 +118,9 @@ void RecordQueryOutcome(const Result<QueryReport>& r, int64_t t_start_ns,
   }
 
   const QueryReport& rep = *r;
+  rec.translate_ms = rep.translate_ms;
   rec.rewrite_ms = rep.rewrite_ms;
+  rec.plan_ms = rep.plan_ms;
   rec.eval_ms = rep.eval_ms;
   rec.stats = rep.exec_stats;
   if (rep.result.is_set()) rec.rows_out = rep.result.set_size();
@@ -193,9 +233,7 @@ Result<RewriteResult> QueryEngine::Optimize(const ExprPtr& adl) const {
   Rewriter rewriter(db_->schema(), db_, rewrite_options_);
   int64_t t0 = MonotonicNanos();
   Result<RewriteResult> r = rewriter.Rewrite(adl);
-  obs::MetricsRegistry::Global()
-      .GetHistogram("n2j_rewrite_ms")
-      .Observe(MsSince(t0));
+  QueryInstruments::Get().rewrite_ms.Observe(MsSince(t0));
   return r;
 }
 
@@ -209,10 +247,12 @@ Status QueryEngine::Execute(QueryReport* report) const {
   ExprPtr to_run = report->optimized;
   EvalOptions opts = eval_options_;
   if (planner_options_.strategy == PlanStrategy::kCost) {
+    int64_t t_plan = MonotonicNanos();
     Planner planner(*db_, planner_options_);
     N2J_ASSIGN_OR_RETURN(PhysicalPlan plan,
                          planner.Plan(report->optimized));
     report->plan = std::make_shared<const PhysicalPlan>(std::move(plan));
+    report->plan_ms = MsSince(t_plan);
     to_run = report->plan->root;
     opts.plan = &report->plan->annotations;
   }
@@ -225,9 +265,7 @@ Status QueryEngine::Execute(QueryReport* report) const {
       shred::EvalWithBackend(*db_, to_run, opts, &report->exec_stats,
                              &report->shred_plan));
   report->eval_ms = MsSince(t0);
-  obs::MetricsRegistry::Global()
-      .GetHistogram("n2j_eval_ms")
-      .Observe(report->eval_ms);
+  QueryInstruments::Get().eval_ms.Observe(report->eval_ms);
   report->profile = eval_options_.trace;
   return Status::OK();
 }
@@ -236,6 +274,7 @@ Result<QueryReport> QueryEngine::Run(const std::string& oosql) const {
   int64_t t_start = MonotonicNanos();
   Result<QueryReport> out = [&]() -> Result<QueryReport> {
     N2J_ASSIGN_OR_RETURN(QueryReport report, Translate(oosql));
+    report.translate_ms = MsSince(t_start);
     int64_t t_rewrite = MonotonicNanos();
     N2J_ASSIGN_OR_RETURN(RewriteResult rewritten,
                          Optimize(report.translated));

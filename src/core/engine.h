@@ -35,7 +35,14 @@ struct QueryReport {
   std::string shred_plan;
   Value result;               // query result
   EvalStats exec_stats;       // operator counters of the final execution
+  /// Phase latencies. Run fills all four (RunAdl has no translation);
+  /// plan_ms is the cost planner's time, including the lazy refresh of
+  /// the extent statistics it prices with, and 0 under the heuristic
+  /// strategy. Their sum stays below Run's wall time, which also covers
+  /// stitching the report and recording the query.
+  double translate_ms = 0.0;  // parse, typecheck and lowering
   double rewrite_ms = 0.0;    // rewriter phase latency
+  double plan_ms = 0.0;       // cost planner, stats refresh included
   double eval_ms = 0.0;       // evaluation phase latency
   /// Operator span tree of the execution (borrowed from the engine's
   /// EvalOptions::trace collector; null when tracing was off). Makes

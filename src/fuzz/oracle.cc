@@ -15,13 +15,11 @@
 namespace n2j {
 namespace fuzz {
 
-namespace {
-
-/// Deterministic work of one execution: the counters a plan choice
-/// moves (see the cost-based cell in DefaultConfigMatrix).
 uint64_t JoinWork(const EvalStats& s) {
   return s.tuples_scanned + s.predicate_evals + s.hash_probes;
 }
+
+namespace {
 
 /// The cost-based cell's work bound: the cost plan may do at most
 /// kWorkRatio × the heuristic plan's work plus kWorkFloor units.

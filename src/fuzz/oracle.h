@@ -69,6 +69,11 @@ enum class OracleStatus {
 };
 const char* OracleStatusName(OracleStatus s);
 
+/// Deterministic work of one execution: the counters a plan choice
+/// moves (tuples scanned + predicate evaluations + hash probes). The
+/// cost-based and linear-join-work cells bound it.
+uint64_t JoinWork(const EvalStats& s);
+
 /// The linear work bound of a flat from-clause. `naive` must be the
 /// translator's chain ⋃(α[x1 : ... α[xk : f](σ[xk : p](T_k)) ...](T1))
 /// over base tables, with a scalar select clause and scalar

@@ -73,7 +73,9 @@ std::string QueryLogRecord::ToJson() const {
   AppendKv(&out, "threads", static_cast<uint64_t>(threads), &first);
   AppendKv(&out, "compiled", compiled, &first);
   AppendKv(&out, "wall_ms", wall_ms, &first);
+  AppendKv(&out, "translate_ms", translate_ms, &first);
   AppendKv(&out, "rewrite_ms", rewrite_ms, &first);
+  AppendKv(&out, "plan_ms", plan_ms, &first);
   AppendKv(&out, "eval_ms", eval_ms, &first);
   AppendKv(&out, "rows_out", rows_out, &first);
   AppendKv(&out, "max_q", max_q, &first);
@@ -360,7 +362,9 @@ bool QueryLogRecord::FromJson(const std::string& line, QueryLogRecord* out) {
   out->threads = static_cast<int>(GetNumber(root, "threads", 1));
   out->compiled = GetBool(root, "compiled", true);
   out->wall_ms = GetNumber(root, "wall_ms", 0.0);
+  out->translate_ms = GetNumber(root, "translate_ms", 0.0);
   out->rewrite_ms = GetNumber(root, "rewrite_ms", 0.0);
+  out->plan_ms = GetNumber(root, "plan_ms", 0.0);
   out->eval_ms = GetNumber(root, "eval_ms", 0.0);
   out->rows_out = GetU64(root, "rows_out");
   out->max_q = GetNumber(root, "max_q", 0.0);

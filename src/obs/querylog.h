@@ -74,7 +74,9 @@ struct QueryLogRecord {
   bool compiled = true;
 
   double wall_ms = 0.0;      // end-to-end Run latency
+  double translate_ms = 0.0; // parse, typecheck and lowering
   double rewrite_ms = 0.0;   // rewriter phase
+  double plan_ms = 0.0;      // cost planner, with its stats refresh
   double eval_ms = 0.0;      // evaluation phase
   uint64_t rows_out = 0;     // result cardinality (0 for scalar results)
 

@@ -1,8 +1,7 @@
 #include "oosql/lexer.h"
 
-#include <cctype>
 #include <cstdlib>
-#include <map>
+#include <string_view>
 
 #include "common/str_util.h"
 
@@ -82,42 +81,69 @@ std::string Token::Describe() const {
 
 namespace {
 
-TokenKind KeywordKind(const std::string& lower) {
-  static const std::map<std::string, TokenKind> kKeywords = {
-      {"select", TokenKind::kSelect},
-      {"from", TokenKind::kFrom},
-      {"where", TokenKind::kWhere},
-      {"in", TokenKind::kIn},
-      {"and", TokenKind::kAnd},
-      {"or", TokenKind::kOr},
-      {"not", TokenKind::kNot},
-      {"exists", TokenKind::kExists},
-      {"forall", TokenKind::kForall},
-      {"true", TokenKind::kTrue},
-      {"false", TokenKind::kFalse},
-      {"union", TokenKind::kUnion},
-      {"intersect", TokenKind::kIntersect},
-      {"minus", TokenKind::kMinus},
-      {"contains", TokenKind::kContains},
-      {"subset", TokenKind::kSubset},
-      {"subseteq", TokenKind::kSubsetEq},
-      {"supset", TokenKind::kSupset},
-      {"supseteq", TokenKind::kSupsetEq},
-      {"count", TokenKind::kCount},
-      {"sum", TokenKind::kSum},
-      {"avg", TokenKind::kAvg},
-      {"min", TokenKind::kMin},
-      {"max", TokenKind::kMax},
-      {"class", TokenKind::kClass},
-      {"with", TokenKind::kWith},
-      {"extension", TokenKind::kExtension},
-      {"attributes", TokenKind::kAttributes},
-      {"end", TokenKind::kEnd},
-      {"oid", TokenKind::kOid},
-      {"isempty", TokenKind::kIsEmpty},
-  };
-  auto it = kKeywords.find(lower);
-  return it == kKeywords.end() ? TokenKind::kIdent : it->second;
+struct Keyword {
+  std::string_view lower;
+  TokenKind kind;
+};
+
+constexpr Keyword kKeywords[] = {
+    {"select", TokenKind::kSelect},
+    {"from", TokenKind::kFrom},
+    {"where", TokenKind::kWhere},
+    {"in", TokenKind::kIn},
+    {"and", TokenKind::kAnd},
+    {"or", TokenKind::kOr},
+    {"not", TokenKind::kNot},
+    {"exists", TokenKind::kExists},
+    {"forall", TokenKind::kForall},
+    {"true", TokenKind::kTrue},
+    {"false", TokenKind::kFalse},
+    {"union", TokenKind::kUnion},
+    {"intersect", TokenKind::kIntersect},
+    {"minus", TokenKind::kMinus},
+    {"contains", TokenKind::kContains},
+    {"subset", TokenKind::kSubset},
+    {"subseteq", TokenKind::kSubsetEq},
+    {"supset", TokenKind::kSupset},
+    {"supseteq", TokenKind::kSupsetEq},
+    {"count", TokenKind::kCount},
+    {"sum", TokenKind::kSum},
+    {"avg", TokenKind::kAvg},
+    {"min", TokenKind::kMin},
+    {"max", TokenKind::kMax},
+    {"class", TokenKind::kClass},
+    {"with", TokenKind::kWith},
+    {"extension", TokenKind::kExtension},
+    {"attributes", TokenKind::kAttributes},
+    {"end", TokenKind::kEnd},
+    {"oid", TokenKind::kOid},
+    {"isempty", TokenKind::kIsEmpty},
+};
+
+// ASCII classes: identifiers, numbers and whitespace are ASCII-only
+// (bytes >= 0x80 are unexpected characters), independent of the locale.
+bool IsAlpha(char c) {
+  return (c >= 'a' && c <= 'z') || (c >= 'A' && c <= 'Z');
+}
+bool IsDigit(char c) { return c >= '0' && c <= '9'; }
+bool IsIdentChar(char c) { return IsAlpha(c) || IsDigit(c) || c == '_'; }
+bool IsSpace(char c) {
+  return c == ' ' || (c >= '\t' && c <= '\r');
+}
+
+/// The keyword `word` spells in any letter case, or kIdent.
+TokenKind KeywordKind(std::string_view word) {
+  for (const Keyword& k : kKeywords) {
+    if (k.lower.size() != word.size()) continue;
+    bool equal = true;
+    for (size_t i = 0; i < word.size() && equal; ++i) {
+      char c = word[i];
+      if (c >= 'A' && c <= 'Z') c = static_cast<char>(c - 'A' + 'a');
+      equal = c == k.lower[i];
+    }
+    if (equal) return k.kind;
+  }
+  return TokenKind::kIdent;
 }
 
 }  // namespace
@@ -141,7 +167,7 @@ char Lexer::Advance() {
 void Lexer::SkipWhitespaceAndComments() {
   while (!AtEnd()) {
     char c = Peek();
-    if (std::isspace(static_cast<unsigned char>(c))) {
+    if (IsSpace(c)) {
       Advance();
     } else if (c == '-' && Peek(1) == '-') {
       while (!AtEnd() && Peek() != '\n') Advance();
@@ -156,61 +182,50 @@ Status Lexer::ErrorAt(int line, int col, const std::string& msg) const {
       StrFormat("%d:%d: %s", line, col, msg.c_str()));
 }
 
-Result<Token> Lexer::Next() {
+Status Lexer::Next(Token* tok) {
   SkipWhitespaceAndComments();
-  Token tok;
-  tok.line = line_;
-  tok.column = column_;
+  tok->line = line_;
+  tok->column = column_;
   if (AtEnd()) {
-    tok.kind = TokenKind::kEof;
-    return tok;
+    tok->kind = TokenKind::kEof;
+    return Status::OK();
   }
+  const size_t start = pos_;
   char c = Advance();
 
-  // Identifiers and keywords.
-  if (std::isalpha(static_cast<unsigned char>(c)) || c == '_') {
-    std::string text(1, c);
-    while (!AtEnd() && (std::isalnum(static_cast<unsigned char>(Peek())) ||
-                        Peek() == '_')) {
-      text.push_back(Advance());
-    }
-    std::string lower = text;
-    for (char& ch : lower) {
-      ch = static_cast<char>(std::tolower(static_cast<unsigned char>(ch)));
-    }
-    tok.kind = KeywordKind(lower);
-    tok.text = std::move(text);
-    return tok;
+  // Identifiers and keywords: the word is matched in place, and only an
+  // identifier copies its text.
+  if (IsAlpha(c) || c == '_') {
+    while (!AtEnd() && IsIdentChar(Peek())) Advance();
+    std::string_view word(source_.data() + start, pos_ - start);
+    tok->kind = KeywordKind(word);
+    if (tok->kind == TokenKind::kIdent) tok->text = word;
+    return Status::OK();
   }
 
   // Numbers.
-  if (std::isdigit(static_cast<unsigned char>(c))) {
-    std::string text(1, c);
+  if (IsDigit(c)) {
+    while (!AtEnd() && IsDigit(Peek())) Advance();
     bool is_double = false;
-    while (!AtEnd() && std::isdigit(static_cast<unsigned char>(Peek()))) {
-      text.push_back(Advance());
-    }
-    if (Peek() == '.' && std::isdigit(static_cast<unsigned char>(Peek(1)))) {
+    if (Peek() == '.' && IsDigit(Peek(1))) {
       is_double = true;
-      text.push_back(Advance());
-      while (!AtEnd() && std::isdigit(static_cast<unsigned char>(Peek()))) {
-        text.push_back(Advance());
-      }
+      Advance();
+      while (!AtEnd() && IsDigit(Peek())) Advance();
     }
-    tok.text = text;
+    tok->text.assign(source_, start, pos_ - start);
     if (is_double) {
-      tok.kind = TokenKind::kDouble;
-      tok.double_value = std::strtod(text.c_str(), nullptr);
+      tok->kind = TokenKind::kDouble;
+      tok->double_value = std::strtod(tok->text.c_str(), nullptr);
     } else {
-      tok.kind = TokenKind::kInt;
-      tok.int_value = std::strtoll(text.c_str(), nullptr, 10);
+      tok->kind = TokenKind::kInt;
+      tok->int_value = std::strtoll(tok->text.c_str(), nullptr, 10);
     }
-    return tok;
+    return Status::OK();
   }
 
   // Strings.
   if (c == '"') {
-    std::string text;
+    std::string& text = tok->text;
     while (!AtEnd() && Peek() != '"') {
       char ch = Advance();
       if (ch == '\\' && !AtEnd()) {
@@ -221,7 +236,7 @@ Result<Token> Lexer::Next() {
           case '"': text.push_back('"'); break;
           case '\\': text.push_back('\\'); break;
           default:
-            return ErrorAt(tok.line, tok.column,
+            return ErrorAt(tok->line, tok->column,
                            StrFormat("bad escape '\\%c'", esc));
         }
       } else {
@@ -229,63 +244,63 @@ Result<Token> Lexer::Next() {
       }
     }
     if (AtEnd()) {
-      return ErrorAt(tok.line, tok.column, "unterminated string literal");
+      return ErrorAt(tok->line, tok->column, "unterminated string literal");
     }
     Advance();  // closing quote
-    tok.kind = TokenKind::kString;
-    tok.text = std::move(text);
-    return tok;
+    tok->kind = TokenKind::kString;
+    return Status::OK();
   }
 
   switch (c) {
-    case '(': tok.kind = TokenKind::kLParen; return tok;
-    case ')': tok.kind = TokenKind::kRParen; return tok;
-    case '{': tok.kind = TokenKind::kLBrace; return tok;
-    case '}': tok.kind = TokenKind::kRBrace; return tok;
-    case '[': tok.kind = TokenKind::kLBracket; return tok;
-    case ']': tok.kind = TokenKind::kRBracket; return tok;
-    case ',': tok.kind = TokenKind::kComma; return tok;
-    case '.': tok.kind = TokenKind::kDot; return tok;
-    case ':': tok.kind = TokenKind::kColon; return tok;
-    case ';': tok.kind = TokenKind::kSemicolon; return tok;
-    case '=': tok.kind = TokenKind::kEq; return tok;
-    case '+': tok.kind = TokenKind::kPlus; return tok;
-    case '-': tok.kind = TokenKind::kDash; return tok;
-    case '*': tok.kind = TokenKind::kStar; return tok;
-    case '/': tok.kind = TokenKind::kSlash; return tok;
-    case '%': tok.kind = TokenKind::kPercent; return tok;
+    case '(': tok->kind = TokenKind::kLParen; return Status::OK();
+    case ')': tok->kind = TokenKind::kRParen; return Status::OK();
+    case '{': tok->kind = TokenKind::kLBrace; return Status::OK();
+    case '}': tok->kind = TokenKind::kRBrace; return Status::OK();
+    case '[': tok->kind = TokenKind::kLBracket; return Status::OK();
+    case ']': tok->kind = TokenKind::kRBracket; return Status::OK();
+    case ',': tok->kind = TokenKind::kComma; return Status::OK();
+    case '.': tok->kind = TokenKind::kDot; return Status::OK();
+    case ':': tok->kind = TokenKind::kColon; return Status::OK();
+    case ';': tok->kind = TokenKind::kSemicolon; return Status::OK();
+    case '=': tok->kind = TokenKind::kEq; return Status::OK();
+    case '+': tok->kind = TokenKind::kPlus; return Status::OK();
+    case '-': tok->kind = TokenKind::kDash; return Status::OK();
+    case '*': tok->kind = TokenKind::kStar; return Status::OK();
+    case '/': tok->kind = TokenKind::kSlash; return Status::OK();
+    case '%': tok->kind = TokenKind::kPercent; return Status::OK();
     case '<':
       if (Peek() == '=') {
         Advance();
-        tok.kind = TokenKind::kLe;
+        tok->kind = TokenKind::kLe;
       } else if (Peek() == '>') {
         Advance();
-        tok.kind = TokenKind::kNe;
+        tok->kind = TokenKind::kNe;
       } else {
-        tok.kind = TokenKind::kLt;
+        tok->kind = TokenKind::kLt;
       }
-      return tok;
+      return Status::OK();
     case '>':
       if (Peek() == '=') {
         Advance();
-        tok.kind = TokenKind::kGe;
+        tok->kind = TokenKind::kGe;
       } else {
-        tok.kind = TokenKind::kGt;
+        tok->kind = TokenKind::kGt;
       }
-      return tok;
+      return Status::OK();
     default:
-      return ErrorAt(tok.line, tok.column,
+      return ErrorAt(tok->line, tok->column,
                      StrFormat("unexpected character '%c'", c));
   }
 }
 
 Result<std::vector<Token>> Lexer::Tokenize() {
   std::vector<Token> out;
+  // About one token per three bytes of query text.
+  out.reserve(source_.size() / 3 + 1);
   for (;;) {
-    N2J_ASSIGN_OR_RETURN(Token tok, Next());
-    bool eof = tok.kind == TokenKind::kEof;
-    out.push_back(std::move(tok));
-    if (eof) return out;
+    Token& tok = out.emplace_back();
+    N2J_RETURN_IF_ERROR(Next(&tok));
+    if (tok.kind == TokenKind::kEof) return out;
   }
 }
 

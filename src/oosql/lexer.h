@@ -18,7 +18,8 @@ class Lexer {
   Result<std::vector<Token>> Tokenize();
 
  private:
-  Result<Token> Next();
+  /// Lexes the next token into `tok`, a fresh default Token.
+  Status Next(Token* tok);
   char Peek(int ahead = 0) const;
   char Advance();
   bool AtEnd() const { return pos_ >= source_.size(); }

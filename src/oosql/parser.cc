@@ -39,8 +39,8 @@ bool Parser::Match(TokenKind kind) {
   return false;
 }
 
-Result<Token> Parser::Expect(TokenKind kind, const char* context) {
-  if (Check(kind)) return Advance();
+Result<const Token*> Parser::Expect(TokenKind kind, const char* context) {
+  if (Check(kind)) return &Advance();
   return Status::ParseError(StrFormat(
       "%d:%d: expected %s %s, found %s", Peek().line, Peek().column,
       TokenKindName(kind), context, Peek().Describe().c_str()));
@@ -77,7 +77,7 @@ Result<QExprPtr> Parser::ParseQuery() {
 Result<QExprPtr> Parser::ParseExpr() {
   N2J_ASSIGN_OR_RETURN(QExprPtr l, ParseAnd());
   while (Check(TokenKind::kOr)) {
-    Token op = Advance();
+    const Token& op = Advance();
     N2J_ASSIGN_OR_RETURN(QExprPtr r, ParseAnd());
     auto node = NewNode(QExpr::Kind::kBinary, op);
     node->bop = BinOp::kOr;
@@ -90,7 +90,7 @@ Result<QExprPtr> Parser::ParseExpr() {
 Result<QExprPtr> Parser::ParseAnd() {
   N2J_ASSIGN_OR_RETURN(QExprPtr l, ParseNot());
   while (Check(TokenKind::kAnd)) {
-    Token op = Advance();
+    const Token& op = Advance();
     N2J_ASSIGN_OR_RETURN(QExprPtr r, ParseNot());
     auto node = NewNode(QExpr::Kind::kBinary, op);
     node->bop = BinOp::kAnd;
@@ -104,7 +104,7 @@ Result<QExprPtr> Parser::ParseNot() {
   if (Check(TokenKind::kNot)) {
     Level level(&depth_);
     if (depth_ > kMaxQueryDepth) return TooDeep();
-    Token op = Advance();
+    const Token& op = Advance();
     N2J_ASSIGN_OR_RETURN(QExprPtr e, ParseNot());
     auto node = NewNode(QExpr::Kind::kUnary, op);
     node->uop = UnOp::kNot;
@@ -133,7 +133,7 @@ Result<QExprPtr> Parser::ParseComparison() {
     default:
       return l;
   }
-  Token tok = Advance();
+  const Token& tok = Advance();
   N2J_ASSIGN_OR_RETURN(QExprPtr r, ParseAdditive());
   auto node = NewNode(QExpr::Kind::kBinary, tok);
   node->bop = op;
@@ -156,7 +156,7 @@ Result<QExprPtr> Parser::ParseAdditive() {
     } else {
       return l;
     }
-    Token tok = Advance();
+    const Token& tok = Advance();
     N2J_ASSIGN_OR_RETURN(QExprPtr r, ParseMultiplicative());
     auto node = NewNode(QExpr::Kind::kBinary, tok);
     node->bop = op;
@@ -180,7 +180,7 @@ Result<QExprPtr> Parser::ParseMultiplicative() {
     } else {
       return l;
     }
-    Token tok = Advance();
+    const Token& tok = Advance();
     N2J_ASSIGN_OR_RETURN(QExprPtr r, ParseUnary());
     auto node = NewNode(QExpr::Kind::kBinary, tok);
     node->bop = op;
@@ -193,7 +193,7 @@ Result<QExprPtr> Parser::ParseUnary() {
   if (Check(TokenKind::kDash)) {
     Level level(&depth_);
     if (depth_ > kMaxQueryDepth) return TooDeep();
-    Token tok = Advance();
+    const Token& tok = Advance();
     N2J_ASSIGN_OR_RETURN(QExprPtr e, ParseUnary());
     auto node = NewNode(QExpr::Kind::kUnary, tok);
     node->uop = UnOp::kNeg;
@@ -207,20 +207,20 @@ Result<QExprPtr> Parser::ParsePostfix() {
   N2J_ASSIGN_OR_RETURN(QExprPtr e, ParsePrimary());
   for (;;) {
     if (Check(TokenKind::kDot)) {
-      Token tok = Advance();
-      N2J_ASSIGN_OR_RETURN(Token field, Expect(TokenKind::kIdent,
+      const Token& tok = Advance();
+      N2J_ASSIGN_OR_RETURN(const Token* field, Expect(TokenKind::kIdent,
                                                "after '.'"));
       auto node = NewNode(QExpr::Kind::kField, tok);
-      node->str = field.text;
+      node->str = field->text;
       node->kids = {e};
       N2J_ASSIGN_OR_RETURN(e, Finish(std::move(node)));
     } else if (Check(TokenKind::kLBracket)) {
-      Token tok = Advance();
+      const Token& tok = Advance();
       auto node = NewNode(QExpr::Kind::kTupleProject, tok);
       do {
-        N2J_ASSIGN_OR_RETURN(
-            Token name, Expect(TokenKind::kIdent, "in tuple projection"));
-        node->names.push_back(name.text);
+        N2J_ASSIGN_OR_RETURN(const Token* name,
+                             Expect(TokenKind::kIdent, "in tuple projection"));
+        node->names.push_back(name->text);
       } while (Match(TokenKind::kComma));
       N2J_RETURN_IF_ERROR(
           Expect(TokenKind::kRBracket, "closing tuple projection").status());
@@ -233,19 +233,19 @@ Result<QExprPtr> Parser::ParsePostfix() {
 }
 
 Result<QExprPtr> Parser::ParseSelect() {
-  Token tok = Advance();  // 'select'
+  const Token& tok = Advance();  // 'select'
   N2J_ASSIGN_OR_RETURN(QExprPtr body, ParseExpr());
   N2J_RETURN_IF_ERROR(
       Expect(TokenKind::kFrom, "after select expression").status());
   auto node = NewNode(QExpr::Kind::kSelect, tok);
   node->kids.push_back(body);
   do {
-    N2J_ASSIGN_OR_RETURN(Token var,
+    N2J_ASSIGN_OR_RETURN(const Token* var,
                          Expect(TokenKind::kIdent, "as range variable"));
     N2J_RETURN_IF_ERROR(
         Expect(TokenKind::kIn, "after range variable").status());
     N2J_ASSIGN_OR_RETURN(QExprPtr range, ParseExpr());
-    node->names.push_back(var.text);
+    node->names.push_back(var->text);
     node->kids.push_back(range);
   } while (Match(TokenKind::kComma));
   if (Match(TokenKind::kWhere)) {
@@ -262,11 +262,12 @@ Result<QExprPtr> Parser::ParseSelect() {
     std::vector<std::pair<std::string, QExprPtr>> defs;
     do {
       N2J_ASSIGN_OR_RETURN(
-          Token name, Expect(TokenKind::kIdent, "as with-definition name"));
+          const Token* name,
+          Expect(TokenKind::kIdent, "as with-definition name"));
       N2J_RETURN_IF_ERROR(
           Expect(TokenKind::kEq, "after with-definition name").status());
       N2J_ASSIGN_OR_RETURN(QExprPtr def, ParseExpr());
-      defs.emplace_back(name.text, def);
+      defs.emplace_back(name->text, def);
     } while (Match(TokenKind::kComma));
     // Each expansion at most adds a definition's height to the block's,
     // so checking after every step keeps the next one's recursion
@@ -280,13 +281,13 @@ Result<QExprPtr> Parser::ParseSelect() {
 }
 
 Result<QExprPtr> Parser::ParseQuantifier() {
-  Token tok = Advance();  // 'exists' | 'forall'
+  const Token& tok = Advance();  // 'exists' | 'forall'
   auto node = NewNode(QExpr::Kind::kQuant, tok);
   node->quant = tok.kind == TokenKind::kExists ? QuantKind::kExists
                                                : QuantKind::kForall;
-  N2J_ASSIGN_OR_RETURN(Token var,
+  N2J_ASSIGN_OR_RETURN(const Token* var,
                        Expect(TokenKind::kIdent, "as quantifier variable"));
-  node->names.push_back(var.text);
+  node->names.push_back(var->text);
   N2J_RETURN_IF_ERROR(
       Expect(TokenKind::kIn, "after quantifier variable").status());
   // The range binds tightly (a path or parenthesized expression); the
@@ -308,26 +309,26 @@ Result<QExprPtr> Parser::ParsePrimary() {
   const Token& t = Peek();
   switch (t.kind) {
     case TokenKind::kInt: {
-      Token tok = Advance();
+      const Token& tok = Advance();
       auto node = NewNode(QExpr::Kind::kIntLit, tok);
       node->int_value = tok.int_value;
       return QExprPtr(node);
     }
     case TokenKind::kDouble: {
-      Token tok = Advance();
+      const Token& tok = Advance();
       auto node = NewNode(QExpr::Kind::kDoubleLit, tok);
       node->double_value = tok.double_value;
       return QExprPtr(node);
     }
     case TokenKind::kString: {
-      Token tok = Advance();
+      const Token& tok = Advance();
       auto node = NewNode(QExpr::Kind::kStringLit, tok);
       node->str = tok.text;
       return QExprPtr(node);
     }
     case TokenKind::kTrue:
     case TokenKind::kFalse: {
-      Token tok = Advance();
+      const Token& tok = Advance();
       auto node = NewNode(QExpr::Kind::kBoolLit, tok);
       node->bool_value = tok.kind == TokenKind::kTrue;
       return QExprPtr(node);
@@ -342,7 +343,7 @@ Result<QExprPtr> Parser::ParsePrimary() {
     case TokenKind::kAvg:
     case TokenKind::kMin:
     case TokenKind::kMax: {
-      Token tok = Advance();
+      const Token& tok = Advance();
       auto node = NewNode(QExpr::Kind::kAgg, tok);
       switch (tok.kind) {
         case TokenKind::kCount: node->agg = AggKind::kCount; break;
@@ -360,7 +361,7 @@ Result<QExprPtr> Parser::ParsePrimary() {
       return Finish(std::move(node));
     }
     case TokenKind::kIsEmpty: {
-      Token tok = Advance();
+      const Token& tok = Advance();
       N2J_RETURN_IF_ERROR(
           Expect(TokenKind::kLParen, "after isempty").status());
       N2J_ASSIGN_OR_RETURN(QExprPtr arg, ParseExpr());
@@ -371,23 +372,23 @@ Result<QExprPtr> Parser::ParsePrimary() {
       return Finish(std::move(node));
     }
     case TokenKind::kIdent: {
-      Token tok = Advance();
+      const Token& tok = Advance();
       auto node = NewNode(QExpr::Kind::kIdent, tok);
       node->str = tok.text;
       return QExprPtr(node);
     }
     case TokenKind::kLParen: {
-      Token tok = Advance();
+      const Token& tok = Advance();
       // Disambiguate tuple constructor "(name = e, ...)" from grouping.
       if (Check(TokenKind::kIdent) && Peek(1).kind == TokenKind::kEq) {
         auto node = NewNode(QExpr::Kind::kTupleLit, tok);
         do {
           N2J_ASSIGN_OR_RETURN(
-              Token name, Expect(TokenKind::kIdent, "as tuple field"));
+              const Token* name, Expect(TokenKind::kIdent, "as tuple field"));
           N2J_RETURN_IF_ERROR(
               Expect(TokenKind::kEq, "after tuple field name").status());
           N2J_ASSIGN_OR_RETURN(QExprPtr v, ParseExpr());
-          node->names.push_back(name.text);
+          node->names.push_back(name->text);
           node->kids.push_back(v);
         } while (Match(TokenKind::kComma));
         N2J_RETURN_IF_ERROR(
@@ -400,7 +401,7 @@ Result<QExprPtr> Parser::ParsePrimary() {
       return e;
     }
     case TokenKind::kLBrace: {
-      Token tok = Advance();
+      const Token& tok = Advance();
       auto node = NewNode(QExpr::Kind::kSetLit, tok);
       if (!Check(TokenKind::kRBrace)) {
         do {
@@ -427,33 +428,33 @@ Result<TypePtr> Parser::ParseType() {
   if (Match(TokenKind::kLParen)) {
     std::vector<TypeField> fields;
     do {
-      N2J_ASSIGN_OR_RETURN(Token name,
+      N2J_ASSIGN_OR_RETURN(const Token* name,
                            Expect(TokenKind::kIdent, "as attribute name"));
       N2J_RETURN_IF_ERROR(
           Expect(TokenKind::kColon, "after attribute name").status());
       N2J_ASSIGN_OR_RETURN(TypePtr ft, ParseType());
-      fields.push_back({name.text, std::move(ft)});
+      fields.push_back({name->text, std::move(ft)});
     } while (Match(TokenKind::kComma));
     N2J_RETURN_IF_ERROR(
         Expect(TokenKind::kRParen, "closing tuple type").status());
     return Type::Tuple(std::move(fields));
   }
   if (Match(TokenKind::kOid)) return Type::OidType();
-  N2J_ASSIGN_OR_RETURN(Token name, Expect(TokenKind::kIdent, "as type"));
-  if (name.text == "string") return Type::String();
-  if (name.text == "int" || name.text == "date") return Type::Int();
-  if (name.text == "double" || name.text == "real") return Type::Double();
-  if (name.text == "bool") return Type::Bool();
+  N2J_ASSIGN_OR_RETURN(const Token* name, Expect(TokenKind::kIdent, "as type"));
+  if (name->text == "string") return Type::String();
+  if (name->text == "int" || name->text == "date") return Type::Int();
+  if (name->text == "double" || name->text == "real") return Type::Double();
+  if (name->text == "bool") return Type::Bool();
   // Explicit reference syntax Ref(Class) — what Type::ToString prints.
-  if (name.text == "Ref" && Match(TokenKind::kLParen)) {
-    N2J_ASSIGN_OR_RETURN(Token cls,
+  if (name->text == "Ref" && Match(TokenKind::kLParen)) {
+    N2J_ASSIGN_OR_RETURN(const Token* cls,
                          Expect(TokenKind::kIdent, "as referenced class"));
     N2J_RETURN_IF_ERROR(
         Expect(TokenKind::kRParen, "closing Ref(...)").status());
-    return Type::Ref(cls.text);
+    return Type::Ref(cls->text);
   }
   // Any other identifier is a class reference.
-  return Type::Ref(name.text);
+  return Type::Ref(name->text);
 }
 
 Result<Schema> Parser::ParseSchema() {
@@ -462,30 +463,30 @@ Result<Schema> Parser::ParseSchema() {
     N2J_RETURN_IF_ERROR(
         Expect(TokenKind::kClass, "to start a class definition").status());
     ClassDef def;
-    N2J_ASSIGN_OR_RETURN(Token name,
+    N2J_ASSIGN_OR_RETURN(const Token* name,
                          Expect(TokenKind::kIdent, "as class name"));
-    def.name = name.text;
+    def.name = name->text;
     N2J_RETURN_IF_ERROR(
         Expect(TokenKind::kWith, "after class name").status());
     N2J_RETURN_IF_ERROR(Expect(TokenKind::kExtension, "").status());
-    N2J_ASSIGN_OR_RETURN(Token ext,
+    N2J_ASSIGN_OR_RETURN(const Token* ext,
                          Expect(TokenKind::kIdent, "as extension name"));
-    def.extent = ext.text;
+    def.extent = ext->text;
     def.oid_field = "oid";
     if (Match(TokenKind::kOid)) {
-      N2J_ASSIGN_OR_RETURN(Token of,
+      N2J_ASSIGN_OR_RETURN(const Token* of,
                            Expect(TokenKind::kIdent, "as oid field name"));
-      def.oid_field = of.text;
+      def.oid_field = of->text;
     }
     Match(TokenKind::kComma);
     N2J_RETURN_IF_ERROR(Expect(TokenKind::kAttributes, "").status());
     do {
-      N2J_ASSIGN_OR_RETURN(Token attr,
+      N2J_ASSIGN_OR_RETURN(const Token* attr,
                            Expect(TokenKind::kIdent, "as attribute name"));
       N2J_RETURN_IF_ERROR(
           Expect(TokenKind::kColon, "after attribute name").status());
       N2J_ASSIGN_OR_RETURN(TypePtr t, ParseType());
-      def.attributes.push_back({attr.text, std::move(t)});
+      def.attributes.push_back({attr->text, std::move(t)});
     } while (Match(TokenKind::kComma));
     N2J_RETURN_IF_ERROR(
         Expect(TokenKind::kEnd, "to close class definition").status());

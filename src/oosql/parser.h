@@ -66,7 +66,9 @@ class Parser {
   const Token& Advance();
   bool Check(TokenKind kind) const { return Peek().kind == kind; }
   bool Match(TokenKind kind);
-  Result<Token> Expect(TokenKind kind, const char* context);
+  /// The current token if it is a `kind` (and steps past it), else a
+  /// ParseError naming `context`. The pointer is into tokens_.
+  Result<const Token*> Expect(TokenKind kind, const char* context);
   Status ErrorHere(const std::string& msg) const;
   Status TooDeep() const;
   /// Sets `node`'s height from its children; fails past kMaxQueryDepth.

@@ -32,7 +32,8 @@ const char* TokenKindName(TokenKind kind);
 
 struct Token {
   TokenKind kind = TokenKind::kEof;
-  std::string text;      // identifier / string contents / raw number text
+  std::string text;      // identifier / string contents / raw number text;
+                         // empty for keywords and punctuation
   int64_t int_value = 0;
   double double_value = 0.0;
   int line = 1;

@@ -23,6 +23,24 @@ constexpr double kDefaultRows = 1000.0;
 constexpr double kReorderGain = 0.95;
 constexpr size_t kMaxDpLeaves = 10;
 
+/// Plan-line name of a non-join operator.
+const char* OpName(ExprKind k) {
+  switch (k) {
+    case ExprKind::kMap: return "map";
+    case ExprKind::kSelect: return "select";
+    case ExprKind::kProject: return "project";
+    case ExprKind::kFlatten: return "flatten";
+    case ExprKind::kNest: return "nest";
+    case ExprKind::kUnnest: return "unnest";
+    case ExprKind::kProduct: return "product";
+    case ExprKind::kDivide: return "divide";
+    case ExprKind::kUnion: return "union";
+    case ExprKind::kIntersect: return "intersect";
+    case ExprKind::kDifference: return "difference";
+    default: return "op";
+  }
+}
+
 const char* JoinOpName(ExprKind k) {
   switch (k) {
     case ExprKind::kSemiJoin:
@@ -495,36 +513,33 @@ class Annotator {
   void Walk(const ExprPtr& e, int depth) {
     switch (e->kind()) {
       case ExprKind::kGetTable:
-        Line(depth, "scan " + e->name(), est_.Estimate(e).rows, -1.0);
+        Line(depth, e, nullptr, est_.Estimate(e).rows, -1.0);
         return;
       case ExprKind::kJoin:
       case ExprKind::kSemiJoin:
       case ExprKind::kAntiJoin:
       case ExprKind::kNestJoin: {
-        RelEstimate l = est_.Estimate(e->left());
-        RelEstimate r = est_.Estimate(e->right());
-        RelEstimate self = est_.Estimate(e);
+        const RelEstimate& l = est_.Estimate(e->left());
+        const RelEstimate& r = est_.Estimate(e->right());
+        const RelEstimate& self = est_.Estimate(e);
         double out = self.RowsOr(l.RowsOr(kDefaultRows));
         // A correlated operator (predicate references a variable bound
         // outside this node, so the evaluator rebuilds it per outer
         // row) invalidates the static estimates — the bound outer value
         // turns residual conjuncts into selective filters the runtime
         // dispatch can exploit. Never pin an algorithm there.
-        std::set<std::string> outer = FreeVars(e->pred());
-        outer.erase(e->var());
-        outer.erase(e->var2());
         bool correlated = false;
-        for (const std::string& v : outer) {
-          if (db_.FindTable(v) == nullptr) correlated = true;
+        for (const std::string& v : FreeVars(e->pred())) {
+          if (v != e->var() && v != e->var2() && db_.FindTable(v) == nullptr) {
+            correlated = true;
+          }
         }
         if (correlated) {
           ++plan_->unpriced_correlated;
           PlanAnnotation pa;
           pa.est_rows = self.rows;
           plan_->annotations.nodes[e.get()] = pa;
-          Line(depth,
-               std::string(JoinOpName(e->kind())) + "[auto: correlated]",
-               self.rows, -1.0);
+          Line(depth, e, "auto: correlated", self.rows, -1.0);
         } else {
           // Matching rows the algorithm must touch: for join/nestjoin
           // the full match multiset (l × fanout); semijoin/antijoin
@@ -544,9 +559,7 @@ class Annotator {
           pa.label = c.label;
           plan_->annotations.nodes[e.get()] = pa;
           plan_->est_cost += c.cost;
-          Line(depth,
-               std::string(JoinOpName(e->kind())) + "[" + c.label + "]",
-               self.rows, c.cost);
+          Line(depth, e, c.label, self.rows, c.cost);
         }
         Walk(e->left(), depth + 1);
         Walk(e->right(), depth + 1);
@@ -573,7 +586,7 @@ class Annotator {
           pa.est_rows = self.rows;
           plan_->annotations.nodes[e.get()] = pa;
         }
-        Line(depth, OpName(e->kind()), self.rows, -1.0);
+        Line(depth, e, nullptr, self.rows, -1.0);
         for (const ExprPtr& c : e->children()) Walk(c, depth + 1);
         return;
       }
@@ -584,30 +597,9 @@ class Annotator {
   }
 
  private:
-  static const char* OpName(ExprKind k) {
-    switch (k) {
-      case ExprKind::kMap: return "map";
-      case ExprKind::kSelect: return "select";
-      case ExprKind::kProject: return "project";
-      case ExprKind::kFlatten: return "flatten";
-      case ExprKind::kNest: return "nest";
-      case ExprKind::kUnnest: return "unnest";
-      case ExprKind::kProduct: return "product";
-      case ExprKind::kDivide: return "divide";
-      case ExprKind::kUnion: return "union";
-      case ExprKind::kIntersect: return "intersect";
-      case ExprKind::kDifference: return "difference";
-      default: return "op";
-    }
-  }
-
-  void Line(int depth, const std::string& head, double est_rows,
-            double est_cost) {
-    std::string s(static_cast<size_t>(depth) * 2, ' ');
-    s += head;
-    if (est_rows >= 0.0) s += StrFormat(" est_rows=%.0f", est_rows);
-    if (est_cost >= 0.0) s += StrFormat(" est_cost=%.3fms", est_cost / 1e6);
-    plan_->lines.push_back(std::move(s));
+  void Line(int depth, const ExprPtr& e, const char* algorithm,
+            double est_rows, double est_cost) {
+    plan_->lines.push_back({depth, e.get(), algorithm, est_rows, est_cost});
   }
 
   const Database& db_;
@@ -629,7 +621,21 @@ std::string PhysicalPlan::Describe() const {
   }
   if (reordered) out += " (join order changed)";
   out += "\n";
-  for (const std::string& l : lines) out += "  " + l + "\n";
+  for (const Line& l : lines) {
+    out.append(static_cast<size_t>(l.depth) * 2 + 2, ' ');
+    if (l.node->kind() == ExprKind::kGetTable) {
+      out += "scan " + l.node->name();
+    } else if (l.algorithm != nullptr) {
+      out += StrFormat("%s[%s]", JoinOpName(l.node->kind()), l.algorithm);
+    } else {
+      out += OpName(l.node->kind());
+    }
+    if (l.est_rows >= 0.0) out += StrFormat(" est_rows=%.0f", l.est_rows);
+    if (l.est_cost >= 0.0) {
+      out += StrFormat(" est_cost=%.3fms", l.est_cost / 1e6);
+    }
+    out += "\n";
+  }
   return out;
 }
 

@@ -63,8 +63,19 @@ struct PhysicalPlan {
   int unpriced_correlated = 0;
   /// True when the join-order DP changed the join order.
   bool reordered = false;
-  /// Pre-order plan lines ("join[hash] est_rows=412 est_cost=0.21ms").
-  std::vector<std::string> lines;
+  /// One plan line per priced or estimated operator, in pre-order.
+  /// Describe() renders it ("join[hash] est_rows=412 est_cost=0.21ms");
+  /// planning itself formats no text.
+  struct Line {
+    int depth = 0;
+    /// The operator; a node of `root`, which keeps it alive.
+    const Expr* node = nullptr;
+    /// Join family: the pinned algorithm's label, or "auto: correlated".
+    const char* algorithm = nullptr;
+    double est_rows = -1.0;  // printed when >= 0
+    double est_cost = -1.0;  // printed when >= 0
+  };
+  std::vector<Line> lines;
 
   /// Multi-line planner section for QueryReport::Explain().
   std::string Describe() const;

@@ -5,14 +5,14 @@ namespace rewrite_internal {
 
 namespace {
 
-bool BindsAnyOf(const Expr& e, const std::set<std::string>& vars) {
-  return (!e.var().empty() && vars.count(e.var()) > 0) ||
-         (!e.var2().empty() && vars.count(e.var2()) > 0);
+bool BindsAnyOf(const Expr& e, const VarSet& vars) {
+  return (!e.var().empty() && HasVar(vars, e.var())) ||
+         (!e.var2().empty() && HasVar(vars, e.var2()));
 }
 
 ExprPtr ReplaceRec(const ExprPtr& e, const ExprPtr& target,
                    const ExprPtr& replacement,
-                   const std::set<std::string>& target_free) {
+                   const VarSet& target_free) {
   if (e->Equals(*target)) return replacement;
   if (e->num_children() == 0) return e;
   // If this node rebinds a free variable of the target, occurrences in

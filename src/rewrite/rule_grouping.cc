@@ -21,6 +21,8 @@
 // keeps dangling tuples (concatenating them with ys = ∅) and is always
 // correct.
 
+#include <optional>
+
 #include "rewrite/rules_internal.h"
 
 namespace n2j {
@@ -220,9 +222,12 @@ struct Candidate {
   SubqueryShape shape;
 };
 
+/// Searches `e` for a candidate subquery over x. `allowed_free` holds
+/// the free variables of the enclosing iterator; it is computed on the
+/// first shape that needs it, most sites having none.
 bool FindCandidateRec(const ExprPtr& e, const std::string& x,
-                      const std::set<std::string>& allowed_free,
-                      Candidate* out) {
+                      const ExprPtr& iterator,
+                      std::optional<VarSet>* allowed_free, Candidate* out) {
   if ((e->kind() == ExprKind::kSelect || e->kind() == ExprKind::kMap) &&
       IsFreeIn(x, e)) {
     SubqueryShape shape = DecomposeSubquery(e);
@@ -230,9 +235,10 @@ bool FindCandidateRec(const ExprPtr& e, const std::string& x,
         !IsFreeIn(x, shape.table) && ContainsBaseTable(shape.table)) {
       // All other free variables of the subquery must be visible at the
       // level of the enclosing iterator (not bound in between).
+      if (!allowed_free->has_value()) *allowed_free = FreeVars(iterator);
       bool ok = true;
       for (const std::string& v : FreeVars(e)) {
-        if (v != x && allowed_free.count(v) == 0) {
+        if (v != x && !HasVar(**allowed_free, v)) {
           ok = false;
           break;
         }
@@ -245,7 +251,7 @@ bool FindCandidateRec(const ExprPtr& e, const std::string& x,
     }
   }
   for (const ExprPtr& c : e->children()) {
-    if (FindCandidateRec(c, x, allowed_free, out)) return true;
+    if (FindCandidateRec(c, x, iterator, allowed_free, out)) return true;
   }
   return false;
 }
@@ -265,8 +271,8 @@ ExprPtr ApplyGrouping(const ExprPtr& e, RewriteContext& ctx) {
   const ExprPtr& P = e->child(1);  // predicate (σ) or result function (α)
 
   Candidate cand;
-  std::set<std::string> allowed = FreeVars(e);
-  if (!FindCandidateRec(P, x, allowed, &cand)) return nullptr;
+  std::optional<VarSet> allowed;
+  if (!FindCandidateRec(P, x, e, &allowed, &cand)) return nullptr;
 
   // Normalize the shape: y is the join variable over Y, Q the join
   // predicate, G the optional inner function.

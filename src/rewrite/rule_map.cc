@@ -102,9 +102,9 @@ ExprPtr ApplyRule2(const ExprPtr& e, RewriteContext& ctx) {
   // level there is an outer variable).
   auto vars_of = [&](const ExprPtr& x, size_t upto) {
     uint64_t m = 0;
-    std::set<std::string> free = FreeVars(x);
+    VarSet free = FreeVars(x);
     for (size_t i = 0; i < upto; ++i) {
-      if (free.count(ch.vars[i]) > 0) m |= bit(i);
+      if (HasVar(free, ch.vars[i])) m |= bit(i);
     }
     return m;
   };

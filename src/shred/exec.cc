@@ -80,14 +80,14 @@ EquiSplit SplitEquiPred(const RangeSpec& r) {
   std::vector<ExprPtr> conjs = SplitConjuncts(r.pred);
   for (const ExprPtr& c : conjs) {
     if (c->kind() == ExprKind::kBinary && c->bin_op() == BinOp::kEq) {
-      std::set<std::string> fl = FreeVars(c->child(0));
-      std::set<std::string> fr = FreeVars(c->child(1));
-      if (fl.size() == 1 && fl.count(r.var) > 0 && fr.count(r.var) == 0) {
+      VarSet fl = FreeVars(c->child(0));
+      VarSet fr = FreeVars(c->child(1));
+      if (fl.size() == 1 && fl[0] == r.var && !HasVar(fr, r.var)) {
         s.scan_keys.push_back(c->child(0));
         s.probe_keys.push_back(c->child(1));
         continue;
       }
-      if (fr.size() == 1 && fr.count(r.var) > 0 && fl.count(r.var) == 0) {
+      if (fr.size() == 1 && fr[0] == r.var && !HasVar(fl, r.var)) {
         s.scan_keys.push_back(c->child(1));
         s.probe_keys.push_back(c->child(0));
         continue;

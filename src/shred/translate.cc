@@ -97,8 +97,7 @@ class Translator {
       r.kind = RangeKind::kChildAttr;
       r.parent_var = src->child(0)->name();
       r.attr = src->name();
-    } else if (IsUncorrelated(src, std::set<std::string>(bound.begin(),
-                                                         bound.end()))) {
+    } else if (IsUncorrelated(src, bound)) {
       r.kind = RangeKind::kConstSet;
     } else {
       r.kind = RangeKind::kOpaque;
@@ -140,9 +139,9 @@ class Translator {
     FlatNode node;
     node.id = id;
     // Context = the bindings this subtree actually reads.
-    std::set<std::string> fv = FreeVars(e);
+    VarSet fv = FreeVars(e);
     for (const std::string& v : available) {
-      if (fv.count(v) > 0 && !Contains(node.ctx_vars, v)) {
+      if (HasVar(fv, v) && !Contains(node.ctx_vars, v)) {
         node.ctx_vars.push_back(v);
       }
     }

@@ -39,6 +39,25 @@ double FractionBelow(const AttrStats& a, double c) {
   return Clamp01((c - lo) / (hi - lo));
 }
 
+using AttrMap = RelEstimate::AttrMap;
+
+/// `m` as an estimate's shared attribute map (null when empty).
+std::shared_ptr<const AttrMap> Share(AttrMap m) {
+  if (m.empty()) return nullptr;
+  return std::make_shared<const AttrMap>(std::move(m));
+}
+
+/// The attributes of `l` and those of `r` it lacks, as a product or join
+/// concatenates them.
+std::shared_ptr<const AttrMap> Merged(const RelEstimate& l,
+                                      const RelEstimate& r) {
+  if (r.attrs == nullptr) return l.attrs;
+  if (l.attrs == nullptr) return r.attrs;
+  AttrMap m = *l.attrs;
+  m.insert(r.attrs->begin(), r.attrs->end());
+  return Share(std::move(m));
+}
+
 }  // namespace
 
 std::string AttrPathOf(const ExprPtr& e, const std::string& var) {
@@ -109,7 +128,11 @@ RelEstimate CardinalityEstimator::EstimateNode(const Expr& e) {
       if (s == nullptr) return out;
       pinned_.push_back(s);  // keep the borrowed AttrStats* alive
       out.rows = static_cast<double>(s->row_count);
-      for (const auto& [name, a] : s->attrs) out.attrs[name] = &a;
+      AttrMap attrs;
+      for (const auto& [name, a] : s->attrs) {
+        attrs.emplace_hint(attrs.end(), name, &a);
+      }
+      out.attrs = Share(std::move(attrs));
       return out;
     }
 
@@ -131,7 +154,7 @@ RelEstimate CardinalityEstimator::EstimateNode(const Expr& e) {
     }
 
     case ExprKind::kSelect: {
-      RelEstimate in = Estimate(e.input());
+      const RelEstimate& in = Estimate(e.input());
       if (!in.known()) return in;
       double sel = EstimatePredicateSelectivity(e.body(), e.var(), in);
       out = in;
@@ -140,7 +163,7 @@ RelEstimate CardinalityEstimator::EstimateNode(const Expr& e) {
     }
 
     case ExprKind::kMap: {
-      RelEstimate in = Estimate(e.input());
+      const RelEstimate& in = Estimate(e.input());
       if (!in.known()) return in;
       const Expr& body = *e.body();
       if (body.kind() == ExprKind::kVar && body.name() == e.var()) return in;
@@ -164,6 +187,7 @@ RelEstimate CardinalityEstimator::EstimateNode(const Expr& e) {
         // — Rule 2's (x = x) wrap — keeps every row distinct and exposes
         // the row's attributes as "x.a".
         out.rows = in.rows;
+        AttrMap attrs;
         double combos = 1.0;
         bool keyed = false;
         bool whole_row = false;
@@ -171,26 +195,29 @@ RelEstimate CardinalityEstimator::EstimateNode(const Expr& e) {
           const ExprPtr& field = body.child(i);
           if (field->kind() == ExprKind::kVar && field->name() == e.var()) {
             whole_row = true;
-            for (const auto& [name, a] : in.attrs) {
-              out.attrs[body.names()[i] + "." + name] = a;
+            for (const auto& [name, a] : in.Attrs()) {
+              attrs[body.names()[i] + "." + name] = a;
             }
             continue;
           }
           const AttrStats* a = KeyAttrStats(field, e.var(), in);
-          if (a != nullptr) out.attrs[body.names()[i]] = a;
+          if (a != nullptr) attrs[body.names()[i]] = a;
           if (a != nullptr && a->scalar) {
             combos *= static_cast<double>(std::max<uint64_t>(1, a->distinct));
             keyed = true;
           }
         }
         if (keyed && !whole_row) out.rows = std::min(out.rows, combos);
+        out.attrs = Share(std::move(attrs));
         return out;
       }
       if (body.kind() == ExprKind::kExcept) {
         // z except (a = ...) keeps the input shape; the replaced
         // attributes lose their statistics.
-        out = in;
-        for (const std::string& n : body.names()) out.attrs.erase(n);
+        out.rows = in.rows;
+        AttrMap attrs = in.Attrs();
+        for (const std::string& n : body.names()) attrs.erase(n);
+        out.attrs = Share(std::move(attrs));
         return out;
       }
       if (body.kind() == ExprKind::kTupleConcat) {
@@ -202,13 +229,15 @@ RelEstimate CardinalityEstimator::EstimateNode(const Expr& e) {
     }
 
     case ExprKind::kProject: {
-      RelEstimate in = Estimate(e.input());
+      const RelEstimate& in = Estimate(e.input());
       if (!in.known()) return in;
       out.rows = in.rows;
+      AttrMap attrs;
       for (const std::string& n : e.names()) {
         const AttrStats* a = in.Find(n);
-        if (a != nullptr) out.attrs[n] = a;
+        if (a != nullptr) attrs[n] = a;
       }
+      out.attrs = Share(std::move(attrs));
       // A projection to a single low-distinct attribute deduplicates.
       if (e.names().size() == 1) {
         const AttrStats* a = in.Find(e.names()[0]);
@@ -226,7 +255,7 @@ RelEstimate CardinalityEstimator::EstimateNode(const Expr& e) {
       const ExprPtr& in_expr = e.input();
       if (in_expr->kind() == ExprKind::kMap &&
           in_expr->body()->kind() == ExprKind::kFieldAccess) {
-        RelEstimate base = Estimate(in_expr->input());
+        const RelEstimate& base = Estimate(in_expr->input());
         const AttrStats* a =
             KeyAttrStats(in_expr->body(), in_expr->var(), base);
         if (base.known() && a != nullptr && a->set_valued) {
@@ -236,8 +265,9 @@ RelEstimate CardinalityEstimator::EstimateNode(const Expr& e) {
                                 static_cast<double>(a->element_distinct));
           }
           if (!a->element_field.empty()) {
-            out.attrs[a->element_field] =
-                Synthesize(ElementScalarStats(*a, a->element_field));
+            out.attrs = Share(
+                {{a->element_field,
+                  Synthesize(ElementScalarStats(*a, a->element_field))}});
           }
           return out;
         }
@@ -246,49 +276,51 @@ RelEstimate CardinalityEstimator::EstimateNode(const Expr& e) {
     }
 
     case ExprKind::kNest: {
-      RelEstimate in = Estimate(e.input());
+      const RelEstimate& in = Estimate(e.input());
       if (!in.known()) return in;
       // Groups = distinct combinations of the non-grouped attributes.
       double groups = 1.0;
       bool any = false;
-      for (const auto& [name, a] : in.attrs) {
+      AttrMap attrs;
+      for (const auto& [name, a] : in.Attrs()) {
         bool grouped = std::find(e.names().begin(), e.names().end(), name) !=
                        e.names().end();
         if (grouped || !a->scalar) continue;
         groups *= static_cast<double>(std::max<uint64_t>(1, a->distinct));
         any = true;
-        out.attrs[name] = a;
+        attrs.emplace_hint(attrs.end(), name, a);
       }
       out.rows = any ? std::min(in.rows, groups) : in.rows;
+      out.attrs = Share(std::move(attrs));
       return out;
     }
 
     case ExprKind::kUnnest: {
-      RelEstimate in = Estimate(e.input());
+      const RelEstimate& in = Estimate(e.input());
       if (!in.known()) return in;
       const AttrStats* a = in.Find(e.name());
       if (a == nullptr || !a->set_valued) return out;
       out.rows = in.rows * a->avg_fanout;
-      out.attrs = in.attrs;
-      out.attrs.erase(e.name());
+      AttrMap attrs = in.Attrs();
+      attrs.erase(e.name());
       // The unnested elements surface as a scalar attribute — re-expose
       // the element-level stats under the element field name so joins
       // over the unnested value (Q4's z.pid = p.pid) see the measured
       // match rate instead of the unknown-conjunct fallback.
       if (!a->element_field.empty()) {
-        out.attrs[a->element_field] =
+        attrs[a->element_field] =
             Synthesize(ElementScalarStats(*a, a->element_field));
       }
+      out.attrs = Share(std::move(attrs));
       return out;
     }
 
     case ExprKind::kProduct: {
-      RelEstimate l = Estimate(e.left());
-      RelEstimate r = Estimate(e.right());
+      const RelEstimate& l = Estimate(e.left());
+      const RelEstimate& r = Estimate(e.right());
       if (!l.known() || !r.known()) return out;
       out.rows = l.rows * r.rows;
-      out.attrs = l.attrs;
-      out.attrs.insert(r.attrs.begin(), r.attrs.end());
+      out.attrs = Merged(l, r);
       return out;
     }
 
@@ -299,24 +331,24 @@ RelEstimate CardinalityEstimator::EstimateNode(const Expr& e) {
       return EstimateJoinLike(e);
 
     case ExprKind::kUnion: {
-      RelEstimate l = Estimate(e.left());
-      RelEstimate r = Estimate(e.right());
+      const RelEstimate& l = Estimate(e.left());
+      const RelEstimate& r = Estimate(e.right());
       if (!l.known() || !r.known()) return out;
       out.rows = l.rows + r.rows;
       out.attrs = l.attrs;
       return out;
     }
     case ExprKind::kIntersect: {
-      RelEstimate l = Estimate(e.left());
-      RelEstimate r = Estimate(e.right());
+      const RelEstimate& l = Estimate(e.left());
+      const RelEstimate& r = Estimate(e.right());
       if (!l.known() || !r.known()) return out;
       out.rows = std::min(l.rows, r.rows);
       out.attrs = l.attrs;
       return out;
     }
     case ExprKind::kDifference: {
-      RelEstimate l = Estimate(e.left());
-      RelEstimate r = Estimate(e.right());
+      const RelEstimate& l = Estimate(e.left());
+      const RelEstimate& r = Estimate(e.right());
       if (!l.known()) return out;
       // Between |L|−|R| and |L|; split the difference geometrically.
       double floor_rows =
@@ -336,8 +368,8 @@ RelEstimate CardinalityEstimator::EstimateNode(const Expr& e) {
 }
 
 RelEstimate CardinalityEstimator::EstimateJoinLike(const Expr& e) {
-  RelEstimate l = Estimate(e.left());
-  RelEstimate r = Estimate(e.right());
+  const RelEstimate& l = Estimate(e.left());
+  const RelEstimate& r = Estimate(e.right());
   RelEstimate out;
   if (!l.known()) return out;
 
@@ -346,8 +378,7 @@ RelEstimate CardinalityEstimator::EstimateJoinLike(const Expr& e) {
     case ExprKind::kJoin:
       if (!r.known()) return out;
       out.rows = l.rows * sel.fanout;
-      out.attrs = l.attrs;
-      out.attrs.insert(r.attrs.begin(), r.attrs.end());
+      out.attrs = Merged(l, r);
       return out;
     case ExprKind::kSemiJoin:
       out.rows = l.rows * sel.match_rate;

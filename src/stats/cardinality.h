@@ -26,21 +26,31 @@ namespace n2j {
 
 /// Estimated shape of one set-typed (sub)expression.
 struct RelEstimate {
+  using AttrMap = std::map<std::string, const AttrStats*>;
+
   /// Estimated output cardinality; negative = unknown.
   double rows = -1.0;
   /// Statistics of the attributes flowing through this expression,
   /// keyed by attribute name as visible *here* (maps that rename
   /// attributes re-key; an attribute inside a tuple-valued field x is
   /// keyed "x.a"). Pointers borrow from the StatsCatalog and stay valid
-  /// for the planning pass.
-  std::map<std::string, const AttrStats*> attrs;
+  /// for the planning pass. Immutable and shared: an operator that
+  /// passes its input's attributes through unchanged (select, identity
+  /// map, semijoin, ...) points at the same map. Null when empty.
+  std::shared_ptr<const AttrMap> attrs;
 
   bool known() const { return rows >= 0.0; }
   /// `rows` when known, else `fallback`.
   double RowsOr(double fallback) const { return known() ? rows : fallback; }
   const AttrStats* Find(const std::string& name) const {
-    auto it = attrs.find(name);
-    return it == attrs.end() ? nullptr : &*it->second;
+    if (attrs == nullptr) return nullptr;
+    auto it = attrs->find(name);
+    return it == attrs->end() ? nullptr : it->second;
+  }
+  /// The attribute map, empty when there is none.
+  const AttrMap& Attrs() const {
+    static const AttrMap kNone;
+    return attrs == nullptr ? kNone : *attrs;
   }
 };
 

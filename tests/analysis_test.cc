@@ -10,8 +10,7 @@ namespace {
 TEST(AnalysisTest, FreeVarsSimple) {
   ExprPtr e = Expr::Bin(BinOp::kEq, Expr::Access(Expr::Var("x"), "a"),
                         Expr::Var("y"));
-  std::set<std::string> fv = FreeVars(e);
-  EXPECT_EQ(fv, (std::set<std::string>{"x", "y"}));
+  EXPECT_EQ(FreeVars(e), (VarSet{"x", "y"}));
 }
 
 TEST(AnalysisTest, BinderShadowsVariable) {
@@ -21,7 +20,7 @@ TEST(AnalysisTest, BinderShadowsVariable) {
       Expr::Bin(BinOp::kEq, Expr::Access(Expr::Var("x"), "a"),
                 Expr::Access(Expr::Var("y"), "b")),
       Expr::Table("X"));
-  EXPECT_EQ(FreeVars(e), (std::set<std::string>{"y"}));
+  EXPECT_EQ(FreeVars(e), (VarSet{"y"}));
   EXPECT_FALSE(IsFreeIn("x", e));
   EXPECT_TRUE(IsFreeIn("y", e));
 }
@@ -37,7 +36,7 @@ TEST(AnalysisTest, QuantifierBindsOnlyPredicate) {
   ExprPtr e = Expr::Quant(QuantKind::kExists, "y",
                           Expr::Access(Expr::Var("x"), "c"),
                           Expr::Eq(Expr::Var("y"), Expr::Var("z")));
-  EXPECT_EQ(FreeVars(e), (std::set<std::string>{"x", "z"}));
+  EXPECT_EQ(FreeVars(e), (VarSet{"x", "z"}));
 }
 
 TEST(AnalysisTest, JoinBindsBothVarsInPredicate) {

@@ -3,19 +3,23 @@
 // Reset-then-Observe exact deltas for sequential callers, and the
 // deterministic merged render order `\metrics` depends on. Also pins
 // the statistics-fold counters that show whether a StatsCatalog refresh
-// rescanned the extent or folded in only the appended rows.
+// rescanned the extent or folded in only the appended rows, and the
+// instruments every QueryEngine::Run feeds.
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <string>
 #include <vector>
 
 #include "adl/type.h"
 #include "adl/value.h"
+#include "core/engine.h"
 #include "obs/metrics.h"
 #include "obs/openmetrics.h"
 #include "stats/stats.h"
 #include "storage/database.h"
+#include "tests/test_util.h"
 
 namespace n2j {
 namespace obs {
@@ -143,6 +147,76 @@ TEST(MetricsRegistry, StatsFoldCountersPinFullScanThenFolds) {
       << om;
   EXPECT_NE(om.find("n2j_stats_rows_folded_total 7\n"), std::string::npos)
       << om;
+}
+
+// The engine looks its per-query instruments up once per process and
+// keeps the references. One Run must create all of them, and after a
+// Reset() the next queries' deltas must land in the instruments the
+// registry renders, not in stale copies.
+TEST(MetricsRegistry, QueryInstrumentsExistAfterOneRunAndSurviveReset) {
+  const std::vector<std::string> kCounters = {
+      "n2j_queries_total",
+      "n2j_query_errors_total",
+      "n2j_joins_nested_loop_total",
+      "n2j_joins_hash_total",
+      "n2j_joins_sortmerge_total",
+      "n2j_joins_index_total",
+      "n2j_joins_membership_total",
+      "n2j_compiled_evals_total",
+      "n2j_interp_fallback_evals_total",
+  };
+  const std::vector<std::string> kHistograms = {
+      "n2j_query_ms", "n2j_rewrite_ms", "n2j_eval_ms"};
+  std::unique_ptr<Database> db = testutil::SmallSupplierDb();
+  QueryEngine engine(db.get());
+  const char* q =
+      "select s.sname from s in SUPPLIER where "
+      "exists x in s.parts : exists p in PART : x.pid = p.pid";
+  ASSERT_TRUE(engine.Run(q).ok());
+
+  MetricsRegistry& reg = MetricsRegistry::Global();
+  std::vector<std::string> counters, histograms;
+  for (const auto& [name, value] : reg.CounterValues()) {
+    counters.push_back(name);
+  }
+  for (const HistogramSnapshot& h : reg.HistogramValues()) {
+    histograms.push_back(h.name);
+  }
+  for (const std::string& name : kCounters) {
+    EXPECT_NE(std::find(counters.begin(), counters.end(), name),
+              counters.end())
+        << name;
+  }
+  for (const std::string& name : kHistograms) {
+    EXPECT_NE(std::find(histograms.begin(), histograms.end(), name),
+              histograms.end())
+        << name;
+  }
+
+  reg.Reset();
+  Result<QueryReport> r = engine.Run(q);
+  ASSERT_TRUE(r.ok()) << r.status().ToString();
+  ASSERT_FALSE(engine.Run("select nonsense !!").ok());
+  const EvalStats& s = r->exec_stats;
+  EXPECT_EQ(reg.GetCounter("n2j_queries_total").value(), 2u);
+  EXPECT_EQ(reg.GetCounter("n2j_query_errors_total").value(), 1u);
+  EXPECT_EQ(reg.GetHistogram("n2j_query_ms").count(), 2u);
+  EXPECT_EQ(reg.GetHistogram("n2j_rewrite_ms").count(), 1u);
+  EXPECT_EQ(reg.GetHistogram("n2j_eval_ms").count(), 1u);
+  EXPECT_EQ(reg.GetCounter("n2j_joins_nested_loop_total").value(),
+            s.joins_nested_loop);
+  EXPECT_EQ(reg.GetCounter("n2j_joins_hash_total").value(), s.joins_hash);
+  EXPECT_EQ(reg.GetCounter("n2j_joins_sortmerge_total").value(),
+            s.joins_sortmerge);
+  EXPECT_EQ(reg.GetCounter("n2j_joins_index_total").value(), s.joins_index);
+  EXPECT_EQ(reg.GetCounter("n2j_joins_membership_total").value(),
+            s.joins_membership);
+  EXPECT_EQ(reg.GetCounter("n2j_compiled_evals_total").value(),
+            s.compiled_evals);
+  EXPECT_EQ(reg.GetCounter("n2j_interp_fallback_evals_total").value(),
+            s.interp_fallback_evals);
+  EXPECT_GT(s.joins_membership + s.joins_hash, 0u) << s.Compact();
+  EXPECT_GT(s.compiled_evals, 0u) << s.Compact();
 }
 
 }  // namespace

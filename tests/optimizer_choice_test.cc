@@ -12,9 +12,10 @@
 //  2. Measured plan choice — for the paper's Fig. 1 / Fig. 3 / Query 4 /
 //     Query 6 shapes across four datagen configurations (uniform, skewed
 //     fanout, low match rate, tight PNHL memory budget), every physical
-//     alternative is timed in-process and the cost-based plan's measured
-//     runtime must be within 10% (plus a small absolute guard against
-//     sub-millisecond timer noise) of the best alternative.
+//     alternative runs in-process and the cost-based plan's
+//     deterministic work (PlanWork, counted in EvalStats) must be within
+//     10% of the best alternative's. Counters, not wall time, so a
+//     loaded host cannot fail it.
 //
 //  3. Planned work — a pinned join must be the operator the executor
 //     runs: paper Query 5 under the cost planner does exactly the
@@ -22,7 +23,6 @@
 
 #include <gtest/gtest.h>
 
-#include <chrono>
 #include <cstdio>
 #include <fstream>
 #include <iterator>
@@ -35,42 +35,18 @@
 #include "adl/value.h"
 #include "core/engine.h"
 #include "exec/eval.h"
+#include "fuzz/oracle.h"
 #include "opt/optimizer.h"
 #include "storage/datagen.h"
 
 namespace n2j {
 namespace {
 
+using fuzz::JoinWork;
+
 // ---------------------------------------------------------------------
 // Shared helpers
 // ---------------------------------------------------------------------
-
-/// Milliseconds per evaluation: repeats until >= min_ms accumulated,
-/// takes the minimum over `rounds` such measurements (minimum is the
-/// noise-robust statistic for "how fast can this plan run").
-double TimeMs(const std::function<void()>& fn, double min_ms = 15.0,
-              int rounds = 3) {
-  using Clock = std::chrono::steady_clock;
-  fn();  // warm-up
-  double best = -1.0;
-  for (int r = 0; r < rounds; ++r) {
-    int iters = 1;
-    for (;;) {
-      auto start = Clock::now();
-      for (int i = 0; i < iters; ++i) fn();
-      double elapsed =
-          std::chrono::duration<double, std::milli>(Clock::now() - start)
-              .count();
-      if (elapsed >= min_ms || iters > (1 << 20)) {
-        double per = elapsed / iters;
-        if (best < 0 || per < best) best = per;
-        break;
-      }
-      iters *= 2;
-    }
-  }
-  return best;
-}
 
 Value MustEval(const Database& db, const ExprPtr& e,
                const EvalOptions& opts = EvalOptions()) {
@@ -78,6 +54,26 @@ Value MustEval(const Database& db, const ExprPtr& e,
   Result<Value> r = ev.Eval(e);
   EXPECT_TRUE(r.ok()) << r.status().ToString();
   return r.ok() ? *r : Value::Null();
+}
+
+/// Deterministic work of one run, for comparing physical alternatives:
+/// the fuzzer work oracle's units (scanned + predicates + hash probes)
+/// plus the per-row work that measure leaves out: hash-table builds,
+/// index lookups and the rows sort-merge joins and set canonicalization
+/// sort. Without them a sort-merge or index join reads as cheaper than
+/// the hash join that does the same matching.
+uint64_t PlanWork(const EvalStats& s) {
+  return JoinWork(s) + s.hash_inserts + s.index_probes + s.rows_sorted +
+         s.set_sorted_rows;
+}
+
+/// The counters of one evaluation.
+EvalStats MustEvalStats(const Database& db, const ExprPtr& e,
+                        const EvalOptions& opts) {
+  Evaluator ev(db, opts);
+  Result<Value> r = ev.Eval(e);
+  EXPECT_TRUE(r.ok()) << r.status().ToString();
+  return ev.stats();
 }
 
 PhysicalPlan MustPlan(const Database& db, const ExprPtr& e,
@@ -220,7 +216,7 @@ TEST(OptimizerGoldenChoice, NestJoinMatchesBenchTrajectory) {
 }
 
 // ---------------------------------------------------------------------
-// Layer 2: measured plan choice on the paper workloads × datagen configs
+// Layer 2: plan choice by measured work on the paper workloads × configs
 // ---------------------------------------------------------------------
 
 struct WorkloadShape {
@@ -320,30 +316,7 @@ std::unique_ptr<Database> MakeConfigDb(const DatagenConfig& c) {
   return db;
 }
 
-/// True when built with ASan/TSan instrumentation. Wall-clock
-/// acceptance is meaningless there: the cost model's constants describe
-/// the uninstrumented machine, and sanitizers skew per-algorithm ratios
-/// (pointer chasing pays more than hashing). Bit-exactness of the
-/// cost-based plans is still covered sanitized, by the DP test below
-/// and the fuzzer's cost-based matrix cell.
-constexpr bool BuiltWithSanitizers() {
-#if defined(__SANITIZE_ADDRESS__) || defined(__SANITIZE_THREAD__)
-  return true;
-#elif defined(__has_feature)
-#if __has_feature(address_sanitizer) || __has_feature(thread_sanitizer)
-  return true;
-#else
-  return false;
-#endif
-#else
-  return false;
-#endif
-}
-
 TEST(OptimizerMeasuredChoice, WithinTenPercentOfBestAlternative) {
-  if (BuiltWithSanitizers()) {
-    GTEST_SKIP() << "timing acceptance skipped under sanitizers";
-  }
   for (const DatagenConfig& config : MakeConfigs()) {
     auto db = MakeConfigDb(config);
     QueryEngine engine(db.get());
@@ -392,24 +365,21 @@ TEST(OptimizerMeasuredChoice, WithinTenPercentOfBestAlternative) {
       }
       ASSERT_EQ(MustEval(*db, pp.root, planned_opts), expected);
 
-      double best_ms = -1.0;
+      uint64_t best_work = UINT64_MAX;
       std::string best;
       for (const Alternative& alt : alts) {
-        double ms = TimeMs([&] { MustEval(*db, plan, alt.opts); });
-        if (best_ms < 0 || ms < best_ms) {
-          best_ms = ms;
+        uint64_t work = PlanWork(MustEvalStats(*db, plan, alt.opts));
+        if (work < best_work) {
+          best_work = work;
           best = alt.name;
         }
       }
-      double planned_ms =
-          TimeMs([&] { MustEval(*db, pp.root, planned_opts); });
-      // Acceptance: within 10% of the best physical alternative. The
-      // 0.1 ms absolute guard absorbs scheduler jitter and fixed
-      // per-query overhead on the sub-millisecond cells without
-      // weakening the relative bound where differences are meaningful.
-      EXPECT_LE(planned_ms, 1.10 * best_ms + 0.1)
-          << "cost-based plan ran " << planned_ms << " ms but " << best
-          << " measured " << best_ms << " ms\n"
+      EvalStats planned = MustEvalStats(*db, pp.root, planned_opts);
+      // Acceptance: within 10% of the best physical alternative's work.
+      EXPECT_LE(PlanWork(planned), best_work + best_work / 10)
+          << "cost-based plan did " << PlanWork(planned) << " units ("
+          << planned.Compact() << ") but " << best << " did " << best_work
+          << "\n"
           << pp.Describe();
     }
   }
@@ -655,11 +625,6 @@ void AddIntTable(Database* db, const std::string& name,
     }
     N2J_CHECK(db->Insert(name, Value::Tuple(std::move(vals))).ok());
   }
-}
-
-/// Deterministic work of one run: the counters a join choice moves.
-uint64_t JoinWork(const EvalStats& s) {
-  return s.tuples_scanned + s.predicate_evals + s.hash_probes;
 }
 
 /// Runs `q` under both planners and checks that the cost planner keeps

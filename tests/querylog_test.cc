@@ -9,6 +9,7 @@
 #include <thread>
 #include <vector>
 
+#include "common/thread_pool.h"
 #include "core/engine.h"
 #include "obs/querylog.h"
 #include "tests/test_util.h"
@@ -31,7 +32,9 @@ QueryLogRecord SampleRecord() {
   r.threads = 4;
   r.compiled = false;
   r.wall_ms = 12.345678;
+  r.translate_ms = 0.125;
   r.rewrite_ms = 1.5;
+  r.plan_ms = 0.375;
   r.eval_ms = 10.25;
   r.rows_out = 42;
   r.stats.tuples_scanned = 1000;
@@ -62,6 +65,10 @@ TEST(QueryLogRecord, JsonRoundTripsThroughStrictReader) {
   EXPECT_EQ(back.threads, r.threads);
   EXPECT_EQ(back.compiled, r.compiled);
   EXPECT_DOUBLE_EQ(back.wall_ms, 12.3457);  // %.6g writer precision
+  EXPECT_DOUBLE_EQ(back.translate_ms, r.translate_ms);
+  EXPECT_DOUBLE_EQ(back.rewrite_ms, r.rewrite_ms);
+  EXPECT_DOUBLE_EQ(back.plan_ms, r.plan_ms);
+  EXPECT_DOUBLE_EQ(back.eval_ms, r.eval_ms);
   EXPECT_EQ(back.rows_out, r.rows_out);
   EXPECT_EQ(back.stats.Compact(), r.stats.Compact());
   EXPECT_EQ(back.fallbacks(), r.fallbacks());
@@ -112,6 +119,23 @@ TEST(QueryLogRecord, ParsesLinesWithTheRetiredBatchKeys) {
   EXPECT_EQ(again.find("\"batch\""), std::string::npos) << again;
   EXPECT_EQ(again.find("\"vectorized\""), std::string::npos) << again;
   EXPECT_EQ(again.find("vec_batches"), std::string::npos) << again;
+}
+
+TEST(QueryLogRecord, ParsesLinesWithoutTranslateAndPlanTimes) {
+  // A line as written before Run timed translation and planning.
+  const std::string line =
+      R"({"id":3,"hash":"00000000000000ff","query":"select 1","error":"",)"
+      R"("strategy":"cost","backend":"nested","threads":1,"compiled":true,)"
+      R"("wall_ms":2,"rewrite_ms":0.5,"eval_ms":1,"rows_out":0,"max_q":0,)"
+      R"("stats":{},"roots":[],"extents":[]})";
+  QueryLogRecord r;
+  ASSERT_TRUE(QueryLogRecord::FromJson(line, &r));
+  EXPECT_EQ(r.id, 3u);
+  EXPECT_DOUBLE_EQ(r.wall_ms, 2.0);
+  EXPECT_DOUBLE_EQ(r.rewrite_ms, 0.5);
+  EXPECT_DOUBLE_EQ(r.eval_ms, 1.0);
+  EXPECT_EQ(r.translate_ms, 0.0);
+  EXPECT_EQ(r.plan_ms, 0.0);
 }
 
 TEST(QueryLogRecord, FromJsonRejectsMalformedInput) {
@@ -200,6 +224,46 @@ TEST(QueryLog, EngineAppendsOneRecordPerRun) {
   ASSERT_TRUE(engine.Run("select s.sname from s in SUPPLIER").ok());
   EXPECT_EQ(qlog.total_appended(), before + 2);
   qlog.set_enabled(true);
+}
+
+// Run times its four phases one after another inside its own wall time,
+// so they never add up to more than the wall time, whether that is
+// taken around Run or recorded in the flight recorder.
+TEST(QueryLog, PhaseTimesAddUpToAtMostTheWallTime) {
+  std::unique_ptr<Database> db = testutil::SmallSupplierDb();
+  PlannerOptions cost;
+  cost.strategy = PlanStrategy::kCost;
+  for (PlannerOptions popts : {PlannerOptions(), cost}) {
+    SCOPED_TRACE(PlanStrategyName(popts.strategy));
+    QueryEngine engine(db.get(), RewriteOptions(), EvalOptions(), popts);
+    int64_t t0 = MonotonicNanos();
+    Result<QueryReport> r = engine.Run(
+        "select s.sname from s in SUPPLIER where "
+        "exists x in s.parts : exists p in PART : x.pid = p.pid");
+    double wall_ms = static_cast<double>(MonotonicNanos() - t0) / 1e6;
+    ASSERT_TRUE(r.ok()) << r.status().ToString();
+    EXPECT_GT(r->translate_ms, 0.0);
+    EXPECT_GT(r->rewrite_ms, 0.0);
+    EXPECT_GT(r->eval_ms, 0.0);
+    if (popts.strategy == PlanStrategy::kCost) {
+      EXPECT_GT(r->plan_ms, 0.0);
+    } else {
+      EXPECT_EQ(r->plan_ms, 0.0);
+    }
+    double phases = r->translate_ms + r->rewrite_ms + r->plan_ms + r->eval_ms;
+    EXPECT_LE(phases, wall_ms);
+
+    std::vector<QueryLogRecord> last = QueryLog::Global().Snapshot(1);
+    ASSERT_EQ(last.size(), 1u);
+    const QueryLogRecord& rec = last[0];
+    EXPECT_EQ(rec.translate_ms, r->translate_ms);
+    EXPECT_EQ(rec.rewrite_ms, r->rewrite_ms);
+    EXPECT_EQ(rec.plan_ms, r->plan_ms);
+    EXPECT_EQ(rec.eval_ms, r->eval_ms);
+    EXPECT_LE(rec.translate_ms + rec.rewrite_ms + rec.plan_ms + rec.eval_ms,
+              rec.wall_ms);
+    EXPECT_LE(rec.wall_ms, wall_ms);
+  }
 }
 
 TEST(QueryLog, HashNormalizesOverFormatting) {
