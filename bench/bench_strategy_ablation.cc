@@ -196,6 +196,14 @@ void RunStrategyComparison(bench::Trajectory* traj) {
                   c_ms, c_ms / h_ms, pp.reordered ? "yes" : "no");
       traj->Add(q.tag, "heuristic", n, h_ms, h_stats);
       traj->Add(q.tag, "cost", n, c_ms, c_stats);
+      if (n == 1024) {
+        // One traced run per strategy, outside the timed loops, feeds the
+        // trajectory's operator_profile.
+        bench::ProfileOnce(traj, *db, plan, q.tag, "heuristic", n);
+        EvalOptions cost_opts;
+        cost_opts.plan = &pp.annotations;
+        bench::ProfileOnce(traj, *db, pp.root, q.tag, "cost", n, cost_opts);
+      }
     }
   }
   std::printf(

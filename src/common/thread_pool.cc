@@ -1,7 +1,10 @@
 #include "common/thread_pool.h"
 
+#include <algorithm>
 #include <atomic>
 #include <chrono>
+#include <exception>
+#include <string>
 
 namespace n2j {
 
@@ -11,111 +14,125 @@ int64_t MonotonicNanos() {
       .count();
 }
 
-ThreadPool::ThreadPool(int num_workers) {
-  if (num_workers < 1) num_workers = 1;
-  workers_.reserve(static_cast<size_t>(num_workers));
-  for (int i = 0; i < num_workers; ++i) {
-    workers_.emplace_back([this] { WorkerLoop(); });
+/// One RunMorsels call. It lives on the caller's stack; the caller
+/// leaves only after unlisting it and seeing `running` drop to zero.
+struct ThreadPool::Call {
+  Call(const MorselBody& b, size_t n, int w, const char* p,
+       const MorselSink* s)
+      : body(b), num_morsels(n), workers(w), phase(p), sink(s) {}
+
+  const MorselBody& body;
+  size_t num_morsels;
+  int workers;
+  const char* phase;
+  const MorselSink* sink;
+  std::atomic<size_t> next{0};
+  // Lowest failing morsel so far (SIZE_MAX: none) and its error.
+  std::atomic<size_t> failed{SIZE_MAX};
+  std::mutex error_mu;
+  Status error;
+  // Guarded by the pool's mu_.
+  int claimed = 1;  // worker ids handed out; the caller holds 0
+  int running = 0;  // pool threads inside Work
+
+  void Fail(size_t m, Status s) {
+    std::lock_guard<std::mutex> lock(error_mu);
+    if (m < failed.load(std::memory_order_relaxed)) {
+      failed.store(m, std::memory_order_relaxed);
+      error = std::move(s);
+    }
   }
-}
+};
 
 ThreadPool::~ThreadPool() {
   {
-    std::unique_lock<std::mutex> lock(mu_);
+    std::lock_guard<std::mutex> lock(mu_);
     shutdown_ = true;
   }
-  task_ready_.notify_all();
-  for (std::thread& t : workers_) t.join();
+  call_posted_.notify_all();
+  for (std::thread& t : threads_) t.join();
 }
 
-void ThreadPool::Submit(std::function<void()> task) {
-  {
-    std::unique_lock<std::mutex> lock(mu_);
-    queue_.push_back(std::move(task));
-    ++in_flight_;
-  }
-  task_ready_.notify_one();
+ThreadPool& ThreadPool::Shared() {
+  static ThreadPool pool;
+  return pool;
 }
 
-void ThreadPool::Wait() {
-  std::unique_lock<std::mutex> lock(mu_);
-  idle_.wait(lock, [this] { return in_flight_ == 0; });
-  if (first_exception_ != nullptr) {
-    std::exception_ptr e = first_exception_;
-    first_exception_ = nullptr;
-    std::rethrow_exception(e);
-  }
+int ThreadPool::num_threads() {
+  std::lock_guard<std::mutex> lock(mu_);
+  return static_cast<int>(threads_.size());
 }
 
-void ThreadPool::WorkerLoop() {
+void ThreadPool::Work(Call& call, int worker) {
   for (;;) {
-    std::function<void()> task;
-    {
-      std::unique_lock<std::mutex> lock(mu_);
-      task_ready_.wait(lock,
-                       [this] { return shutdown_ || !queue_.empty(); });
-      if (queue_.empty()) return;  // shutdown with a drained queue
-      task = std::move(queue_.front());
-      queue_.pop_front();
-    }
+    size_t m = call.next.fetch_add(1, std::memory_order_relaxed);
+    if (m >= call.num_morsels) return;
+    if (m > call.failed.load(std::memory_order_relaxed)) continue;
+    int64_t t0 = call.sink != nullptr ? MonotonicNanos() : 0;
+    Status s;
+    // Nothing may escape: a pool thread's exception would end the process.
     try {
-      task();
+      s = call.body(worker, m);
+      if (call.sink != nullptr) {
+        (*call.sink)(worker, m, call.phase, t0, MonotonicNanos());
+      }
+    } catch (const std::exception& ex) {
+      s = Status::Internal(std::string("morsel threw: ") + ex.what());
     } catch (...) {
-      std::unique_lock<std::mutex> lock(mu_);
-      if (first_exception_ == nullptr) {
-        first_exception_ = std::current_exception();
-      }
+      s = Status::Internal("morsel threw a non-exception");
     }
-    {
-      std::unique_lock<std::mutex> lock(mu_);
-      if (--in_flight_ == 0) idle_.notify_all();
-    }
+    if (!s.ok()) call.Fail(m, std::move(s));
   }
 }
 
-Status ThreadPool::RunMorsels(
-    size_t num_morsels,
-    const std::function<Status(int worker, size_t morsel)>& body) {
-  return RunMorsels(num_morsels, body, nullptr);
+void ThreadPool::ThreadLoop() {
+  std::unique_lock<std::mutex> lock(mu_);
+  for (;;) {
+    call_posted_.wait(lock, [this] { return shutdown_ || !open_.empty(); });
+    if (shutdown_) return;
+    Call* call = open_.front();
+    int worker = call->claimed++;
+    if (call->claimed == call->workers) open_.pop_front();
+    ++call->running;
+    lock.unlock();
+    Work(*call, worker);
+    lock.lock();
+    if (--call->running == 0) helper_done_.notify_all();
+  }
 }
 
-Status ThreadPool::RunMorsels(
-    size_t num_morsels,
-    const std::function<Status(int worker, size_t morsel)>& body,
-    size_t* first_error_morsel) {
+Status ThreadPool::RunMorsels(int workers, size_t num_morsels,
+                              const MorselBody& body, const char* phase,
+                              const MorselSink* sink,
+                              size_t* first_error_morsel) {
   if (num_morsels == 0) return Status::OK();
-  std::vector<Status> statuses(num_morsels, Status::OK());
-  std::atomic<size_t> next{0};
-  size_t launched = std::min(num_morsels, workers_.size());
-  for (size_t w = 0; w < launched; ++w) {
-    Submit([&, w] {
-      for (;;) {
-        size_t m = next.fetch_add(1, std::memory_order_relaxed);
-        if (m >= num_morsels) return;
-        int64_t t0 = morsel_sink_ ? MonotonicNanos() : 0;
-        try {
-          statuses[m] = body(static_cast<int>(w), m);
-        } catch (const std::exception& ex) {
-          statuses[m] = Status::Internal(std::string("morsel threw: ") +
-                                         ex.what());
-        } catch (...) {
-          statuses[m] = Status::Internal("morsel threw a non-exception");
-        }
-        if (morsel_sink_) {
-          morsel_sink_(static_cast<int>(w), m, morsel_phase_, t0,
-                       MonotonicNanos());
-        }
+  Call call(body, num_morsels,
+            workers > 1 ? static_cast<int>(std::min(
+                              static_cast<size_t>(workers), num_morsels))
+                        : 1,
+            phase, sink);
+  const int helpers = std::min(call.workers - 1, kMaxThreads);
+  if (helpers > 0) {
+    {
+      std::lock_guard<std::mutex> lock(mu_);
+      while (threads_.size() < static_cast<size_t>(helpers)) {
+        threads_.emplace_back([this] { ThreadLoop(); });
       }
-    });
-  }
-  Wait();
-  for (size_t m = 0; m < num_morsels; ++m) {
-    if (!statuses[m].ok()) {
-      if (first_error_morsel != nullptr) *first_error_morsel = m;
-      return statuses[m];
+      open_.push_back(&call);
     }
+    for (int i = 0; i < helpers; ++i) call_posted_.notify_one();
   }
-  return Status::OK();
+  Work(call, 0);
+  if (helpers > 0) {
+    std::unique_lock<std::mutex> lock(mu_);
+    auto it = std::find(open_.begin(), open_.end(), &call);
+    if (it != open_.end()) open_.erase(it);
+    helper_done_.wait(lock, [&call] { return call.running == 0; });
+  }
+  size_t failed = call.failed.load(std::memory_order_relaxed);
+  if (failed == SIZE_MAX) return Status::OK();
+  if (first_error_morsel != nullptr) *first_error_morsel = failed;
+  return std::move(call.error);
 }
 
 size_t NumMorsels(size_t n, size_t morsel_size) {

@@ -5,7 +5,6 @@
 #include <cstddef>
 #include <cstdint>
 #include <deque>
-#include <exception>
 #include <functional>
 #include <mutex>
 #include <thread>
@@ -19,85 +18,76 @@ namespace n2j {
 /// meaningful; all trace timestamps use this clock.
 int64_t MonotonicNanos();
 
+/// One morsel of a RunMorsels call, run by logical worker `worker`.
+using MorselBody = std::function<Status(int worker, size_t morsel)>;
+
 /// Receives one timestamped morsel execution from RunMorsels. `phase` is
-/// the string literal set via set_morsel_phase (it outlives the call).
+/// the string literal the call was labelled with.
 using MorselSink = std::function<void(int worker, size_t morsel,
                                       const char* phase, int64_t start_ns,
                                       int64_t end_ns)>;
 
-/// A small fixed-size thread pool with one shared FIFO task queue — no
-/// work stealing. Built for morsel-driven query execution, where tasks
-/// are coarse enough (hundreds of tuples each) that a single queue under
-/// a mutex is never the bottleneck.
+/// The morsel-scheduling thread pool behind num_threads > 1: one FIFO
+/// of open calls, no work stealing, no per-task queue. Each call runs
+/// its morsels on up to `workers` logical workers; every participant
+/// claims morsels one at a time from the call's shared counter, so a
+/// slow morsel never stalls the rest of the input.
 ///
-/// One pool serves one evaluator; Submit/Wait and RunMorsels are meant
-/// to be driven from that evaluator's thread, not called concurrently
-/// from several threads.
+/// The calling thread is logical worker 0 and runs morsels itself, so a
+/// call for k workers needs at most k − 1 pool threads, and every call
+/// finishes even while other calls occupy all of them. Any number of
+/// threads may call RunMorsels concurrently. Production code uses the
+/// process-wide Shared() pool, through the morsel driver
+/// (exec/morsel.h).
 class ThreadPool {
  public:
-  /// Spawns `num_workers` threads (clamped to at least 1).
-  explicit ThreadPool(int num_workers);
-  /// Drains the queue and joins the workers.
+  /// Starts no thread; RunMorsels starts them on first use.
+  ThreadPool() = default;
+  /// Joins the threads. No call may be in flight.
   ~ThreadPool();
 
   ThreadPool(const ThreadPool&) = delete;
   ThreadPool& operator=(const ThreadPool&) = delete;
 
-  int num_workers() const { return static_cast<int>(workers_.size()); }
+  /// The process-wide pool.
+  static ThreadPool& Shared();
 
-  /// Enqueues a task.
-  void Submit(std::function<void()> task);
+  /// Threads started so far: the largest `workers` − 1 any call asked
+  /// for, at most kMaxThreads.
+  int num_threads();
 
-  /// Blocks until every submitted task has finished. If any task threw,
-  /// rethrows the first captured exception (in completion order).
-  /// Waiting with nothing submitted returns immediately.
-  void Wait();
+  /// Runs body(worker, morsel) for every morsel in [0, num_morsels) on
+  /// logical workers [0, min(workers, num_morsels)); `workers` < 1 runs
+  /// everything on the caller as worker 0. Returns the error of the
+  /// *lowest-numbered* failing morsel — deterministic whatever the
+  /// scheduling — and stores its index in `first_error_morsel` when
+  /// that is set (left untouched on success). Once a morsel has failed,
+  /// higher morsels that have not started are skipped: their outcome
+  /// cannot change the answer. An exception escaping `body` becomes an
+  /// internal-error Status for its morsel. When `sink` is set, each
+  /// morsel that ran is reported to it, labelled `phase`; the sink runs
+  /// on the participating threads and must be thread-safe.
+  Status RunMorsels(int workers, size_t num_morsels, const MorselBody& body,
+                    const char* phase = "morsel",
+                    const MorselSink* sink = nullptr,
+                    size_t* first_error_morsel = nullptr);
 
-  /// Runs body(worker, morsel) for every morsel in [0, num_morsels).
-  /// Worker ids are in [0, num_workers()); each worker claims morsels
-  /// one at a time from a shared counter (morsel-driven scheduling), so
-  /// a slow morsel never stalls the rest of the input. Blocks until all
-  /// morsels are done. Returns the error of the *lowest-numbered*
-  /// failing morsel — error reporting is deterministic regardless of
-  /// scheduling. An exception escaping `body` becomes an internal-error
-  /// Status for its morsel.
-  Status RunMorsels(
-      size_t num_morsels,
-      const std::function<Status(int worker, size_t morsel)>& body);
-
-  /// As RunMorsels, but additionally reports the index of the
-  /// lowest-numbered failing morsel through `first_error_morsel` (left
-  /// untouched when every morsel succeeds). Callers whose morsels can
-  /// end in a non-error early-out (the shredded join's abandon path)
-  /// compare that index against their own flags to decide which event
-  /// the serial engine would have hit first.
-  Status RunMorsels(
-      size_t num_morsels,
-      const std::function<Status(int worker, size_t morsel)>& body,
-      size_t* first_error_morsel);
-
-  /// Installs (or clears, with nullptr semantics via an empty function)
-  /// a sink that receives per-morsel timestamps from RunMorsels. Set
-  /// from the coordinating thread while the pool is idle; the sink is
-  /// invoked concurrently from workers and must be thread-safe.
-  void set_morsel_sink(MorselSink sink) { morsel_sink_ = std::move(sink); }
-  /// Labels subsequent RunMorsels calls for the sink. Must be a string
-  /// literal (stored by pointer).
-  void set_morsel_phase(const char* phase) { morsel_phase_ = phase; }
+  /// Cap on pool threads; logical workers beyond it go unclaimed, which
+  /// changes scheduling only.
+  static constexpr int kMaxThreads = 64;
 
  private:
-  void WorkerLoop();
+  struct Call;
 
-  std::vector<std::thread> workers_;
-  std::mutex mu_;
-  std::condition_variable task_ready_;
-  std::condition_variable idle_;
-  std::deque<std::function<void()>> queue_;
-  size_t in_flight_ = 0;  // queued + currently running
+  void ThreadLoop();
+  static void Work(Call& call, int worker);
+
+  std::mutex mu_;  // guards the members below
+  std::condition_variable call_posted_;
+  std::condition_variable helper_done_;
+  std::deque<Call*> open_;  // calls with unclaimed worker ids
   bool shutdown_ = false;
-  std::exception_ptr first_exception_;
-  MorselSink morsel_sink_;
-  const char* morsel_phase_ = "morsel";
+  std::vector<std::thread> threads_;
 };
 
 /// Half-open element range of one morsel.

@@ -8,6 +8,7 @@
 #include "exec/bytecode.h"
 #include "exec/compile.h"
 #include "exec/equi_join.h"
+#include "exec/morsel.h"
 #include "exec/plan.h"
 #include "obs/trace.h"
 
@@ -119,20 +120,6 @@ Result<Value> Evaluator::ConcatTuples(const Value& l, const Value& r) {
   return ConcatTuplesChecked(l, r);
 }
 
-ThreadPool& Evaluator::pool() {
-  if (pool_ == nullptr) {
-    pool_ = std::make_unique<ThreadPool>(opts_.num_threads);
-    if (opts_.trace != nullptr) {
-      TraceCollector* tc = opts_.trace;
-      pool_->set_morsel_sink([tc](int w, size_t m, const char* phase,
-                                  int64_t t0, int64_t t1) {
-        tc->AddWorkerSpan(w, m, phase, t0, t1);
-      });
-    }
-  }
-  return *pool_;
-}
-
 std::unique_ptr<Evaluator> Evaluator::ForkWorker() const {
   EvalOptions worker_opts = opts_;
   worker_opts.num_threads = 1;  // nested operators stay serial
@@ -140,103 +127,6 @@ std::unique_ptr<Evaluator> Evaluator::ForkWorker() const {
   auto w = std::make_unique<Evaluator>(db_, worker_opts);
   w->table_cache_ = table_cache_;
   return w;
-}
-
-std::vector<std::unique_ptr<Evaluator>> Evaluator::ForkWorkers(int count) {
-  std::vector<std::unique_ptr<Evaluator>> workers;
-  workers.reserve(static_cast<size_t>(count));
-  EvalOptions worker_opts = opts_;
-  worker_opts.num_threads = 1;  // nested operators stay serial
-  // Workers never record spans: the collector is single-threaded and
-  // their counters reach the coordinator's span via MergeWorkerStats,
-  // which every parallel operator calls before its span closes.
-  worker_opts.trace = nullptr;
-  for (int i = 0; i < count; ++i) {
-    auto w = std::make_unique<Evaluator>(db_, worker_opts);
-    w->table_cache_ = table_cache_;
-    workers.push_back(std::move(w));
-  }
-  return workers;
-}
-
-void Evaluator::MergeWorkerStats(
-    const std::vector<std::unique_ptr<Evaluator>>& workers) {
-  for (const auto& w : workers) stats_.Merge(w->stats_);
-}
-
-Status Evaluator::ParallelMapSelect(const Expr& e, std::span<const Value> xs,
-                                    Environment& env, bool is_select,
-                                    std::vector<Value>* out) {
-  const size_t n = xs.size();
-  ThreadPool& tp = pool();
-  tp.set_morsel_phase(is_select ? "select" : "map");
-  const int num_workers = tp.num_workers();
-  std::vector<std::unique_ptr<Evaluator>> workers = ForkWorkers(num_workers);
-  std::vector<Environment> envs(static_cast<size_t>(num_workers), env);
-  // One compiled frame per worker: programs own mutable register files
-  // and inline caches, so workers never share one.
-  std::vector<CompiledLambda> lambdas(static_cast<size_t>(num_workers));
-  if (opts_.compiled && n > 0) {
-    const TupleShape* shape0 = FirstElemShape(xs);
-    for (int w = 0; w < num_workers; ++w) {
-      lambdas[static_cast<size_t>(w)].Compile(
-          *workers[static_cast<size_t>(w)], *e.child(1), {e.var()},
-          envs[static_cast<size_t>(w)], shape0);
-    }
-  }
-
-  size_t morsel_size = PickMorselSize(n, num_workers);
-  std::vector<Value> mapped(is_select ? 0 : n);  // slot per input element
-  std::vector<char> keep(is_select ? n : 0, 0);  // select verdicts
-  Status s = tp.RunMorsels(
-      NumMorsels(n, morsel_size), [&](int w, size_t m) -> Status {
-        Evaluator& ev = *workers[static_cast<size_t>(w)];
-        Environment& wenv = envs[static_cast<size_t>(w)];
-        CompiledLambda& cl = lambdas[static_cast<size_t>(w)];
-        MorselRange range = MorselAt(n, morsel_size, m);
-        for (size_t i = range.begin; i < range.end; ++i) {
-          ++ev.stats_.tuples_scanned;
-          if (is_select) ++ev.stats_.predicate_evals;
-          if (cl.ok()) {
-            Value* r = cl.Run(xs[i]);
-            if (r == nullptr) return cl.status();
-            if (is_select) {
-              if (!r->is_bool()) {
-                return Status::RuntimeError(
-                    "selection predicate not boolean");
-              }
-              keep[i] = r->bool_value() ? 1 : 0;
-            } else {
-              mapped[i] = std::move(*r);
-            }
-            continue;
-          }
-          if (cl.fallback()) ++ev.stats_.interp_fallback_evals;
-          wenv.Push(e.var(), xs[i]);
-          Result<Value> r = ev.EvalNode(*e.child(1), wenv);
-          wenv.Pop();
-          if (!r.ok()) return r.status();
-          if (is_select) {
-            if (!r->is_bool()) {
-              return Status::RuntimeError("selection predicate not boolean");
-            }
-            keep[i] = r->bool_value() ? 1 : 0;
-          } else {
-            mapped[i] = std::move(*r);
-          }
-        }
-        return Status::OK();
-      });
-  MergeWorkerStats(workers);
-  N2J_RETURN_IF_ERROR(s);
-  if (!is_select) {
-    *out = std::move(mapped);
-    return Status::OK();
-  }
-  for (size_t i = 0; i < n; ++i) {
-    if (keep[i]) out->push_back(xs[i]);
-  }
-  return Status::OK();
 }
 
 Result<Value> Evaluator::TableValue(const std::string& name) {
@@ -566,43 +456,50 @@ Result<Rows> Evaluator::EvalMapSelect(const Expr& e, Environment& env,
   span.RowsIn(in.set_size());
   std::span<const Value> xs = in.elements();
   std::vector<Value> out;
-  // One lambda result: the mapped row, or the row itself if it passes.
-  auto take = [&](const Value& x, Value* r) -> Status {
-    if (!is_select) {
-      out.push_back(std::move(*r));
-      return Status::OK();
-    }
-    if (!r->is_bool()) {
-      return Status::RuntimeError("selection predicate not boolean");
-    }
-    if (r->bool_value()) out.push_back(x);
-    return Status::OK();
-  };
-  if (opts_.num_threads > 1 && xs.size() > 1) {
-    N2J_RETURN_IF_ERROR(ParallelMapSelect(e, xs, env, is_select, &out));
-  } else {
+  if (!is_select) out.reserve(xs.size());
+  auto compile = [&](Evaluator& ev, Environment& wenv) {
     CompiledLambda body;
     if (opts_.compiled && !xs.empty()) {
-      body.Compile(*this, *e.child(1), {e.var()}, env, FirstElemShape(xs));
+      body.Compile(ev, *e.child(1), {e.var()}, wenv, FirstElemShape(xs));
     }
-    if (!is_select) out.reserve(xs.size());
-    for (const Value& x : xs) {
-      ++stats_.tuples_scanned;
-      if (is_select) ++stats_.predicate_evals;
+    return body;
+  };
+  auto rows = [&](Evaluator& ev, Environment& wenv, CompiledLambda& body,
+                  size_t begin, size_t end,
+                  std::vector<Value>* kept) -> Status {
+    // One lambda result: the mapped row, or the row itself if it passes.
+    auto take = [&](const Value& x, Value* r) -> Status {
+      if (!is_select) {
+        kept->push_back(std::move(*r));
+        return Status::OK();
+      }
+      if (!r->is_bool()) {
+        return Status::RuntimeError("selection predicate not boolean");
+      }
+      if (r->bool_value()) kept->push_back(x);
+      return Status::OK();
+    };
+    for (const Value& x : xs.subspan(begin, end - begin)) {
+      ++ev.stats_.tuples_scanned;
+      if (is_select) ++ev.stats_.predicate_evals;
       if (body.ok()) {
         Value* r = body.Run(x);
         if (r == nullptr) return body.status();
         N2J_RETURN_IF_ERROR(take(x, r));
         continue;
       }
-      if (body.fallback()) ++stats_.interp_fallback_evals;
-      env.Push(e.var(), x);
-      Result<Value> r = EvalNode(*e.child(1), env);
-      env.Pop();
+      if (body.fallback()) ++ev.stats_.interp_fallback_evals;
+      wenv.Push(e.var(), x);
+      Result<Value> r = ev.EvalNode(*e.child(1), wenv);
+      wenv.Pop();
       if (!r.ok()) return r.status();
       N2J_RETURN_IF_ERROR(take(x, &*r));
     }
-  }
+    return Status::OK();
+  };
+  N2J_RETURN_IF_ERROR(ForEachMorsel(*this, env, xs.size(),
+                                    is_select ? "select" : "map", compile,
+                                    rows, &out));
   // Selection keeps a subsequence of its input in input order; a map
   // can send two rows to one.
   RowOrder order = !is_select       ? RowOrder::kBag

@@ -14,7 +14,6 @@
 #include "adl/value.h"
 #include "common/result.h"
 #include "common/status.h"
-#include "common/thread_pool.h"
 #include "exec/join_table.h"
 #include "storage/database.h"
 
@@ -141,12 +140,14 @@ struct EvalOptions {
   bool enable_pnhl = true;
   /// Memory budget (bytes) for one PNHL hash segment.
   size_t pnhl_memory_budget = SIZE_MAX;
-  /// Worker threads for the set-oriented operators: hash-join build and
-  /// probe, map/select morsels, PNHL segment processing. 1 (the default)
-  /// runs the serial code paths byte-identically to the pre-parallel
-  /// engine; any value > 1 produces value-identical results and exact
-  /// (merged per-worker) EvalStats. Morsels are merged in input order,
-  /// so output is deterministic regardless of scheduling.
+  /// Logical workers for the morsel-parallel row loops (exec/morsel.h):
+  /// map/select, the hash and membership join probes, PNHL segments and
+  /// the shredded executor's row ranges. 1 (the default) runs each loop
+  /// once over its whole input on the calling evaluator; any value > 1
+  /// runs the same loop over morsels on the process-wide pool, with
+  /// value-identical results and exact (merged per-morsel) EvalStats.
+  /// Morsels are merged in input order, so output is deterministic
+  /// regardless of scheduling.
   int num_threads = 1;
   /// Compile lambda bodies (map/select/quantifier predicates, join keys
   /// and residuals, nestjoin inner functions) to bytecode once per
@@ -289,6 +290,7 @@ class Evaluator {
   void ResetStats() { stats_.Reset(); }
 
   const Database& db() const { return db_; }
+  const EvalOptions& options() const { return opts_; }
 
   /// Resolves a base table through the per-query cache. Used by the
   /// bytecode compiler (compile.cc) to capture table extents into a
@@ -297,10 +299,12 @@ class Evaluator {
     return TableValue(name);
   }
 
-  /// One per-worker clone for an external morsel driver (the shredded
-  /// executor): same options with num_threads forced to 1 and tracing
-  /// off, a snapshot of the table cache, fresh stats. The caller owns
-  /// merging the clone's stats back before its enclosing span closes.
+  /// One per-worker clone for the morsel driver (exec/morsel.h): same
+  /// options with num_threads forced to 1 (nested operators stay
+  /// serial) and tracing off (the collector's span stack is
+  /// single-threaded; the driver merges the clone's counters into this
+  /// evaluator before the enclosing span closes), a snapshot of the
+  /// table cache, fresh stats.
   std::unique_ptr<Evaluator> ForkWorker() const;
 
  private:
@@ -363,51 +367,10 @@ class Evaluator {
   /// returns kUnsupported when `e` is not that map pattern.
   Result<Value> TryPnhlMap(const Expr& e, Environment& env);
 
-  // ---- Morsel-driven parallel execution (num_threads > 1) -----------
-  // Each parallel operator forks per-worker evaluator clones (own stats
-  // and table cache, num_threads forced to 1 so nested operators stay
-  // serial), runs morsels over the materialized input, and merges both
-  // the per-morsel outputs (in morsel order — deterministic) and the
-  // per-worker stats (sums — exact).
-
-  /// The lazily created pool backing this evaluator's parallel
-  /// operators; opts_.num_threads workers.
-  ThreadPool& pool();
-  /// Per-worker evaluator clones sharing the database and the current
-  /// table cache snapshot.
-  std::vector<std::unique_ptr<Evaluator>> ForkWorkers(int count);
-  /// Adds every worker's counters into stats_.
-  void MergeWorkerStats(
-      const std::vector<std::unique_ptr<Evaluator>>& workers);
-
-  /// Parallel morsels for map/select over materialized rows; appends
-  /// the mapped (or selected) rows to `out` in input order.
-  Status ParallelMapSelect(const Expr& e, std::span<const Value> xs,
-                           Environment& env, bool is_select,
-                           std::vector<Value>* out);
-  /// Partitioned parallel hash join: parallel build-key evaluation,
-  /// hash-partitioned build (one partition per worker, scan order
-  /// preserved inside buckets), then parallel probe morsels.
-  Status ParallelHashJoin(const Expr& e, const Rows& l, const Value& r,
-                          Environment& env, const EquiJoinKeys& keys,
-                          std::vector<Value>* out);
-  /// Parallel probe morsels for the membership join (build stays
-  /// serial; the probe side dominates). `compile_worker` populates one
-  /// JoinLambdas per worker frame (compiled via that worker's evaluator
-  /// and environment) before the morsels run; `probe_one` receives the
-  /// worker's frame, the left tuple and its position in `l`, and leaves
-  /// the tuple's matches in jl.matches.
-  Status ParallelMembershipProbe(
-      const Expr& e, const Rows& l, Environment& env, std::vector<Value>* out,
-      const std::function<void(Evaluator& worker, Environment& wenv,
-                               JoinLambdas* jl)>& compile_worker,
-      const std::function<Status(Evaluator& worker, Environment& wenv,
-                                 const Value& x, size_t pos,
-                                 JoinLambdas& jl)>& probe_one);
-
   /// Compiles a join's key, residual and nestjoin-inner lambdas into
   /// `jl` when compiled evaluation is on. A null `r` skips the right
-  /// (build) key — an index join has no build side.
+  /// (build) key: an index join has no build side, and the hash join's
+  /// probe workers do not build.
   void CompileJoinLambdas(const Expr& e, const EquiJoinKeys& keys,
                           const Expr& residual, const Rows& l,
                           const Value* r, Environment& env, JoinLambdas* jl);
@@ -452,7 +415,6 @@ class Evaluator {
   EvalOptions opts_;
   EvalStats stats_;
   std::map<std::string, Value> table_cache_;
-  std::unique_ptr<ThreadPool> pool_;
 };
 
 /// Convenience: evaluate a closed expression against `db` with default

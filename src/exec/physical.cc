@@ -6,12 +6,11 @@
 // sort-merge variant lives in physical_sortmerge.cc, the membership
 // join in physical_membership.cc.
 
-#include <iterator>
-
 #include "exec/compile.h"
 #include "exec/equi_join.h"
 #include "exec/eval.h"
 #include "exec/join_table.h"
+#include "exec/morsel.h"
 #include "obs/trace.h"
 #include "storage/index.h"
 
@@ -163,39 +162,50 @@ Status Evaluator::HashJoin(const Expr& e, const JoinShape& shape,
                            std::vector<Value>* out) {
   const EquiJoinKeys& keys = shape.keys;
   if (opts_.trace != nullptr) opts_.trace->AnnotateOpen(keys.Describe());
-  if (opts_.num_threads > 1 && (l.set_size() > 1 || r.set_size() > 1)) {
-    return ParallelHashJoin(e, l, r, env, keys, out);
-  }
-
   ExprPtr residual = Expr::AndAll(keys.residual);
-  JoinLambdas jl;
-  CompileJoinLambdas(e, keys, *residual, l, &r, env, &jl);
 
-  // Build phase over the right operand.
+  // Build phase over the right operand, on this evaluator.
+  CompiledLambda right_key;
+  if (opts_.compiled && r.set_size() > 0) {
+    right_key.CompileKey(*this, keys.right_keys, e.var2(), env,
+                         FirstElemShape(r));
+  }
   const std::vector<Value>& build = r.elements();
   JoinTable table(build.size());
   for (size_t i = 0; i < build.size(); ++i) {
     ++stats_.tuples_scanned;
-    N2J_ASSIGN_OR_RETURN(Value key, JoinKey(jl.right_key, keys.right_keys,
+    N2J_ASSIGN_OR_RETURN(Value key, JoinKey(right_key, keys.right_keys,
                                             e.var2(), build[i], env));
     ++stats_.hash_inserts;
     table.Insert(std::move(key), static_cast<uint32_t>(i));
   }
   if (opts_.trace != nullptr) opts_.trace->NotePeakHash(table.num_keys());
 
-  // Probe phase over the left operand.
-  for (const Value& x : l.elements()) {
-    ++stats_.tuples_scanned;
-    N2J_ASSIGN_OR_RETURN(
-        Value key, JoinKey(jl.left_key, keys.left_keys, e.var(), x, env));
-    ++stats_.hash_probes;
-    N2J_RETURN_IF_ERROR(CollectMatches(e, *residual, keys, build,
-                                       table.Find(key), x, env, jl));
-    N2J_RETURN_IF_ERROR(EmitJoinResult(e, x, jl.matches,
-                                       /*canonical_build=*/true, env, out,
-                                       jl));
-  }
-  return Status::OK();
+  // Probe phase over the left operand; morsels share the read-only table.
+  std::span<const Value> probe = l.elements();
+  auto compile = [&](Evaluator& ev, Environment& wenv) {
+    JoinLambdas jl;
+    ev.CompileJoinLambdas(e, keys, *residual, l, nullptr, wenv, &jl);
+    return jl;
+  };
+  auto rows = [&](Evaluator& ev, Environment& wenv, JoinLambdas& jl,
+                  size_t begin, size_t end,
+                  std::vector<Value>* rows_out) -> Status {
+    for (const Value& x : probe.subspan(begin, end - begin)) {
+      ++ev.stats_.tuples_scanned;
+      N2J_ASSIGN_OR_RETURN(Value key, ev.JoinKey(jl.left_key, keys.left_keys,
+                                                 e.var(), x, wenv));
+      ++ev.stats_.hash_probes;
+      N2J_RETURN_IF_ERROR(ev.CollectMatches(e, *residual, keys, build,
+                                            table.Find(key), x, wenv, jl));
+      N2J_RETURN_IF_ERROR(ev.EmitJoinResult(e, x, jl.matches,
+                                            /*canonical_build=*/true, wenv,
+                                            rows_out, jl));
+    }
+    return Status::OK();
+  };
+  return ForEachMorsel(*this, env, probe.size(), "join/probe", compile, rows,
+                       out);
 }
 
 Status Evaluator::CollectMatches(const Expr& e, const Expr& residual,
@@ -213,134 +223,6 @@ Status Evaluator::CollectMatches(const Expr& e, const Expr& residual,
           ResidualHolds(e, residual, jl.residual, x, y, env, &holds));
     }
     if (holds) jl.matches.push_back(&y);
-  }
-  return Status::OK();
-}
-
-// Morsel-driven parallel hash join (num_threads > 1). Three passes:
-//
-//   1. build-key evaluation — parallel morsels over the right operand,
-//      each key written to its input-index slot;
-//   2. hash-partitioned build — partition p owns keys with
-//      hash(key) % P == p; each partition task scans the key vector in
-//      input order, so bucket contents keep the serial insertion order;
-//   3. probe — parallel morsels over the left operand, each morsel
-//      emitting into its own output slot; slots are concatenated in
-//      morsel order.
-//
-// Every intermediate is indexed by input position, so the result (and,
-// after the per-worker merge, every EvalStats counter) is independent
-// of thread scheduling.
-Status Evaluator::ParallelHashJoin(const Expr& e, const Rows& l,
-                                   const Value& r, Environment& env,
-                                   const EquiJoinKeys& keys,
-                                   std::vector<Value>* out) {
-  const std::vector<Value>& build = r.elements();
-  std::span<const Value> probe = l.elements();
-  ThreadPool& tp = pool();
-  const int num_workers = tp.num_workers();
-  std::vector<std::unique_ptr<Evaluator>> workers = ForkWorkers(num_workers);
-  std::vector<Environment> envs(static_cast<size_t>(num_workers), env);
-
-  // One JoinLambdas per worker frame: programs own mutable register
-  // frames and inline caches, so they are never shared across threads.
-  // Compilation happens on the coordinating thread before any morsel
-  // runs (compile touches the worker's table cache).
-  ExprPtr residual = Expr::AndAll(keys.residual);
-  std::vector<JoinLambdas> jls(static_cast<size_t>(num_workers));
-  for (int w = 0; w < num_workers; ++w) {
-    workers[static_cast<size_t>(w)]->CompileJoinLambdas(
-        e, keys, *residual, l, &r, envs[static_cast<size_t>(w)],
-        &jls[static_cast<size_t>(w)]);
-  }
-
-  // Pass 1: evaluate build keys (and their hashes) slot-per-element.
-  const size_t num_partitions = static_cast<size_t>(num_workers);
-  std::vector<Value> build_keys(build.size());
-  std::vector<uint64_t> build_hashes(build.size());
-  size_t build_morsel = PickMorselSize(build.size(), num_workers);
-  tp.set_morsel_phase("join/build-keys");
-  Status s = tp.RunMorsels(
-      NumMorsels(build.size(), build_morsel), [&](int w, size_t m) -> Status {
-        Evaluator& ev = *workers[static_cast<size_t>(w)];
-        Environment& wenv = envs[static_cast<size_t>(w)];
-        JoinLambdas& jl = jls[static_cast<size_t>(w)];
-        MorselRange range = MorselAt(build.size(), build_morsel, m);
-        for (size_t i = range.begin; i < range.end; ++i) {
-          ++ev.stats_.tuples_scanned;
-          N2J_ASSIGN_OR_RETURN(Value key,
-                               ev.JoinKey(jl.right_key, keys.right_keys,
-                                          e.var2(), build[i], wenv));
-          build_hashes[i] = key.Hash();
-          build_keys[i] = std::move(key);
-        }
-        return Status::OK();
-      });
-  if (!s.ok()) {
-    MergeWorkerStats(workers);
-    return s;
-  }
-
-  // Pass 2: one build task per partition; chain order = input order.
-  std::vector<JoinTable> tables;
-  tables.reserve(num_partitions);
-  for (size_t p = 0; p < num_partitions; ++p) {
-    tables.emplace_back(build.size() / num_partitions + 1);
-  }
-  tp.set_morsel_phase("join/partition");
-  s = tp.RunMorsels(num_partitions, [&](int, size_t p) -> Status {
-    JoinTable& table = tables[p];
-    for (size_t i = 0; i < build.size(); ++i) {
-      if (build_hashes[i] % num_partitions != p) continue;
-      table.Insert(std::move(build_keys[i]), build_hashes[i],
-                   static_cast<uint32_t>(i));
-    }
-    return Status::OK();
-  });
-  stats_.hash_inserts += build.size();
-  if (!s.ok()) {
-    MergeWorkerStats(workers);
-    return s;
-  }
-  if (opts_.trace != nullptr) {
-    // The partitions are resident simultaneously; their combined entry
-    // count is what the serial build would have held.
-    uint64_t entries = 0;
-    for (const JoinTable& t : tables) entries += t.num_keys();
-    opts_.trace->NotePeakHash(entries);
-  }
-
-  // Pass 3: probe morsels, each with its own output slot.
-  size_t probe_morsel = PickMorselSize(probe.size(), num_workers);
-  size_t num_morsels = NumMorsels(probe.size(), probe_morsel);
-  std::vector<std::vector<Value>> outs(num_morsels);
-  tp.set_morsel_phase("join/probe");
-  s = tp.RunMorsels(num_morsels, [&](int w, size_t m) -> Status {
-    Evaluator& ev = *workers[static_cast<size_t>(w)];
-    Environment& wenv = envs[static_cast<size_t>(w)];
-    JoinLambdas& jl = jls[static_cast<size_t>(w)];
-    MorselRange range = MorselAt(probe.size(), probe_morsel, m);
-    for (size_t i = range.begin; i < range.end; ++i) {
-      const Value& x = probe[i];
-      ++ev.stats_.tuples_scanned;
-      N2J_ASSIGN_OR_RETURN(
-          Value key, ev.JoinKey(jl.left_key, keys.left_keys, e.var(), x, wenv));
-      ++ev.stats_.hash_probes;
-      const uint64_t hash = key.Hash();
-      N2J_RETURN_IF_ERROR(ev.CollectMatches(
-          e, *residual, keys, build,
-          tables[hash % num_partitions].Find(key, hash), x, wenv, jl));
-      N2J_RETURN_IF_ERROR(ev.EmitJoinResult(e, x, jl.matches,
-                                            /*canonical_build=*/true, wenv,
-                                            &outs[m], jl));
-    }
-    return Status::OK();
-  });
-  MergeWorkerStats(workers);
-  N2J_RETURN_IF_ERROR(s);
-  for (std::vector<Value>& o : outs) {
-    out->insert(out->end(), std::make_move_iterator(o.begin()),
-                std::make_move_iterator(o.end()));
   }
   return Status::OK();
 }

@@ -3,10 +3,9 @@
 #include <unordered_map>
 
 #include "common/status.h"
-#include "common/thread_pool.h"
 #include "exec/bytecode.h"
 #include "exec/join_table.h"
-#include "obs/trace.h"
+#include "exec/morsel.h"
 
 namespace n2j {
 
@@ -72,8 +71,8 @@ Result<Value> PnhlJoin(const Value& outer, const Value& inner,
   st.partitions = static_cast<uint32_t>(segments.size());
 
   // Per-segment pass: build a hash table over the segment, probe every
-  // outer tuple's set elements against it. Segments are independent, so
-  // with num_threads > 1 they run as parallel tasks; each writes its own
+  // outer tuple's set elements against it. Segments are independent
+  // morsels, parallel when num_threads > 1; each writes its own
   // partial-result and stats slots, merged in segment order below, which
   // makes the output and counters identical to the serial loop.
   const std::vector<Value>& xs = outer.elements();
@@ -129,29 +128,9 @@ Result<Value> PnhlJoin(const Value& outer, const Value& inner,
     return Status::OK();
   };
 
-  if (params.num_threads > 1 && segments.size() > 1) {
-    ThreadPool tp(params.num_threads);
-    if (params.trace != nullptr) {
-      TraceCollector* tc = params.trace;
-      tp.set_morsel_sink([tc](int w, size_t m, const char* phase,
-                              int64_t t0, int64_t t1) {
-        tc->AddWorkerSpan(w, m, phase, t0, t1);
-      });
-    }
-    tp.set_morsel_phase("pnhl/segment");
-    N2J_RETURN_IF_ERROR(tp.RunMorsels(
-        segments.size(),
-        [&](int /*worker*/, size_t s) { return run_segment(s); }));
-  } else {
-    for (size_t s = 0; s < segments.size(); ++s) {
-      int64_t t0 = params.trace != nullptr ? MonotonicNanos() : 0;
-      N2J_RETURN_IF_ERROR(run_segment(s));
-      if (params.trace != nullptr) {
-        params.trace->AddWorkerSpan(0, s, "pnhl/segment", t0,
-                                    MonotonicNanos());
-      }
-    }
-  }
+  N2J_RETURN_IF_ERROR(RunMorsels(
+      params.num_threads, segments.size(), "pnhl/segment", params.trace,
+      [&](int /*worker*/, size_t s) { return run_segment(s); }));
   for (const PnhlStats& sst : seg_stats) {
     st.build_inserts += sst.build_inserts;
     st.probe_tuples += sst.probe_tuples;

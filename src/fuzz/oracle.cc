@@ -19,10 +19,15 @@ uint64_t JoinWork(const EvalStats& s) {
   return s.tuples_scanned + s.predicate_evals + s.hash_probes;
 }
 
+uint64_t PlanWork(const EvalStats& s) {
+  return JoinWork(s) + s.hash_inserts + s.index_probes + s.rows_sorted +
+         s.set_sorted_rows;
+}
+
 namespace {
 
 /// The cost-based cell's work bound: the cost plan may do at most
-/// kWorkRatio × the heuristic plan's work plus kWorkFloor units.
+/// kWorkRatio × the heuristic plan's PlanWork plus kWorkFloor units.
 /// docs/FUZZING.md justifies both numbers.
 constexpr uint64_t kWorkRatio = 4;
 constexpr uint64_t kWorkFloor = 64;
@@ -634,16 +639,17 @@ OracleReport RunDifferentialOracle(const Database& db,
       EvalStats heuristic_stats;
       Result<Value> heuristic =
           shred::EvalWithBackend(db, logical, config.eval, &heuristic_stats);
-      uint64_t cost_work = JoinWork(cell_stats);
-      uint64_t heuristic_work = JoinWork(heuristic_stats);
+      uint64_t cost_work = PlanWork(cell_stats);
+      uint64_t heuristic_work = PlanWork(heuristic_stats);
       if (heuristic.ok() &&
           cost_work > kWorkRatio * heuristic_work + kWorkFloor) {
         report.status = OracleStatus::kMismatch;
         report.failing_config = config.name;
         report.detail =
             "cost plan did " + std::to_string(cost_work) +
-            " units of work (scanned + predicates + probes) against the "
-            "heuristic's " + std::to_string(heuristic_work) +
+            " units of work (scanned + predicates + probes + inserts + "
+            "index probes + sorted rows) against the heuristic's " +
+            std::to_string(heuristic_work) +
             "\ncost:      " + cell_stats.Compact() +
             "\nheuristic: " + heuristic_stats.Compact() + "\n" +
             physical.Describe() + "plan: " + AlgebraStr(plan) + "\n" + trace;

@@ -69,10 +69,18 @@ enum class OracleStatus {
 };
 const char* OracleStatusName(OracleStatus s);
 
-/// Deterministic work of one execution: the counters a plan choice
-/// moves (tuples scanned + predicate evaluations + hash probes). The
-/// cost-based and linear-join-work cells bound it.
+/// Deterministic matching work of one execution: tuples scanned +
+/// predicate evaluations + hash probes. The linear-join-work cell bounds
+/// it.
 uint64_t JoinWork(const EvalStats& s);
+
+/// Deterministic work of one execution, for comparing physical
+/// alternatives: JoinWork plus the per-row work it leaves out — hash
+/// table builds, index lookups, and the rows sort-merge joins and set
+/// canonicalization sort. Without them a sort-merge or index join reads
+/// as cheaper than the hash join that does the same matching. The
+/// cost-based cell bounds it.
+uint64_t PlanWork(const EvalStats& s);
 
 /// The linear work bound of a flat from-clause. `naive` must be the
 /// translator's chain ⋃(α[x1 : ... α[xk : f](σ[xk : p](T_k)) ...](T1))

@@ -21,8 +21,8 @@
 // tracing off — their spans would race, and their counters are already
 // accounted for by the merge).
 //
-// The collector also stores per-worker morsel timestamps (fed by
-// ThreadPool's morsel sink) so chrome_trace.h can render worker
+// The collector also stores per-worker morsel timestamps (fed by the
+// morsel driver, exec/morsel.h) so chrome_trace.h can render worker
 // timelines next to the operator tree.
 //
 // One collector serves one evaluation on one thread; AddWorkerSpan is
@@ -133,8 +133,8 @@ class TraceCollector {
   /// operator report its hash-table size without holding a span id.
   void NotePeakHash(uint64_t entries);
 
-  /// Records one worker morsel (thread-safe; fed by ThreadPool's morsel
-  /// sink and by serial PNHL segment loops).
+  /// Records one worker morsel (thread-safe; fed by the morsel driver,
+  /// including PNHL's serial segment loop).
   void AddWorkerSpan(int worker, size_t morsel, const char* phase,
                      int64_t start_ns, int64_t end_ns);
 

@@ -12,11 +12,10 @@
 // left push applies; for the nestjoin, conjuncts touching the group
 // attribute stay put.
 //
-// A selection conjunct that may raise (CannotRaisePred) stays above the
-// join: below it, it would run on rows the join drops, where the naive
-// plan never evaluated it — Rule 2 relies on this to keep such a
-// conjunct over its join tree. (Join-predicate pushdown below does not
-// make this check yet.)
+// A conjunct that may raise (CannotRaisePred) stays where it is, above
+// the join or in its predicate: below the join it would run on rows the
+// join drops, where the naive plan never evaluated it — Rule 2 relies on
+// this to keep such a conjunct over its join tree.
 
 #include "rewrite/rules_internal.h"
 
@@ -135,6 +134,8 @@ ExprPtr ApplyPushdown(const ExprPtr& e, RewriteContext& ctx) {
 ///    with an empty group (⊣) — filtering X would wrongly drop it.
 ///  - right-only conjuncts r(y): valid for all four (they only shrink
 ///    the matching set of y's).
+/// Either way a conjunct that may raise stays in the residual: the join
+/// evaluates it only on pairs its earlier conjuncts let through.
 ExprPtr ApplyJoinPredPushdown(const ExprPtr& e, RewriteContext& ctx) {
   bool left_ok;
   switch (e->kind()) {
@@ -157,7 +158,9 @@ ExprPtr ApplyJoinPredPushdown(const ExprPtr& e, RewriteContext& ctx) {
   for (const ExprPtr& c : SplitConjuncts(e->pred())) {
     bool uses_x = IsFreeIn(x, c);
     bool uses_y = IsFreeIn(y, c);
-    if (left_ok && uses_x && !uses_y) {
+    if (!CannotRaisePred(c)) {
+      residual.push_back(c);
+    } else if (left_ok && uses_x && !uses_y) {
       left_push.push_back(c);
     } else if (uses_y && !uses_x) {
       right_push.push_back(c);

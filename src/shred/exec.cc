@@ -1,5 +1,4 @@
 #include <algorithm>
-#include <functional>
 #include <iterator>
 #include <memory>
 #include <optional>
@@ -10,9 +9,9 @@
 
 #include "adl/analysis.h"
 #include "common/str_util.h"
-#include "common/thread_pool.h"
 #include "exec/equi_join.h"
 #include "exec/join_table.h"
+#include "exec/morsel.h"
 #include "obs/trace.h"
 #include "shred/shred.h"
 #include "storage/columnar.h"
@@ -51,9 +50,9 @@ void PopRow(Environment* env, const Rel& rel) {
 }
 
 // Concatenates `src`'s rows after `dst`'s (same skeleton). The morsel
-// merge: per-morsel slots appended in morsel order reproduce the serial
-// engine's row order exactly.
-void AppendRel(Rel* dst, Rel&& src) {
+// driver's merge: per-morsel slots appended in morsel order reproduce
+// the serial engine's row order exactly.
+void AppendMorsel(Rel* dst, Rel&& src) {
   for (size_t i = 0; i < dst->cols.size(); ++i) {
     Col& d = dst->cols[i];
     Col& s = src.cols[i];
@@ -98,6 +97,18 @@ EquiSplit SplitEquiPred(const RangeSpec& r) {
   return s;
 }
 
+// ProbeRows's early-out: a probe key failed to evaluate, so the join is
+// dropped and the nested-loop scan reproduces the interpreter. It is a
+// Status so that the morsel driver stops at the first abandoning row as
+// at the first error, keeping the serial prefix of the counters.
+constexpr const char kJoinAbandoned[] = "shredded join abandoned";
+
+Status JoinAbandoned() { return Status::Unsupported(kJoinAbandoned); }
+
+bool IsJoinAbandoned(const Status& s) {
+  return s.code() == StatusCode::kUnsupported && s.message() == kJoinAbandoned;
+}
+
 // The build side of one range join: the scan elements' keys either in a
 // JoinTable (hash) or sorted with their element index (sort-merge).
 struct JoinBuild {
@@ -130,29 +141,11 @@ class ShredExecutor {
   }
 
   // ---- Morsel parallelism --------------------------------------------
-  // The coordinator partitions row ranges into morsels, each worker runs
-  // its morsels with a private row-wise delegate and a private output
-  // slot, and the coordinator concatenates the slots in morsel order —
-  // so output row order, and with it stitching and set semantics, is
-  // bit-identical to the serial engine.
-
-  /// True when EvalOptions asks for intra-query parallelism.
-  bool parallel() const { return opts_.num_threads > 1; }
-  /// The executor's pool (lazy; sink wired to the trace collector's
-  /// thread-safe worker-span timeline, like Evaluator::pool()).
-  ThreadPool& pool();
-  /// Per-worker row-wise delegates, forked lazily from inner_ and
-  /// reused across parallel sections. Invariant: their stats are zero
-  /// outside a parallel section — every section ends in
-  /// MergeWorkerStats() or ResetWorkerStats().
-  std::vector<std::unique_ptr<Evaluator>>& workers();
-  /// Folds every worker's counters into inner_.stats() — before the
-  /// enclosing span closes, so span exclusive deltas keep summing to
-  /// the globals — then zeroes the workers for the next section.
-  void MergeWorkerStats();
-  /// Zeroes worker stats without merging (the join-abandon ledger merges
-  /// a per-morsel prefix itself and discards the rest).
-  void ResetWorkerStats();
+  // Each row loop below is one range body that the morsel driver
+  // (exec/morsel.h) runs over the whole range on inner_, or over morsels
+  // on forked delegates that emit into private slots concatenated in
+  // morsel order — so output row order, and with it stitching and set
+  // semantics, is bit-identical to the serial engine.
 
   /// Executes one DAG node over its context rows. Returns one stitched
   /// set per context row.
@@ -171,31 +164,34 @@ class ShredExecutor {
   Result<std::vector<Value>> EvalOutputs(const OutputSpec& out,
                                          const Rel& work);
 
-  // Row-range loop bodies, shared verbatim by the serial whole-range
-  // calls (delegate = inner_) and the parallel per-morsel calls
-  // (delegate = one worker, emitting into a private slot).
+  // Row-range loop bodies, run by the morsel driver with delegate
+  // inner_ or a forked worker.
   Status NlScanRows(Evaluator& ev, const RangeSpec& r, const Rel& work,
                     const std::vector<Value>& elems, size_t row_begin,
                     size_t row_end, Rel* out);
   Status PerRowExpandRows(Evaluator& ev, const RangeSpec& r, const Rel& work,
                           const ColumnarChild* csr, const Col* parent,
                           size_t row_begin, size_t row_end, Rel* out);
-  /// The probe half of the hash / sort-merge join. Sets *abandoned (with
-  /// an OK status) when a probe-key evaluation fails: the caller falls
-  /// back to the nested-loop scan, which reproduces the interpreter's
-  /// behavior exactly. Residual errors propagate.
+  /// The probe half of the hash / sort-merge join. Returns JoinAbandoned()
+  /// when a probe-key evaluation fails: the caller falls back to the
+  /// nested-loop scan, which reproduces the interpreter's behavior
+  /// exactly. Residual errors propagate.
   Status ProbeRows(Evaluator& ev, const RangeSpec& r, const Rel& work,
                    const std::vector<Value>& elems, const EquiSplit& split,
                    const JoinBuild& build, size_t row_begin, size_t row_end,
-                   Rel* out, bool* abandoned);
-  /// Runs `body(worker_delegate, row_begin, row_end, slot)` over morsels
-  /// of [0, nrows), each slot a copy of the (empty) skeleton `*out`,
-  /// merges worker stats, and appends the slots to `out` in morsel
-  /// order. Returns the lowest-numbered failing morsel's error.
-  Status ParallelRows(
-      size_t nrows, const char* phase,
-      const std::function<Status(Evaluator&, size_t, size_t, Rel*)>& body,
-      Rel* out);
+                   Rel* out);
+  /// Runs `rows(delegate, row_begin, row_end, out)` over [0, nrows)
+  /// through the morsel driver.
+  template <typename RowsFn, typename Slot>
+  Status ForEachRowMorsel(size_t nrows, const char* phase, RowsFn&& rows,
+                          Slot* out) {
+    Environment env;
+    return ForEachMorsel(
+        inner_, env, nrows, phase, NoMorselState(),
+        [&](Evaluator& ev, Environment&, int, size_t b, size_t e,
+            Slot* slot) { return rows(ev, b, e, slot); },
+        out);
+  }
 
   Rel Skeleton(const Rel& work, const RangeSpec& r,
                const std::shared_ptr<const ColumnarExtent>& columnar);
@@ -206,8 +202,6 @@ class ShredExecutor {
   const ShredPlan& plan_;
   EvalOptions opts_;
   Evaluator inner_;
-  std::unique_ptr<ThreadPool> pool_;
-  std::vector<std::unique_ptr<Evaluator>> workers_;
 };
 
 Rel ShredExecutor::Skeleton(
@@ -240,63 +234,6 @@ void ShredExecutor::Emit(const Rel& work, size_t row, const Value& elem,
   ncol.vals.push_back(elem);
   if (ncol.extent != nullptr) ncol.row_ids.push_back(elem_row_id);
   out->ctx.push_back(work.ctx[row]);
-}
-
-ThreadPool& ShredExecutor::pool() {
-  if (pool_ == nullptr) {
-    pool_ = std::make_unique<ThreadPool>(opts_.num_threads);
-    if (opts_.trace != nullptr) {
-      TraceCollector* tc = opts_.trace;
-      pool_->set_morsel_sink([tc](int w, size_t m, const char* phase,
-                                  int64_t t0, int64_t t1) {
-        tc->AddWorkerSpan(w, m, phase, t0, t1);
-      });
-    }
-  }
-  return *pool_;
-}
-
-std::vector<std::unique_ptr<Evaluator>>& ShredExecutor::workers() {
-  if (workers_.empty()) {
-    const int count = pool().num_workers();
-    workers_.reserve(static_cast<size_t>(count));
-    for (int i = 0; i < count; ++i) workers_.push_back(inner_.ForkWorker());
-  }
-  return workers_;
-}
-
-void ShredExecutor::MergeWorkerStats() {
-  for (const auto& w : workers_) {
-    inner_.stats().Merge(w->stats());
-    w->ResetStats();
-  }
-}
-
-void ShredExecutor::ResetWorkerStats() {
-  for (const auto& w : workers_) w->ResetStats();
-}
-
-Status ShredExecutor::ParallelRows(
-    size_t nrows, const char* phase,
-    const std::function<Status(Evaluator&, size_t, size_t, Rel*)>& body,
-    Rel* out) {
-  ThreadPool& tp = pool();
-  tp.set_morsel_phase(phase);
-  std::vector<std::unique_ptr<Evaluator>>& ws = workers();
-  const size_t morsel = PickMorselSize(nrows, tp.num_workers());
-  const size_t nm = NumMorsels(nrows, morsel);
-  std::vector<Rel> slots(nm, *out);
-  Status s = tp.RunMorsels(nm, [&](int w, size_t m) -> Status {
-    MorselRange rg = MorselAt(nrows, morsel, m);
-    return body(*ws[static_cast<size_t>(w)], rg.begin, rg.end, &slots[m]);
-  });
-  // Merge before the enclosing shred-node span closes so its exclusive
-  // delta — and the span-sum invariant — includes the workers' counters
-  // whether or not a morsel failed.
-  MergeWorkerStats();
-  N2J_RETURN_IF_ERROR(s);
-  for (Rel& slot : slots) AppendRel(out, std::move(slot));
-  return Status::OK();
 }
 
 std::vector<Value> ShredExecutor::StitchByCtx(std::vector<Value> outs,
@@ -426,18 +363,13 @@ Result<Rel> ShredExecutor::ExpandRange(const RangeSpec& r, Rel work) {
     // Nested-loop scan: evaluate the full combined predicate per
     // (row, element) pair — bit-for-bit the interpreter's Select path,
     // including And short-circuit and error order within one row.
-    // Parallel: morsels over work rows (rows are independent here), the
-    // ordered slot merge keeps the serial row order.
-    if (parallel() && nrows > 1) {
-      N2J_RETURN_IF_ERROR(ParallelRows(
-          nrows, "shred-scan",
-          [&](Evaluator& ev, size_t b, size_t e, Rel* slot) {
-            return NlScanRows(ev, r, work, *shared, b, e, slot);
-          },
-          &out));
-      return out;
-    }
-    N2J_RETURN_IF_ERROR(NlScanRows(inner_, r, work, *shared, 0, nrows, &out));
+    // Work rows are independent here, so they split into morsels.
+    N2J_RETURN_IF_ERROR(ForEachRowMorsel(
+        nrows, "shred-scan",
+        [&](Evaluator& ev, size_t b, size_t e, Rel* slot) {
+          return NlScanRows(ev, r, work, *shared, b, e, slot);
+        },
+        &out));
     return out;
   }
 
@@ -458,17 +390,12 @@ Result<Rel> ShredExecutor::ExpandRange(const RangeSpec& r, Rel work) {
     if (csr == nullptr) parent = nullptr;  // fall back to row-wise access
   }
 
-  if (parallel() && nrows > 1) {
-    N2J_RETURN_IF_ERROR(ParallelRows(
-        nrows, "shred-expand",
-        [&](Evaluator& ev, size_t b, size_t e, Rel* slot) {
-          return PerRowExpandRows(ev, r, work, csr, parent, b, e, slot);
-        },
-        &out));
-    return out;
-  }
-  N2J_RETURN_IF_ERROR(
-      PerRowExpandRows(inner_, r, work, csr, parent, 0, nrows, &out));
+  N2J_RETURN_IF_ERROR(ForEachRowMorsel(
+      nrows, "shred-expand",
+      [&](Evaluator& ev, size_t b, size_t e, Rel* slot) {
+        return PerRowExpandRows(ev, r, work, csr, parent, b, e, slot);
+      },
+      &out));
   return out;
 }
 
@@ -640,69 +567,17 @@ Result<std::optional<Rel>> ShredExecutor::TryJoinExpand(
   Rel out = Skeleton(work, r, columnar);
   const size_t nrows = work.size();
 
-  if (parallel() && nrows > 1) {
-    // Parallel probe with a per-morsel ledger. The complication is the
-    // abandon path: the serial engine stops at the first failing
-    // probe-key row having fully processed every earlier row, discards
-    // the join, and lets the nested-loop scan reproduce the
-    // interpreter's behavior — so its stats hold a strict prefix of the
-    // probe work. RunMorsels cannot cancel later morsels, so each
-    // morsel records its exact stats delta (workers run morsels one at
-    // a time; snapshotting around the morsel needs no synchronization)
-    // and the coordinator merges only what the serial engine would have
-    // done: everything up to the lowest abandoning morsel, or all of it
-    // when an error (which aborts the query) comes first.
-    ThreadPool& tp = pool();
-    tp.set_morsel_phase("shred-probe");
-    std::vector<std::unique_ptr<Evaluator>>& ws = workers();
-    const size_t morsel = PickMorselSize(nrows, tp.num_workers());
-    const size_t nm = NumMorsels(nrows, morsel);
-    std::vector<Rel> slots(nm, out);
-    std::vector<EvalStats> deltas(nm);
-    std::vector<char> abandons(nm, 0);
-    size_t err_m = nm;  // sentinel: no erroring morsel
-    Status s = tp.RunMorsels(
-        nm,
-        [&](int w, size_t m) -> Status {
-          Evaluator& ev = *ws[static_cast<size_t>(w)];
-          EvalStats before = ev.stats();
-          MorselRange rg = MorselAt(nrows, morsel, m);
-          bool ab = false;
-          Status st = ProbeRows(ev, r, work, elems, split, build,
-                                rg.begin, rg.end, &slots[m], &ab);
-          deltas[m] = ev.stats();
-          deltas[m].Subtract(before);
-          abandons[m] = ab ? 1 : 0;
-          return st;
-        },
-        &err_m);
-    size_t ab_m = nm;
-    for (size_t m = 0; m < nm; ++m) {
-      if (abandons[m] != 0) {
-        ab_m = m;
-        break;
-      }
-    }
-    if (ab_m < err_m) {
-      // Serial row order hits this morsel's failing probe key before any
-      // erroring row: abandon with exactly the serial prefix accounted
-      // (full deltas before it plus its own partial delta); later
-      // morsels ran only because the pool does not cancel, and their
-      // counters are discarded with their slots.
-      for (size_t m = 0; m <= ab_m; ++m) inner_.stats().Merge(deltas[m]);
-      ResetWorkerStats();
-      return std::optional<Rel>();
-    }
-    MergeWorkerStats();
-    N2J_RETURN_IF_ERROR(s);
-    for (Rel& slot : slots) AppendRel(&out, std::move(slot));
-    return std::optional<Rel>(std::move(out));
-  }
-
-  bool abandoned = false;
-  N2J_RETURN_IF_ERROR(ProbeRows(inner_, r, work, elems, split, build, 0,
-                                nrows, &out, &abandoned));
-  if (abandoned) return std::optional<Rel>();
+  // A failing probe key ends the loop like an error, so the driver's
+  // ledger holds exactly the serial prefix of the probe work: every row
+  // before the abandoning one, in whichever morsel.
+  Status s = ForEachRowMorsel(
+      nrows, "shred-probe",
+      [&](Evaluator& ev, size_t b, size_t e, Rel* slot) {
+        return ProbeRows(ev, r, work, elems, split, build, b, e, slot);
+      },
+      &out);
+  if (IsJoinAbandoned(s)) return std::optional<Rel>();
+  N2J_RETURN_IF_ERROR(s);
   return std::optional<Rel>(std::move(out));
 }
 
@@ -710,8 +585,8 @@ Status ShredExecutor::ProbeRows(Evaluator& ev, const RangeSpec& r,
                                 const Rel& work,
                                 const std::vector<Value>& elems,
                                 const EquiSplit& split, const JoinBuild& build,
-                                size_t row_begin, size_t row_end, Rel* out,
-                                bool* abandoned) {
+                                size_t row_begin, size_t row_end,
+                                Rel* out) {
   const std::vector<ExprPtr>& probe_keys = split.probe_keys;
   const std::vector<ExprPtr>& residual = split.residual;
   Environment env;
@@ -761,8 +636,7 @@ Status ShredExecutor::ProbeRows(Evaluator& ev, const RangeSpec& r,
     }
     if (failed) {
       PopRow(&env, work);
-      *abandoned = true;
-      return Status::OK();
+      return JoinAbandoned();
     }
     Value key = JoinKeyFromParts(parts);
     ++ev.stats().hash_probes;
@@ -796,40 +670,23 @@ Result<std::vector<Value>> ShredExecutor::EvalOutputs(const OutputSpec& out,
   const size_t n = work.size();
   switch (out.kind) {
     case OutputSpec::Kind::kScalar: {
-      std::vector<Value> vals(n);
-      if (parallel() && n > 1) {
-        // Each morsel writes disjoint vals[row] slots, so the output is
-        // positionally identical to the serial loop with no merge step.
-        ThreadPool& tp = pool();
-        tp.set_morsel_phase("shred-out");
-        std::vector<std::unique_ptr<Evaluator>>& ws = workers();
-        const size_t morsel = PickMorselSize(n, tp.num_workers());
-        const size_t nm = NumMorsels(n, morsel);
-        Status s = tp.RunMorsels(nm, [&](int w, size_t m) -> Status {
-          Evaluator& ev = *ws[static_cast<size_t>(w)];
-          MorselRange rg = MorselAt(n, morsel, m);
-          Environment env;
-          for (size_t row = rg.begin; row < rg.end; ++row) {
-            PushRow(&env, work, row);
-            Result<Value> v = ev.Eval(out.scalar, env);
-            PopRow(&env, work);
-            if (!v.ok()) return v.status();
-            vals[row] = std::move(*v);
-          }
-          return Status::OK();
-        });
-        MergeWorkerStats();
-        N2J_RETURN_IF_ERROR(s);
-        return vals;
-      }
-      Environment env;
-      for (size_t row = 0; row < n; ++row) {
-        PushRow(&env, work, row);
-        Result<Value> v = inner_.Eval(out.scalar, env);
-        PopRow(&env, work);
-        if (!v.ok()) return v.status();
-        vals[row] = std::move(*v);
-      }
+      std::vector<Value> vals;
+      vals.reserve(n);
+      N2J_RETURN_IF_ERROR(ForEachRowMorsel(
+          n, "shred-out",
+          [&](Evaluator& ev, size_t b, size_t e,
+              std::vector<Value>* slot) -> Status {
+            Environment env;
+            for (size_t row = b; row < e; ++row) {
+              PushRow(&env, work, row);
+              Result<Value> v = ev.Eval(out.scalar, env);
+              PopRow(&env, work);
+              if (!v.ok()) return v.status();
+              slot->push_back(std::move(*v));
+            }
+            return Status::OK();
+          },
+          &vals));
       return vals;
     }
     case OutputSpec::Kind::kChild: {

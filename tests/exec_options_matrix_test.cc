@@ -7,7 +7,11 @@
 
 #include <gtest/gtest.h>
 
+#include <atomic>
+#include <thread>
+
 #include "oosql/translate.h"
+#include "shred/shred.h"
 #include "tests/test_util.h"
 
 namespace n2j {
@@ -110,6 +114,58 @@ TEST_P(ExecOptionsMatrixTest, ParallelStatsMatchSerial) {
           << "\nserial: " << serial.stats().ToString()
           << "\n4-thread: " << mt.stats().ToString();
     }
+  }
+}
+
+// Two queries running at once share the process-wide morsel pool; each
+// must still return the serial value with the serial counters exactly,
+// on both backends.
+TEST_P(ExecOptionsMatrixTest, ConcurrentParallelQueriesMatchSerial) {
+  auto db = std::make_unique<Database>();
+  XYConfig config;
+  config.seed = 97 + static_cast<uint64_t>(GetParam());
+  config.x_rows = 30;
+  config.y_rows = 35;
+  ASSERT_TRUE(AddRandomXY(db.get(), config).ok());
+
+  std::vector<ExprPtr> plans;
+  for (const char* q : kQueries) {
+    plans.push_back(RewriteExpr(*db, TranslateOrDie(*db, q)).expr);
+  }
+  for (Backend backend : {Backend::kNested, Backend::kShredded}) {
+    EvalOptions serial_opts;
+    serial_opts.backend = backend;
+    std::vector<Value> values;
+    std::vector<EvalStats> stats;
+    for (const ExprPtr& plan : plans) {
+      EvalStats s;
+      Result<Value> v = shred::EvalWithBackend(*db, plan, serial_opts, &s);
+      ASSERT_TRUE(v.ok()) << v.status().ToString();
+      values.push_back(*v);
+      stats.push_back(s);
+    }
+
+    EvalOptions mt_opts = serial_opts;
+    mt_opts.num_threads = 4;
+    std::atomic<int> mismatches{0};
+    auto run = [&](bool reversed) {
+      for (int round = 0; round < 10; ++round) {
+        for (size_t j = 0; j < plans.size(); ++j) {
+          size_t i = reversed ? plans.size() - 1 - j : j;
+          EvalStats s;
+          Result<Value> v = shred::EvalWithBackend(*db, plans[i], mt_opts, &s);
+          if (!v.ok() || *v != values[i] || !(s == stats[i])) {
+            mismatches.fetch_add(1);
+          }
+        }
+      }
+    };
+    std::thread a(run, false);
+    std::thread b(run, true);
+    a.join();
+    b.join();
+    EXPECT_EQ(mismatches.load(), 0)
+        << "backend=" << static_cast<int>(backend);
   }
 }
 

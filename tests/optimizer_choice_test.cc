@@ -43,6 +43,7 @@ namespace n2j {
 namespace {
 
 using fuzz::JoinWork;
+using fuzz::PlanWork;
 
 // ---------------------------------------------------------------------
 // Shared helpers
@@ -54,17 +55,6 @@ Value MustEval(const Database& db, const ExprPtr& e,
   Result<Value> r = ev.Eval(e);
   EXPECT_TRUE(r.ok()) << r.status().ToString();
   return r.ok() ? *r : Value::Null();
-}
-
-/// Deterministic work of one run, for comparing physical alternatives:
-/// the fuzzer work oracle's units (scanned + predicates + hash probes)
-/// plus the per-row work that measure leaves out: hash-table builds,
-/// index lookups and the rows sort-merge joins and set canonicalization
-/// sort. Without them a sort-merge or index join reads as cheaper than
-/// the hash join that does the same matching.
-uint64_t PlanWork(const EvalStats& s) {
-  return JoinWork(s) + s.hash_inserts + s.index_probes + s.rows_sorted +
-         s.set_sorted_rows;
 }
 
 /// The counters of one evaluation.

@@ -195,5 +195,28 @@ TEST_F(PushdownTest, NestJoinPushesRightButNotLeft) {
   EXPECT_FALSE(SelectsDirectlyOn(r.expr, "X")) << AlgebraStr(r.expr);
 }
 
+TEST(JoinPredicatePushdown, MayRaiseConjunctStaysInTheResidual) {
+  // s.sname = p.pname never holds, so the nested loop never reaches the
+  // division. Pushed below the semijoin, the conjunct would run on every
+  // part and raise division by zero.
+  std::unique_ptr<Database> db = testutil::SmallSupplierDb();
+  ExprPtr e = TranslateOrDie(
+      *db,
+      "select s.sname from s in SUPPLIER where exists p in PART : "
+      "s.sname = p.pname and 1 / (p.price - p.price) = 1");
+  Evaluator naive(*db);
+  Result<Value> expected = naive.Eval(e);
+  ASSERT_TRUE(expected.ok()) << expected.status().ToString();
+  EXPECT_EQ(expected->set_size(), 0u);
+
+  RewriteResult r = testutil::RewriteExpr(*db, e);
+  EXPECT_FALSE(r.Fired("PushJoinPredicate(right)")) << r.TraceToString();
+  Evaluator ev(*db);
+  Result<Value> actual = ev.Eval(r.expr);
+  ASSERT_TRUE(actual.ok()) << actual.status().ToString() << "\n"
+                           << AlgebraStr(r.expr);
+  EXPECT_EQ(*expected, *actual);
+}
+
 }  // namespace
 }  // namespace n2j

@@ -580,10 +580,8 @@ TEST(Vectorized, MorselParallelMatrixAgreesBitForBit) {
 TEST(Vectorized, ParallelFirstErrorParityAcrossMorselBoundaries) {
   // Under morsel parallelism a later morsel may finish first; the
   // surfaced error must still be the row-order first one (the
-  // interpreter's). Error-path *stats* are deliberately not compared
-  // across thread counts: workers complete their in-flight morsels, so
-  // the merged counters can exceed the serial engine's
-  // stop-at-first-error partials.
+  // interpreter's). Error-path counters are compared by
+  // ErrorPathCountersMatchSerial.
   std::unique_ptr<Database> db = DivTrapDb();
   for (const char* q : kDivTrapQueries) {
     ExprPtr e = TranslateOrDie(*db, q);
@@ -595,6 +593,34 @@ TEST(Vectorized, ParallelFirstErrorParityAcrossMorselBoundaries) {
       ASSERT_FALSE(v.ok()) << q << " nt=" << nt;
       EXPECT_EQ(v.status().ToString(), reference.status().ToString())
           << q << " nt=" << nt;
+    }
+  }
+}
+
+TEST(Vectorized, ErrorPathCountersMatchSerial) {
+  // The morsel driver merges counters only up to the failing morsel, so
+  // even a failed query reports the serial engine's stop-at-first-error
+  // work, on both backends and at every thread count. The DivTrap table
+  // has 12 rows, so 2, 4 and 8 workers split it into 1-row morsels with
+  // the failing row in the middle.
+  std::unique_ptr<Database> db = DivTrapDb();
+  for (const char* q : kDivTrapQueries) {
+    ExprPtr e = TranslateOrDie(*db, q);
+    for (Backend backend : {Backend::kNested, Backend::kShredded}) {
+      EvalOptions serial_opts;
+      serial_opts.backend = backend;
+      EvalStats serial;
+      ASSERT_FALSE(shred::EvalWithBackend(*db, e, serial_opts, &serial).ok());
+      for (int nt : {2, 4, 8}) {
+        EvalOptions opts = serial_opts;
+        opts.num_threads = nt;
+        EvalStats stats;
+        ASSERT_FALSE(shred::EvalWithBackend(*db, e, opts, &stats).ok());
+        EXPECT_EQ(serial, stats)
+            << q << " backend=" << static_cast<int>(backend) << " nt=" << nt
+            << "\nserial:\n" << serial.ToString() << "\nparallel:\n"
+            << stats.ToString();
+      }
     }
   }
 }
