@@ -3,8 +3,8 @@
 // introduced to allow for various efficient implementations. The same
 // can of course be done in an algebra for complex objects."
 //
-// One logical plan (the semijoin Rule 1 produces), four physical
-// implementations: nested loop, hash, sort-merge, index nested-loop.
+// One logical plan (the semijoin Rule 1 produces), three physical
+// implementations: nested loop, hash, index nested-loop.
 // The same comparison for the nestjoin, the paper's new operator, whose
 // implementations are adapted from the same join methods.
 
@@ -54,8 +54,8 @@ EvalOptions Algo(JoinAlgorithm a) {
 void SweepAlgorithms(const char* title, const ExprPtr& plan,
                      const char* sweep, bench::Trajectory* traj) {
   Section(title);
-  std::printf("%8s %15s %12s %16s %12s\n", "n", "nested (ms)", "hash (ms)",
-              "sort-merge (ms)", "index (ms)");
+  std::printf("%8s %15s %12s %12s\n", "n", "nested (ms)", "hash (ms)",
+              "index (ms)");
   for (int n : {64, 256, 1024, 4096}) {
     auto db = MakeDb(n, 47);
     EvalOptions nested;
@@ -64,29 +64,26 @@ void SweepAlgorithms(const char* title, const ExprPtr& plan,
     // each algorithm's counters).
     EvalStats s_nested;
     Value expected = MustEvalModesAgree(*db, plan, nested, &s_nested);
-    const JoinAlgorithm algos[3] = {JoinAlgorithm::kHash,
-                                    JoinAlgorithm::kSortMerge,
+    const JoinAlgorithm algos[2] = {JoinAlgorithm::kHash,
                                     JoinAlgorithm::kIndex};
-    const char* names[3] = {"hash", "sortmerge", "index"};
-    EvalStats s_algo[3];
-    for (int i = 0; i < 3; ++i) {
+    const char* names[2] = {"hash", "index"};
+    EvalStats s_algo[2];
+    for (int i = 0; i < 2; ++i) {
       N2J_CHECK(MustEvalModesAgree(*db, plan, Algo(algos[i]), &s_algo[i]) ==
                 expected);
     }
     double t_nl = n > 1024 ? -1.0
                            : TimeMs([&] { MustEval(*db, plan, nested); }, 30);
-    double t[3];
-    for (int i = 0; i < 3; ++i) {
+    double t[2];
+    for (int i = 0; i < 2; ++i) {
       t[i] = TimeMs([&] { MustEval(*db, plan, Algo(algos[i])); }, 30);
     }
     if (t_nl >= 0) traj->Add(sweep, "nested", n, t_nl, s_nested);
-    for (int i = 0; i < 3; ++i) traj->Add(sweep, names[i], n, t[i], s_algo[i]);
+    for (int i = 0; i < 2; ++i) traj->Add(sweep, names[i], n, t[i], s_algo[i]);
     if (t_nl < 0) {
-      std::printf("%8d %15s %12.3f %16.3f %12.3f\n", n, "(skipped)", t[0],
-                  t[1], t[2]);
+      std::printf("%8d %15s %12.3f %12.3f\n", n, "(skipped)", t[0], t[1]);
     } else {
-      std::printf("%8d %15.3f %12.3f %16.3f %12.3f\n", n, t_nl, t[0],
-                  t[1], t[2]);
+      std::printf("%8d %15.3f %12.3f %12.3f\n", n, t_nl, t[0], t[1]);
     }
   }
 }
@@ -128,11 +125,10 @@ void SweepThreads(const char* title, const ExprPtr& plan,
 // morsel timelines are the interesting part.
 void ProfileRuns(bench::Trajectory* traj) {
   auto db = MakeDb(1024, 47);
-  const JoinAlgorithm algos[3] = {JoinAlgorithm::kHash,
-                                  JoinAlgorithm::kSortMerge,
+  const JoinAlgorithm algos[2] = {JoinAlgorithm::kHash,
                                   JoinAlgorithm::kIndex};
-  const char* names[3] = {"hash", "sortmerge", "index"};
-  for (int i = 0; i < 3; ++i) {
+  const char* names[2] = {"hash", "index"};
+  for (int i = 0; i < 2; ++i) {
     bench::ProfileOnce(traj, *db, SemiJoinPlan(), "semijoin-profile",
                        names[i], 1024, Algo(algos[i]));
   }
@@ -193,7 +189,6 @@ void BM_SemiJoin(benchmark::State& state) {
 }
 BENCHMARK(BM_SemiJoin)
     ->Arg(static_cast<int>(JoinAlgorithm::kHash))
-    ->Arg(static_cast<int>(JoinAlgorithm::kSortMerge))
     ->Arg(static_cast<int>(JoinAlgorithm::kIndex));
 
 }  // namespace
@@ -202,7 +197,7 @@ BENCHMARK(BM_SemiJoin)
 int main(int argc, char** argv) {
   n2j::bench::Trajectory traj("join_algorithms", &argc, argv);
   n2j::SweepAlgorithms(
-      "Semijoin X ⋉ Y: one logical operator, four physical algorithms",
+      "Semijoin X ⋉ Y: one logical operator, three physical algorithms",
       n2j::SemiJoinPlan(), "semijoin", &traj);
   n2j::SweepAlgorithms(
       "Nestjoin X ⊣ Y: the new operator admits the same implementations",
@@ -217,9 +212,8 @@ int main(int argc, char** argv) {
   if (traj.recorder_gate()) n2j::RecorderOverheadGate();
   std::printf(
       "\nThe index variant skips the build phase entirely (the index was\n"
-      "built at load time); sort-merge pays n·log n but would win on\n"
-      "presorted or disk-resident inputs; the nested loop is the\n"
-      "tuple-oriented baseline the paper wants to leave behind.\n");
+      "built at load time); the nested loop is the tuple-oriented\n"
+      "baseline the paper wants to leave behind.\n");
   traj.WriteIfRequested();
   benchmark::Initialize(&argc, argv);
   benchmark::RunSpecifiedBenchmarks();

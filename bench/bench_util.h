@@ -125,10 +125,10 @@ inline RewriteResult MustRewrite(const Database& db, const ExprPtr& e,
   return *r;
 }
 
-/// RewriteOptions with every pass disabled (pure nested-loop execution).
+/// RewriteOptions with every pass disabled (pure nested-loop execution);
+/// the simplifier's translation cleanups always run.
 inline RewriteOptions AllRewritesOff() {
   RewriteOptions off;
-  off.enable_simplify = true;  // keep the translation cleanups
   off.enable_setcmp = false;
   off.enable_quantifier = false;
   off.enable_map_join = false;
@@ -267,40 +267,21 @@ class Trajectory {
     std::fprintf(f, "{\n  \"bench\": \"%s\",\n  \"mode\": \"%s\",\n"
                  "  \"points\": [\n",
                  bench_.c_str(), BenchModeName());
+    size_t nfields = 0;
+    const EvalStatsField* fields = EvalStatsFields(&nfields);
     for (size_t i = 0; i < points_.size(); ++i) {
       const TrajectoryPoint& p = points_[i];
-      const EvalStats& s = p.stats;
-      std::fprintf(
-          f,
-          "    {\"sweep\": \"%s\", \"variant\": \"%s\", \"n\": %d, "
-          "\"ms\": %.6f, \"stats\": {\"tuples_scanned\": %llu, "
-          "\"predicate_evals\": %llu, \"hash_inserts\": %llu, "
-          "\"hash_probes\": %llu, \"rows_sorted\": %llu, "
-          "\"index_probes\": %llu, \"pnhl_partitions\": %llu, "
-          "\"derefs\": %llu, \"nodes_evaluated\": %llu, "
-          "\"compiled_evals\": %llu, \"interp_fallback_evals\": %llu, "
-          "\"joins_nested_loop\": %llu, \"joins_hash\": %llu, "
-          "\"joins_sortmerge\": %llu, \"joins_index\": %llu, "
-          "\"joins_membership\": %llu}}%s\n",
-          JsonEscape(p.sweep).c_str(), JsonEscape(p.variant).c_str(), p.n,
-          p.ms,
-          static_cast<unsigned long long>(s.tuples_scanned),
-          static_cast<unsigned long long>(s.predicate_evals),
-          static_cast<unsigned long long>(s.hash_inserts),
-          static_cast<unsigned long long>(s.hash_probes),
-          static_cast<unsigned long long>(s.rows_sorted),
-          static_cast<unsigned long long>(s.index_probes),
-          static_cast<unsigned long long>(s.pnhl_partitions),
-          static_cast<unsigned long long>(s.derefs),
-          static_cast<unsigned long long>(s.nodes_evaluated),
-          static_cast<unsigned long long>(s.compiled_evals),
-          static_cast<unsigned long long>(s.interp_fallback_evals),
-          static_cast<unsigned long long>(s.joins_nested_loop),
-          static_cast<unsigned long long>(s.joins_hash),
-          static_cast<unsigned long long>(s.joins_sortmerge),
-          static_cast<unsigned long long>(s.joins_index),
-          static_cast<unsigned long long>(s.joins_membership),
-          i + 1 < points_.size() ? "," : "");
+      std::fprintf(f,
+                   "    {\"sweep\": \"%s\", \"variant\": \"%s\", \"n\": %d, "
+                   "\"ms\": %.6f, \"stats\": {",
+                   JsonEscape(p.sweep).c_str(), JsonEscape(p.variant).c_str(),
+                   p.n, p.ms);
+      for (size_t k = 0; k < nfields; ++k) {
+        const uint64_t v = p.stats.*fields[k].member;
+        std::fprintf(f, "%s\"%s\": %llu", k > 0 ? ", " : "", fields[k].name,
+                     static_cast<unsigned long long>(v));
+      }
+      std::fprintf(f, "}}%s\n", i + 1 < points_.size() ? "," : "");
     }
     std::fprintf(f, "  ],\n  \"operator_profile\": [\n");
     for (size_t i = 0; i < profile_.size(); ++i) {

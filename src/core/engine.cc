@@ -46,7 +46,6 @@ struct QueryInstruments {
         eval_ms(reg.GetHistogram("n2j_eval_ms")),
         joins_nested_loop(reg.GetCounter("n2j_joins_nested_loop_total")),
         joins_hash(reg.GetCounter("n2j_joins_hash_total")),
-        joins_sortmerge(reg.GetCounter("n2j_joins_sortmerge_total")),
         joins_index(reg.GetCounter("n2j_joins_index_total")),
         joins_membership(reg.GetCounter("n2j_joins_membership_total")),
         compiled_evals(reg.GetCounter("n2j_compiled_evals_total")),
@@ -66,7 +65,6 @@ struct QueryInstruments {
   obs::Histogram& eval_ms;
   obs::Counter& joins_nested_loop;
   obs::Counter& joins_hash;
-  obs::Counter& joins_sortmerge;
   obs::Counter& joins_index;
   obs::Counter& joins_membership;
   obs::Counter& compiled_evals;
@@ -90,7 +88,6 @@ void RecordQueryOutcome(const Result<QueryReport>& r, int64_t t_start_ns,
     const EvalStats& s = r->exec_stats;
     m.joins_nested_loop.Add(s.joins_nested_loop);
     m.joins_hash.Add(s.joins_hash);
-    m.joins_sortmerge.Add(s.joins_sortmerge);
     m.joins_index.Add(s.joins_index);
     m.joins_membership.Add(s.joins_membership);
     m.compiled_evals.Add(s.compiled_evals);

@@ -104,7 +104,6 @@ const char* JoinMethodName(JoinMethod m) {
   switch (m) {
     case JoinMethod::kNestedLoop: return "nested-loop";
     case JoinMethod::kHash: return "hash";
-    case JoinMethod::kSortMerge: return "sort-merge";
     case JoinMethod::kIndex: return "index";
     case JoinMethod::kMembership: return "membership";
   }
@@ -116,10 +115,7 @@ JoinMethod JoinShape::Dispatch(JoinAlgorithm requested) const {
   if (requested == JoinAlgorithm::kIndex && index != nullptr) {
     return JoinMethod::kIndex;
   }
-  if (keys.usable()) {
-    return requested == JoinAlgorithm::kSortMerge ? JoinMethod::kSortMerge
-                                                  : JoinMethod::kHash;
-  }
+  if (keys.usable()) return JoinMethod::kHash;
   return membership.found() ? JoinMethod::kMembership
                             : JoinMethod::kNestedLoop;
 }

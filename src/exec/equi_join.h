@@ -63,9 +63,9 @@ struct MembershipKey {
 };
 
 /// The physical operator that runs a join-family node.
-enum class JoinMethod { kNestedLoop, kHash, kSortMerge, kIndex, kMembership };
+enum class JoinMethod { kNestedLoop, kHash, kIndex, kMembership };
 
-/// "nested-loop", "hash", "sort-merge", "index", "membership": the
+/// "nested-loop", "hash", "index", "membership": the
 /// evaluator's span label and the planner's plan label.
 const char* JoinMethodName(JoinMethod m);
 
@@ -86,7 +86,6 @@ struct JoinShape {
   /// The operator the executor runs when `requested` is asked for:
   ///   kIndex      index, else hash, else membership, else nested loop
   ///   kHash       hash, else membership, else nested loop
-  ///   kSortMerge  sort-merge, else membership, else nested loop
   ///   kNestedLoop nested loop
   JoinMethod Dispatch(JoinAlgorithm requested) const;
 };
@@ -100,7 +99,7 @@ JoinShape MatchJoin(const Expr& join, const Database* db);
 /// them without running the inner.
 bool IsIdentityInner(const Expr& nestjoin);
 
-/// Hash/sort key built from evaluated equi-key expressions. A single key
+/// Hash key built from evaluated equi-key expressions. A single key
 /// is returned bare — no tuple wrap — since join keys only ever meet
 /// keys built the same way from the matching key list; composite keys
 /// share one interned "k0","k1",... shape per arity.

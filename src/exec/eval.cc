@@ -36,7 +36,6 @@ constexpr StatField kStatFields[] = {
     {"predicate_evals", "preds", &EvalStats::predicate_evals},
     {"hash_inserts", "h_ins", &EvalStats::hash_inserts},
     {"hash_probes", "h_probe", &EvalStats::hash_probes},
-    {"rows_sorted", "sorted", &EvalStats::rows_sorted},
     {"set_sorted_rows", "set_sorted", &EvalStats::set_sorted_rows},
     {"index_probes", "idx", &EvalStats::index_probes},
     {"pnhl_partitions", "pnhl", &EvalStats::pnhl_partitions},
@@ -46,7 +45,6 @@ constexpr StatField kStatFields[] = {
     {"interp_fallback_evals", "fallback", &EvalStats::interp_fallback_evals},
     {"joins_nested_loop", "nl_joins", &EvalStats::joins_nested_loop},
     {"joins_hash", "hash_joins", &EvalStats::joins_hash},
-    {"joins_sortmerge", "sm_joins", &EvalStats::joins_sortmerge},
     {"joins_index", "idx_joins", &EvalStats::joins_index},
     {"joins_membership", "mem_joins", &EvalStats::joins_membership},
     // Always 0; kept for the traced counters perfbench/run.py reads.
@@ -878,9 +876,6 @@ Result<Rows> Evaluator::EvalJoinLike(const Expr& e, Environment& env,
       case JoinMethod::kHash:
         ++stats_.joins_hash;
         return HashJoin(e, shape, l, r, env, &out);
-      case JoinMethod::kSortMerge:
-        ++stats_.joins_sortmerge;
-        return SortMergeJoin(e, shape, l, r, env, &out);
       case JoinMethod::kMembership:
         ++stats_.joins_membership;
         return MembershipJoin(e, shape, l, r, env, &out);
@@ -892,11 +887,11 @@ Result<Rows> Evaluator::EvalJoinLike(const Expr& e, Environment& env,
   }();
   N2J_RETURN_IF_ERROR(s);
   // A semijoin or antijoin keeps a subsequence of the probe side, in
-  // probe order unless sort-merge reordered it by key. Distinct probe
-  // rows give distinct output rows, except that the index join pairs
-  // with the table's stored rows, which may repeat.
+  // probe order. Distinct probe rows give distinct output rows, except
+  // that the index join pairs with the table's stored rows, which may
+  // repeat.
   RowOrder order = RowOrder::kDistinct;
-  if (l.canonical() && method != JoinMethod::kSortMerge &&
+  if (l.canonical() &&
       (e.kind() == ExprKind::kSemiJoin || e.kind() == ExprKind::kAntiJoin)) {
     order = RowOrder::kCanonical;
   } else if (method == JoinMethod::kIndex && e.kind() == ExprKind::kJoin) {

@@ -35,7 +35,6 @@ struct EvalStats {
   uint64_t predicate_evals = 0;  // lambda predicate evaluations
   uint64_t hash_inserts = 0;     // hash-table build inserts
   uint64_t hash_probes = 0;      // hash-table probes
-  uint64_t rows_sorted = 0;      // rows sorted by sort-merge joins
   // Rows the evaluator canonicalized with a comparison sort: operator
   // outputs, nestjoin and nest groups, set literals. Rows canonical by
   // construction or already in order count nothing.
@@ -54,7 +53,6 @@ struct EvalStats {
   // serial and parallel runs count identically).
   uint64_t joins_nested_loop = 0;
   uint64_t joins_hash = 0;
-  uint64_t joins_sortmerge = 0;
   uint64_t joins_index = 0;
   uint64_t joins_membership = 0;
   // Always 0: counters of the removed vectorized shredded executor,
@@ -94,17 +92,16 @@ struct EvalStatsField {
 /// writer) stay automatically in sync when a counter is added.
 const EvalStatsField* EvalStatsFields(size_t* count);
 
-/// Physical implementation for the logical join family — "the join can
-/// be implemented as an index nested-loop join, a sort-merge join, a
-/// hash join, etc." (Section 6). The hash, sort-merge and index
-/// algorithms need extractable equi-join keys; a join without them but
-/// with a membership conjunct (f(y) ∈ x.c, x.c ∋ f(y), ∃v ∈ x.c ·
-/// k(v) = f(y)) runs as a membership hash join under any of the three,
-/// and anything else as a nested loop. JoinShape::Dispatch
-/// (exec/equi_join.h) is the one place that decides.
+/// Physical implementation for the logical join family (Section 6: the
+/// logical join exists so that it can be implemented by an index
+/// nested-loop join, a hash join, etc.). The hash and index algorithms
+/// need extractable equi-join keys; a join without them but with a
+/// membership conjunct (f(y) ∈ x.c, x.c ∋ f(y), ∃v ∈ x.c · k(v) = f(y))
+/// runs as a membership hash join under either, and anything else as a
+/// nested loop. JoinShape::Dispatch (exec/equi_join.h) is the one place
+/// that decides.
 enum class JoinAlgorithm {
   kHash,        // build a hash table on the right operand, probe left
-  kSortMerge,   // sort both operands on their keys and merge
   kIndex,       // probe a pre-built index on the right base table
                 // (falls back to hash if there is none)
   kNestedLoop,  // tuple-at-a-time (the paper's naive baseline)
@@ -340,19 +337,15 @@ class Evaluator {
   Result<Rows> EvalJoinLike(const Expr& e, Environment& env, bool as_set);
 
   // The join family's physical implementations append their output
-  // rows to `out` in probe order — except sort-merge, which emits in
-  // key order — for EvalJoinLike to close.
+  // rows to `out` in probe order for EvalJoinLike to close.
   // Nested-loop implementations (physical baseline).
   Status NestedLoopJoin(const Expr& e, const Rows& l, const Value& r,
                         Environment& env, std::vector<Value>* out);
-  // Set-oriented implementations (physical.cc / physical_sortmerge.cc /
-  // physical_membership.cc). Each runs on the node's pre-matched shape;
-  // EvalJoinLike only calls one whose inputs the shape provides.
+  // Set-oriented implementations (physical.cc / physical_membership.cc).
+  // Each runs on the node's pre-matched shape; EvalJoinLike only calls
+  // one whose inputs the shape provides.
   Status HashJoin(const Expr& e, const JoinShape& shape, const Rows& l,
                   const Value& r, Environment& env, std::vector<Value>* out);
-  Status SortMergeJoin(const Expr& e, const JoinShape& shape, const Rows& l,
-                       const Value& r, Environment& env,
-                       std::vector<Value>* out);
   Status IndexJoin(const Expr& e, const JoinShape& shape, const Rows& l,
                    Environment& env, std::vector<Value>* out);
   /// Hash implementation for the shape's membership conjunct (f(y) ∈
@@ -387,8 +380,8 @@ class Evaluator {
 
   /// Shared per-left-tuple result assembly for the join family: given
   /// the matching right tuples (post-residual), appends the appropriate
-  /// output to `out`. Used by the hash/sort-merge/index/membership
-  /// variants. The nestjoin inner function runs compiled when jl.inner
+  /// output to `out`. Used by the hash/index/membership variants. The
+  /// nestjoin inner function runs compiled when jl.inner
   /// is ok; an identity inner (the bare right variable) is not run, and
   /// its group is canonical without compares when `canonical_build`
   /// (the matches point into a canonical set's elements) and the

@@ -1,10 +1,9 @@
 // Hash-based and index-based physical implementations of the join
-// family, including the nestjoin (Section 6.1: "To implement the
-// nestjoin, common join implementation methods like the sort-merge
-// join, or the hash join can be adapted"). The evaluator dispatches here
+// family, including the nestjoin (Section 6.1: common join
+// implementation methods such as the hash join can be adapted to
+// implement the nestjoin). The evaluator dispatches here
 // when the node's JoinShape (exec/equi_join.h) has equi keys. The
-// sort-merge variant lives in physical_sortmerge.cc, the membership
-// join in physical_membership.cc.
+// membership join lives in physical_membership.cc.
 
 #include "exec/compile.h"
 #include "exec/equi_join.h"

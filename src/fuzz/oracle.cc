@@ -20,8 +20,7 @@ uint64_t JoinWork(const EvalStats& s) {
 }
 
 uint64_t PlanWork(const EvalStats& s) {
-  return JoinWork(s) + s.hash_inserts + s.index_probes + s.rows_sorted +
-         s.set_sorted_rows;
+  return JoinWork(s) + s.hash_inserts + s.index_probes + s.set_sorted_rows;
 }
 
 namespace {
@@ -192,11 +191,6 @@ std::vector<OracleConfig> DefaultConfigMatrix() {
     OracleConfig c = Cell("full-nestjoin-hash");
     c.eval.join_algorithm = JoinAlgorithm::kHash;
     c.linear_join_work = true;
-    m.push_back(c);
-  }
-  {
-    OracleConfig c = Cell("full-nestjoin-sortmerge");
-    c.eval.join_algorithm = JoinAlgorithm::kSortMerge;
     m.push_back(c);
   }
   {

@@ -76,10 +76,9 @@ uint64_t JoinWork(const EvalStats& s);
 
 /// Deterministic work of one execution, for comparing physical
 /// alternatives: JoinWork plus the per-row work it leaves out — hash
-/// table builds, index lookups, and the rows sort-merge joins and set
-/// canonicalization sort. Without them a sort-merge or index join reads
-/// as cheaper than the hash join that does the same matching. The
-/// cost-based cell bounds it.
+/// table builds, index lookups, and the rows set canonicalization
+/// sorts. Without them an index join reads as cheaper than the hash
+/// join that does the same matching. The cost-based cell bounds it.
 uint64_t PlanWork(const EvalStats& s);
 
 /// The linear work bound of a flat from-clause. `naive` must be the

@@ -1,48 +1,42 @@
 #include "opt/cost.h"
 
-#include <algorithm>
 #include <cmath>
 
 namespace n2j {
 
 namespace {
-double Log2Ceil(double n) { return n <= 2.0 ? 1.0 : std::log2(n); }
+
+// Calibrated per-operation constants (ns).
+constexpr double kPredEval = 26.0;    // one compiled predicate evaluation
+constexpr double kHashBuild = 95.0;   // one hash insert (key eval + insert)
+constexpr double kHashProbe = 95.0;   // one probe (key eval + lookup)
+constexpr double kSortPerCmp = 12.0;  // one comparison of a binary search
+constexpr double kIndexProbe = 110.0; // one index lookup (key eval + chase)
+constexpr double kIndexChase = 45.0;  // one matching row via the postings
+constexpr double kEmitRow = 30.0;     // one output tuple assembled
+
 }  // namespace
 
-double NestedLoopJoinCost(double l, double r, double out,
-                          const CostConstants& c) {
-  return l * r * c.pred_eval + out * c.emit_row;
+double NestedLoopJoinCost(double l, double r, double out) {
+  return l * r * kPredEval + out * kEmitRow;
 }
 
-double HashJoinCost(double l, double r, double out, const CostConstants& c) {
-  return r * c.hash_build + l * c.hash_probe + out * c.emit_row;
+double HashJoinCost(double l, double r, double out) {
+  return r * kHashBuild + l * kHashProbe + out * kEmitRow;
 }
 
-double SortMergeJoinCost(double l, double r, double out,
-                         const CostConstants& c) {
-  double sort = (l * Log2Ceil(l) + r * Log2Ceil(r)) * c.sort_per_cmp;
-  return sort + (l + r) * c.merge_row + out * c.emit_row;
+double IndexJoinCost(double l, double matches, double out) {
+  return l * kIndexProbe + matches * kIndexChase + out * kEmitRow;
 }
 
-double IndexJoinCost(double l, double matches, double out,
-                     const CostConstants& c) {
-  return l * c.index_probe + matches * c.index_chase + out * c.emit_row;
+double MembershipJoinCost(double l_elems, double r, double out) {
+  return r * kHashBuild + l_elems * kHashProbe + out * kEmitRow;
 }
 
-double MembershipJoinCost(double l_elems, double r, double out,
-                          const CostConstants& c) {
-  return r * c.hash_build + l_elems * c.hash_probe + out * c.emit_row;
-}
+double PredEvalCost(double n) { return n * kPredEval; }
 
-double PnhlCost(double l, double r, double out, double build_bytes,
-                size_t budget, const CostConstants& c) {
-  double segments = 1.0;
-  if (budget > 0 && build_bytes > 0) {
-    segments = std::max(1.0, std::ceil(build_bytes /
-                                       static_cast<double>(budget)));
-  }
-  // Build each segment once; rescan the probe side per segment.
-  return r * c.hash_build + segments * l * c.hash_probe + out * c.emit_row;
+double MembershipTestWork(double fanout) {
+  return (kPredEval + kEmitRow + std::log2(fanout) * kSortPerCmp) / kPredEval;
 }
 
 }  // namespace n2j

@@ -9,6 +9,7 @@
 #include "adl/analysis.h"
 #include "common/str_util.h"
 #include "exec/equi_join.h"
+#include "opt/cost.h"
 #include "stats/cardinality.h"
 #include "stats/stats.h"
 
@@ -102,13 +103,11 @@ double SubqueryRows(CardinalityEstimator& est,
 /// Prices the operator each requestable algorithm dispatches to on this
 /// node's shape — exactly what the evaluator would run — and returns
 /// the cheapest request.
-Choice ChooseJoin(const Database& db, const PlannerOptions& po,
-                  CardinalityEstimator& est, const Expr& e,
-                  const RelEstimate& l, const RelEstimate& r, double out,
-                  double matches) {
+Choice ChooseJoin(const Database& db, CardinalityEstimator& est,
+                  const Expr& e, const RelEstimate& l, const RelEstimate& r,
+                  double out, double matches) {
   double lr = l.RowsOr(kDefaultRows);
   double rr = r.RowsOr(kDefaultRows);
-  const CostConstants& c = po.costs;
   JoinShape shape = MatchJoin(e, &db);
   // Set elements per left row behind a membership conjunct (4 when the
   // container has no stats): the membership join's probes per row, and
@@ -127,43 +126,36 @@ Choice ChooseJoin(const Database& db, const PlannerOptions& po,
     } else {
       // f(y) ∈ x.c: build the projection f(y), then binary-search the
       // canonical set x.c.
-      pair_work = (c.pred_eval + c.emit_row +
-                   std::log2(fanout) * c.sort_per_cmp) /
-                  c.pred_eval;
+      pair_work = MembershipTestWork(fanout);
     }
   }
   // Subqueries in the predicate, one predicate evaluation per row they
   // produce: a nested loop runs them for every pair, while the hashed
-  // and sorted joins run each side's keys once per row of that side.
+  // joins run each side's keys once per row of that side.
   pair_work += SubqueryRows(est, e.pred());
   const double left_key_work =
-      lr * SubqueryRows(est, shape.keys.left_keys) * c.pred_eval;
+      PredEvalCost(lr * SubqueryRows(est, shape.keys.left_keys));
   const double right_key_work =
-      rr * SubqueryRows(est, shape.keys.right_keys) * c.pred_eval;
+      PredEvalCost(rr * SubqueryRows(est, shape.keys.right_keys));
 
   Choice best;
   for (JoinAlgorithm a : {JoinAlgorithm::kNestedLoop, JoinAlgorithm::kHash,
-                          JoinAlgorithm::kSortMerge, JoinAlgorithm::kIndex}) {
+                          JoinAlgorithm::kIndex}) {
     JoinMethod m = shape.Dispatch(a);
     double cost = kInf;
     switch (m) {
       case JoinMethod::kNestedLoop:
-        cost = NestedLoopJoinCost(lr * pair_work, rr, out, c);
+        cost = NestedLoopJoinCost(lr * pair_work, rr, out);
         break;
       case JoinMethod::kHash:
-        cost = HashJoinCost(lr, rr, out, c) + left_key_work + right_key_work;
-        break;
-      case JoinMethod::kSortMerge:
-        cost = SortMergeJoinCost(lr, rr, out, c) + left_key_work +
-               right_key_work;
+        cost = HashJoinCost(lr, rr, out) + left_key_work + right_key_work;
         break;
       case JoinMethod::kIndex:
-        cost = IndexJoinCost(lr, matches, out, c) + left_key_work;
+        cost = IndexJoinCost(lr, matches, out) + left_key_work;
         break;
       case JoinMethod::kMembership:
-        cost = MembershipJoinCost(lr * fanout, rr, out, c) +
-               rr * SubqueryRows(est, shape.membership.right_key) *
-                   c.pred_eval;
+        cost = MembershipJoinCost(lr * fanout, rr, out) +
+               PredEvalCost(rr * SubqueryRows(est, shape.membership.right_key));
         break;
     }
     if (cost < best.cost) best = Choice{a, JoinMethodName(m), cost};
@@ -276,8 +268,8 @@ struct DpEntry {
 
 class ChainPlanner {
  public:
-  ChainPlanner(const Database& db, const PlannerOptions& po, const Chain& ch)
-      : db_(db), po_(po), ch_(ch), est_(db) {
+  ChainPlanner(const Database& db, const Chain& ch)
+      : db_(db), ch_(ch), est_(db) {
     for (const ChainLeaf& leaf : ch.leaves) {
       rows_.push_back(est_.Estimate(leaf.expr).RowsOr(kDefaultRows));
     }
@@ -373,22 +365,17 @@ class ChainPlanner {
     }
     if (npreds == 0) return false;
     *out_rows = prev_rows * fan;
-    const CostConstants& c = po_.costs;
     double cost =
-        std::min(HashJoinCost(prev_rows, rows_[t], *out_rows, c),
-                 SortMergeJoinCost(prev_rows, rows_[t], *out_rows, c));
-    cost = std::min(cost,
-                    NestedLoopJoinCost(prev_rows, rows_[t], *out_rows, c));
+        std::min(HashJoinCost(prev_rows, rows_[t], *out_rows),
+                 NestedLoopJoinCost(prev_rows, rows_[t], *out_rows));
     if (index_ok) {
-      cost = std::min(cost,
-                      IndexJoinCost(prev_rows, *out_rows, *out_rows, c));
+      cost = std::min(cost, IndexJoinCost(prev_rows, *out_rows, *out_rows));
     }
     *out_cost = cost;
     return true;
   }
 
   const Database& db_;
-  const PlannerOptions& po_;
   const Chain& ch_;
   /// Prices the leaves; it pins the extent snapshots it reads, so the
   /// borrowed AttrStats survive any concurrent catalog refresh for the
@@ -464,14 +451,13 @@ ExprPtr RebuildChain(const Chain& ch, const std::vector<size_t>& order,
 }
 
 /// Runs the DP on one chain root. Returns nullptr to keep the original.
-ExprPtr TryReorder(const Database& db, const PlannerOptions& po,
-                   const ExprPtr& e) {
+ExprPtr TryReorder(const Database& db, const ExprPtr& e) {
   Chain ch;
   if (!CollectChain(db, e, &ch)) return nullptr;
   if (ch.leaves.size() < 3 || ch.leaves.size() > kMaxDpLeaves) return nullptr;
   if (!FieldsUnique(ch)) return nullptr;
 
-  ChainPlanner cp(db, po, ch);
+  ChainPlanner cp(db, ch);
   DpEntry best = cp.Best();
   if (best.cost == kInf) return nullptr;
 
@@ -483,10 +469,9 @@ ExprPtr TryReorder(const Database& db, const PlannerOptions& po,
   return RebuildChain(ch, best.order, e);
 }
 
-ExprPtr ReorderTree(const Database& db, const PlannerOptions& po,
-                    const ExprPtr& e, bool* changed) {
+ExprPtr ReorderTree(const Database& db, const ExprPtr& e, bool* changed) {
   if (e->kind() == ExprKind::kJoin) {
-    ExprPtr nu = TryReorder(db, po, e);
+    ExprPtr nu = TryReorder(db, e);
     if (nu != nullptr) {
       *changed = true;
       return nu;
@@ -496,7 +481,7 @@ ExprPtr ReorderTree(const Database& db, const PlannerOptions& po,
   kids.reserve(e->num_children());
   bool any = false;
   for (const ExprPtr& c : e->children()) {
-    ExprPtr nc = ReorderTree(db, po, c, changed);
+    ExprPtr nc = ReorderTree(db, c, changed);
     any |= nc != c;
     kids.push_back(std::move(nc));
   }
@@ -507,8 +492,8 @@ ExprPtr ReorderTree(const Database& db, const PlannerOptions& po,
 
 class Annotator {
  public:
-  Annotator(const Database& db, const PlannerOptions& po, PhysicalPlan* plan)
-      : db_(db), po_(po), plan_(plan), est_(db) {}
+  Annotator(const Database& db, PhysicalPlan* plan)
+      : db_(db), plan_(plan), est_(db) {}
 
   void Walk(const ExprPtr& e, int depth) {
     switch (e->kind()) {
@@ -551,7 +536,7 @@ class Annotator {
             JoinSelectivity sel = est_.EstimateJoinSelectivity(*e, l, r);
             matches = l.RowsOr(kDefaultRows) * sel.fanout;
           }
-          Choice c = ChooseJoin(db_, po_, est_, *e, l, r, out, matches);
+          Choice c = ChooseJoin(db_, est_, *e, l, r, out, matches);
           PlanAnnotation pa;
           pa.algorithm = c.algo;
           pa.est_rows = self.rows;
@@ -603,7 +588,6 @@ class Annotator {
   }
 
   const Database& db_;
-  const PlannerOptions& po_;
   PhysicalPlan* plan_;
   CardinalityEstimator est_;
 };
@@ -641,13 +625,10 @@ std::string PhysicalPlan::Describe() const {
 
 Result<PhysicalPlan> Planner::Plan(const ExprPtr& e) const {
   PhysicalPlan plan;
-  plan.root = e;
-  if (opts_.reorder_joins) {
-    bool changed = false;
-    plan.root = ReorderTree(db_, opts_, e, &changed);
-    plan.reordered = changed;
-  }
-  Annotator a(db_, opts_, &plan);
+  bool changed = false;
+  plan.root = ReorderTree(db_, e, &changed);
+  plan.reordered = changed;
+  Annotator a(db_, &plan);
   a.Walk(plan.root, 0);
   return plan;
 }

@@ -9,9 +9,10 @@
 //   1. Cardinalities are estimated bottom-up from real extent
 //      statistics (stats/cardinality.h).
 //   2. Every physical alternative of the inventory — nested loop, hash,
-//      sort-merge, prebuilt-index probe, membership join — is priced
-//      with the calibrated formulas of opt/cost.h; the cheapest wins
-//      and is pinned on the node via PlanAnnotations.
+//      prebuilt-index probe, membership join — is priced with the
+//      calibrated formulas of opt/cost.h; the cheapest wins and is
+//      pinned on the node via PlanAnnotations. PNHL is not priced: the
+//      evaluator recognizes its pattern at run time.
 //   3. Chains of ≥3 base-table equi-joins are reordered by a
 //      Selinger-style dynamic program over (join order × algorithm);
 //      the reordered tree is wrapped in a field-order-restoring map so
@@ -29,7 +30,6 @@
 #include "adl/expr.h"
 #include "common/result.h"
 #include "exec/plan.h"
-#include "opt/cost.h"
 #include "storage/database.h"
 
 namespace n2j {
@@ -41,13 +41,11 @@ enum class PlanStrategy {
 
 const char* PlanStrategyName(PlanStrategy s);
 
+/// The one planner setting. The cost formulas' constants are fixed
+/// (opt/cost.cc), the join-order DP always runs under kCost, and PNHL
+/// is chosen by the evaluator at run time, not priced here.
 struct PlannerOptions {
   PlanStrategy strategy = PlanStrategy::kHeuristic;
-  /// Enable the join-order DP (kCost only).
-  bool reorder_joins = true;
-  /// Mirror of EvalOptions::pnhl_memory_budget, used to price PNHL.
-  size_t pnhl_memory_budget = SIZE_MAX;
-  CostConstants costs;
 };
 
 /// The planner's output: the (possibly reordered) expression to

@@ -172,7 +172,7 @@ class Driver {
              KindBits({ExprKind::kSelect, ExprKind::kMap, ExprKind::kUnary,
                        ExprKind::kBinary, ExprKind::kQuantifier,
                        ExprKind::kLet, ExprKind::kFlatten}),
-             false, {on(o.enable_simplify, SimplifyNode)});
+             false, {SimplifyNode});
     AddStage(Walk::kOncePerRound,
              KindBits({ExprKind::kSelect, ExprKind::kMap,
                        ExprKind::kQuantifier}),

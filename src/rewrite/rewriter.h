@@ -31,8 +31,6 @@ enum class GroupingMode {
 /// Pass toggles, mainly for the strategy-ablation benchmark. Defaults
 /// implement the paper's full priority strategy (Section 4).
 struct RewriteOptions {
-  bool enable_simplify = true;        // σ[true], α[x:x], const folding
-  bool enable_from_merge = true;      // from-clause composition removal
   bool enable_setcmp = true;          // Tables 1 & 2
   bool enable_quantifier = true;      // range merge, NNF, exchange, Rule 1
   bool enable_map_join = true;        // Rule 2

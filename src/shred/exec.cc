@@ -109,14 +109,6 @@ bool IsJoinAbandoned(const Status& s) {
   return s.code() == StatusCode::kUnsupported && s.message() == kJoinAbandoned;
 }
 
-// The build side of one range join: the scan elements' keys either in a
-// JoinTable (hash) or sorted with their element index (sort-merge).
-struct JoinBuild {
-  bool sort_merge = false;
-  JoinTable table;
-  std::vector<std::pair<Value, uint32_t>> sorted;
-};
-
 // Executes a ShredPlan. Every counter goes through the row-wise
 // delegate's stats (inner_), so all trace spans — the per-node spans
 // here and the operator spans the delegate opens — measure deltas of ONE
@@ -172,13 +164,13 @@ class ShredExecutor {
   Status PerRowExpandRows(Evaluator& ev, const RangeSpec& r, const Rel& work,
                           const ColumnarChild* csr, const Col* parent,
                           size_t row_begin, size_t row_end, Rel* out);
-  /// The probe half of the hash / sort-merge join. Returns JoinAbandoned()
+  /// The probe half of the hash join. Returns JoinAbandoned()
   /// when a probe-key evaluation fails: the caller falls back to the
   /// nested-loop scan, which reproduces the interpreter's behavior
   /// exactly. Residual errors propagate.
   Status ProbeRows(Evaluator& ev, const RangeSpec& r, const Rel& work,
                    const std::vector<Value>& elems, const EquiSplit& split,
-                   const JoinBuild& build, size_t row_begin, size_t row_end,
+                   const JoinTable& build, size_t row_begin, size_t row_end,
                    Rel* out);
   /// Runs `rows(delegate, row_begin, row_end, out)` over [0, nrows)
   /// through the morsel driver.
@@ -534,34 +526,17 @@ Result<std::optional<Rel>> ShredExecutor::TryJoinExpand(
     }
   }
 
-  JoinBuild build;
-  build.sort_merge = opts_.join_algorithm == JoinAlgorithm::kSortMerge;
-  if (build.sort_merge) {
-    build.sorted.reserve(keys.size());
-    for (size_t i = 0; i < keys.size(); ++i) {
-      build.sorted.emplace_back(std::move(keys[i]), static_cast<uint32_t>(i));
-    }
-    std::stable_sort(build.sorted.begin(), build.sorted.end(),
-                     [](const auto& a, const auto& b) {
-                       return a.first.Compare(b.first) < 0;
-                     });
-    inner_.stats().rows_sorted += build.sorted.size();
-    ++inner_.stats().joins_sortmerge;
-  } else {
-    build.table = JoinTable(keys.size());
-    for (size_t i = 0; i < keys.size(); ++i) {
-      build.table.Insert(std::move(keys[i]), static_cast<uint32_t>(i));
-    }
-    ++inner_.stats().joins_hash;
+  JoinTable build(keys.size());
+  for (size_t i = 0; i < keys.size(); ++i) {
+    build.Insert(std::move(keys[i]), static_cast<uint32_t>(i));
   }
+  ++inner_.stats().joins_hash;
   inner_.stats().hash_inserts += keys.size();
   inner_.stats().tuples_scanned += keys.size();
   if (opts_.trace != nullptr) {
-    opts_.trace->AnnotateOpen(StrFormat(
-        " %s keys=%zu residual=%zu", build.sort_merge ? "sortmerge" : "hash",
-        scan_keys.size(), residual.size()));
-    opts_.trace->NotePeakHash(build.sort_merge ? build.sorted.size()
-                                               : build.table.num_keys());
+    opts_.trace->AnnotateOpen(StrFormat(" hash keys=%zu residual=%zu",
+                                        scan_keys.size(), residual.size()));
+    opts_.trace->NotePeakHash(build.num_keys());
   }
 
   Rel out = Skeleton(work, r, columnar);
@@ -584,7 +559,7 @@ Result<std::optional<Rel>> ShredExecutor::TryJoinExpand(
 Status ShredExecutor::ProbeRows(Evaluator& ev, const RangeSpec& r,
                                 const Rel& work,
                                 const std::vector<Value>& elems,
-                                const EquiSplit& split, const JoinBuild& build,
+                                const EquiSplit& split, const JoinTable& build,
                                 size_t row_begin, size_t row_end,
                                 Rel* out) {
   const std::vector<ExprPtr>& probe_keys = split.probe_keys;
@@ -642,22 +617,9 @@ Status ShredExecutor::ProbeRows(Evaluator& ev, const RangeSpec& r,
     ++ev.stats().hash_probes;
 
     Status st;
-    if (build.sort_merge) {
-      const auto& sorted = build.sorted;
-      auto lo = std::lower_bound(sorted.begin(), sorted.end(), key,
-                                 [](const auto& p, const Value& k) {
-                                   return p.first.Compare(k) < 0;
-                                 });
-      for (auto it = lo; it != sorted.end() && st.ok() &&
-                         key.Compare(it->first) == 0;
-           ++it) {
-        st = match(row, it->second);
-      }
-    } else {
-      for (uint32_t idx : build.table.Find(key)) {
-        st = match(row, idx);
-        if (!st.ok()) break;
-      }
+    for (uint32_t idx : build.Find(key)) {
+      st = match(row, idx);
+      if (!st.ok()) break;
     }
     PopRow(&env, work);
     N2J_RETURN_IF_ERROR(st);

@@ -11,8 +11,8 @@
 // from the parent's context rows, widened by a sequence of range
 // expansions (extent scans over columnar projections, CSR child-
 // relation lookups for set-valued attributes, constant sets, or opaque
-// per-row subqueries), filtered by predicates that may run as hash or
-// sort-merge joins, and finished by an output spec. The *stitching*
+// per-row subqueries), filtered by predicates that may run as hash
+// joins, and finished by an output spec. The *stitching*
 // phase reassembles the nested result: a work row's context pointer is
 // its synthetic parent id, and a node's result for one context row is
 // the set of its work-row outputs — Map, Select and Flatten all

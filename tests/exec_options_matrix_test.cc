@@ -54,8 +54,8 @@ TEST_P(ExecOptionsMatrixTest, AllOptionCombinationsAgree) {
     Value expected = EvalExpr(*db, naive, reference);
 
     for (JoinAlgorithm algo :
-         {JoinAlgorithm::kHash, JoinAlgorithm::kSortMerge,
-          JoinAlgorithm::kIndex, JoinAlgorithm::kNestedLoop}) {
+         {JoinAlgorithm::kHash, JoinAlgorithm::kIndex,
+          JoinAlgorithm::kNestedLoop}) {
       for (bool pnhl : {false, true}) {
         for (size_t budget : {SIZE_MAX, size_t{512}}) {
           for (int threads : {1, 4}) {

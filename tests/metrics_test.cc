@@ -159,7 +159,6 @@ TEST(MetricsRegistry, QueryInstrumentsExistAfterOneRunAndSurviveReset) {
       "n2j_query_errors_total",
       "n2j_joins_nested_loop_total",
       "n2j_joins_hash_total",
-      "n2j_joins_sortmerge_total",
       "n2j_joins_index_total",
       "n2j_joins_membership_total",
       "n2j_compiled_evals_total",
@@ -206,8 +205,6 @@ TEST(MetricsRegistry, QueryInstrumentsExistAfterOneRunAndSurviveReset) {
   EXPECT_EQ(reg.GetCounter("n2j_joins_nested_loop_total").value(),
             s.joins_nested_loop);
   EXPECT_EQ(reg.GetCounter("n2j_joins_hash_total").value(), s.joins_hash);
-  EXPECT_EQ(reg.GetCounter("n2j_joins_sortmerge_total").value(),
-            s.joins_sortmerge);
   EXPECT_EQ(reg.GetCounter("n2j_joins_index_total").value(), s.joins_index);
   EXPECT_EQ(reg.GetCounter("n2j_joins_membership_total").value(),
             s.joins_membership);

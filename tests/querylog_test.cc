@@ -84,8 +84,9 @@ TEST(QueryLogRecord, JsonRoundTripsThroughStrictReader) {
 }
 
 TEST(QueryLogRecord, ParsesLinesWithTheRetiredBatchKeys) {
-  // A line as written before the batch executor was removed: it carries
-  // "batch" and "vectorized" keys and a "vec_batches" counter that the
+  // A line as written before the batch executor and the sort-merge join
+  // were removed: it carries "batch" and "vectorized" keys and the
+  // "vec_batches", "joins_sortmerge" and "rows_sorted" counters that the
   // record no longer has. The reader skips them and keeps the rest.
   const std::string line =
       R"({"id":7,"hash":"0123456789abcdef",)"
@@ -93,12 +94,12 @@ TEST(QueryLogRecord, ParsesLinesWithTheRetiredBatchKeys) {
       R"("strategy":"cost","backend":"shredded","threads":2,"batch":64,)"
       R"("compiled":true,"vectorized":true,"wall_ms":1.5,)"
       R"("rewrite_ms":0.25,"eval_ms":1,"rows_out":40,"max_q":0,)"
-      R"("stats":{"tuples_scanned":40,"predicate_evals":0,)"
-      R"("hash_inserts":0,"hash_probes":0,"rows_sorted":0,)"
-      R"("set_sorted_rows":0,"index_probes":0,"pnhl_partitions":0,)"
-      R"("derefs":0,"nodes_evaluated":0,"compiled_evals":0,)"
-      R"("interp_fallback_evals":3,"joins_nested_loop":0,"joins_hash":0,)"
-      R"("joins_sortmerge":0,"joins_index":0,"joins_membership":0,)"
+      R"("stats":{"tuples_scanned":40,"predicate_evals":41,)"
+      R"("hash_inserts":42,"hash_probes":43,"rows_sorted":5,)"
+      R"("set_sorted_rows":44,"index_probes":45,"pnhl_partitions":46,)"
+      R"("derefs":47,"nodes_evaluated":48,"compiled_evals":49,)"
+      R"("interp_fallback_evals":3,"joins_nested_loop":50,"joins_hash":51,)"
+      R"("joins_sortmerge":1,"joins_index":52,"joins_membership":53,)"
       R"("vec_batches":1,"vec_pipelines":1,"vec_fallbacks":0},)"
       R"("roots":[],"extents":[]})";
   QueryLogRecord r;
@@ -111,14 +112,32 @@ TEST(QueryLogRecord, ParsesLinesWithTheRetiredBatchKeys) {
   EXPECT_TRUE(r.compiled);
   EXPECT_DOUBLE_EQ(r.wall_ms, 1.5);
   EXPECT_EQ(r.rows_out, 40u);
-  EXPECT_EQ(r.stats.tuples_scanned, 40u);
-  EXPECT_EQ(r.stats.vec_pipelines, 1u);
+  // Every counter the record still has keeps its value.
+  EvalStats want;
+  want.tuples_scanned = 40;
+  want.predicate_evals = 41;
+  want.hash_inserts = 42;
+  want.hash_probes = 43;
+  want.set_sorted_rows = 44;
+  want.index_probes = 45;
+  want.pnhl_partitions = 46;
+  want.derefs = 47;
+  want.nodes_evaluated = 48;
+  want.compiled_evals = 49;
+  want.interp_fallback_evals = 3;
+  want.joins_nested_loop = 50;
+  want.joins_hash = 51;
+  want.joins_index = 52;
+  want.joins_membership = 53;
+  want.vec_pipelines = 1;
+  EXPECT_EQ(r.stats, want) << r.stats.ToString();
   EXPECT_EQ(r.fallbacks(), 3u);
   // Written back, the line has none of the retired keys.
   const std::string again = r.ToJson();
-  EXPECT_EQ(again.find("\"batch\""), std::string::npos) << again;
-  EXPECT_EQ(again.find("\"vectorized\""), std::string::npos) << again;
-  EXPECT_EQ(again.find("vec_batches"), std::string::npos) << again;
+  for (const char* key : {"\"batch\"", "\"vectorized\"", "vec_batches",
+                          "joins_sortmerge", "rows_sorted"}) {
+    EXPECT_EQ(again.find(key), std::string::npos) << key << "\n" << again;
+  }
 }
 
 TEST(QueryLogRecord, ParsesLinesWithoutTranslateAndPlanTimes) {

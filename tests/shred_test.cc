@@ -234,7 +234,7 @@ TEST(ShredBackend, SupplierPartQueriesAgreeUnderAllJoinModes) {
       "select (sname = s.sname, ps = select p from p in s.parts) "
       "from s in SUPPLIER",
       // Filtered extent with an equi-join-shaped predicate: exercises
-      // the hash/sort-merge expansion inside a flat node.
+      // the hash-join expansion inside a flat node.
       "select (a = x.pname, b = y.pname) from x in PART, y in PART "
       "where x.price = y.price",
       // Correlated filter on the child range.
@@ -248,8 +248,7 @@ TEST(ShredBackend, SupplierPartQueriesAgreeUnderAllJoinModes) {
     SCOPED_TRACE(q);
     ExprPtr e = TranslateOrDie(*db, q);
     for (JoinAlgorithm alg :
-         {JoinAlgorithm::kNestedLoop, JoinAlgorithm::kHash,
-          JoinAlgorithm::kSortMerge}) {
+         {JoinAlgorithm::kNestedLoop, JoinAlgorithm::kHash}) {
       EvalOptions opts;
       opts.join_algorithm = alg;
       opts.use_hash_joins = alg != JoinAlgorithm::kNestedLoop;
@@ -465,10 +464,11 @@ TEST(Vectorized, ShortCircuitSkipsErroringLanes) {
   }
 }
 
-TEST(Vectorized, BatchHashJoinAgreesAndSortMergeStaysScalar) {
+TEST(Vectorized, RangeHashJoinBuildsOneTable) {
   // A range whose predicate is an equi-join builds one table over the
   // extent (one insert per element, peak = distinct keys) and probes it
-  // once per work row; hash and sort-merge agree with the interpreter.
+  // once per work row, under every join request that hashes, and
+  // agrees with the interpreter.
   std::unique_ptr<Database> db = SmallSupplierDb();
   ExprPtr e = TranslateOrDie(
       *db,
@@ -481,9 +481,8 @@ TEST(Vectorized, BatchHashJoinAgreesAndSortMergeStaysScalar) {
   for (const Value& row : part.rows()) prices.push_back(*row.FindField("price"));
   const size_t distinct_prices = Value::Set(std::move(prices)).set_size();
 
-  for (JoinAlgorithm alg : {JoinAlgorithm::kHash, JoinAlgorithm::kSortMerge}) {
-    const bool hash = alg == JoinAlgorithm::kHash;
-    SCOPED_TRACE(hash ? "hash" : "sort-merge");
+  for (JoinAlgorithm alg : {JoinAlgorithm::kHash, JoinAlgorithm::kIndex}) {
+    SCOPED_TRACE(static_cast<int>(alg));
     TraceCollector tc;
     EvalOptions opts = ShredOpts();
     opts.join_algorithm = alg;
@@ -492,15 +491,14 @@ TEST(Vectorized, BatchHashJoinAgreesAndSortMergeStaysScalar) {
     Result<Value> v = shred::EvalWithBackend(*db, e, opts, &stats);
     ASSERT_TRUE(v.ok()) << v.status().ToString();
     EXPECT_EQ(*reference, *v);
-    EXPECT_EQ(stats.joins_hash, hash ? 1u : 0u);
-    EXPECT_EQ(stats.joins_sortmerge, hash ? 0u : 1u);
+    EXPECT_EQ(stats.joins_hash, 1u);
     EXPECT_EQ(stats.hash_inserts, part.size());
     EXPECT_EQ(stats.hash_probes, part.size());
     uint64_t peak = 0;
     for (const TraceSpan& s : tc.spans()) {
       peak = std::max(peak, s.peak_hash_size);
     }
-    EXPECT_EQ(peak, hash ? distinct_prices : part.size());
+    EXPECT_EQ(peak, distinct_prices);
   }
 }
 
@@ -517,8 +515,7 @@ TEST(Vectorized, SerialAndParallelStatsMatchExactly) {
   for (const char* q : queries) {
     ExprPtr e = TranslateOrDie(*db, q);
     for (JoinAlgorithm alg :
-         {JoinAlgorithm::kNestedLoop, JoinAlgorithm::kHash,
-          JoinAlgorithm::kSortMerge}) {
+         {JoinAlgorithm::kNestedLoop, JoinAlgorithm::kHash}) {
       SCOPED_TRACE(std::string(q) + " alg=" +
                    std::to_string(static_cast<int>(alg)));
       EvalOptions serial = ShredOpts(1);
