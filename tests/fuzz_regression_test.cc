@@ -6,10 +6,6 @@
 // fold a subplan to the untyped empty-set constant (Simplify-FalseSelect),
 // and every downstream operator must keep typechecking and evaluating.
 
-#include <algorithm>
-#include <cstdlib>
-#include <filesystem>
-#include <fstream>
 #include <memory>
 #include <string>
 #include <vector>
@@ -21,42 +17,14 @@
 #include "fuzz/oracle.h"
 #include "storage/database.h"
 #include "storage/datagen.h"
+#include "tests/test_util.h"
 
 namespace n2j {
 namespace fuzz {
 namespace {
 
-struct CorpusCase {
-  std::string file;
-  uint64_t tables_seed = 0;
-  std::string query;
-};
-
-std::vector<CorpusCase> LoadCorpus() {
-  std::vector<CorpusCase> cases;
-  for (const auto& entry :
-       std::filesystem::directory_iterator(N2J_CORPUS_DIR)) {
-    if (entry.path().extension() != ".oosql") continue;
-    CorpusCase c;
-    c.file = entry.path().filename().string();
-    std::ifstream in(entry.path());
-    std::string line;
-    while (std::getline(in, line)) {
-      if (line.rfind("# tables-seed:", 0) == 0) {
-        c.tables_seed = std::strtoull(line.substr(14).c_str(), nullptr, 10);
-      } else if (!line.empty() && line[0] != '#') {
-        if (!c.query.empty()) c.query += ' ';
-        c.query += line;
-      }
-    }
-    cases.push_back(std::move(c));
-  }
-  std::sort(cases.begin(), cases.end(),
-            [](const CorpusCase& a, const CorpusCase& b) {
-              return a.file < b.file;
-            });
-  return cases;
-}
+using testutil::CorpusCase;
+using testutil::LoadCorpus;
 
 TEST(FuzzRegressionTest, CorpusIsNonEmpty) {
   EXPECT_GE(LoadCorpus().size(), 7u);

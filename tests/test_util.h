@@ -1,6 +1,10 @@
 #ifndef N2J_TESTS_TEST_UTIL_H_
 #define N2J_TESTS_TEST_UTIL_H_
 
+#include <algorithm>
+#include <cstdlib>
+#include <filesystem>
+#include <fstream>
 #include <memory>
 #include <string>
 #include <vector>
@@ -73,6 +77,43 @@ inline RewriteResult CheckEquivalence(const Database& db, const ExprPtr& e,
       << "trace:\n"
       << rewritten.TraceToString();
   return rewritten;
+}
+
+/// One checked-in fuzzer failure under tests/corpus/: the generated query
+/// and the seed of the random tables it ran against.
+struct CorpusCase {
+  std::string file;
+  uint64_t tables_seed = 0;
+  std::string query;
+};
+
+/// Reads every tests/corpus/*.oosql file, sorted by file name. A file
+/// holds a `# tables-seed: N` line, other `#` comments, and the query
+/// text (its lines are joined with spaces).
+inline std::vector<CorpusCase> LoadCorpus() {
+  std::vector<CorpusCase> cases;
+  for (const auto& entry :
+       std::filesystem::directory_iterator(N2J_CORPUS_DIR)) {
+    if (entry.path().extension() != ".oosql") continue;
+    CorpusCase c;
+    c.file = entry.path().filename().string();
+    std::ifstream in(entry.path());
+    std::string line;
+    while (std::getline(in, line)) {
+      if (line.rfind("# tables-seed:", 0) == 0) {
+        c.tables_seed = std::strtoull(line.substr(14).c_str(), nullptr, 10);
+      } else if (!line.empty() && line[0] != '#') {
+        if (!c.query.empty()) c.query += ' ';
+        c.query += line;
+      }
+    }
+    cases.push_back(std::move(c));
+  }
+  std::sort(cases.begin(), cases.end(),
+            [](const CorpusCase& a, const CorpusCase& b) {
+              return a.file < b.file;
+            });
+  return cases;
 }
 
 /// Minimal strict RFC 8259 reader: validates a full document and

@@ -154,6 +154,40 @@ TEST_F(TranslateTest, EmptySetLiteralTypesAsAny) {
   EXPECT_TRUE(t.type->is_set());
 }
 
+// Verdict and type of queries on the edges of the typing rules: operands
+// typed `any` (the element of `{}`) and the stricter checks on set
+// comparisons, sum/avg and tuple literals. A null type means the query
+// must fail with a TypeError. TypecheckTest.VerdictAndTypeTable builds
+// the same shapes as ADL.
+TEST_F(TranslateTest, VerdictAndTypeTable) {
+  struct Row {
+    const char* query;
+    const char* type;
+  };
+  const Row kRows[] = {
+      {"select x + y from x in {}, y in {}", "{ any }"},
+      {"select x.a from x in {}", nullptr},
+      {"select x from x in {} where exists y in x : true", nullptr},
+      {"select s.sname from s in SUPPLIER where s.parts subseteq {1, 2}",
+       nullptr},
+      {"select avg(select p.pname from p in PART) from s in SUPPLIER",
+       nullptr},
+      {"select (a = 1, a = 2) from p in PART", nullptr},
+  };
+  Translator tr(db_->schema(), db_.get());
+  for (const Row& row : kRows) {
+    Result<TypedExpr> r = tr.TranslateString(row.query);
+    if (row.type == nullptr) {
+      ASSERT_FALSE(r.ok()) << row.query << " typed as "
+                           << r->type->ToString();
+      EXPECT_EQ(r.status().code(), StatusCode::kTypeError) << row.query;
+    } else {
+      ASSERT_TRUE(r.ok()) << row.query << "\n" << r.status().ToString();
+      EXPECT_EQ(r->type->ToString(), row.type) << row.query;
+    }
+  }
+}
+
 TEST_F(TranslateTest, TranslationEvaluates) {
   // End-to-end sanity: the translated tree evaluates without error.
   TypedExpr t = Tr(

@@ -166,19 +166,120 @@ TEST_F(TypecheckTest, TypeOfValueDerivation) {
   EXPECT_TRUE(TypeOfValue(Value::Set({t}))->element()->is_tuple());
 }
 
+// The shapes of TranslateTest.VerdictAndTypeTable, built as the ADL the
+// translator lowers them to. A null type means Infer must fail with a
+// TypeError.
+TEST_F(TypecheckTest, VerdictAndTypeTable) {
+  auto var = [](const char* n) { return Expr::Var(n); };
+  auto access = [](ExprPtr e, const char* f) { return Expr::Access(e, f); };
+  auto integer = [](int64_t i) { return Expr::Const(Value::Int(i)); };
+  ExprPtr empty = Expr::SetConstruct({});
+  struct Row {
+    const char* shape;
+    ExprPtr expr;
+    const char* type;
+  };
+  const Row kRows[] = {
+      {"x + y over {} x {}",
+       Expr::Flatten(Expr::Map(
+           "x",
+           Expr::Map("y", Expr::Bin(BinOp::kAdd, var("x"), var("y")), empty),
+           empty)),
+       "{ int }"},
+      {"x.a over {}", Expr::Map("x", access(var("x"), "a"), empty),
+       "{ any }"},
+      {"exists over an element of {}",
+       Expr::Map("x", var("x"),
+                 Expr::Select("x",
+                              Expr::Quant(QuantKind::kExists, "y", var("x"),
+                                          Expr::True()),
+                              empty)),
+       "{ any }"},
+      {"{ Ref(Part) } subseteq { int }",
+       Expr::Map("s", access(var("s"), "sname"),
+                 Expr::Select("s",
+                              Expr::Bin(BinOp::kSubsetEq,
+                                        access(var("s"), "parts"),
+                                        Expr::SetConstruct(
+                                            {integer(1), integer(2)})),
+                              Expr::Table("SUPPLIER"))),
+       "{ string }"},
+      {"avg over strings",
+       Expr::Map("s",
+                 Expr::Agg(AggKind::kAvg,
+                           Expr::Map("p", access(var("p"), "pname"),
+                                     Expr::Table("PART"))),
+                 Expr::Table("SUPPLIER")),
+       "{ double }"},
+      {"repeated tuple field",
+       Expr::Map("p",
+                 Expr::TupleConstruct({"a", "a"}, {integer(1), integer(2)}),
+                 Expr::Table("PART")),
+       "{ (a : int, a : int) }"},
+  };
+  for (const Row& row : kRows) {
+    Result<TypePtr> r = checker_->Infer(row.expr);
+    if (row.type == nullptr) {
+      ASSERT_FALSE(r.ok()) << row.shape << " typed as " << (*r)->ToString();
+      EXPECT_EQ(r.status().code(), StatusCode::kTypeError) << row.shape;
+    } else {
+      ASSERT_TRUE(r.ok()) << row.shape << "\n" << r.status().ToString();
+      EXPECT_EQ((*r)->ToString(), row.type) << row.shape;
+    }
+  }
+}
+
+// The translator's type of a query Equals the checker's Infer of the ADL
+// it lowers to: the paper's example queries on the supplier-part
+// database, and every fuzzer corpus query on its recorded tables.
 TEST_F(TypecheckTest, TranslatedQueriesTypecheckConsistently) {
-  // Translator's type agrees with the ADL checker's type.
-  Translator tr(db_->schema(), db_.get());
-  for (const char* q : {
-           "select p.pname from p in PART where p.price > 10",
-           "select (n = s.sname, k = count(s.parts)) from s in SUPPLIER",
-           "select d.supplier.sname from d in DELIVERY",
-       }) {
+  auto check = [](const Database& db, const std::string& q) {
+    Translator tr(db.schema(), &db);
     Result<TypedExpr> typed = tr.TranslateString(q);
-    ASSERT_TRUE(typed.ok()) << q;
-    Result<TypePtr> inferred = checker_->Infer(typed->expr);
+    ASSERT_TRUE(typed.ok()) << q << "\n" << typed.status().ToString();
+    TypeChecker checker(db.schema(), &db);
+    Result<TypePtr> inferred = checker.Infer(typed->expr);
     ASSERT_TRUE(inferred.ok()) << q << "\n" << inferred.status().ToString();
-    EXPECT_TRUE(typed->type->Equals(**inferred)) << q;
+    EXPECT_TRUE(typed->type->Equals(**inferred))
+        << q << "\ntranslator: " << typed->type->ToString()
+        << "\nchecker:    " << (*inferred)->ToString();
+  };
+  for (const char* q : {
+           // Q1
+           "select (sname = s.sname, pnames = select p.pname from p in PART "
+           "where p[pid] in s.parts and p.color = \"red\") from s in SUPPLIER",
+           // Q2
+           "select d from d in (select e from e in DELIVERY "
+           "where e.supplier.sname = \"s1\") where d.date > 940600",
+           // Q3.1
+           "select s.sname from s in SUPPLIER where s.parts supseteq "
+           "(select x from t in SUPPLIER, x in t.parts "
+           "where t.sname = \"s1\")",
+           // Q3.2
+           "select d from d in DELIVERY where "
+           "exists x in d.supply : x.part.color = \"red\"",
+           // Q4
+           "select s.eid from s in SUPPLIER where "
+           "exists z in s.parts : not exists p in PART : z.pid = p.pid",
+           // Q5
+           "select s.sname from s in SUPPLIER where "
+           "exists x in s.parts : exists p in PART : "
+           "x.pid = p.pid and p.color = \"red\"",
+           // Q6
+           "select (sname = s.sname, partssuppl = select p from p in PART "
+           "where p[pid] in s.parts) from s in SUPPLIER",
+       }) {
+    check(*db_, q);
+  }
+  std::vector<testutil::CorpusCase> corpus = testutil::LoadCorpus();
+  EXPECT_GE(corpus.size(), 7u);
+  for (const testutil::CorpusCase& c : corpus) {
+    FuzzTablesConfig config;
+    config.seed = c.tables_seed;
+    Database db;
+    ASSERT_TRUE(AddRandomFuzzTables(&db, config).ok()) << c.file;
+    SCOPED_TRACE(c.file);
+    check(db, c.query);
   }
 }
 
