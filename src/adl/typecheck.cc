@@ -4,6 +4,33 @@
 
 namespace n2j {
 
+namespace {
+
+// The leading children of `e` that are typed outside its binders; the
+// binders scope over the rest (a let's body, an iterator's or
+// quantifier's function or predicate, a join's predicate and nestjoin
+// function).
+size_t NumUnboundChildren(const Expr& e) {
+  switch (e.kind()) {
+    case ExprKind::kLet:
+    case ExprKind::kQuantifier:
+    case ExprKind::kMap:
+    case ExprKind::kSelect:
+      return 1;
+    case ExprKind::kJoin:
+    case ExprKind::kSemiJoin:
+    case ExprKind::kAntiJoin:
+    case ExprKind::kNestJoin:
+      return 2;
+    default:
+      return e.num_children();
+  }
+}
+
+bool IsSetOrAny(const TypePtr& t) { return t->is_set() || t->is_any(); }
+
+}  // namespace
+
 TypePtr TypeOfValue(const Value& v) {
   switch (v.kind()) {
     case Value::Kind::kNull:
@@ -46,6 +73,38 @@ Result<std::vector<std::string>> TypeChecker::SchemaOf(const ExprPtr& e,
 
 Result<TypePtr> TypeChecker::Infer(const ExprPtr& ep, TypeEnv& env) {
   const Expr& e = *ep;
+  const size_t n = e.num_children();
+  if (n == 0) return Rule(e, {}, env);
+  const size_t unbound = NumUnboundChildren(e);
+  const size_t depth = env.size();
+  // Every fixed-arity node fits inline; only constructors and excepts
+  // with more than four children put their child types on the heap.
+  TypePtr inline_kids[4];
+  std::vector<TypePtr> wide_kids(n > 4 ? n : 0);
+  TypePtr* kids = n > 4 ? wide_kids.data() : inline_kids;
+  for (size_t i = 0; i < n; ++i) {
+    if (i == unbound) {
+      if (e.kind() == ExprKind::kLet) {
+        env.Push(e.var(), kids[0]);
+      } else {
+        env.Push(e.var(), BinderType(kids[0]));
+        if (unbound == 2) env.Push(e.var2(), BinderType(kids[1]));
+      }
+    }
+    Result<TypePtr> t = Infer(e.child(i), env);
+    if (!t.ok()) {
+      env.Truncate(depth);
+      return t.status();
+    }
+    kids[i] = std::move(t).value();
+  }
+  env.Truncate(depth);
+  return Rule(e, {kids, n}, env);
+}
+
+Result<TypePtr> TypeChecker::Rule(const Expr& e,
+                                  std::span<const TypePtr> kids,
+                                  const TypeEnv& env) const {
   switch (e.kind()) {
     case ExprKind::kConst:
       return TypeOfValue(e.const_value());
@@ -68,16 +127,11 @@ Result<TypePtr> TypeChecker::Infer(const ExprPtr& ep, TypeEnv& env) {
       return TypeError("unknown table " + e.name());
     }
 
-    case ExprKind::kLet: {
-      N2J_ASSIGN_OR_RETURN(TypePtr def, Infer(e.child(0), env));
-      env.Push(e.var(), def);
-      Result<TypePtr> body = Infer(e.child(1), env);
-      env.Pop();
-      return body;
-    }
+    case ExprKind::kLet:
+      return kids[1];
 
     case ExprKind::kFieldAccess: {
-      N2J_ASSIGN_OR_RETURN(TypePtr base, Infer(e.child(0), env));
+      TypePtr base = kids[0];
       if (base->is_ref()) {
         const ClassDef* cls = schema_.FindClass(base->class_name());
         if (cls == nullptr) {
@@ -100,12 +154,13 @@ Result<TypePtr> TypeChecker::Infer(const ExprPtr& ep, TypeEnv& env) {
     }
 
     case ExprKind::kTupleProject: {
-      N2J_ASSIGN_OR_RETURN(TypePtr base, Infer(e.child(0), env));
+      const TypePtr& base = kids[0];
       if (base->is_any()) return Type::Any();
       if (!base->is_tuple()) {
         return TypeError("tuple projection on " + base->ToString());
       }
       std::vector<TypeField> fields;
+      fields.reserve(e.names().size());
       for (const std::string& n : e.names()) {
         TypePtr ft = base->FindField(n);
         if (ft == nullptr) {
@@ -118,17 +173,23 @@ Result<TypePtr> TypeChecker::Infer(const ExprPtr& ep, TypeEnv& env) {
     }
 
     case ExprKind::kTupleConstruct: {
+      const std::vector<std::string>& names = e.names();
       std::vector<TypeField> fields;
-      for (size_t i = 0; i < e.names().size(); ++i) {
-        N2J_ASSIGN_OR_RETURN(TypePtr t, Infer(e.child(i), env));
-        fields.push_back({e.names()[i], t});
+      fields.reserve(names.size());
+      for (size_t i = 0; i < names.size(); ++i) {
+        for (size_t j = 0; j < i; ++j) {
+          if (names[i] == names[j]) {
+            return TypeError("duplicate tuple field '" + names[i] + "'");
+          }
+        }
+        fields.push_back({names[i], kids[i]});
       }
       return Type::Tuple(std::move(fields));
     }
 
     case ExprKind::kTupleConcat: {
-      N2J_ASSIGN_OR_RETURN(TypePtr l, Infer(e.child(0), env));
-      N2J_ASSIGN_OR_RETURN(TypePtr r, Infer(e.child(1), env));
+      const TypePtr& l = kids[0];
+      const TypePtr& r = kids[1];
       if (l->is_any() || r->is_any()) return Type::Any();
       if (!l->is_tuple() || !r->is_tuple()) {
         return TypeError("tuple concatenation on non-tuples");
@@ -144,12 +205,12 @@ Result<TypePtr> TypeChecker::Infer(const ExprPtr& ep, TypeEnv& env) {
     }
 
     case ExprKind::kExcept: {
-      N2J_ASSIGN_OR_RETURN(TypePtr base, Infer(e.child(0), env));
+      const TypePtr& base = kids[0];
       if (base->is_any()) return Type::Any();
       if (!base->is_tuple()) return TypeError("except on non-tuple");
       std::vector<TypeField> fields = base->fields();
       for (size_t i = 0; i < e.names().size(); ++i) {
-        N2J_ASSIGN_OR_RETURN(TypePtr t, Infer(e.child(i + 1), env));
+        const TypePtr& t = kids[i + 1];
         bool found = false;
         for (TypeField& f : fields) {
           if (f.name == e.names()[i]) {
@@ -165,19 +226,19 @@ Result<TypePtr> TypeChecker::Infer(const ExprPtr& ep, TypeEnv& env) {
 
     case ExprKind::kSetConstruct: {
       TypePtr elem = Type::Any();
-      for (const ExprPtr& c : e.children()) {
-        N2J_ASSIGN_OR_RETURN(TypePtr t, Infer(c, env));
+      for (const TypePtr& t : kids) {
         if (elem->is_any()) {
           elem = t;
         } else if (!elem->Equals(*t)) {
-          return TypeError("mixed element types in set constructor");
+          return TypeError("mixed element types in set literal: " +
+                           elem->ToString() + " vs " + t->ToString());
         }
       }
       return Type::Set(elem);
     }
 
     case ExprKind::kDeref: {
-      N2J_ASSIGN_OR_RETURN(TypePtr t, Infer(e.child(0), env));
+      const TypePtr& t = kids[0];
       std::string cls_name = e.name();
       if (cls_name.empty() && t->is_ref()) cls_name = t->class_name();
       if (cls_name.empty()) {
@@ -192,11 +253,11 @@ Result<TypePtr> TypeChecker::Infer(const ExprPtr& ep, TypeEnv& env) {
     }
 
     case ExprKind::kUnary: {
-      N2J_ASSIGN_OR_RETURN(TypePtr t, Infer(e.child(0), env));
+      const TypePtr& t = kids[0];
       switch (e.un_op()) {
         case UnOp::kNot:
           if (!t->is_bool() && !t->is_any()) {
-            return TypeError("not on " + t->ToString());
+            return TypeError("'not' on " + t->ToString());
           }
           return Type::Bool();
         case UnOp::kNeg:
@@ -205,7 +266,7 @@ Result<TypePtr> TypeChecker::Infer(const ExprPtr& ep, TypeEnv& env) {
           }
           return t;
         case UnOp::kIsEmpty:
-          if (!t->is_set() && !t->is_any()) {
+          if (!IsSetOrAny(t)) {
             return TypeError("isempty on " + t->ToString());
           }
           return Type::Bool();
@@ -214,8 +275,12 @@ Result<TypePtr> TypeChecker::Infer(const ExprPtr& ep, TypeEnv& env) {
     }
 
     case ExprKind::kBinary: {
-      N2J_ASSIGN_OR_RETURN(TypePtr l, Infer(e.child(0), env));
-      N2J_ASSIGN_OR_RETURN(TypePtr r, Infer(e.child(1), env));
+      const TypePtr& l = kids[0];
+      const TypePtr& r = kids[1];
+      auto not_applicable = [&](const char* what) {
+        return TypeError(std::string(what) + " not applicable to " +
+                         l->ToString() + " and " + r->ToString());
+      };
       switch (e.bin_op()) {
         case BinOp::kAdd:
         case BinOp::kSub:
@@ -224,8 +289,7 @@ Result<TypePtr> TypeChecker::Infer(const ExprPtr& ep, TypeEnv& env) {
         case BinOp::kMod:
           if ((!l->is_numeric() && !l->is_any()) ||
               (!r->is_numeric() && !r->is_any())) {
-            return TypeError("arithmetic on " + l->ToString() + ", " +
-                             r->ToString());
+            return not_applicable("arithmetic");
           }
           return (l->is_double() || r->is_double()) ? Type::Double()
                                                     : Type::Int();
@@ -235,85 +299,76 @@ Result<TypePtr> TypeChecker::Infer(const ExprPtr& ep, TypeEnv& env) {
         case BinOp::kLe:
         case BinOp::kGt:
         case BinOp::kGe:
-          if (!l->ComparableWith(*r)) {
-            return TypeError("comparison of " + l->ToString() + " with " +
-                             r->ToString());
-          }
+          if (!l->ComparableWith(*r)) return not_applicable("comparison");
           return Type::Bool();
         case BinOp::kIn:
-          if (!r->is_set() && !r->is_any()) {
-            return TypeError("in: rhs is " + r->ToString());
-          }
-          if (r->is_set() && !l->ComparableWith(*r->element())) {
-            return TypeError("in: element type mismatch");
+          if (!IsSetOrAny(r) ||
+              (r->is_set() && !l->ComparableWith(*r->element()))) {
+            return not_applicable("'in'");
           }
           return Type::Bool();
         case BinOp::kContains:
-          if (!l->is_set() && !l->is_any()) {
-            return TypeError("contains: lhs is " + l->ToString());
-          }
-          if (l->is_set() && !r->ComparableWith(*l->element())) {
-            return TypeError("contains: element type mismatch");
+          if (!IsSetOrAny(l) ||
+              (l->is_set() && !r->ComparableWith(*l->element()))) {
+            return not_applicable("'contains'");
           }
           return Type::Bool();
         case BinOp::kSubset:
         case BinOp::kSubsetEq:
         case BinOp::kSupset:
         case BinOp::kSupsetEq:
-          if ((!l->is_set() && !l->is_any()) ||
-              (!r->is_set() && !r->is_any())) {
-            return TypeError("set comparison on " + l->ToString() + ", " +
-                             r->ToString());
+          if (!IsSetOrAny(l) || !IsSetOrAny(r) ||
+              (l->is_set() && r->is_set() &&
+               !l->element()->ComparableWith(*r->element()))) {
+            return not_applicable("set comparison");
           }
           return Type::Bool();
         case BinOp::kAnd:
         case BinOp::kOr:
           if ((!l->is_bool() && !l->is_any()) ||
               (!r->is_bool() && !r->is_any())) {
-            return TypeError("boolean connective on " + l->ToString() +
-                             ", " + r->ToString());
+            return not_applicable("boolean connective");
           }
           return Type::Bool();
         case BinOp::kUnionOp:
         case BinOp::kIntersectOp:
         case BinOp::kDifferenceOp:
-          if ((!l->is_set() && !l->is_any()) ||
-              (!r->is_set() && !r->is_any())) {
-            return TypeError("set operator on non-sets");
+          if (!IsSetOrAny(l) || !IsSetOrAny(r)) {
+            return not_applicable("set operator");
           }
           return l->is_set() ? l : r;
       }
       return TypeError("bad binary op");
     }
 
-    case ExprKind::kQuantifier: {
-      N2J_ASSIGN_OR_RETURN(TypePtr range, Infer(e.child(0), env));
-      if (!range->is_set() && !range->is_any()) {
-        return TypeError("quantifier range is " + range->ToString());
+    case ExprKind::kQuantifier:
+      if (!IsSetOrAny(kids[0])) {
+        return TypeError("quantifier range must be a set, got " +
+                         kids[0]->ToString());
       }
-      env.Push(e.var(),
-               range->is_set() ? range->element() : Type::Any());
-      Result<TypePtr> pred = Infer(e.child(1), env);
-      env.Pop();
-      if (!pred.ok()) return pred.status();
-      if (!(*pred)->is_bool() && !(*pred)->is_any()) {
-        return TypeError("quantifier predicate is " + (*pred)->ToString());
+      if (!kids[1]->is_bool() && !kids[1]->is_any()) {
+        return TypeError("quantifier predicate must be boolean, got " +
+                         kids[1]->ToString());
       }
       return Type::Bool();
-    }
 
     case ExprKind::kAggregate: {
-      N2J_ASSIGN_OR_RETURN(TypePtr t, Infer(e.child(0), env));
-      if (!t->is_set() && !t->is_any()) {
-        return TypeError("aggregate over " + t->ToString());
+      const TypePtr& t = kids[0];
+      if (!IsSetOrAny(t)) {
+        return TypeError(std::string(AggKindName(e.agg_kind())) +
+                         " over " + t->ToString());
       }
-      TypePtr elem = t->is_set() ? t->element() : Type::Any();
+      TypePtr elem = BinderType(t);
       switch (e.agg_kind()) {
         case AggKind::kCount:
           return Type::Int();
         case AggKind::kAvg:
-          return Type::Double();
         case AggKind::kSum:
+          if (!elem->is_numeric() && !elem->is_any()) {
+            return TypeError(std::string(AggKindName(e.agg_kind())) +
+                             " over non-numeric " + t->ToString());
+          }
+          return e.agg_kind() == AggKind::kAvg ? Type::Double() : elem;
         case AggKind::kMin:
         case AggKind::kMax:
           return elem;
@@ -321,35 +376,26 @@ Result<TypePtr> TypeChecker::Infer(const ExprPtr& ep, TypeEnv& env) {
       return TypeError("bad aggregate");
     }
 
-    case ExprKind::kMap: {
-      N2J_ASSIGN_OR_RETURN(TypePtr in, Infer(e.child(0), env));
-      if (!in.get()->is_set() && !in->is_any()) {
-        return TypeError("map over " + in->ToString());
+    case ExprKind::kMap:
+      if (!IsSetOrAny(kids[0])) {
+        return TypeError("'" + e.var() + "' ranges over " +
+                         kids[0]->ToString() + ", not a set");
       }
-      env.Push(e.var(), in->is_set() ? in->element() : Type::Any());
-      Result<TypePtr> body = Infer(e.child(1), env);
-      env.Pop();
-      if (!body.ok()) return body.status();
-      return Type::Set(*body);
-    }
+      return Type::Set(kids[1]);
 
-    case ExprKind::kSelect: {
-      N2J_ASSIGN_OR_RETURN(TypePtr in, Infer(e.child(0), env));
-      if (!in->is_set() && !in->is_any()) {
-        return TypeError("select over " + in->ToString());
+    case ExprKind::kSelect:
+      if (!IsSetOrAny(kids[0])) {
+        return TypeError("'" + e.var() + "' ranges over " +
+                         kids[0]->ToString() + ", not a set");
       }
-      env.Push(e.var(), in->is_set() ? in->element() : Type::Any());
-      Result<TypePtr> pred = Infer(e.child(1), env);
-      env.Pop();
-      if (!pred.ok()) return pred.status();
-      if (!(*pred)->is_bool() && !(*pred)->is_any()) {
-        return TypeError("selection predicate is " + (*pred)->ToString());
+      if (!kids[1]->is_bool() && !kids[1]->is_any()) {
+        return TypeError("selection predicate must be boolean, got " +
+                         kids[1]->ToString());
       }
-      return in;
-    }
+      return kids[0];
 
     case ExprKind::kProject: {
-      N2J_ASSIGN_OR_RETURN(TypePtr in, Infer(e.child(0), env));
+      const TypePtr& in = kids[0];
       if (in->is_any()) return Type::Any();
       // A set of unknown element type (the empty set constant a rewrite
       // may fold a subplan to) projects to a set of unknown element type.
@@ -371,10 +417,9 @@ Result<TypePtr> TypeChecker::Infer(const ExprPtr& ep, TypeEnv& env) {
     }
 
     case ExprKind::kFlatten: {
-      N2J_ASSIGN_OR_RETURN(TypePtr in, Infer(e.child(0), env));
+      const TypePtr& in = kids[0];
       if (in->is_any()) return Type::Any();
-      if (!in->is_set() || (!in->element()->is_set() &&
-                            !in->element()->is_any())) {
+      if (!in->is_set() || !IsSetOrAny(in->element())) {
         return TypeError("flatten over " + in->ToString());
       }
       return in->element()->is_set() ? in->element()
@@ -382,7 +427,7 @@ Result<TypePtr> TypeChecker::Infer(const ExprPtr& ep, TypeEnv& env) {
     }
 
     case ExprKind::kNest: {
-      N2J_ASSIGN_OR_RETURN(TypePtr in, Infer(e.child(0), env));
+      const TypePtr& in = kids[0];
       if (in->is_any() || (in->is_set() && in->element()->is_any())) {
         return Type::Set(Type::Any());
       }
@@ -409,7 +454,7 @@ Result<TypePtr> TypeChecker::Infer(const ExprPtr& ep, TypeEnv& env) {
     }
 
     case ExprKind::kUnnest: {
-      N2J_ASSIGN_OR_RETURN(TypePtr in, Infer(e.child(0), env));
+      const TypePtr& in = kids[0];
       if (in->is_any() || (in->is_set() && in->element()->is_any())) {
         return Type::Set(Type::Any());
       }
@@ -437,33 +482,21 @@ Result<TypePtr> TypeChecker::Infer(const ExprPtr& ep, TypeEnv& env) {
 
     case ExprKind::kProduct:
     case ExprKind::kJoin: {
-      N2J_ASSIGN_OR_RETURN(TypePtr l, Infer(e.child(0), env));
-      N2J_ASSIGN_OR_RETURN(TypePtr r, Infer(e.child(1), env));
-      if ((!l->is_set() && !l->is_any()) || (!r->is_set() && !r->is_any())) {
+      const TypePtr& l = kids[0];
+      const TypePtr& r = kids[1];
+      TypePtr lelem = BinderType(l);
+      TypePtr relem = BinderType(r);
+      if (!IsSetOrAny(l) || !IsSetOrAny(r) ||
+          (!lelem->is_any() && !lelem->is_tuple()) ||
+          (!relem->is_any() && !relem->is_tuple())) {
         return TypeError("product/join over non-tables");
-      }
-      TypePtr lelem = l->is_set() ? l->element() : Type::Any();
-      TypePtr relem = r->is_set() ? r->element() : Type::Any();
-      if (!lelem->is_any() && !lelem->is_tuple()) {
-        return TypeError("product/join over non-tables");
-      }
-      if (!relem->is_any() && !relem->is_tuple()) {
-        return TypeError("product/join over non-tables");
-      }
-      if (e.kind() == ExprKind::kJoin) {
-        env.Push(e.var(), lelem);
-        env.Push(e.var2(), relem);
-        Result<TypePtr> pred = Infer(e.child(2), env);
-        env.Pop();
-        env.Pop();
-        if (!pred.ok()) return pred.status();
       }
       if (lelem->is_any() || relem->is_any()) {
         return Type::Set(Type::Any());
       }
-      std::vector<TypeField> fields = l->element()->fields();
-      for (const TypeField& f : r->element()->fields()) {
-        if (l->element()->FindField(f.name) != nullptr) {
+      std::vector<TypeField> fields = lelem->fields();
+      for (const TypeField& f : relem->fields()) {
+        if (lelem->FindField(f.name) != nullptr) {
           return TypeError("attribute conflict in join: " + f.name);
         }
         fields.push_back(f);
@@ -472,51 +505,31 @@ Result<TypePtr> TypeChecker::Infer(const ExprPtr& ep, TypeEnv& env) {
     }
 
     case ExprKind::kSemiJoin:
-    case ExprKind::kAntiJoin: {
-      N2J_ASSIGN_OR_RETURN(TypePtr l, Infer(e.child(0), env));
-      N2J_ASSIGN_OR_RETURN(TypePtr r, Infer(e.child(1), env));
-      if ((!l->is_set() && !l->is_any()) || (!r->is_set() && !r->is_any())) {
+    case ExprKind::kAntiJoin:
+      if (!IsSetOrAny(kids[0]) || !IsSetOrAny(kids[1])) {
         return TypeError("semijoin/antijoin over non-sets");
       }
-      env.Push(e.var(), l->is_set() ? l->element() : Type::Any());
-      env.Push(e.var2(), r->is_set() ? r->element() : Type::Any());
-      Result<TypePtr> pred = Infer(e.child(2), env);
-      env.Pop();
-      env.Pop();
-      if (!pred.ok()) return pred.status();
-      return l->is_any() ? Type::Set(Type::Any()) : l;
-    }
+      return kids[0]->is_any() ? Type::Set(Type::Any()) : kids[0];
 
     case ExprKind::kNestJoin: {
-      N2J_ASSIGN_OR_RETURN(TypePtr l, Infer(e.child(0), env));
-      N2J_ASSIGN_OR_RETURN(TypePtr r, Infer(e.child(1), env));
-      if ((!l->is_set() && !l->is_any()) || (!r->is_set() && !r->is_any())) {
+      const TypePtr& l = kids[0];
+      TypePtr lelem = BinderType(l);
+      if (!IsSetOrAny(l) || !IsSetOrAny(kids[1]) ||
+          (!lelem->is_tuple() && !lelem->is_any())) {
         return TypeError("nestjoin over non-tables");
       }
-      TypePtr lelem = l->is_set() ? l->element() : Type::Any();
-      if (!lelem->is_tuple() && !lelem->is_any()) {
-        return TypeError("nestjoin over non-tables");
-      }
-      env.Push(e.var(), lelem);
-      env.Push(e.var2(), r->is_set() ? r->element() : Type::Any());
-      Result<TypePtr> pred = Infer(e.child(2), env);
-      Result<TypePtr> inner = Infer(e.child(3), env);
-      env.Pop();
-      env.Pop();
-      if (!pred.ok()) return pred.status();
-      if (!inner.ok()) return inner.status();
       if (lelem->is_any()) return Type::Set(Type::Any());
-      if (l->element()->FindField(e.name()) != nullptr) {
+      if (lelem->FindField(e.name()) != nullptr) {
         return TypeError("nestjoin attribute conflict: " + e.name());
       }
-      std::vector<TypeField> fields = l->element()->fields();
-      fields.push_back({e.name(), Type::Set(*inner)});
+      std::vector<TypeField> fields = lelem->fields();
+      fields.push_back({e.name(), Type::Set(kids[3])});
       return Type::Set(Type::Tuple(std::move(fields)));
     }
 
     case ExprKind::kDivide: {
-      N2J_ASSIGN_OR_RETURN(TypePtr l, Infer(e.child(0), env));
-      N2J_ASSIGN_OR_RETURN(TypePtr r, Infer(e.child(1), env));
+      const TypePtr& l = kids[0];
+      const TypePtr& r = kids[1];
       if (l->is_any() || r->is_any() ||
           (l->is_set() && l->element()->is_any()) ||
           (r->is_set() && r->element()->is_any())) {
@@ -538,8 +551,8 @@ Result<TypePtr> TypeChecker::Infer(const ExprPtr& ep, TypeEnv& env) {
     case ExprKind::kUnion:
     case ExprKind::kIntersect:
     case ExprKind::kDifference: {
-      N2J_ASSIGN_OR_RETURN(TypePtr l, Infer(e.child(0), env));
-      N2J_ASSIGN_OR_RETURN(TypePtr r, Infer(e.child(1), env));
+      const TypePtr& l = kids[0];
+      const TypePtr& r = kids[1];
       if (!l->is_set() || !r->is_set()) {
         return TypeError("set operation over non-sets");
       }

@@ -10,9 +10,17 @@ Status Translator::ErrorAt(const QExpr& q, const std::string& msg) const {
       StrFormat("%d:%d: %s", q.line, q.column, msg.c_str()));
 }
 
+Result<TypedExpr> Translator::Typed(const QExpr& q, ExprPtr e,
+                                    std::span<const TypePtr> kids,
+                                    const TypeEnv& env) const {
+  Result<TypePtr> t = TypeChecker(schema_, db_).Rule(*e, kids, env);
+  if (!t.ok()) return ErrorAt(q, t.status().message());
+  return TypedExpr{std::move(e), std::move(t).value()};
+}
+
 Result<TypedExpr> Translator::Translate(const QExprPtr& query) {
-  Scope scope;
-  return Tr(query, scope);
+  TypeEnv env;
+  return Tr(query, env);
 }
 
 Result<TypedExpr> Translator::TranslateString(const std::string& text) {
@@ -20,286 +28,112 @@ Result<TypedExpr> Translator::TranslateString(const std::string& text) {
   return Translate(q);
 }
 
-Result<TypedExpr> Translator::Tr(const QExprPtr& qp, Scope& scope) {
+Result<TypedExpr> Translator::Tr(const QExprPtr& qp, TypeEnv& env) {
   const QExpr& q = *qp;
   switch (q.kind) {
     case QExpr::Kind::kIntLit:
-      return TypedExpr{Expr::Const(Value::Int(q.int_value)), Type::Int()};
+      return Typed(q, Expr::Const(Value::Int(q.int_value)), {}, env);
     case QExpr::Kind::kDoubleLit:
-      return TypedExpr{Expr::Const(Value::Double(q.double_value)),
-                       Type::Double()};
+      return Typed(q, Expr::Const(Value::Double(q.double_value)), {}, env);
     case QExpr::Kind::kStringLit:
-      return TypedExpr{Expr::Const(Value::String(q.str)), Type::String()};
+      return Typed(q, Expr::Const(Value::String(q.str)), {}, env);
     case QExpr::Kind::kBoolLit:
-      return TypedExpr{Expr::Const(Value::Bool(q.bool_value)), Type::Bool()};
+      return Typed(q, Expr::Const(Value::Bool(q.bool_value)), {}, env);
 
     case QExpr::Kind::kIdent: {
-      // Variables shadow tables.
-      for (auto it = scope.rbegin(); it != scope.rend(); ++it) {
-        if (it->name == q.str) {
-          return TypedExpr{Expr::Var(q.str), it->type};
-        }
+      // Variables shadow extents, which shadow tables (the table rule
+      // tries extents first).
+      if (env.Lookup(q.str) != nullptr) {
+        return Typed(q, Expr::Var(q.str), {}, env);
       }
-      if (const ClassDef* cls = schema_.FindClassByExtent(q.str)) {
-        return TypedExpr{Expr::Table(q.str), cls->ExtentType()};
-      }
-      if (db_ != nullptr) {
-        if (const Table* t = db_->FindTable(q.str)) {
-          return TypedExpr{Expr::Table(q.str), Type::Set(t->row_type())};
-        }
-      }
+      Result<TypedExpr> table = Typed(q, Expr::Table(q.str), {}, env);
+      if (table.ok()) return table;
       return ErrorAt(q, "unknown identifier '" + q.str +
                             "' (not a variable, extent, or table)");
     }
 
-    case QExpr::Kind::kField:
-      return TrField(q, scope);
+    case QExpr::Kind::kField: {
+      N2J_ASSIGN_OR_RETURN(TypedExpr base, Tr(q.kids[0], env));
+      // Implicit dereference through object references: e.supplier.sname
+      // lowers to deref<Supplier>(e.supplier).sname.
+      if (base.type->is_ref()) {
+        ExprPtr deref =
+            Expr::Deref(std::move(base.expr), base.type->class_name());
+        TypePtr ref[] = {std::move(base.type)};
+        N2J_ASSIGN_OR_RETURN(base, Typed(q, std::move(deref), ref, env));
+      }
+      TypePtr kids[] = {std::move(base.type)};
+      return Typed(q, Expr::Access(std::move(base.expr), q.str), kids, env);
+    }
 
     case QExpr::Kind::kTupleProject: {
-      N2J_ASSIGN_OR_RETURN(TypedExpr base, Tr(q.kids[0], scope));
-      if (!base.type->is_tuple()) {
-        return ErrorAt(q, "tuple projection on non-tuple of type " +
-                              base.type->ToString());
-      }
-      std::vector<TypeField> fields;
-      for (const std::string& n : q.names) {
-        TypePtr ft = base.type->FindField(n);
-        if (ft == nullptr) {
-          return ErrorAt(q, "no attribute '" + n + "' in " +
-                                base.type->ToString());
-        }
-        fields.push_back({n, ft});
-      }
-      return TypedExpr{Expr::TupleProject(base.expr, q.names),
-                       Type::Tuple(std::move(fields))};
+      N2J_ASSIGN_OR_RETURN(TypedExpr base, Tr(q.kids[0], env));
+      TypePtr kids[] = {std::move(base.type)};
+      return Typed(q, Expr::TupleProject(std::move(base.expr), q.names),
+                   kids, env);
     }
 
-    case QExpr::Kind::kTupleLit: {
-      std::vector<ExprPtr> values;
-      std::vector<TypeField> fields;
-      for (size_t i = 0; i < q.names.size(); ++i) {
-        for (size_t j = 0; j < i; ++j) {
-          if (q.names[i] == q.names[j]) {
-            return ErrorAt(q, "duplicate tuple field '" + q.names[i] + "'");
-          }
-        }
-        N2J_ASSIGN_OR_RETURN(TypedExpr v, Tr(q.kids[i], scope));
-        values.push_back(v.expr);
-        fields.push_back({q.names[i], v.type});
-      }
-      return TypedExpr{Expr::TupleConstruct(q.names, std::move(values)),
-                       Type::Tuple(std::move(fields))};
-    }
-
+    case QExpr::Kind::kTupleLit:
     case QExpr::Kind::kSetLit: {
-      std::vector<ExprPtr> elems;
-      TypePtr elem_type = Type::Any();
+      std::vector<ExprPtr> values;
+      std::vector<TypePtr> kids;
+      values.reserve(q.kids.size());
+      kids.reserve(q.kids.size());
       for (const QExprPtr& k : q.kids) {
-        N2J_ASSIGN_OR_RETURN(TypedExpr v, Tr(k, scope));
-        if (elem_type->is_any()) {
-          elem_type = v.type;
-        } else if (!elem_type->Equals(*v.type)) {
-          return ErrorAt(q, "mixed element types in set literal: " +
-                                elem_type->ToString() + " vs " +
-                                v.type->ToString());
-        }
-        elems.push_back(v.expr);
+        N2J_ASSIGN_OR_RETURN(TypedExpr v, Tr(k, env));
+        values.push_back(std::move(v.expr));
+        kids.push_back(std::move(v.type));
       }
-      return TypedExpr{Expr::SetConstruct(std::move(elems)),
-                       Type::Set(elem_type)};
+      ExprPtr e = q.kind == QExpr::Kind::kTupleLit
+                      ? Expr::TupleConstruct(q.names, std::move(values))
+                      : Expr::SetConstruct(std::move(values));
+      return Typed(q, std::move(e), kids, env);
     }
 
-    case QExpr::Kind::kUnary: {
-      N2J_ASSIGN_OR_RETURN(TypedExpr v, Tr(q.kids[0], scope));
-      if (q.uop == UnOp::kNot) {
-        if (!v.type->is_bool() && !v.type->is_any()) {
-          return ErrorAt(q, "'not' on " + v.type->ToString());
-        }
-        return TypedExpr{Expr::Not(v.expr), Type::Bool()};
-      }
-      if (!v.type->is_numeric() && !v.type->is_any()) {
-        return ErrorAt(q, "negation of " + v.type->ToString());
-      }
-      return TypedExpr{Expr::Un(UnOp::kNeg, v.expr), v.type};
+    case QExpr::Kind::kUnary:
+    case QExpr::Kind::kIsEmptyCall:
+    case QExpr::Kind::kAgg: {
+      N2J_ASSIGN_OR_RETURN(TypedExpr v, Tr(q.kids[0], env));
+      TypePtr kids[] = {std::move(v.type)};
+      ExprPtr e = q.kind == QExpr::Kind::kAgg
+                      ? Expr::Agg(q.agg, std::move(v.expr))
+                      : Expr::Un(q.kind == QExpr::Kind::kUnary
+                                     ? q.uop
+                                     : UnOp::kIsEmpty,
+                                 std::move(v.expr));
+      return Typed(q, std::move(e), kids, env);
     }
 
-    case QExpr::Kind::kIsEmptyCall: {
-      N2J_ASSIGN_OR_RETURN(TypedExpr v, Tr(q.kids[0], scope));
-      if (!v.type->is_set() && !v.type->is_any()) {
-        return ErrorAt(q, "isempty on " + v.type->ToString());
-      }
-      return TypedExpr{Expr::Un(UnOp::kIsEmpty, v.expr), Type::Bool()};
+    case QExpr::Kind::kBinary: {
+      N2J_ASSIGN_OR_RETURN(TypedExpr l, Tr(q.kids[0], env));
+      N2J_ASSIGN_OR_RETURN(TypedExpr r, Tr(q.kids[1], env));
+      TypePtr kids[] = {std::move(l.type), std::move(r.type)};
+      return Typed(q, Expr::Bin(q.bop, std::move(l.expr), std::move(r.expr)),
+                   kids, env);
     }
-
-    case QExpr::Kind::kBinary:
-      return TrBinary(q, scope);
 
     case QExpr::Kind::kQuant: {
-      N2J_ASSIGN_OR_RETURN(TypedExpr range, Tr(q.kids[0], scope));
-      if (!range.type->is_set()) {
-        return ErrorAt(q, "quantifier range must be a set, got " +
-                              range.type->ToString());
-      }
-      scope.push_back({q.names[0], range.type->element()});
-      Result<TypedExpr> pred_result =
-          q.kids.size() > 1
-              ? Tr(q.kids[1], scope)
-              : Result<TypedExpr>(TypedExpr{Expr::True(), Type::Bool()});
-      scope.pop_back();
-      if (!pred_result.ok()) return pred_result.status();
-      if (!pred_result->type->is_bool() && !pred_result->type->is_any()) {
-        return ErrorAt(q, "quantifier predicate must be boolean, got " +
-                              pred_result->type->ToString());
-      }
-      return TypedExpr{Expr::Quant(q.quant, q.names[0], range.expr,
-                                   pred_result->expr),
-                       Type::Bool()};
-    }
-
-    case QExpr::Kind::kAgg: {
-      N2J_ASSIGN_OR_RETURN(TypedExpr v, Tr(q.kids[0], scope));
-      if (!v.type->is_set() && !v.type->is_any()) {
-        return ErrorAt(q, std::string(AggKindName(q.agg)) + " over " +
-                              v.type->ToString());
-      }
-      TypePtr elem =
-          v.type->is_set() ? v.type->element() : Type::Any();
-      switch (q.agg) {
-        case AggKind::kCount:
-          return TypedExpr{Expr::Agg(q.agg, v.expr), Type::Int()};
-        case AggKind::kAvg:
-          if (!elem->is_numeric() && !elem->is_any()) {
-            return ErrorAt(q, "avg over non-numeric set");
-          }
-          return TypedExpr{Expr::Agg(q.agg, v.expr), Type::Double()};
-        case AggKind::kSum:
-        case AggKind::kMin:
-        case AggKind::kMax:
-          if (q.agg == AggKind::kSum && !elem->is_numeric() &&
-              !elem->is_any()) {
-            return ErrorAt(q, "sum over non-numeric set");
-          }
-          return TypedExpr{Expr::Agg(q.agg, v.expr), elem};
-      }
-      return Status::Internal("bad aggregate");
+      N2J_ASSIGN_OR_RETURN(TypedExpr range, Tr(q.kids[0], env));
+      env.Push(q.names[0], TypeChecker::BinderType(range.type));
+      Result<TypedExpr> pred = q.kids.size() > 1
+                                   ? Tr(q.kids[1], env)
+                                   : Typed(q, Expr::True(), {}, env);
+      env.Pop();
+      if (!pred.ok()) return pred.status();
+      TypePtr kids[] = {std::move(range.type), std::move(pred->type)};
+      return Typed(q,
+                   Expr::Quant(q.quant, q.names[0], std::move(range.expr),
+                               std::move(pred->expr)),
+                   kids, env);
     }
 
     case QExpr::Kind::kSelect:
-      return TrSelect(q, scope);
+      return TrSelect(q, env);
   }
   return Status::Internal("unhandled OOSQL AST kind");
 }
 
-Result<TypedExpr> Translator::TrField(const QExpr& q, Scope& scope) {
-  N2J_ASSIGN_OR_RETURN(TypedExpr base, Tr(q.kids[0], scope));
-  TypePtr t = base.type;
-  ExprPtr e = base.expr;
-  // Implicit dereference through object references: e.supplier.sname
-  // lowers to deref<Supplier>(e.supplier).sname.
-  if (t->is_ref()) {
-    const ClassDef* cls = schema_.FindClass(t->class_name());
-    if (cls == nullptr) {
-      return ErrorAt(q, "reference to unknown class " + t->class_name());
-    }
-    e = Expr::Deref(e, cls->name);
-    t = cls->ObjectType();
-  }
-  if (!t->is_tuple()) {
-    return ErrorAt(q, "field access '." + q.str + "' on " + t->ToString());
-  }
-  TypePtr ft = t->FindField(q.str);
-  if (ft == nullptr) {
-    return ErrorAt(q, "no attribute '" + q.str + "' in " + t->ToString());
-  }
-  return TypedExpr{Expr::Access(e, q.str), ft};
-}
-
-Result<TypedExpr> Translator::TrBinary(const QExpr& q, Scope& scope) {
-  N2J_ASSIGN_OR_RETURN(TypedExpr l, Tr(q.kids[0], scope));
-  N2J_ASSIGN_OR_RETURN(TypedExpr r, Tr(q.kids[1], scope));
-  BinOp op = q.bop;
-  ExprPtr e = Expr::Bin(op, l.expr, r.expr);
-
-  auto type_err = [&](const char* what) {
-    return ErrorAt(q, StrFormat("%s not applicable to %s and %s", what,
-                                l.type->ToString().c_str(),
-                                r.type->ToString().c_str()));
-  };
-
-  switch (op) {
-    case BinOp::kAdd:
-    case BinOp::kSub:
-    case BinOp::kMul:
-    case BinOp::kDiv:
-    case BinOp::kMod: {
-      bool ok = (l.type->is_numeric() || l.type->is_any()) &&
-                (r.type->is_numeric() || r.type->is_any());
-      if (!ok) return type_err("arithmetic");
-      TypePtr t = (l.type->is_double() || r.type->is_double())
-                      ? Type::Double()
-                      : (l.type->is_any() ? r.type : l.type);
-      return TypedExpr{e, t};
-    }
-    case BinOp::kEq:
-    case BinOp::kNe:
-    case BinOp::kLt:
-    case BinOp::kLe:
-    case BinOp::kGt:
-    case BinOp::kGe:
-      if (!l.type->ComparableWith(*r.type)) return type_err("comparison");
-      return TypedExpr{e, Type::Bool()};
-    case BinOp::kIn: {
-      if (!r.type->is_set() && !r.type->is_any()) return type_err("'in'");
-      if (r.type->is_set() &&
-          !l.type->ComparableWith(*r.type->element())) {
-        return type_err("'in'");
-      }
-      return TypedExpr{e, Type::Bool()};
-    }
-    case BinOp::kContains: {
-      if (!l.type->is_set() && !l.type->is_any()) {
-        return type_err("'contains'");
-      }
-      if (l.type->is_set() &&
-          !r.type->ComparableWith(*l.type->element())) {
-        return type_err("'contains'");
-      }
-      return TypedExpr{e, Type::Bool()};
-    }
-    case BinOp::kSubset:
-    case BinOp::kSubsetEq:
-    case BinOp::kSupset:
-    case BinOp::kSupsetEq: {
-      bool sets = (l.type->is_set() || l.type->is_any()) &&
-                  (r.type->is_set() || r.type->is_any());
-      if (!sets) return type_err("set comparison");
-      if (l.type->is_set() && r.type->is_set() &&
-          !l.type->element()->ComparableWith(*r.type->element())) {
-        return type_err("set comparison");
-      }
-      return TypedExpr{e, Type::Bool()};
-    }
-    case BinOp::kAnd:
-    case BinOp::kOr: {
-      bool ok = (l.type->is_bool() || l.type->is_any()) &&
-                (r.type->is_bool() || r.type->is_any());
-      if (!ok) return type_err("boolean connective");
-      return TypedExpr{e, Type::Bool()};
-    }
-    case BinOp::kUnionOp:
-    case BinOp::kIntersectOp:
-    case BinOp::kDifferenceOp: {
-      bool sets = (l.type->is_set() || l.type->is_any()) &&
-                  (r.type->is_set() || r.type->is_any());
-      if (!sets) return type_err("set operator");
-      TypePtr t = l.type->is_set() ? l.type : r.type;
-      return TypedExpr{e, t};
-    }
-  }
-  return Status::Internal("unhandled binary operator");
-}
-
-Result<TypedExpr> Translator::TrSelect(const QExpr& q, Scope& scope) {
+Result<TypedExpr> Translator::TrSelect(const QExpr& q, TypeEnv& env) {
   size_t n = q.NumRanges();
   N2J_CHECK(n >= 1);
 
@@ -307,54 +141,57 @@ Result<TypedExpr> Translator::TrSelect(const QExpr& q, Scope& scope) {
   // use earlier variables (dependent iteration over set-valued
   // attributes, e.g. `from s in SUPPLIER, x in s.parts`).
   std::vector<TypedExpr> ranges;
-  size_t scope_base = scope.size();
+  ranges.reserve(n);
+  const size_t depth = env.size();
   for (size_t i = 0; i < n; ++i) {
-    Result<TypedExpr> range = Tr(q.Range(i), scope);
+    Result<TypedExpr> range = Tr(q.Range(i), env);
     if (!range.ok()) {
-      scope.resize(scope_base);
+      env.Truncate(depth);
       return range.status();
     }
-    if (!range->type->is_set()) {
-      Status st = ErrorAt(q, "from-clause operand of '" + q.names[i] +
-                                 "' is not a set: " +
-                                 range->type->ToString());
-      scope.resize(scope_base);
-      return st;
-    }
-    ranges.push_back(*range);
-    scope.push_back({q.names[i], range->type->element()});
+    env.Push(q.names[i], TypeChecker::BinderType(range->type));
+    ranges.push_back(std::move(range).value());
   }
-
   Result<TypedExpr> where =
-      q.has_where ? Tr(q.Where(), scope)
-                  : Result<TypedExpr>(TypedExpr{nullptr, Type::Bool()});
-  if (!where.ok()) {
-    scope.resize(scope_base);
-    return where.status();
-  }
-  if (q.has_where && !where->type->is_bool() && !where->type->is_any()) {
-    Status st = ErrorAt(q, "where-clause must be boolean, got " +
-                               where->type->ToString());
-    scope.resize(scope_base);
-    return st;
-  }
-
-  Result<TypedExpr> body = Tr(q.SelectBody(), scope);
-  scope.resize(scope_base);
+      q.has_where ? Tr(q.Where(), env) : Result<TypedExpr>(TypedExpr{});
+  Result<TypedExpr> body =
+      where.ok() ? Tr(q.SelectBody(), env) : where.status();
+  env.Truncate(depth);
   if (!body.ok()) return body.status();
 
   // Innermost: α[vn : body](σ[vn : where](Rn)); the σ is emitted only
   // when a where-clause is present (the paper's α∘σ translation).
-  ExprPtr core = ranges[n - 1].expr;
+  const std::string& inner = q.names[n - 1];
+  TypedExpr core = std::move(ranges[n - 1]);
   if (q.has_where) {
-    core = Expr::Select(q.names[n - 1], where->expr, core);
+    TypePtr kids[] = {std::move(core.type), std::move(where->type)};
+    N2J_ASSIGN_OR_RETURN(
+        core, Typed(q,
+                    Expr::Select(inner, std::move(where->expr),
+                                 std::move(core.expr)),
+                    kids, env));
   }
-  core = Expr::Map(q.names[n - 1], body->expr, core);
+  TypePtr kids[] = {std::move(core.type), std::move(body->type)};
+  N2J_ASSIGN_OR_RETURN(
+      core, Typed(q,
+                  Expr::Map(inner, std::move(body->expr),
+                            std::move(core.expr)),
+                  kids, env));
   // Enclosing ranges: each adds a map producing a set of sets, flattened.
   for (size_t i = n - 1; i-- > 0;) {
-    core = Expr::Flatten(Expr::Map(q.names[i], core, ranges[i].expr));
+    TypePtr map_kids[] = {std::move(ranges[i].type), std::move(core.type)};
+    N2J_ASSIGN_OR_RETURN(
+        TypedExpr map,
+        Typed(q,
+              Expr::Map(q.names[i], std::move(core.expr),
+                        std::move(ranges[i].expr)),
+              map_kids, env));
+    TypePtr flatten_kids[] = {std::move(map.type)};
+    N2J_ASSIGN_OR_RETURN(core,
+                         Typed(q, Expr::Flatten(std::move(map.expr)),
+                               flatten_kids, env));
   }
-  return TypedExpr{core, Type::Set(body->type)};
+  return core;
 }
 
 }  // namespace n2j

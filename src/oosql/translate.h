@@ -1,12 +1,13 @@
 #ifndef N2J_OOSQL_TRANSLATE_H_
 #define N2J_OOSQL_TRANSLATE_H_
 
+#include <span>
 #include <string>
-#include <vector>
 
 #include "adl/expr.h"
 #include "adl/schema.h"
 #include "adl/type.h"
+#include "adl/typecheck.h"
 #include "common/result.h"
 #include "oosql/ast.h"
 #include "storage/database.h"
@@ -19,7 +20,7 @@ struct TypedExpr {
   TypePtr type;
 };
 
-/// Type-checks an OOSQL AST against a schema and lowers it to ADL.
+/// Lowers an OOSQL AST to ADL and types it against a schema.
 ///
 /// The lowering follows Section 3 of the paper and is deliberately naive
 /// ("translation of OOSQL queries into the algebra is done in a simple,
@@ -33,6 +34,10 @@ struct TypedExpr {
 /// Path expressions through Ref-typed attributes get explicit Deref
 /// (materialize) nodes, so pointer traversals are visible to the
 /// optimizer (Section 6.2, [BlMG93]).
+///
+/// The translator holds no typing rule of its own: it types each ADL node
+/// it builds through TypeChecker::Rule, and reports a rule's error at the
+/// OOSQL node's line:col.
 class Translator {
  public:
   /// `db` is optional; when given, plain (class-less) tables are also
@@ -47,16 +52,13 @@ class Translator {
   Result<TypedExpr> TranslateString(const std::string& query_text);
 
  private:
-  struct Binding {
-    std::string name;
-    TypePtr type;
-  };
-  using Scope = std::vector<Binding>;
+  Result<TypedExpr> Tr(const QExprPtr& q, TypeEnv& env);
+  Result<TypedExpr> TrSelect(const QExpr& q, TypeEnv& env);
 
-  Result<TypedExpr> Tr(const QExprPtr& q, Scope& scope);
-  Result<TypedExpr> TrSelect(const QExpr& q, Scope& scope);
-  Result<TypedExpr> TrBinary(const QExpr& q, Scope& scope);
-  Result<TypedExpr> TrField(const QExpr& q, Scope& scope);
+  /// Types `e`, lowered from `q`, by its rule given its children's types.
+  Result<TypedExpr> Typed(const QExpr& q, ExprPtr e,
+                          std::span<const TypePtr> kids,
+                          const TypeEnv& env) const;
 
   Status ErrorAt(const QExpr& q, const std::string& msg) const;
 

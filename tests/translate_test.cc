@@ -165,9 +165,9 @@ TEST_F(TranslateTest, VerdictAndTypeTable) {
     const char* type;
   };
   const Row kRows[] = {
-      {"select x + y from x in {}, y in {}", "{ any }"},
-      {"select x.a from x in {}", nullptr},
-      {"select x from x in {} where exists y in x : true", nullptr},
+      {"select x + y from x in {}, y in {}", "{ int }"},
+      {"select x.a from x in {}", "{ any }"},
+      {"select x from x in {} where exists y in x : true", "{ any }"},
       {"select s.sname from s in SUPPLIER where s.parts subseteq {1, 2}",
        nullptr},
       {"select avg(select p.pname from p in PART) from s in SUPPLIER",

@@ -203,19 +203,19 @@ TEST_F(TypecheckTest, VerdictAndTypeTable) {
                                         Expr::SetConstruct(
                                             {integer(1), integer(2)})),
                               Expr::Table("SUPPLIER"))),
-       "{ string }"},
+       nullptr},
       {"avg over strings",
        Expr::Map("s",
                  Expr::Agg(AggKind::kAvg,
                            Expr::Map("p", access(var("p"), "pname"),
                                      Expr::Table("PART"))),
                  Expr::Table("SUPPLIER")),
-       "{ double }"},
+       nullptr},
       {"repeated tuple field",
        Expr::Map("p",
                  Expr::TupleConstruct({"a", "a"}, {integer(1), integer(2)}),
                  Expr::Table("PART")),
-       "{ (a : int, a : int) }"},
+       nullptr},
   };
   for (const Row& row : kRows) {
     Result<TypePtr> r = checker_->Infer(row.expr);
