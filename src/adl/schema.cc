@@ -4,16 +4,6 @@
 
 namespace n2j {
 
-TypePtr ClassDef::ObjectType() const {
-  std::vector<TypeField> fields;
-  fields.reserve(attributes.size() + 1);
-  fields.push_back({oid_field, Type::OidType()});
-  for (const TypeField& a : attributes) fields.push_back(a);
-  return Type::Tuple(std::move(fields));
-}
-
-TypePtr ClassDef::ExtentType() const { return Type::Set(ObjectType()); }
-
 Status Schema::AddClass(ClassDef def) {
   if (by_name_.count(def.name) > 0) {
     return Status::InvalidArgument("duplicate class name: " + def.name);
@@ -22,6 +12,12 @@ Status Schema::AddClass(ClassDef def) {
     return Status::InvalidArgument("duplicate extent name: " + def.extent);
   }
   def.class_id = static_cast<uint16_t>(classes_.size() + 1);
+  std::vector<TypeField> fields;
+  fields.reserve(def.attributes.size() + 1);
+  fields.push_back({def.oid_field, Type::OidType()});
+  for (const TypeField& a : def.attributes) fields.push_back(a);
+  def.object_type_ = Type::Tuple(std::move(fields));
+  def.extent_type_ = Type::Set(def.object_type_);
   by_name_[def.name] = classes_.size();
   by_extent_[def.extent] = classes_.size();
   classes_.push_back(std::move(def));

@@ -29,9 +29,16 @@ struct ClassDef {
   std::vector<TypeField> attributes;  // user attributes (no oid field)
 
   /// The ADL tuple type of one stored object: (oid_field : oid, attrs...).
-  TypePtr ObjectType() const;
+  /// Built once by Schema::AddClass, which hands out registered classes
+  /// only as const; null on a ClassDef that was never registered.
+  const TypePtr& ObjectType() const { return object_type_; }
   /// The ADL type of the extent: a set of ObjectType().
-  TypePtr ExtentType() const;
+  const TypePtr& ExtentType() const { return extent_type_; }
+
+ private:
+  friend class Schema;
+  TypePtr object_type_;
+  TypePtr extent_type_;
 };
 
 /// The database schema: a set of class definitions, searchable by class

@@ -29,6 +29,14 @@ size_t NumUnboundChildren(const Expr& e) {
 
 bool IsSetOrAny(const TypePtr& t) { return t->is_set() || t->is_any(); }
 
+// The join family's predicate p(x, y) — a ⋈, ⋉, ▷ or ⊣ node's third
+// child — must be boolean or of unknown type.
+Status CheckJoinPredicate(const TypePtr& pred) {
+  if (pred->is_bool() || pred->is_any()) return Status::OK();
+  return Status::TypeError("join predicate must be boolean, got " +
+                           pred->ToString());
+}
+
 }  // namespace
 
 TypePtr TypeOfValue(const Value& v) {
@@ -491,6 +499,9 @@ Result<TypePtr> TypeChecker::Rule(const Expr& e,
           (!relem->is_any() && !relem->is_tuple())) {
         return TypeError("product/join over non-tables");
       }
+      if (e.kind() == ExprKind::kJoin) {
+        N2J_RETURN_IF_ERROR(CheckJoinPredicate(kids[2]));
+      }
       if (lelem->is_any() || relem->is_any()) {
         return Type::Set(Type::Any());
       }
@@ -509,6 +520,7 @@ Result<TypePtr> TypeChecker::Rule(const Expr& e,
       if (!IsSetOrAny(kids[0]) || !IsSetOrAny(kids[1])) {
         return TypeError("semijoin/antijoin over non-sets");
       }
+      N2J_RETURN_IF_ERROR(CheckJoinPredicate(kids[2]));
       return kids[0]->is_any() ? Type::Set(Type::Any()) : kids[0];
 
     case ExprKind::kNestJoin: {
@@ -518,6 +530,7 @@ Result<TypePtr> TypeChecker::Rule(const Expr& e,
           (!lelem->is_tuple() && !lelem->is_any())) {
         return TypeError("nestjoin over non-tables");
       }
+      N2J_RETURN_IF_ERROR(CheckJoinPredicate(kids[2]));
       if (lelem->is_any()) return Type::Set(Type::Any());
       if (lelem->FindField(e.name()) != nullptr) {
         return TypeError("nestjoin attribute conflict: " + e.name());

@@ -17,7 +17,7 @@ constexpr uint32_t kNoReg = 0xffffffffu;
 /// process-wide registry are resolved once (instruments live forever).
 class CompileProbe {
  public:
-  explicit CompileProbe(const CompiledLambda& lambda)
+  explicit CompileProbe(const Lambda& lambda)
       : lambda_(lambda), t0_ns_(MonotonicNanos()) {}
   ~CompileProbe() {
     static obs::Counter& compiles =
@@ -28,12 +28,12 @@ class CompileProbe {
     static obs::Histogram& latency =
         obs::MetricsRegistry::Global().GetHistogram("n2j_lambda_compile_ms");
     compiles.Add();
-    if (lambda_.fallback()) fallbacks.Add();
+    if (lambda_.refused()) fallbacks.Add();
     latency.Observe(static_cast<double>(MonotonicNanos() - t0_ns_) / 1e6);
   }
 
  private:
-  const CompiledLambda& lambda_;
+  const Lambda& lambda_;
   int64_t t0_ns_;
 };
 
@@ -132,9 +132,9 @@ uint32_t Compiler::CompileNode(const Expr& e) {
         if (it->first == e.name()) return it->second;
       }
       // Free variable: loop-invariant during this operator invocation,
-      // so capture the current binding by value. Unbound names fail the
-      // compile; the interpreter then reproduces the "unbound variable"
-      // error (or never reaches it under short-circuiting).
+      // so capture the current binding by value. Unbound names refuse
+      // the compile; the interpreter then reproduces the "unbound
+      // variable" error (or never reaches it under short-circuiting).
       const Value* v = env_.Lookup(e.name());
       if (v == nullptr) return Fail();
       uint32_t dst = AllocReg(v->is_tuple() ? v->tuple_shape() : nullptr);
@@ -359,7 +359,7 @@ uint32_t Compiler::CompileNode(const Expr& e) {
       return dst;
     }
 
-    // Set iterators fall back to the interpreter: they carry their own
+    // Set iterators are refused: they carry their own
     // operator-level machinery (PNHL, parallel morsels, physical join
     // selection) that straight-line code cannot replicate.
     case ExprKind::kMap:
@@ -413,60 +413,95 @@ uint32_t CompileKeyParts(Compiler& c, const std::vector<ExprPtr>& keys) {
 
 }  // namespace
 
-void CompiledLambda::Finish(Evaluator& ev, Program prog, uint32_t ret_slot) {
+Lambda::Lambda(Evaluator& ev, Environment& env, const Expr& body,
+               const std::string& x)
+    : ev_(&ev), env_(&env), body_(&body), params_{&x, nullptr} {}
+
+Lambda::Lambda(Evaluator& ev, Environment& env, const Expr& body,
+               const std::string& x, const std::string& y)
+    : ev_(&ev), env_(&env), body_(&body), params_{&x, &y} {}
+
+Lambda Lambda::Key(Evaluator& ev, Environment& env,
+                   const std::vector<ExprPtr>& keys, const std::string& var) {
+  // JoinKeyFromParts returns a single part bare: a one-key form is the
+  // plain lambda over that key.
+  if (keys.size() == 1) return Lambda(ev, env, *keys[0], var);
+  Lambda l;
+  l.ev_ = &ev;
+  l.env_ = &env;
+  l.keys_ = &keys;
+  l.params_[0] = &var;
+  return l;
+}
+
+Value* Lambda::RunSlow(const Value& x, const Value* y) {
+  if (engine_ == Engine::kUnchosen) {
+    if (!ev_->options().compiled) {
+      engine_ = Engine::kInterpreter;
+    } else {
+      Compile(x.is_tuple() ? x.tuple_shape() : nullptr);
+      if (compiled()) return y == nullptr ? Run(x) : Run(x, *y);
+    }
+  }
+  if (engine_ == Engine::kRefused) ++ev_->stats().interp_fallback_evals;
+  return Interpret(x, y);
+}
+
+void Lambda::Compile(const TupleShape* x_shape) {
+  engine_ = Engine::kRefused;
+  CompileProbe probe(*this);
+  Compiler c(*ev_, *env_);
+  c.AddParam(*params_[0], x_shape);
+  if (params_[1] != nullptr) c.AddParam(*params_[1], nullptr);
+  uint32_t ret =
+      body_ != nullptr ? c.CompileNode(*body_) : CompileKeyParts(c, *keys_);
   // dst is a 16-bit field; any body big enough to overflow it is no
   // longer a per-tuple lambda worth compiling.
-  if (prog.num_regs > 0xffff) {
-    state_ = State::kFallback;
-    return;
-  }
-  prog.ret_slot = ret_slot;
-  prog_ = std::make_unique<Program>(std::move(prog));
-  vm_ = std::make_unique<Vm>(prog_.get(), &ev.db(), &ev.stats());
-  state_ = State::kOk;
+  if (c.failed() || c.prog.num_regs > 0xffff) return;
+  c.prog.ret_slot = ret;
+  prog_ = std::make_unique<Program>(std::move(c.prog));
+  vm_ = std::make_unique<Vm>(prog_.get(), &ev_->db(), &ev_->stats());
+  engine_ = Engine::kBytecode;
 }
 
-void CompiledLambda::Compile(Evaluator& ev, const Expr& body,
-                             const std::vector<std::string>& params,
-                             const Environment& env,
-                             const TupleShape* param0_shape) {
-  CompileProbe probe(*this);
-  Compiler c(ev, env);
-  for (size_t i = 0; i < params.size(); ++i) {
-    c.AddParam(params[i], i == 0 ? param0_shape : nullptr);
+Value* Lambda::Interpret(const Value& x, const Value* y) {
+  env_->Push(*params_[0], x);
+  if (y != nullptr) env_->Push(*params_[1], *y);
+  Status s;
+  if (body_ != nullptr) {
+    Result<Value> r = ev_->EvalNode(*body_, *env_);
+    if (r.ok()) {
+      result_ = std::move(r).value();
+    } else {
+      s = r.status();
+    }
+  } else {
+    std::vector<Value> parts;
+    parts.reserve(keys_->size());
+    for (const ExprPtr& k : *keys_) {
+      Result<Value> kv = ev_->EvalNode(*k, *env_);
+      if (!kv.ok()) {
+        s = kv.status();
+        break;
+      }
+      parts.push_back(std::move(kv).value());
+    }
+    if (s.ok()) result_ = JoinKeyFromParts(std::move(parts));
   }
-  uint32_t ret = c.CompileNode(body);
-  if (c.failed()) {
-    state_ = State::kFallback;
-    return;
-  }
-  Finish(ev, std::move(c.prog), ret);
+  env_->Pop();
+  if (y != nullptr) env_->Pop();
+  if (s.ok()) return &result_;
+  status_ = std::move(s);
+  return nullptr;
 }
 
-void CompiledLambda::CompileKey(Evaluator& ev,
-                                const std::vector<ExprPtr>& keys,
-                                const std::string& var,
-                                const Environment& env,
-                                const TupleShape* param0_shape) {
-  CompileProbe probe(*this);
-  Compiler c(ev, env);
-  c.AddParam(var, param0_shape);
-  uint32_t ret = CompileKeyParts(c, keys);
-  if (c.failed()) {
-    state_ = State::kFallback;
-    return;
+JoinLambdas::JoinLambdas(Evaluator& ev, Environment& env, const Expr& join,
+                         const Expr& residual)
+    : residual(ev, env, residual, join.var(), join.var2()),
+      identity_inner(IsIdentityInner(join)) {
+  if (join.kind() == ExprKind::kNestJoin && !identity_inner) {
+    inner = Lambda(ev, env, *join.inner(), join.var(), join.var2());
   }
-  Finish(ev, std::move(c.prog), ret);
-}
-
-const TupleShape* FirstElemShape(std::span<const Value> rows) {
-  if (rows.empty()) return nullptr;
-  return rows[0].is_tuple() ? rows[0].tuple_shape() : nullptr;
-}
-
-const TupleShape* FirstElemShape(const Value& set) {
-  if (!set.is_set()) return nullptr;
-  return FirstElemShape(set.elements());
 }
 
 }  // namespace n2j

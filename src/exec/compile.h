@@ -1,31 +1,36 @@
 #ifndef N2J_EXEC_COMPILE_H_
 #define N2J_EXEC_COMPILE_H_
 
-// One-pass compiler from ADL lambda bodies to the bytecode of
-// bytecode.h. Each iterating operator compiles its lambda(s) once per
-// invocation (per worker frame under morsel parallelism), then runs
-// the program once per tuple. Compilation either covers the whole body
-// or refuses it: a CompiledLambda in the fallback state makes the
-// caller use the tree interpreter for that operator, so a partially
-// supported body never mixes the two engines inside one evaluation.
+// One lambda of an iterating operator, and the one-pass compiler from
+// ADL lambda bodies to the bytecode of bytecode.h behind it. An
+// operator binds each of its lambdas (map/select body, quantifier or
+// join predicate, join key, nestjoin inner function) once per
+// invocation — once per worker under morsel parallelism — and calls
+// Lambda::Run once per tuple. The first Run chooses the engine for that
+// lambda alone: with EvalOptions::compiled on it compiles the body and
+// runs bytecode from then on; with it off ("off" means nothing else),
+// or when the compiler refuses the body, Run interprets the tree. A
+// compile covers the whole body or refuses it, so the two engines never
+// mix inside one evaluation of one lambda, but two lambdas of one
+// operator may each run on a different engine.
 //
 // Covered forms: const, var, table, let, field access, tuple
 // project/construct/concat/except, set construct, deref, unary, binary
 // (with and/or short-circuit jumps), quantifiers, aggregates, and the
-// expression-level set operators. Set iterators (map/select/project/
-// nest/joins/...) nested inside a lambda body fall back — they carry
+// expression-level set operators. A body holding a set iterator
+// (map/select/project/nest/joins/...) is refused — iterators carry
 // their own operator-level machinery (PNHL recognition, parallelism,
 // physical join choice) that a straight-line program cannot replicate.
 //
-// Free variables are captured by value at compile time: during one
-// operator's loop the enclosing Environment only grows by the
-// operator's own loop variables (which are compiled as parameters), so
-// every other binding is loop-invariant. Unresolvable variables or
-// tables fail the compile and the interpreter reproduces the exact
-// runtime error (or lack of one, under short-circuiting) lazily.
+// Free variables are captured by value when the body compiles, on the
+// first Run: during one operator's loop the enclosing Environment only
+// grows by the operator's own loop variables (which are compiled as
+// parameters), so every other binding is loop-invariant. Unresolvable
+// variables or tables refuse the compile and the interpreter reproduces
+// the exact runtime error (or lack of one, under short-circuiting)
+// lazily.
 
 #include <memory>
-#include <span>
 #include <string>
 #include <vector>
 
@@ -37,76 +42,93 @@ namespace n2j {
 class Environment;
 class Evaluator;
 
-/// Shape of the first element when it is a tuple — the compile-time
-/// seed for a lambda parameter's field-access inline caches.
-const TupleShape* FirstElemShape(std::span<const Value> rows);
-const TupleShape* FirstElemShape(const Value& set);
-
-/// A lambda compiled for one operator invocation. Tri-state:
-///   off      — Compile was never called (compiled evaluation disabled
-///              or the operator input was empty); Run must not be used.
-///   ok       — the body lowered fully; Run evaluates it.
-///   fallback — the body contains a form the compiler does not cover;
-///              the caller runs the interpreter per tuple and counts
-///              EvalStats::interp_fallback_evals.
-class CompiledLambda {
+/// A lambda bound to its evaluator, environment, body and parameter
+/// names. The evaluator, the environment, the body and the names are
+/// borrowed and must outlive the Lambda; the names must be the same
+/// strings on every Run (Environment memoizes lookups on their address).
+/// A default-constructed Lambda is unbound and must not Run.
+class Lambda {
  public:
-  /// Compiles `body` with `params` bound to slots 0..n-1. When the
-  /// caller statically knows the tuple shape of the first parameter
-  /// (e.g. from the first element of the input set), passing it seeds
-  /// the field-access inline caches at compile time.
-  void Compile(Evaluator& ev, const Expr& body,
-               const std::vector<std::string>& params,
-               const Environment& env,
-               const TupleShape* param0_shape = nullptr);
+  Lambda() = default;
+  /// λ x . body
+  Lambda(Evaluator& ev, Environment& env, const Expr& body,
+         const std::string& x);
+  /// λ x, y . body
+  Lambda(Evaluator& ev, Environment& env, const Expr& body,
+         const std::string& x, const std::string& y);
+  /// The join-key form λ var . key: every key expression over `var`,
+  /// combined exactly like JoinKeyFromParts.
+  static Lambda Key(Evaluator& ev, Environment& env,
+                    const std::vector<ExprPtr>& keys, const std::string& var);
 
-  /// Compiles a join-key extractor: every key expression evaluated with
-  /// `var` bound to the row, combined exactly like JoinKeyFromParts.
-  void CompileKey(Evaluator& ev, const std::vector<ExprPtr>& keys,
-                  const std::string& var, const Environment& env,
-                  const TupleShape* param0_shape = nullptr);
-
-  bool ok() const { return state_ == State::kOk; }
-  bool fallback() const { return state_ == State::kFallback; }
-
-  /// Evaluates over one tuple (two for join lambdas). Returns the
-  /// result slot — the caller may move from it; it is rewritten by the
-  /// next Run — or nullptr with the error in status(). Precondition:
-  /// ok().
-  Value* Run(const Value& p0) {
-    vm_->BindParam(0, p0);
-    return vm_->Run();
+  /// Evaluates over one tuple (two for a two-parameter lambda). Returns
+  /// the result slot — the caller may move from it; the next Run
+  /// rewrites it — or nullptr with the error in status(). The first
+  /// call chooses the engine; when it compiles, the first argument's
+  /// tuple shape seeds the field-access inline caches.
+  Value* Run(const Value& x) {
+    if (engine_ == Engine::kBytecode) {
+      vm_->BindParam(0, x);
+      return vm_->Run();
+    }
+    return RunSlow(x, nullptr);
   }
-  Value* Run(const Value& p0, const Value& p1) {
-    vm_->BindParam(0, p0);
-    vm_->BindParam(1, p1);
-    return vm_->Run();
+  Value* Run(const Value& x, const Value& y) {
+    if (engine_ == Engine::kBytecode) {
+      vm_->BindParam(0, x);
+      vm_->BindParam(1, y);
+      return vm_->Run();
+    }
+    return RunSlow(x, &y);
   }
-  const Status& status() const { return vm_->status(); }
+  const Status& status() const {
+    return engine_ == Engine::kBytecode ? vm_->status() : status_;
+  }
 
+  /// After the first Run: whether the body runs as bytecode, or was
+  /// refused by the compiler and is interpreted (counted per Run in
+  /// EvalStats::interp_fallback_evals). Both false before the first Run
+  /// and when compiled evaluation is off.
+  bool compiled() const { return engine_ == Engine::kBytecode; }
+  bool refused() const { return engine_ == Engine::kRefused; }
+  /// The compiled program, or nullptr unless compiled().
   const Program* program() const { return prog_.get(); }
 
  private:
-  enum class State { kOff, kOk, kFallback };
+  enum class Engine { kUnchosen, kBytecode, kInterpreter, kRefused };
 
-  void Finish(Evaluator& ev, Program prog, uint32_t ret_slot);
+  Value* RunSlow(const Value& x, const Value* y);
+  void Compile(const TupleShape* x_shape);
+  Value* Interpret(const Value& x, const Value* y);
 
-  State state_ = State::kOff;
+  Evaluator* ev_ = nullptr;
+  Environment* env_ = nullptr;
+  const Expr* body_ = nullptr;                   // null in a multi-key form
+  const std::vector<ExprPtr>* keys_ = nullptr;   // a multi-key form's parts
+  const std::string* params_[2] = {nullptr, nullptr};
+  Engine engine_ = Engine::kUnchosen;
   std::unique_ptr<Program> prog_;
   std::unique_ptr<Vm> vm_;
+  Value result_;    // the interpreter's result slot
+  Status status_;   // the interpreter's error
 };
 
-/// The compiled fragments one join-family operator invocation can use,
-/// plus the probe loop's reusable scratch. Parallel join operators build
-/// one per worker frame so every worker owns its programs (register
-/// frames and inline caches are not shareable across threads) and its
-/// scratch.
+/// The lambdas one join-family operator invocation runs, plus the probe
+/// loop's reusable scratch. Parallel join operators bind one per worker
+/// frame so every worker owns its lambdas (register frames, inline
+/// caches and interpreter environments are not shareable across
+/// threads) and its scratch.
 struct JoinLambdas {
-  CompiledLambda left_key;   // key over the left/probe variable
-  CompiledLambda right_key;  // key over the right/build variable
-  CompiledLambda elem_key;   // membership-join element key k(v)
-  CompiledLambda residual;   // residual conjunction p(x, y)
-  CompiledLambda inner;      // nestjoin inner function f(x, y)
+  JoinLambdas() = default;
+  /// Binds the residual conjunction p(x, y) and, for a nestjoin whose
+  /// inner is not the bare right variable, the inner function f(x, y).
+  /// `key` is left unbound for the caller.
+  JoinLambdas(Evaluator& ev, Environment& env, const Expr& join,
+              const Expr& residual);
+
+  Lambda key;        // probe key: the left key, or the membership k(v)
+  Lambda residual;   // residual conjunction p(x, y)
+  Lambda inner;      // nestjoin inner function f(x, y)
 
   // One left tuple's matches; cleared, not freed, between tuples.
   std::vector<const Value*> matches;
@@ -116,7 +138,7 @@ struct JoinLambdas {
   // Nestjoin output shape, resolved once per left-tuple shape.
   ShapeCursor nest_shape;
   // Nestjoin whose inner is the bare right variable (IsIdentityInner):
-  // the inner is neither compiled nor run. Set once per operator.
+  // the inner is neither bound nor run. Set once per operator.
   bool identity_inner = false;
 };
 

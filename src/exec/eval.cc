@@ -455,48 +455,30 @@ Result<Rows> Evaluator::EvalMapSelect(const Expr& e, Environment& env,
   std::span<const Value> xs = in.elements();
   std::vector<Value> out;
   if (!is_select) out.reserve(xs.size());
-  auto compile = [&](Evaluator& ev, Environment& wenv) {
-    CompiledLambda body;
-    if (opts_.compiled && !xs.empty()) {
-      body.Compile(ev, *e.child(1), {e.var()}, wenv, FirstElemShape(xs));
-    }
-    return body;
+  auto bind = [&](Evaluator& ev, Environment& wenv) {
+    return Lambda(ev, wenv, *e.child(1), e.var());
   };
-  auto rows = [&](Evaluator& ev, Environment& wenv, CompiledLambda& body,
-                  size_t begin, size_t end,
+  auto rows = [&](Evaluator& ev, Lambda& body, size_t begin, size_t end,
                   std::vector<Value>* kept) -> Status {
-    // One lambda result: the mapped row, or the row itself if it passes.
-    auto take = [&](const Value& x, Value* r) -> Status {
+    for (const Value& x : xs.subspan(begin, end - begin)) {
+      ++ev.stats_.tuples_scanned;
+      if (is_select) ++ev.stats_.predicate_evals;
+      // The lambda's result: the mapped row, or whether the row passes.
+      Value* r = body.Run(x);
+      if (r == nullptr) return body.status();
       if (!is_select) {
         kept->push_back(std::move(*r));
-        return Status::OK();
+        continue;
       }
       if (!r->is_bool()) {
         return Status::RuntimeError("selection predicate not boolean");
       }
       if (r->bool_value()) kept->push_back(x);
-      return Status::OK();
-    };
-    for (const Value& x : xs.subspan(begin, end - begin)) {
-      ++ev.stats_.tuples_scanned;
-      if (is_select) ++ev.stats_.predicate_evals;
-      if (body.ok()) {
-        Value* r = body.Run(x);
-        if (r == nullptr) return body.status();
-        N2J_RETURN_IF_ERROR(take(x, r));
-        continue;
-      }
-      if (body.fallback()) ++ev.stats_.interp_fallback_evals;
-      wenv.Push(e.var(), x);
-      Result<Value> r = ev.EvalNode(*e.child(1), wenv);
-      wenv.Pop();
-      if (!r.ok()) return r.status();
-      N2J_RETURN_IF_ERROR(take(x, &*r));
     }
     return Status::OK();
   };
   N2J_RETURN_IF_ERROR(ForEachMorsel(*this, env, xs.size(),
-                                    is_select ? "select" : "map", compile,
+                                    is_select ? "select" : "map", bind,
                                     rows, &out));
   // Selection keeps a subsequence of its input in input order; a map
   // can send two rows to one.
@@ -575,32 +557,12 @@ Result<Value> Evaluator::EvalQuantifier(const Expr& e, Environment& env) {
     return Status::RuntimeError("quantifier range not a set");
   }
   span.RowsIn(range.set_size());
-  CompiledLambda pred;
-  if (opts_.compiled && range.set_size() > 0) {
-    pred.Compile(*this, *e.child(1), {e.var()}, env, FirstElemShape(range));
-  }
-  if (pred.ok()) {
-    for (const Value& x : range.elements()) {
-      ++stats_.tuples_scanned;
-      ++stats_.predicate_evals;
-      Value* r = pred.Run(x);
-      if (r == nullptr) return pred.status();
-      if (!r->is_bool()) {
-        return Status::RuntimeError("quantifier predicate not boolean");
-      }
-      if (exists && r->bool_value()) return Value::Bool(true);
-      if (!exists && !r->bool_value()) return Value::Bool(false);
-    }
-    return Value::Bool(!exists);
-  }
+  Lambda pred(*this, env, *e.child(1), e.var());
   for (const Value& x : range.elements()) {
     ++stats_.tuples_scanned;
     ++stats_.predicate_evals;
-    if (pred.fallback()) ++stats_.interp_fallback_evals;
-    env.Push(e.var(), x);
-    Result<Value> r = EvalNode(*e.child(1), env);
-    env.Pop();
-    if (!r.ok()) return r.status();
+    Value* r = pred.Run(x);
+    if (r == nullptr) return pred.status();
     if (!r->is_bool()) {
       return Status::RuntimeError("quantifier predicate not boolean");
     }
@@ -903,20 +865,38 @@ Result<Rows> Evaluator::EvalJoinLike(const Expr& e, Environment& env,
 Status Evaluator::NestedLoopJoin(const Expr& e, const Rows& l, const Value& r,
                                  Environment& env, std::vector<Value>* out) {
   const bool identity = IsIdentityInner(e);
-  CompiledLambda pred_cl;
-  CompiledLambda inner_cl;
-  if (opts_.compiled && l.set_size() > 0 && r.set_size() > 0) {
-    pred_cl.Compile(*this, *e.pred(), {e.var(), e.var2()}, env,
-                    FirstElemShape(l.elements()));
-    if (e.kind() == ExprKind::kNestJoin && !identity) {
-      inner_cl.Compile(*this, *e.inner(), {e.var(), e.var2()}, env,
-                       FirstElemShape(l.elements()));
-    }
+  Lambda pred(*this, env, *e.pred(), e.var(), e.var2());
+  Lambda inner;
+  if (e.kind() == ExprKind::kNestJoin && !identity) {
+    inner = Lambda(*this, env, *e.inner(), e.var(), e.var2());
   }
-  // Per-left-tuple result assembly, shared by both engines.
   ShapeCursor nest_shape;
-  auto finish_row = [&](const Value& x, bool matched,
-                        std::vector<Value>&& group) -> Status {
+  for (const Value& x : l.elements()) {
+    ++stats_.tuples_scanned;
+    bool matched = false;
+    std::vector<Value> group;  // nestjoin inner results
+    for (const Value& y : r.elements()) {
+      ++stats_.predicate_evals;
+      Value* p = pred.Run(x, y);
+      if (p == nullptr) return pred.status();
+      if (!p->is_bool()) {
+        return Status::RuntimeError("join predicate not boolean");
+      }
+      if (!p->bool_value()) continue;
+      if (e.kind() == ExprKind::kJoin) {
+        N2J_ASSIGN_OR_RETURN(Value combined, ConcatTuples(x, y));
+        out->push_back(std::move(combined));
+      } else if (e.kind() != ExprKind::kNestJoin) {
+        matched = true;
+        if (e.kind() == ExprKind::kSemiJoin) break;
+      } else if (identity) {
+        group.push_back(y);
+      } else {
+        Value* iv = inner.Run(x, y);
+        if (iv == nullptr) return inner.status();
+        group.push_back(std::move(*iv));
+      }
+    }
     switch (e.kind()) {
       case ExprKind::kSemiJoin:
         if (matched) out->push_back(x);
@@ -924,7 +904,7 @@ Status Evaluator::NestedLoopJoin(const Expr& e, const Rows& l, const Value& r,
       case ExprKind::kAntiJoin:
         if (!matched) out->push_back(x);
         break;
-      case ExprKind::kNestJoin: {
+      case ExprKind::kNestJoin:
         if (!x.is_tuple()) {
           return Status::RuntimeError("nestjoin element not a tuple");
         }
@@ -939,111 +919,9 @@ Status Evaluator::NestedLoopJoin(const Expr& e, const Rows& l, const Value& r,
             identity ? Value::SetFromCanonical(std::move(group))
                      : ToSet(std::move(group))));
         break;
-      }
       default:
         break;
     }
-    return Status();
-  };
-  if (pred_cl.ok()) {
-    for (const Value& x : l.elements()) {
-      ++stats_.tuples_scanned;
-      bool matched = false;
-      std::vector<Value> group;  // nestjoin inner results
-      for (const Value& y : r.elements()) {
-        ++stats_.predicate_evals;
-        Value* p = pred_cl.Run(x, y);
-        if (p == nullptr) return pred_cl.status();
-        if (!p->is_bool()) {
-          return Status::RuntimeError("join predicate not boolean");
-        }
-        if (p->bool_value()) {
-          switch (e.kind()) {
-            case ExprKind::kJoin: {
-              N2J_ASSIGN_OR_RETURN(Value combined, ConcatTuples(x, y));
-              out->push_back(std::move(combined));
-              break;
-            }
-            case ExprKind::kNestJoin: {
-              if (identity) {
-                group.push_back(y);
-              } else if (inner_cl.ok()) {
-                Value* iv = inner_cl.Run(x, y);
-                if (iv == nullptr) return inner_cl.status();
-                group.push_back(std::move(*iv));
-              } else {
-                if (inner_cl.fallback()) ++stats_.interp_fallback_evals;
-                env.Push(e.var(), x);
-                env.Push(e.var2(), y);
-                Result<Value> iv = EvalNode(*e.inner(), env);
-                env.Pop();
-                env.Pop();
-                if (!iv.ok()) return iv.status();
-                group.push_back(std::move(iv).value());
-              }
-              break;
-            }
-            default:
-              matched = true;
-              break;
-          }
-        }
-        if (matched && e.kind() == ExprKind::kSemiJoin) break;
-      }
-      N2J_RETURN_IF_ERROR(finish_row(x, matched, std::move(group)));
-    }
-    return Status::OK();
-  }
-  for (const Value& x : l.elements()) {
-    ++stats_.tuples_scanned;
-    bool matched = false;
-    std::vector<Value> group;  // nestjoin inner results
-    for (const Value& y : r.elements()) {
-      ++stats_.predicate_evals;
-      if (pred_cl.fallback()) ++stats_.interp_fallback_evals;
-      env.Push(e.var(), x);
-      env.Push(e.var2(), y);
-      Result<Value> p = EvalNode(*e.pred(), env);
-      if (p.ok() && p->is_bool() && p->bool_value()) {
-        switch (e.kind()) {
-          case ExprKind::kJoin: {
-            Result<Value> combined = ConcatTuples(x, y);
-            if (!combined.ok()) {
-              env.Pop();
-              env.Pop();
-              return combined.status();
-            }
-            out->push_back(std::move(*combined));
-            break;
-          }
-          case ExprKind::kNestJoin: {
-            if (identity) {
-              group.push_back(y);
-              break;
-            }
-            Result<Value> iv = EvalNode(*e.inner(), env);
-            if (!iv.ok()) {
-              env.Pop();
-              env.Pop();
-              return iv.status();
-            }
-            group.push_back(std::move(iv).value());
-            break;
-          }
-          default:
-            matched = true;
-            break;
-        }
-      }
-      env.Pop();
-      env.Pop();
-      if (!p.ok()) return p.status();
-      if (p.ok() && !p->is_bool()) {
-        return Status::RuntimeError("join predicate not boolean");
-      }
-      if (matched && e.kind() == ExprKind::kSemiJoin) break;
-    }
-    N2J_RETURN_IF_ERROR(finish_row(x, matched, std::move(group)));
   }
   return Status::OK();
 }

@@ -19,10 +19,10 @@
 
 namespace n2j {
 
-class CompiledLambda;
 struct EquiJoinKeys;
 struct JoinLambdas;
 struct JoinShape;
+class Lambda;
 class OpSpan;
 class TraceCollector;
 struct PlanAnnotations;
@@ -44,9 +44,9 @@ struct EvalStats {
   uint64_t derefs = 0;           // oid dereferences
   uint64_t nodes_evaluated = 0;  // expression nodes evaluated (interp)
   uint64_t compiled_evals = 0;   // bytecode program runs (one per tuple)
-  // Per-tuple interpreter evaluations taken because a lambda's compile
-  // fell back (EvalOptions::compiled on, body not covered). Always 0
-  // when compiled evaluation is off.
+  // Per-tuple interpreter evaluations of a lambda whose body the
+  // compiler refused (EvalOptions::compiled on, body not covered).
+  // Always 0 when compiled evaluation is off.
   uint64_t interp_fallback_evals = 0;
   // Join-family invocations by the physical algorithm that actually ran
   // (one bump per EvalJoinLike call, on the coordinating evaluator, so
@@ -147,11 +147,11 @@ struct EvalOptions {
   /// regardless of scheduling.
   int num_threads = 1;
   /// Compile lambda bodies (map/select/quantifier predicates, join keys
-  /// and residuals, nestjoin inner functions) to bytecode once per
-  /// operator invocation and evaluate tuples through the VM
-  /// (bytecode.h). Bodies the compiler does not cover automatically
-  /// fall back to the tree interpreter per operator; results and errors
-  /// are identical either way (the differential fuzzer pins this).
+  /// and residuals, nestjoin inner functions) to bytecode on their first
+  /// row and evaluate tuples through the VM (bytecode.h; exec/compile.h's
+  /// Lambda). A body the compiler does not cover is interpreted, lambda
+  /// by lambda; results and errors are identical either way (the
+  /// differential fuzzer pins this).
   bool compiled = true;
   /// When set, the evaluator records one span per operator invocation
   /// into this collector (see obs/trace.h): wall time, cardinalities,
@@ -360,49 +360,37 @@ class Evaluator {
   /// returns kUnsupported when `e` is not that map pattern.
   Result<Value> TryPnhlMap(const Expr& e, Environment& env);
 
-  /// Compiles a join's key, residual and nestjoin-inner lambdas into
-  /// `jl` when compiled evaluation is on. A null `r` skips the right
-  /// (build) key: an index join has no build side, and the hash join's
-  /// probe workers do not build.
-  void CompileJoinLambdas(const Expr& e, const EquiJoinKeys& keys,
-                          const Expr& residual, const Rows& l,
-                          const Value* r, Environment& env, JoinLambdas* jl);
-  /// One row's join key: through `cl` when it compiled, else by
-  /// interpreting `keys` under a binding of `var` to `row`.
-  Result<Value> JoinKey(CompiledLambda& cl, const std::vector<ExprPtr>& keys,
-                        const std::string& var, const Value& row,
-                        Environment& env);
-  /// One evaluation of a join's residual predicate on (x, y), compiled
-  /// through `cl` when it compiled; counts a predicate evaluation.
-  Status ResidualHolds(const Expr& e, const Expr& residual,
-                       CompiledLambda& cl, const Value& x, const Value& y,
-                       Environment& env, bool* holds);
+  /// One evaluation of a join's residual predicate on (x, y); counts a
+  /// predicate evaluation.
+  Status ResidualHolds(Lambda& residual, const Value& x, const Value& y,
+                       bool* holds);
 
   /// Shared per-left-tuple result assembly for the join family: given
   /// the matching right tuples (post-residual), appends the appropriate
-  /// output to `out`. Used by the hash/index/membership variants. The
-  /// nestjoin inner function runs compiled when jl.inner
-  /// is ok; an identity inner (the bare right variable) is not run, and
+  /// output to `out`. Used by the hash/index/membership variants. An
+  /// identity nestjoin inner (the bare right variable) is not run, and
   /// its group is canonical without compares when `canonical_build`
   /// (the matches point into a canonical set's elements) and the
   /// matches sit at increasing positions.
   Status EmitJoinResult(const Expr& e, const Value& x,
                         const std::vector<const Value*>& matches,
-                        bool canonical_build, Environment& env,
-                        std::vector<Value>* out, JoinLambdas& jl);
+                        bool canonical_build, std::vector<Value>* out,
+                        JoinLambdas& jl);
   /// The rows of `chain` (indices into `build`) that pass the residual
   /// for left tuple `x`, in chain order, into jl.matches.
-  Status CollectMatches(const Expr& e, const Expr& residual,
-                        const EquiJoinKeys& keys,
+  Status CollectMatches(const EquiJoinKeys& keys,
                         const std::vector<Value>& build,
                         const JoinTable::Chain& chain, const Value& x,
-                        Environment& env, JoinLambdas& jl);
+                        JoinLambdas& jl);
 
   Result<Value> TableValue(const std::string& name);
 
   /// Tuple concatenation surfacing attribute-name conflicts as a
   /// RuntimeError (Value::ConcatTuple treats them as internal errors).
   static Result<Value> ConcatTuples(const Value& l, const Value& r);
+
+  // Interprets the bodies the compiler does not run.
+  friend class Lambda;
 
   const Database& db_;
   EvalOptions opts_;

@@ -42,9 +42,10 @@ inline void AppendMorsel(std::vector<Value>* dst, std::vector<Value>&& src) {
 /// Runs an operator's row loop over [0, n).
 ///
 ///   init(Evaluator& ev, Environment& env) -> State
-///       prepares one evaluator's state (its compiled lambdas);
-///   body(Evaluator& ev, Environment& env, State& state,
-///        size_t begin, size_t end, Slot* out) -> Status
+///       prepares one evaluator's state (its lambdas, bound to ev and
+///       env);
+///   body(Evaluator& ev, State& state, size_t begin, size_t end,
+///        Slot* out) -> Status
 ///       processes rows [begin, end), appending its output to `out`.
 ///
 /// With coord's num_threads at 1, or n ≤ 1, init and body run once on
@@ -67,7 +68,7 @@ Status ForEachMorsel(Evaluator& coord, Environment& env, size_t n,
   const EvalOptions& opts = coord.options();
   if (opts.num_threads <= 1 || n <= 1) {
     State state = init(coord, env);
-    return body(coord, env, state, size_t{0}, n, out);
+    return body(coord, state, size_t{0}, n, out);
   }
   const size_t morsel_size = PickMorselSize(n, opts.num_threads);
   const size_t num_morsels = NumMorsels(n, morsel_size);
@@ -91,8 +92,7 @@ Status ForEachMorsel(Evaluator& coord, Environment& env, size_t n,
         Evaluator& ev = *workers[static_cast<size_t>(w)];
         const EvalStats before = ev.stats();
         MorselRange range = MorselAt(n, morsel_size, m);
-        Status st = body(ev, envs[static_cast<size_t>(w)],
-                         states[static_cast<size_t>(w)], range.begin,
+        Status st = body(ev, states[static_cast<size_t>(w)], range.begin,
                          range.end, &slots[m]);
         deltas[m] = ev.stats();
         deltas[m].Subtract(before);

@@ -17,7 +17,7 @@ namespace n2j {
 
 Status Evaluator::EmitJoinResult(const Expr& e, const Value& x,
                                  const std::vector<const Value*>& matches,
-                                 bool canonical_build, Environment& env,
+                                 bool canonical_build,
                                  std::vector<Value>* out, JoinLambdas& jl) {
   switch (e.kind()) {
     case ExprKind::kJoin:
@@ -40,7 +40,6 @@ Status Evaluator::EmitJoinResult(const Expr& e, const Value& x,
         return Status::RuntimeError("nestjoin result attribute '" +
                                     e.name() + "' collides");
       }
-      CompiledLambda& inner = jl.inner;
       std::vector<Value> group;
       group.reserve(matches.size());
       // An identity group is the matches themselves: canonical as they
@@ -52,27 +51,12 @@ Status Evaluator::EmitJoinResult(const Expr& e, const Value& x,
           if (i > 0 && matches[i] <= matches[i - 1]) canonical = false;
           group.push_back(*matches[i]);
         }
-      } else if (inner.ok()) {
+      } else {
         for (const Value* y : matches) {
-          Value* iv = inner.Run(x, *y);
-          if (iv == nullptr) return inner.status();
+          Value* iv = jl.inner.Run(x, *y);
+          if (iv == nullptr) return jl.inner.status();
           group.push_back(std::move(*iv));
         }
-      } else {
-        bool count_fallback = inner.fallback();
-        env.Push(e.var(), x);
-        for (const Value* y : matches) {
-          if (count_fallback) ++stats_.interp_fallback_evals;
-          env.Push(e.var2(), *y);
-          Result<Value> iv = EvalNode(*e.inner(), env);
-          env.Pop();
-          if (!iv.ok()) {
-            env.Pop();
-            return iv.status();
-          }
-          group.push_back(std::move(iv).value());
-        }
-        env.Pop();
       }
       out->push_back(x.AppendField(
           jl.nest_shape.Extended(x, e.name()),
@@ -85,72 +69,11 @@ Status Evaluator::EmitJoinResult(const Expr& e, const Value& x,
   }
 }
 
-void Evaluator::CompileJoinLambdas(const Expr& e, const EquiJoinKeys& keys,
-                                   const Expr& residual, const Rows& l,
-                                   const Value* r, Environment& env,
-                                   JoinLambdas* jl) {
-  jl->identity_inner = IsIdentityInner(e);
-  if (!opts_.compiled) return;
-  if (r != nullptr && r->set_size() > 0) {
-    jl->right_key.CompileKey(*this, keys.right_keys, e.var2(), env,
-                             FirstElemShape(*r));
-  }
-  if (l.set_size() == 0) return;
-  const TupleShape* l_shape = FirstElemShape(l.elements());
-  jl->left_key.CompileKey(*this, keys.left_keys, e.var(), env, l_shape);
-  if (!keys.residual.empty()) {
-    jl->residual.Compile(*this, residual, {e.var(), e.var2()}, env, l_shape);
-  }
-  if (e.kind() == ExprKind::kNestJoin && !jl->identity_inner) {
-    jl->inner.Compile(*this, *e.inner(), {e.var(), e.var2()}, env, l_shape);
-  }
-}
-
-Result<Value> Evaluator::JoinKey(CompiledLambda& cl,
-                                 const std::vector<ExprPtr>& keys,
-                                 const std::string& var, const Value& row,
-                                 Environment& env) {
-  if (cl.ok()) {
-    Value* k = cl.Run(row);
-    if (k == nullptr) return cl.status();
-    return std::move(*k);
-  }
-  if (cl.fallback()) ++stats_.interp_fallback_evals;
-  env.Push(var, row);
-  std::vector<Value> parts;
-  parts.reserve(keys.size());
-  for (const ExprPtr& k : keys) {
-    Result<Value> kv = EvalNode(*k, env);
-    if (!kv.ok()) {
-      env.Pop();
-      return kv.status();
-    }
-    parts.push_back(std::move(kv).value());
-  }
-  env.Pop();
-  return JoinKeyFromParts(std::move(parts));
-}
-
-Status Evaluator::ResidualHolds(const Expr& e, const Expr& residual,
-                                CompiledLambda& cl, const Value& x,
-                                const Value& y, Environment& env,
-                                bool* holds) {
+Status Evaluator::ResidualHolds(Lambda& residual, const Value& x,
+                                const Value& y, bool* holds) {
   ++stats_.predicate_evals;
-  Result<Value> interp = Value();
-  const Value* p = nullptr;
-  if (cl.ok()) {
-    p = cl.Run(x, y);
-    if (p == nullptr) return cl.status();
-  } else {
-    if (cl.fallback()) ++stats_.interp_fallback_evals;
-    env.Push(e.var(), x);
-    env.Push(e.var2(), y);
-    interp = EvalNode(residual, env);
-    env.Pop();
-    env.Pop();
-    if (!interp.ok()) return interp.status();
-    p = &*interp;
-  }
+  const Value* p = residual.Run(x, y);
+  if (p == nullptr) return residual.status();
   if (!p->is_bool()) return Status::RuntimeError("join residual not boolean");
   *holds = p->bool_value();
   return Status::OK();
@@ -164,62 +87,54 @@ Status Evaluator::HashJoin(const Expr& e, const JoinShape& shape,
   ExprPtr residual = Expr::AndAll(keys.residual);
 
   // Build phase over the right operand, on this evaluator.
-  CompiledLambda right_key;
-  if (opts_.compiled && r.set_size() > 0) {
-    right_key.CompileKey(*this, keys.right_keys, e.var2(), env,
-                         FirstElemShape(r));
-  }
+  Lambda right_key = Lambda::Key(*this, env, keys.right_keys, e.var2());
   const std::vector<Value>& build = r.elements();
   JoinTable table(build.size());
   for (size_t i = 0; i < build.size(); ++i) {
     ++stats_.tuples_scanned;
-    N2J_ASSIGN_OR_RETURN(Value key, JoinKey(right_key, keys.right_keys,
-                                            e.var2(), build[i], env));
+    Value* key = right_key.Run(build[i]);
+    if (key == nullptr) return right_key.status();
     ++stats_.hash_inserts;
-    table.Insert(std::move(key), static_cast<uint32_t>(i));
+    table.Insert(std::move(*key), static_cast<uint32_t>(i));
   }
   if (opts_.trace != nullptr) opts_.trace->NotePeakHash(table.num_keys());
 
   // Probe phase over the left operand; morsels share the read-only table.
   std::span<const Value> probe = l.elements();
-  auto compile = [&](Evaluator& ev, Environment& wenv) {
-    JoinLambdas jl;
-    ev.CompileJoinLambdas(e, keys, *residual, l, nullptr, wenv, &jl);
+  auto bind = [&](Evaluator& ev, Environment& wenv) {
+    JoinLambdas jl(ev, wenv, e, *residual);
+    jl.key = Lambda::Key(ev, wenv, keys.left_keys, e.var());
     return jl;
   };
-  auto rows = [&](Evaluator& ev, Environment& wenv, JoinLambdas& jl,
-                  size_t begin, size_t end,
+  auto rows = [&](Evaluator& ev, JoinLambdas& jl, size_t begin, size_t end,
                   std::vector<Value>* rows_out) -> Status {
     for (const Value& x : probe.subspan(begin, end - begin)) {
       ++ev.stats_.tuples_scanned;
-      N2J_ASSIGN_OR_RETURN(Value key, ev.JoinKey(jl.left_key, keys.left_keys,
-                                                 e.var(), x, wenv));
+      Value* key = jl.key.Run(x);
+      if (key == nullptr) return jl.key.status();
       ++ev.stats_.hash_probes;
-      N2J_RETURN_IF_ERROR(ev.CollectMatches(e, *residual, keys, build,
-                                            table.Find(key), x, wenv, jl));
+      N2J_RETURN_IF_ERROR(
+          ev.CollectMatches(keys, build, table.Find(*key), x, jl));
       N2J_RETURN_IF_ERROR(ev.EmitJoinResult(e, x, jl.matches,
-                                            /*canonical_build=*/true, wenv,
+                                            /*canonical_build=*/true,
                                             rows_out, jl));
     }
     return Status::OK();
   };
-  return ForEachMorsel(*this, env, probe.size(), "join/probe", compile, rows,
+  return ForEachMorsel(*this, env, probe.size(), "join/probe", bind, rows,
                        out);
 }
 
-Status Evaluator::CollectMatches(const Expr& e, const Expr& residual,
-                                 const EquiJoinKeys& keys,
+Status Evaluator::CollectMatches(const EquiJoinKeys& keys,
                                  const std::vector<Value>& build,
                                  const JoinTable::Chain& chain,
-                                 const Value& x, Environment& env,
-                                 JoinLambdas& jl) {
+                                 const Value& x, JoinLambdas& jl) {
   jl.matches.clear();
   for (uint32_t row : chain) {
     const Value& y = build[row];
     bool holds = true;
     if (!keys.residual.empty()) {
-      N2J_RETURN_IF_ERROR(
-          ResidualHolds(e, residual, jl.residual, x, y, env, &holds));
+      N2J_RETURN_IF_ERROR(ResidualHolds(jl.residual, x, y, &holds));
     }
     if (holds) jl.matches.push_back(&y);
   }
@@ -242,30 +157,28 @@ Status Evaluator::IndexJoin(const Expr& e, const JoinShape& shape,
   }
 
   ExprPtr residual = Expr::AndAll(keys.residual);
-  JoinLambdas jl;
-  CompileJoinLambdas(e, keys, *residual, l, nullptr, env, &jl);
+  JoinLambdas jl(*this, env, e, *residual);
+  jl.key = Lambda::Key(*this, env, keys.left_keys, e.var());
   for (const Value& x : l.elements()) {
     ++stats_.tuples_scanned;
-    N2J_ASSIGN_OR_RETURN(
-        Value key, JoinKey(jl.left_key, keys.left_keys, e.var(), x, env));
+    Value* key = jl.key.Run(x);
+    if (key == nullptr) return jl.key.status();
     ++stats_.index_probes;
-    const std::vector<size_t>* rows = index->Lookup(key);
+    const std::vector<size_t>* rows = index->Lookup(*key);
     jl.matches.clear();
     if (rows != nullptr) {
       for (size_t row : *rows) {
         const Value& y = table->rows()[row];
         bool holds = true;
         if (!keys.residual.empty()) {
-          N2J_RETURN_IF_ERROR(
-              ResidualHolds(e, *residual, jl.residual, x, y, env, &holds));
+          N2J_RETURN_IF_ERROR(ResidualHolds(jl.residual, x, y, &holds));
         }
         if (holds) jl.matches.push_back(&y);
       }
     }
     // The matches point into the table's insertion-ordered rows.
     N2J_RETURN_IF_ERROR(EmitJoinResult(e, x, jl.matches,
-                                       /*canonical_build=*/false, env, out,
-                                       jl));
+                                       /*canonical_build=*/false, out, jl));
   }
   return Status::OK();
 }

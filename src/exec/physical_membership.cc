@@ -30,55 +30,26 @@ Status Evaluator::MembershipJoin(const Expr& e, const JoinShape& shape,
   }
 
   // Build: f(y) → matching right tuples, on this evaluator.
-  CompiledLambda build_key;
-  if (opts_.compiled && r.set_size() > 0) {
-    build_key.Compile(*this, *key.right_key, {e.var2()}, env,
-                      FirstElemShape(r));
-  }
-  const std::vector<ExprPtr> right_keys = {key.right_key};
+  Lambda build_key(*this, env, *key.right_key, e.var2());
   const std::vector<Value>& build = r.elements();
   JoinTable table(build.size());
   for (size_t i = 0; i < build.size(); ++i) {
     ++stats_.tuples_scanned;
-    N2J_ASSIGN_OR_RETURN(Value kv, JoinKey(build_key, right_keys, e.var2(),
-                                           build[i], env));
+    Value* kv = build_key.Run(build[i]);
+    if (kv == nullptr) return build_key.status();
     ++stats_.hash_inserts;
-    table.Insert(std::move(kv), static_cast<uint32_t>(i));
+    table.Insert(std::move(*kv), static_cast<uint32_t>(i));
   }
   if (opts_.trace != nullptr) opts_.trace->NotePeakHash(table.num_keys());
 
   ExprPtr residual = Expr::AndAll(key.residual);
   bool trivial_residual = key.residual.empty();
-  const std::vector<ExprPtr> elem_keys = {key.elem_key};
-
-  // Probe-side element shape: the elements of the first left tuple's
-  // set attribute seed the element-key program's inline caches.
-  const TupleShape* elem_shape = nullptr;
-  if (l.set_size() > 0) {
-    const Value& x0 = l.elements()[0];
-    if (x0.is_tuple()) {
-      const Value* a = x0.FindField(key.attr);
-      if (a != nullptr && a->is_set()) elem_shape = FirstElemShape(*a);
-    }
-  }
-  // Sizes one evaluator's key stamps and compiles its probe-side
-  // lambdas.
-  const TupleShape* l_shape = FirstElemShape(l.elements());
-  const bool identity = IsIdentityInner(e);
-  auto compile = [&](Evaluator& ev, Environment& wenv) {
-    JoinLambdas jl;
-    if (key.elem_key != nullptr) jl.key_seen.assign(table.num_keys(), 0);
-    jl.identity_inner = identity;
-    if (!opts_.compiled || l.set_size() == 0) return jl;
+  // Binds one evaluator's probe-side lambdas and sizes its key stamps.
+  auto bind = [&](Evaluator& ev, Environment& wenv) {
+    JoinLambdas jl(ev, wenv, e, *residual);
     if (key.elem_key != nullptr) {
-      jl.elem_key.Compile(ev, *key.elem_key, {key.elem_var}, wenv,
-                          elem_shape);
-    }
-    if (!trivial_residual) {
-      jl.residual.Compile(ev, *residual, {e.var(), e.var2()}, wenv, l_shape);
-    }
-    if (e.kind() == ExprKind::kNestJoin && !identity) {
-      jl.inner.Compile(ev, *e.inner(), {e.var(), e.var2()}, wenv, l_shape);
+      jl.key = Lambda(ev, wenv, *key.elem_key, key.elem_var);
+      jl.key_seen.assign(table.num_keys(), 0);
     }
     return jl;
   };
@@ -92,8 +63,7 @@ Status Evaluator::MembershipJoin(const Expr& e, const JoinShape& shape,
   // with pos + 1 of the left tuple that reached it last, so the stamps
   // never need clearing.
   std::span<const Value> probe = l.elements();
-  auto rows = [&](Evaluator& ev, Environment& wenv, JoinLambdas& jl,
-                  size_t begin, size_t end,
+  auto rows = [&](Evaluator& ev, JoinLambdas& jl, size_t begin, size_t end,
                   std::vector<Value>* rows_out) -> Status {
     for (size_t pos = begin; pos < end; ++pos) {
       const Value& x = probe[pos];
@@ -111,11 +81,9 @@ Status Evaluator::MembershipJoin(const Expr& e, const JoinShape& shape,
       for (const Value& elem : attr->elements()) {
         ++ev.stats_.hash_probes;
         const Value* probe_key = &elem;
-        Value elem_key;
         if (key.elem_key != nullptr) {
-          N2J_ASSIGN_OR_RETURN(elem_key, ev.JoinKey(jl.elem_key, elem_keys,
-                                                    key.elem_var, elem, wenv));
-          probe_key = &elem_key;
+          probe_key = jl.key.Run(elem);
+          if (probe_key == nullptr) return jl.key.status();
         }
         JoinTable::Chain chain = table.Find(*probe_key);
         if (key.elem_key != nullptr) {
@@ -126,19 +94,18 @@ Status Evaluator::MembershipJoin(const Expr& e, const JoinShape& shape,
           const Value& y = build[row];
           bool holds = true;
           if (!trivial_residual) {
-            N2J_RETURN_IF_ERROR(ev.ResidualHolds(e, *residual, jl.residual,
-                                                 x, y, wenv, &holds));
+            N2J_RETURN_IF_ERROR(ev.ResidualHolds(jl.residual, x, y, &holds));
           }
           if (holds) jl.matches.push_back(&y);
         }
       }
       N2J_RETURN_IF_ERROR(ev.EmitJoinResult(e, x, jl.matches,
-                                            /*canonical_build=*/true, wenv,
+                                            /*canonical_build=*/true,
                                             rows_out, jl));
     }
     return Status::OK();
   };
-  return ForEachMorsel(*this, env, probe.size(), "membership/probe", compile,
+  return ForEachMorsel(*this, env, probe.size(), "membership/probe", bind,
                        rows, out);
 }
 

@@ -180,8 +180,9 @@ class ShredExecutor {
     Environment env;
     return ForEachMorsel(
         inner_, env, nrows, phase, NoMorselState(),
-        [&](Evaluator& ev, Environment&, int, size_t b, size_t e,
-            Slot* slot) { return rows(ev, b, e, slot); },
+        [&](Evaluator& ev, int, size_t b, size_t e, Slot* slot) {
+          return rows(ev, b, e, slot);
+        },
         out);
   }
 

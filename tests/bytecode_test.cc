@@ -1,8 +1,8 @@
 // Tests for the bytecode compiler and VM (exec/bytecode.h,
-// exec/compile.h): coverage of every ExprKind (lower fully or fall back
+// exec/compile.h): coverage of every ExprKind (lower fully or be refused
 // cleanly, never mis-evaluate), golden disassembly for the paper's
-// Figure-1 lambdas, frame reuse across tuples and worker threads, and
-// error parity with the tree interpreter.
+// Figure-1 lambdas, frame reuse across tuples and worker threads, error
+// parity with the tree interpreter, and the per-lambda engine choice.
 
 #include "exec/compile.h"
 
@@ -10,6 +10,7 @@
 
 #include "common/str_util.h"
 #include "exec/bytecode.h"
+#include "exec/equi_join.h"
 #include "shred/shred.h"
 #include "storage/datagen.h"
 #include "tests/test_util.h"
@@ -25,15 +26,24 @@ class BytecodeTest : public ::testing::Test {
     db_ = MakeFigure2Database();  // X(a, c:{(d)}), Y(a, e)
   }
 
-  /// Compiles `body` as a one-parameter lambda over `var` against an
-  /// empty environment.
-  CompiledLambda CompileBody(const ExprPtr& body, const std::string& var,
-                             const TupleShape* shape = nullptr) {
-    CompiledLambda cl;
+  /// The first row of table X, whose shape seeds a lambda's caches.
+  Value FirstX() const {
+    return EvalExpr(*db_, Expr::Table("X")).elements()[0];
+  }
+
+  /// Binds `body` as a one-parameter lambda over `var` against an empty
+  /// environment and runs it once on `arg`, which chooses its engine.
+  /// Returns the lambda's result.
+  Result<Value> RunOnce(const ExprPtr& body, const std::string& var,
+                        const Value& arg, bool* compiled, bool* refused) {
     Environment env;
     Evaluator ev(*db_);
-    cl.Compile(ev, *body, {var}, env, shape);
-    return cl;
+    Lambda lambda(ev, env, *body, var);
+    Value* r = lambda.Run(arg);
+    *compiled = lambda.compiled();
+    *refused = lambda.refused();
+    if (r == nullptr) return lambda.status();
+    return *r;
   }
 
   /// Evaluates α[x : body](X) compiled and interpreted; expects equal
@@ -91,9 +101,12 @@ TEST_F(BytecodeTest, ScalarKindsLower) {
                                       Expr::Access(Expr::Var("x"), "c"))},
   };
   for (const Case& c : lowerable) {
-    CompiledLambda cl = CompileBody(c.body, "x");
-    EXPECT_TRUE(cl.ok()) << c.label;
-    EXPECT_FALSE(cl.fallback()) << c.label;
+    bool compiled = false;
+    bool refused = true;
+    EXPECT_TRUE(RunOnce(c.body, "x", FirstX(), &compiled, &refused).ok())
+        << c.label;
+    EXPECT_TRUE(compiled) << c.label;
+    EXPECT_FALSE(refused) << c.label;
     MapBothEngines(c.body);
   }
 }
@@ -125,34 +138,47 @@ TEST_F(BytecodeTest, IteratorKindsFallBack) {
       {"divide", Expr::Divide(y, Expr::Project(y, {"e"}))},
   };
   for (const Case& c : fallbacks) {
-    CompiledLambda cl = CompileBody(c.body, "x");
-    EXPECT_FALSE(cl.ok()) << c.label;
-    EXPECT_TRUE(cl.fallback()) << c.label;
-    // The per-operator fallback must still produce the interpreter's
-    // result when the body sits inside a map.
+    bool compiled = true;
+    bool refused = false;
+    EXPECT_TRUE(RunOnce(c.body, "x", FirstX(), &compiled, &refused).ok())
+        << c.label;
+    EXPECT_FALSE(compiled) << c.label;
+    EXPECT_TRUE(refused) << c.label;
+    // A refused lambda must still produce the interpreter's result when
+    // the body sits inside a map.
     MapBothEngines(c.body);
   }
 }
 
 TEST_F(BytecodeTest, UnboundVariableFallsBack) {
-  CompiledLambda cl = CompileBody(Expr::Var("nope"), "x");
-  EXPECT_TRUE(cl.fallback());
+  bool compiled = true;
+  bool refused = false;
+  Result<Value> r =
+      RunOnce(Expr::Var("nope"), "x", FirstX(), &compiled, &refused);
+  EXPECT_TRUE(refused);
+  ASSERT_FALSE(r.ok());
+  EXPECT_EQ(r.status().message(), "unbound variable: nope");
 }
 
 TEST_F(BytecodeTest, UnknownTableFallsBack) {
-  CompiledLambda cl = CompileBody(Expr::Table("NOPE"), "x");
-  EXPECT_TRUE(cl.fallback());
+  bool compiled = true;
+  bool refused = false;
+  Result<Value> r =
+      RunOnce(Expr::Table("NOPE"), "x", FirstX(), &compiled, &refused);
+  EXPECT_TRUE(refused);
+  ASSERT_FALSE(r.ok());
+  EXPECT_EQ(r.status().message(), "no such table: NOPE");
 }
 
 TEST_F(BytecodeTest, FreeVariablesAreCapturedByValue) {
-  CompiledLambda cl;
   Environment env;
   env.Push("k", Value::Int(10));
   Evaluator ev(*db_);
   ExprPtr body = Expr::Bin(BinOp::kAdd, Expr::Var("x"), Expr::Var("k"));
-  cl.Compile(ev, *body, {"x"}, env);
-  ASSERT_TRUE(cl.ok());
-  Value* r = cl.Run(Value::Int(5));
+  std::string x = "x";
+  Lambda lambda(ev, env, *body, x);
+  Value* r = lambda.Run(Value::Int(5));
+  ASSERT_TRUE(lambda.compiled());
   ASSERT_NE(r, nullptr);
   EXPECT_EQ(*r, Value::Int(15));
 }
@@ -174,24 +200,29 @@ TEST_F(BytecodeTest, DerefLowersAndMatchesInterpreter) {
 TEST_F(BytecodeTest, GoldenDisassemblyDerefField) {
   // deref(d.supplier).sname, a path step through a reference, is one
   // dfield instruction; the deref's result shape is never static, so
-  // its cache starts cold.
+  // its cache starts cold, and the first Run fills it (@1). The
+  // disassembly is read after that Run, which compiled the body.
   auto sp = testutil::SmallSupplierDb();
   ExprPtr body = Expr::Access(
       Expr::Deref(Expr::Access(Expr::Var("d"), "supplier"), "Supplier"),
       "sname");
-  CompiledLambda cl;
   Environment env;
   Evaluator ev(*sp);
-  const TupleShape* ds =
-      FirstElemShape(EvalExpr(*sp, Expr::Table("DELIVERY")));
-  cl.Compile(ev, *body, {"d"}, env, ds);
-  ASSERT_TRUE(cl.ok());
-  EXPECT_EQ(cl.program()->Disassemble(),
+  const Value d0 = EvalExpr(*sp, Expr::Table("DELIVERY")).elements()[0];
+  const TupleShape* ds = d0.tuple_shape();
+  std::string d = "d";
+  Lambda lambda(ev, env, *body, d);
+  ASSERT_NE(lambda.Run(d0), nullptr);
+  ASSERT_TRUE(lambda.compiled());
+  EXPECT_EQ(lambda.program()->Disassemble(),
             StrFormat("program regs=3 params=1\n"
                       "  0: field   r1 <- r0 .supplier@%d\n"
-                      "  1: dfield  r2 <- *r1 .sname\n"
+                      "  1: dfield  r2 <- *r1 .sname@%d\n"
                       "ret r2\n",
-                      ds->IndexOf("supplier")));
+                      ds->IndexOf("supplier"),
+                      sp->FindObject(d0.FindField("supplier")->oid_value())
+                          ->tuple_shape()
+                          ->IndexOf("sname")));
 }
 
 TEST_F(BytecodeTest, DerefFieldErrorsMatchInterpreter) {
@@ -282,19 +313,24 @@ TEST_F(BytecodeTest, DerefFieldRunsInBothShreddedExecutors) {
 
 TEST_F(BytecodeTest, GoldenDisassemblyFig1EquiKeyPredicate) {
   // The Figure-1 correlation predicate x.a = y.a, compiled as the
-  // residual-style two-parameter lambda with the X row shape known.
+  // residual-style two-parameter lambda. The first Run's x seeds x.a's
+  // cache at compile time; y.a's starts cold and that Run fills it, so
+  // both read @0 after it.
   ExprPtr pred = Expr::Eq(Expr::Access(Expr::Var("x"), "a"),
                           Expr::Access(Expr::Var("y"), "a"));
-  CompiledLambda cl;
   Environment env;
   Evaluator ev(*db_);
-  const TupleShape* xs = FirstElemShape(EvalExpr(*db_, Expr::Table("X")));
-  cl.Compile(ev, *pred, {"x", "y"}, env, xs);
-  ASSERT_TRUE(cl.ok());
-  EXPECT_EQ(cl.program()->Disassemble(),
+  std::string x = "x";
+  std::string y = "y";
+  Lambda lambda(ev, env, *pred, x, y);
+  ASSERT_NE(lambda.Run(FirstX(),
+                       EvalExpr(*db_, Expr::Table("Y")).elements()[0]),
+            nullptr);
+  ASSERT_TRUE(lambda.compiled());
+  EXPECT_EQ(lambda.program()->Disassemble(),
             "program regs=5 params=2\n"
             "  0: field   r2 <- r0 .a@0\n"
-            "  1: field   r3 <- r1 .a\n"
+            "  1: field   r3 <- r1 .a@0\n"
             "  2: binary  r4 <- r2 = r3\n"
             "ret r4\n");
 }
@@ -303,13 +339,14 @@ TEST_F(BytecodeTest, GoldenDisassemblyFig1MapBody) {
   // The subquery's map body (d = y.e) from Figure 1.
   ExprPtr body = Expr::TupleConstruct(
       {"d"}, {Expr::Access(Expr::Var("y"), "e")});
-  CompiledLambda cl;
   Environment env;
   Evaluator ev(*db_);
-  const TupleShape* ys = FirstElemShape(EvalExpr(*db_, Expr::Table("Y")));
-  cl.Compile(ev, *body, {"y"}, env, ys);
-  ASSERT_TRUE(cl.ok());
-  EXPECT_EQ(cl.program()->Disassemble(),
+  std::string y = "y";
+  Lambda lambda(ev, env, *body, y);
+  ASSERT_NE(lambda.Run(EvalExpr(*db_, Expr::Table("Y")).elements()[0]),
+            nullptr);
+  ASSERT_TRUE(lambda.compiled());
+  EXPECT_EQ(lambda.program()->Disassemble(),
             "program regs=3 params=1\n"
             "  0: field   r1 <- r0 .e@1\n"
             "  1: tuple   r2 <- (d = r1)\n"
@@ -322,13 +359,13 @@ TEST_F(BytecodeTest, GoldenDisassemblyShortCircuitAnd) {
       Expr::Eq(Expr::Access(Expr::Var("x"), "a"), Expr::Const(Value::Int(1))),
       Expr::Bin(BinOp::kLt, Expr::Access(Expr::Var("x"), "a"),
                 Expr::Const(Value::Int(9))));
-  CompiledLambda cl;
   Environment env;
   Evaluator ev(*db_);
-  const TupleShape* xs = FirstElemShape(EvalExpr(*db_, Expr::Table("X")));
-  cl.Compile(ev, *pred, {"x"}, env, xs);
-  ASSERT_TRUE(cl.ok());
-  EXPECT_EQ(cl.program()->Disassemble(),
+  std::string x = "x";
+  Lambda lambda(ev, env, *pred, x);
+  ASSERT_NE(lambda.Run(FirstX()), nullptr);
+  ASSERT_TRUE(lambda.compiled());
+  EXPECT_EQ(lambda.program()->Disassemble(),
             "program regs=8 params=1\n"
             "  0: field   r1 <- r0 .a@0\n"
             "  1: const   r2 <- 1\n"
@@ -347,13 +384,17 @@ TEST_F(BytecodeTest, GoldenDisassemblyJoinKeyExtractor) {
       Expr::Access(Expr::Var("x"), "a"),
       Expr::Bin(BinOp::kAdd, Expr::Access(Expr::Var("x"), "a"),
                 Expr::Const(Value::Int(1)))};
-  CompiledLambda cl;
   Environment env;
   Evaluator ev(*db_);
-  const TupleShape* xs = FirstElemShape(EvalExpr(*db_, Expr::Table("X")));
-  cl.CompileKey(ev, keys, "x", env, xs);
-  ASSERT_TRUE(cl.ok());
-  EXPECT_EQ(cl.program()->Disassemble(),
+  std::string x = "x";
+  Lambda lambda = Lambda::Key(ev, env, keys, x);
+  Value* key = lambda.Run(FirstX());
+  ASSERT_NE(key, nullptr);
+  ASSERT_TRUE(lambda.compiled());
+  const Value a = *FirstX().FindField("a");
+  EXPECT_EQ(*key, JoinKeyFromParts(
+                      {a, Value::Int(a.int_value() + 1)}));
+  EXPECT_EQ(lambda.program()->Disassemble(),
             "program regs=6 params=1\n"
             "  0: field   r1 <- r0 .a@0\n"
             "  1: field   r2 <- r0 .a@0\n"
@@ -368,10 +409,13 @@ TEST_F(BytecodeTest, FoldedKeyProjectionMatchesInterpreter) {
   // to one projection that selects field a; no projected tuple is built.
   ExprPtr body = Expr::Access(Expr::TupleProject(Expr::Var("x"), {"a", "c"}),
                               "a");
-  Value x = EvalExpr(*db_, Expr::Table("X"));
-  CompiledLambda cl = CompileBody(body, "x", FirstElemShape(x));
-  ASSERT_TRUE(cl.ok());
-  EXPECT_EQ(cl.program()->Disassemble(),
+  Environment env;
+  Evaluator ev(*db_);
+  std::string x = "x";
+  Lambda lambda(ev, env, *body, x);
+  ASSERT_NE(lambda.Run(FirstX()), nullptr);
+  ASSERT_TRUE(lambda.compiled());
+  EXPECT_EQ(lambda.program()->Disassemble(),
             "program regs=2 params=1\n"
             "  0: projfld r1 <- r0 [a, c].a\n"
             "ret r1\n");
@@ -413,22 +457,23 @@ TEST_F(BytecodeTest, FoldedKeyProjectionKeepsProjectionErrors) {
 TEST_F(BytecodeTest, FrameIsReusedAcrossTuples) {
   // One program, many Run calls; the register frame must deliver fresh
   // results every time (no stale state across tuples).
-  CompiledLambda cl;
   Environment env;
   Evaluator ev(*db_);
   ExprPtr body = Expr::Bin(BinOp::kMul, Expr::Var("x"), Expr::Var("x"));
-  cl.Compile(ev, *body, {"x"}, env);
-  ASSERT_TRUE(cl.ok());
+  std::string x = "x";
+  Lambda lambda(ev, env, *body, x);
   for (int i = 0; i < 100; ++i) {
-    Value* r = cl.Run(Value::Int(i));
+    Value* r = lambda.Run(Value::Int(i));
     ASSERT_NE(r, nullptr);
+    ASSERT_TRUE(lambda.compiled());
     EXPECT_EQ(*r, Value::Int(static_cast<int64_t>(i) * i));
   }
+  EXPECT_EQ(ev.stats().compiled_evals, 100u);
 }
 
 TEST_F(BytecodeTest, WorkerFramesMatchSerialUnderParallelism) {
   // Same value and *exact* same counters under num_threads 1 and 4:
-  // each worker compiles its own frame, and the per-worker counters
+  // each worker binds its own lambda, and the per-worker counters
   // merge to the serial totals.
   auto db = std::make_unique<Database>();
   XYConfig config;
@@ -518,7 +563,7 @@ TEST_F(BytecodeTest, CompiledOffMeansNoCompiledEvals) {
 }
 
 TEST_F(BytecodeTest, FallbackEvalsAreCounted) {
-  // A body containing a nested select cannot compile; the per-tuple
+  // A body containing a nested select is refused; the per-tuple
   // interpreter evaluations are surfaced in the stats.
   ExprPtr body = Expr::Agg(
       AggKind::kCount,
@@ -531,6 +576,46 @@ TEST_F(BytecodeTest, FallbackEvalsAreCounted) {
   ASSERT_TRUE(ev.Eval(e).ok());
   Value x = EvalExpr(*db_, Expr::Table("X"));
   EXPECT_EQ(ev.stats().interp_fallback_evals, x.set_size());
+}
+
+TEST_F(BytecodeTest, EachJoinLambdaChoosesItsOwnEngine) {
+  // A nested-loop nestjoin whose predicate holds an iterator (refused)
+  // and whose inner function is a plain tuple construction (compiled):
+  // the predicate is interpreted on every pair, the inner runs as
+  // bytecode on every match. The project iterator runs no lambda of its
+  // own, so every compiled evaluation is the inner's.
+  ExprPtr xa = Expr::Access(Expr::Var("x"), "a");
+  ExprPtr ya = Expr::Access(Expr::Var("y"), "a");
+  ExprPtr pred = Expr::And(
+      Expr::Eq(xa, ya),
+      Expr::Bin(BinOp::kGt,
+                Expr::Agg(AggKind::kCount,
+                          Expr::Project(Expr::Table("Y"), {"a"})),
+                Expr::Const(Value::Int(0))));
+  ExprPtr inner = Expr::TupleConstruct(
+      {"a", "e"}, {ya, Expr::Access(Expr::Var("y"), "e")});
+  ExprPtr e = Expr::NestJoin(Expr::Table("X"), Expr::Table("Y"), "x", "y",
+                             pred, "g", inner);
+  EvalOptions nl;
+  nl.join_algorithm = JoinAlgorithm::kNestedLoop;
+  Evaluator ev(*db_, nl);
+  Result<Value> got = ev.Eval(e);
+  ASSERT_TRUE(got.ok()) << got.status().ToString();
+
+  EvalOptions interp = nl;
+  interp.compiled = false;
+  EXPECT_EQ(*got, EvalExpr(*db_, e, interp));
+
+  uint64_t matches = 0;
+  for (const Value& row : got->elements()) {
+    matches += row.FindField("g")->set_size();
+  }
+  const size_t pairs = EvalExpr(*db_, Expr::Table("X")).set_size() *
+                       EvalExpr(*db_, Expr::Table("Y")).set_size();
+  EXPECT_GT(matches, 0u);
+  EXPECT_EQ(ev.stats().joins_nested_loop, 1u);
+  EXPECT_EQ(ev.stats().compiled_evals, matches);
+  EXPECT_EQ(ev.stats().interp_fallback_evals, pairs);
 }
 
 }  // namespace

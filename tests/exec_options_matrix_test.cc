@@ -29,6 +29,15 @@ const char* kQueries[] = {
     "select x from x in X where x.c subseteq "
     "(select (d = y.e) from y in Y where y.a = x.a)",
     "select x.a from x in X where x.a in (select y.e from y in Y)",
+    // A nested select the rewrite leaves inside the nestjoin's inner
+    // function, and one left inside the semijoin's residual: compiled
+    // evaluation refuses those lambdas and interprets them, next to the
+    // join keys and predicates it compiles.
+    "select (a = x.a, n = count(Yp)) from x in X with Yp = "
+    "select (e = y.e, k = count(select z from z in Y where z.e = y.e)) "
+    "from y in Y where y.a = x.a",
+    "select x from x in X where exists y in Y : y.a = x.a and "
+    "count(select z from z in Y where z.e = y.e and z.a < x.a) > 0",
 };
 
 class ExecOptionsMatrixTest : public ::testing::TestWithParam<int> {};

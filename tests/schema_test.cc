@@ -40,6 +40,15 @@ TEST(SchemaTest, ClassIdsAreSequential) {
   EXPECT_EQ(s.FindClassById(99), nullptr);
 }
 
+TEST(SchemaTest, RegisteredClassTypesAreBuiltOnce) {
+  Schema s = MakeSupplierPartSchema();
+  const ClassDef* part = s.FindClass("Part");
+  ASSERT_NE(part, nullptr);
+  EXPECT_EQ(part->ObjectType().get(), part->ObjectType().get());
+  EXPECT_EQ(part->ExtentType()->element().get(), part->ObjectType().get());
+  EXPECT_EQ(ClassDef().ObjectType(), nullptr);
+}
+
 TEST(SchemaTest, DuplicateNamesRejected) {
   Schema s;
   ClassDef a;

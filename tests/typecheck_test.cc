@@ -216,12 +216,38 @@ TEST_F(TypecheckTest, VerdictAndTypeTable) {
                  Expr::TupleConstruct({"a", "a"}, {integer(1), integer(2)}),
                  Expr::Table("PART")),
        nullptr},
+      // A join's predicate must be boolean, as a selection's must.
+      {"join on an int predicate",
+       Expr::Join(Expr::Table("SUPPLIER"), Expr::Table("PART"), "x", "y",
+                  integer(1)),
+       nullptr},
+      {"semijoin on an int predicate",
+       Expr::SemiJoin(Expr::Table("SUPPLIER"), Expr::Table("PART"), "x", "y",
+                      integer(1)),
+       nullptr},
+      {"antijoin on an int predicate",
+       Expr::AntiJoin(Expr::Table("SUPPLIER"), Expr::Table("PART"), "x", "y",
+                      integer(1)),
+       nullptr},
+      {"nestjoin on an int predicate",
+       Expr::NestJoin(Expr::Table("SUPPLIER"), Expr::Table("PART"), "x", "y",
+                      integer(1), "ps", var("y")),
+       nullptr},
+      {"semijoin on an unknown-typed predicate",
+       Expr::SemiJoin(empty, Expr::Table("PART"), "x", "y",
+                      access(var("x"), "a")),
+       "{ any }"},
   };
   for (const Row& row : kRows) {
     Result<TypePtr> r = checker_->Infer(row.expr);
     if (row.type == nullptr) {
       ASSERT_FALSE(r.ok()) << row.shape << " typed as " << (*r)->ToString();
       EXPECT_EQ(r.status().code(), StatusCode::kTypeError) << row.shape;
+      if (std::string(row.shape).ends_with("an int predicate")) {
+        EXPECT_EQ(r.status().message(),
+                  "join predicate must be boolean, got int")
+            << row.shape;
+      }
     } else {
       ASSERT_TRUE(r.ok()) << row.shape << "\n" << r.status().ToString();
       EXPECT_EQ((*r)->ToString(), row.type) << row.shape;
