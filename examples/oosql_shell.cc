@@ -32,9 +32,6 @@
 //   \log [n]         print the last n (default 10) flight-recorder
 //                    records: latency, stats, fallbacks, q-error
 //   \slow [n]        the n slowest recorded queries, slowest first
-//   \drift           per-extent plan-drift report (rolling q-error
-//                    windows; extents flagged when stats went stale —
-//                    \analyze refreshes and clears them)
 //   \quit            exit
 //
 //   $ ./build/examples/oosql_shell
@@ -51,7 +48,6 @@
 #include "common/thread_pool.h"
 #include "core/engine.h"
 #include "obs/chrome_trace.h"
-#include "obs/drift.h"
 #include "obs/metrics.h"
 #include "obs/openmetrics.h"
 #include "obs/querylog.h"
@@ -90,7 +86,7 @@ void PrintLogRecord(const obs::QueryLogRecord& r) {
                 r.error.c_str(), q.c_str());
     return;
   }
-  // max_q < 1 means no span or extent was priced — not a measured 0.
+  // max_q < 1 means no span was priced — not a measured 0.
   char qbuf[16] = "-";
   if (r.max_q >= 1.0) std::snprintf(qbuf, sizeof(qbuf), "%.2f", r.max_q);
   std::printf(
@@ -329,9 +325,6 @@ int main() {
           std::printf("no queries recorded yet\n");
         }
         for (const obs::QueryLogRecord& r : all) PrintLogRecord(r);
-      } else if (cmd == "\\drift") {
-        std::printf("%s",
-                    obs::DriftMonitor::Global().Report().ToString().c_str());
       } else if (cmd == "\\explain") {
         std::string rest;
         std::getline(iss, rest);

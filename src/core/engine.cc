@@ -1,19 +1,16 @@
 #include "core/engine.h"
 
 #include <algorithm>
-#include <set>
 
 #include "adl/analysis.h"
 #include "adl/printer.h"
 #include "common/str_util.h"
 #include "common/thread_pool.h"
-#include "obs/drift.h"
 #include "obs/metrics.h"
 #include "obs/querylog.h"
 #include "obs/trace.h"
 #include "oosql/translate.h"
 #include "shred/shred.h"
-#include "stats/stats.h"
 
 namespace n2j {
 
@@ -21,15 +18,6 @@ namespace {
 
 double MsSince(int64_t t0_ns) {
   return static_cast<double>(MonotonicNanos() - t0_ns) / 1e6;
-}
-
-/// Collects the names of every base extent the expression scans.
-void CollectExtents(const ExprPtr& e, std::set<std::string>* out) {
-  if (e == nullptr) return;
-  if (e->kind() == ExprKind::kGetTable) out->insert(e->name());
-  for (size_t i = 0; i < e->num_children(); ++i) {
-    CollectExtents(e->child(i), out);
-  }
 }
 
 /// The registry instruments every query feeds, looked up by name once
@@ -78,7 +66,7 @@ constexpr size_t kMaxRecordedRoots = 16;
 /// Records one finished query (success or error) into the process-wide
 /// registry and the flight recorder.
 void RecordQueryOutcome(const Result<QueryReport>& r, int64_t t_start_ns,
-                        const std::string& query_text, const Database& db,
+                        const std::string& query_text,
                         const EvalOptions& eval_options,
                         const PlannerOptions& planner_options) {
   const QueryInstruments& m = QueryInstruments::Get();
@@ -139,27 +127,6 @@ void RecordQueryOutcome(const Result<QueryReport>& r, int64_t t_start_ns,
       if (rec.roots.size() >= kMaxRecordedRoots) break;
     }
   }
-
-  // Per-extent drift: the stats snapshot the planner would price with
-  // (Peek — never forces a collection scan) against the live extent
-  // size. Only extents that have been analyzed at least once can drift.
-  std::set<std::string> extent_names;
-  CollectExtents(rep.translated, &extent_names);
-  obs::DriftMonitor& drift = obs::DriftMonitor::Global();
-  for (const std::string& name : extent_names) {
-    std::shared_ptr<const ExtentStats> snap = db.stats().Peek(name);
-    const Table* t = db.FindTable(name);
-    if (snap == nullptr || t == nullptr) continue;
-    obs::ExtentEstimate e;
-    e.extent = name;
-    e.est = snap->row_count;
-    e.actual = t->size();
-    e.q = obs::QError(static_cast<double>(e.est),
-                      static_cast<double>(e.actual));
-    rec.max_q = std::max(rec.max_q, e.q);
-    drift.Observe(name, snap->version, e.q);
-    rec.extents.push_back(std::move(e));
-  }
   qlog.Append(std::move(rec));
 }
 
@@ -199,8 +166,7 @@ std::string QueryReport::Explain() const {
   if (profile != nullptr) {
     // One est-vs-actual audit line per planner-estimated plan node, its
     // loops summed the way the profile tree collapses them — the EXPLAIN
-    // ANALYZE view of the same Q-errors the flight recorder logs and the
-    // drift monitor aggregates.
+    // ANALYZE view of the same Q-errors the flight recorder logs.
     for (const NodeEstimate& n : profile->EstimatesByPlanNode()) {
       std::string loops =
           n.loops > 1 ? StrFormat(" loops=%zu", n.loops) : std::string();
@@ -281,7 +247,7 @@ Result<QueryReport> QueryEngine::Run(const std::string& oosql) const {
     N2J_RETURN_IF_ERROR(Execute(&report));
     return report;
   }();
-  RecordQueryOutcome(out, t_start, oosql, *db_, eval_options_,
+  RecordQueryOutcome(out, t_start, oosql, eval_options_,
                      planner_options_);
   return out;
 }
@@ -292,7 +258,7 @@ Result<QueryReport> QueryEngine::RunAdl(const ExprPtr& adl) const {
     std::string what =
         StrFormat("ADL nesting deeper than %zu levels", kMaxAdlDepth);
     Result<QueryReport> out = Status::InvalidArgument(what);
-    RecordQueryOutcome(out, t_start, "<" + what + ">", *db_, eval_options_,
+    RecordQueryOutcome(out, t_start, "<" + what + ">", eval_options_,
                        planner_options_);
     return out;
   }
@@ -307,7 +273,7 @@ Result<QueryReport> QueryEngine::RunAdl(const ExprPtr& adl) const {
     N2J_RETURN_IF_ERROR(Execute(&report));
     return report;
   }();
-  RecordQueryOutcome(out, t_start, AlgebraStr(adl), *db_, eval_options_,
+  RecordQueryOutcome(out, t_start, AlgebraStr(adl), eval_options_,
                      planner_options_);
   return out;
 }

@@ -232,9 +232,8 @@ std::vector<OracleConfig> DefaultConfigMatrix() {
     m.push_back(c);
   }
   {
-    OracleConfig c = Cell("no-unnest-no-pushdown-no-hoist");
+    OracleConfig c = Cell("no-unnest-no-hoist");
     c.rewrite.enable_unnest_attr = false;
-    c.rewrite.enable_pushdown = false;
     c.rewrite.enable_hoist = false;
     m.push_back(c);
   }

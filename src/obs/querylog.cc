@@ -100,19 +100,6 @@ std::string QueryLogRecord::ToJson() const {
     AppendKv(&out, "q", roots[i].q, &rfirst);
     out += '}';
   }
-  out += ']';
-
-  out += ",\"extents\":[";
-  for (size_t i = 0; i < extents.size(); ++i) {
-    if (i > 0) out += ',';
-    out += '{';
-    bool efirst = true;
-    AppendKv(&out, "extent", extents[i].extent, &efirst);
-    AppendKv(&out, "est", extents[i].est, &efirst);
-    AppendKv(&out, "actual", extents[i].actual, &efirst);
-    AppendKv(&out, "q", extents[i].q, &efirst);
-    out += '}';
-  }
   out += "]}";
   return out;
 }
@@ -170,8 +157,16 @@ class JsonParser {
   bool ParseValue(JsonValue* out) {
     if (pos_ >= s_.size()) return false;
     switch (s_[pos_]) {
-      case '{': return ParseObject(out);
-      case '[': return ParseArray(out);
+      case '{':
+      case '[': {
+        // Each level costs a native stack frame here and in ~JsonValue,
+        // so a hostile line must not nest without bound.
+        if (depth_ == kMaxDepth) return false;
+        ++depth_;
+        bool ok = s_[pos_] == '{' ? ParseObject(out) : ParseArray(out);
+        --depth_;
+        return ok;
+      }
       case '"':
         out->kind = JsonValue::kString;
         return ParseString(&out->str);
@@ -320,8 +315,13 @@ class JsonParser {
     return true;
   }
 
+  // The record nests three levels (record, "roots", one root); the
+  // slack lets the format grow.
+  static constexpr int kMaxDepth = 16;
+
   const std::string& s_;
   size_t pos_ = 0;
+  int depth_ = 0;
 };
 
 std::string GetString(const JsonValue& obj, const char* key) {
@@ -387,18 +387,6 @@ bool QueryLogRecord::FromJson(const std::string& line, QueryLogRecord* out) {
       e.actual = GetU64(r, "actual");
       e.q = GetNumber(r, "q", 1.0);
       out->roots.push_back(std::move(e));
-    }
-  }
-  const JsonValue* extents = root.Find("extents");
-  if (extents != nullptr && extents->kind == JsonValue::kArray) {
-    for (const JsonValue& x : extents->items) {
-      if (x.kind != JsonValue::kObject) return false;
-      ExtentEstimate e;
-      e.extent = GetString(x, "extent");
-      e.est = GetU64(x, "est");
-      e.actual = GetU64(x, "actual");
-      e.q = GetNumber(x, "q", 1.0);
-      out->extents.push_back(std::move(e));
     }
   }
   return true;

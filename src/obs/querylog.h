@@ -32,7 +32,7 @@ namespace obs {
 
 /// The Q-error of a cardinality estimate: max(est/actual, actual/est)
 /// with both sides clamped to >= 1 so empty results do not divide by
-/// zero. 1.0 = perfect; >= threshold = the estimate is drifting.
+/// zero. 1.0 = perfect.
 double QError(double est_rows, double actual_rows);
 
 /// Est-vs-actual for one estimated plan root — a span the cost-based
@@ -43,17 +43,6 @@ struct RootEstimate {
   double est = -1.0;     // planner-estimated output rows
   uint64_t actual = 0;   // observed output rows
   double q = 1.0;        // QError(est, actual)
-};
-
-/// Est-vs-actual for one base extent the query scanned: the row count
-/// of the statistics snapshot the planner would price with (no refresh
-/// forced — StatsCatalog::Peek) against the extent's live size. Drift
-/// here means Append ran since the stats were collected.
-struct ExtentEstimate {
-  std::string extent;
-  uint64_t est = 0;      // stats-snapshot row count
-  uint64_t actual = 0;   // live Table::size()
-  double q = 1.0;
 };
 
 /// One finished query. Everything a post-mortem needs, nothing that
@@ -81,9 +70,8 @@ struct QueryLogRecord {
   uint64_t rows_out = 0;     // result cardinality (0 for scalar results)
 
   EvalStats stats;           // full counter snapshot of the execution
-  std::vector<RootEstimate> roots;     // estimated spans (tracing + cost)
-  std::vector<ExtentEstimate> extents; // per-extent stats drift
-  double max_q = 0.0;        // max Q-error over roots + extents (0=none)
+  std::vector<RootEstimate> roots;  // estimated spans (tracing + cost)
+  double max_q = 0.0;        // max Q-error over roots (0 = not traced)
 
   /// Fallback total: per-tuple interpreter evaluations the compiled
   /// engine fell back to.

@@ -197,10 +197,8 @@ class Driver {
              true, {on(o.enable_unnest_attr, ApplyUnnestAttr)});
     AddStage(Walk::kBottomUp, KindBits({ExprKind::kSelect, ExprKind::kMap}),
              true, {on(o.grouping != GroupingMode::kNone, ApplyGrouping)});
-    AddStage(Walk::kBottomUp, kJoinKinds, false,
-             {on(o.enable_pushdown, ApplyPushdown)});
-    AddStage(Walk::kBottomUp, kJoinKinds, false,
-             {on(o.enable_pushdown, ApplyJoinPredPushdown)});
+    AddStage(Walk::kBottomUp, kJoinKinds, false, {ApplyPushdown});
+    AddStage(Walk::kBottomUp, kJoinKinds, false, {ApplyJoinPredPushdown});
   }
 
   ExprPtr Run(ExprPtr e, int max_rounds) {

@@ -36,7 +36,6 @@ struct RewriteOptions {
   bool enable_map_join = true;        // Rule 2
   bool enable_unnest_attr = true;     // option 1 (attribute unnesting)
   bool enable_hoist = true;           // uncorrelated subqueries → let
-  bool enable_pushdown = true;        // selection pushdown through joins
   GroupingMode grouping = GroupingMode::kNestJoin;
 };
 

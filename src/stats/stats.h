@@ -132,10 +132,10 @@ class StatsCatalog {
 
   /// The cached snapshot for `table` exactly as the last Get/Analyze
   /// left it — no collection, no version check, nullptr when the table
-  /// was never analyzed. This is what the planner would price with if it
-  /// consulted the catalog right now without forcing a refresh; the
-  /// flight recorder compares it against the live extent size to detect
-  /// stale statistics (obs/drift.h) without itself triggering a scan.
+  /// was never analyzed. The planner never prices with it: it reads
+  /// through Get, which refreshes first. Callers are perfbench's layered
+  /// replay, which counts a refresh when Get returns another snapshot,
+  /// and tests that check what a Get left behind.
   std::shared_ptr<const ExtentStats> Peek(const std::string& table) const;
 
   /// Drops every fold state and re-folds every table from row 0 —

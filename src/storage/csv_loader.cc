@@ -1,5 +1,7 @@
 #include "storage/csv_loader.h"
 
+#include <cerrno>
+#include <cmath>
 #include <cstdlib>
 #include <fstream>
 #include <sstream>
@@ -78,16 +80,25 @@ Result<Value> CoerceField(const std::string& raw, const Type& type,
       if (raw == "true" || raw == "1") return Value::Bool(true);
       if (raw == "false" || raw == "0") return Value::Bool(false);
       return bad("bool");
+    // A number must use the whole field (a NUL byte would end the C
+    // string early) and fit its type; an underflow toward 0 is kept.
     case Type::Kind::kInt: {
       char* end = nullptr;
+      errno = 0;
       long long v = std::strtoll(raw.c_str(), &end, 10);
-      if (end == raw.c_str() || *end != '\0') return bad("int");
+      if (raw.empty() || end != raw.c_str() + raw.size() || errno == ERANGE) {
+        return bad("int");
+      }
       return Value::Int(v);
     }
     case Type::Kind::kDouble: {
       char* end = nullptr;
+      errno = 0;
       double v = std::strtod(raw.c_str(), &end);
-      if (end == raw.c_str() || *end != '\0') return bad("double");
+      if (raw.empty() || end != raw.c_str() + raw.size() ||
+          (errno == ERANGE && (v == HUGE_VAL || v == -HUGE_VAL))) {
+        return bad("double");
+      }
       return Value::Double(v);
     }
     case Type::Kind::kString:

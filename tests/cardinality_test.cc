@@ -298,6 +298,18 @@ TEST(StaleStats, PlanChoiceTracksBulkAppend) {
 
   insert("L", "k", "v", 2, 2000);
   insert("R", "k2", "v2", 2, 2000);
+  // The catalog still holds the 2-row snapshots; one cost-planned run
+  // refreshes every extent it prices, with no Analyze call.
+  ASSERT_NE(db.stats().Peek("L"), nullptr);
+  EXPECT_EQ(db.stats().Peek("L")->row_count, 2u);
+  QueryEngine engine(&db, RewriteOptions(), EvalOptions(), popts);
+  ASSERT_TRUE(engine.RunAdl(join).ok());
+  for (const char* table : {"L", "R"}) {
+    SCOPED_TRACE(table);
+    std::shared_ptr<const ExtentStats> peeked = db.stats().Peek(table);
+    ASSERT_NE(peeked, nullptr);
+    EXPECT_EQ(peeked->row_count, db.FindTable(table)->size());
+  }
   PlanAnnotation large = annotation();
   // Stale statistics would still claim ~2 rows and keep pricing for the
   // tiny inputs; the refreshed catalog must see the bulk append and

@@ -96,6 +96,35 @@ TEST_F(CsvLoaderTest, ErrorsAreDescriptive) {
   EXPECT_FALSE(LoadCsv(&db_, "NOPE", "a\n1\n").ok());
 }
 
+// A number must fill its whole field and fit its type. Each rejected
+// field below once loaded: strtoll clamped the overflow to INT64_MAX,
+// the NUL byte ended the parse at "12", strtod overflowed to ±inf.
+TEST_F(CsvLoaderTest, NumbersMustFillTheFieldAndFitTheType) {
+  struct Case {
+    std::string price, weight, what;
+  };
+  const Case cases[] = {
+      {"99999999999999999999", "0.5", "as int"},
+      {std::string("12\0x", 4), "0.5", "as int"},
+      {"3", "1e999", "as double"},
+      {"3", "-1e999", "as double"},
+  };
+  for (const Case& c : cases) {
+    SCOPED_TRACE(c.price + " " + c.weight);
+    Result<size_t> r =
+        LoadCsv(&db_, "P", "name,price,weight,avail\nbolt," + c.price +
+                               "," + c.weight + ",true\n");
+    EXPECT_FALSE(r.ok());
+    if (r.ok()) continue;
+    EXPECT_NE(r.status().message().find(c.what), std::string::npos)
+        << r.status().ToString();
+  }
+  // Underflow toward 0 is not an overflow: the field still loads.
+  Result<size_t> tiny =
+      LoadCsv(&db_, "P", "name,price,weight,avail\nbolt,3,1e-400,true\n");
+  ASSERT_TRUE(tiny.ok()) << tiny.status().ToString();
+}
+
 TEST_F(CsvLoaderTest, NonAtomicColumnsRejected) {
   ASSERT_TRUE(
       db_.CreateTable("S", Type::Tuple({{"c", Type::Set(Type::Int())}}))

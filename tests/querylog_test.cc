@@ -42,8 +42,7 @@ QueryLogRecord SampleRecord() {
   r.stats.joins_hash = 3;
   r.stats.interp_fallback_evals = 5;
   r.roots.push_back(RootEstimate{"semijoin [hash keys=1]", 120.0, 100, 1.2});
-  r.extents.push_back(ExtentEstimate{"SUPPLIER", 25, 50, 2.0});
-  r.max_q = 2.0;
+  r.max_q = 1.2;
   return r;
 }
 
@@ -76,11 +75,7 @@ TEST(QueryLogRecord, JsonRoundTripsThroughStrictReader) {
   EXPECT_EQ(back.roots[0].op, r.roots[0].op);
   EXPECT_DOUBLE_EQ(back.roots[0].est, 120.0);
   EXPECT_EQ(back.roots[0].actual, 100u);
-  ASSERT_EQ(back.extents.size(), 1u);
-  EXPECT_EQ(back.extents[0].extent, "SUPPLIER");
-  EXPECT_EQ(back.extents[0].est, 25u);
-  EXPECT_EQ(back.extents[0].actual, 50u);
-  EXPECT_DOUBLE_EQ(back.max_q, 2.0);
+  EXPECT_DOUBLE_EQ(back.max_q, 1.2);
 }
 
 TEST(QueryLogRecord, ParsesLinesWithTheRetiredBatchKeys) {
@@ -164,6 +159,32 @@ TEST(QueryLogRecord, FromJsonRejectsMalformedInput) {
   EXPECT_FALSE(QueryLogRecord::FromJson("[]", &out));
   EXPECT_FALSE(QueryLogRecord::FromJson("{\"id\":1} trailing", &out));
   EXPECT_FALSE(QueryLogRecord::FromJson("{\"query\":\"unterminated}", &out));
+}
+
+TEST(QueryLogRecord, FromJsonRejectsDeepNesting) {
+  // n2j_logcat feeds FromJson lines from outside the program. A line
+  // nested a million levels deep must be rejected, not overflow the
+  // reader's stack.
+  std::string deep = "{\"id\":" + std::string(1000000, '[');
+  QueryLogRecord out;
+  EXPECT_FALSE(QueryLogRecord::FromJson(deep, &out));
+  std::string closed = "{\"id\":" + std::string(1000, '[') +
+                       std::string(1000, ']') + "}";
+  EXPECT_FALSE(QueryLogRecord::FromJson(closed, &out));
+  // Unknown keys nested a few levels below the record still load.
+  ASSERT_TRUE(QueryLogRecord::FromJson(
+      R"({"id":5,"future":[[{"k":[[1]]}]],"roots":[]})", &out));
+  EXPECT_EQ(out.id, 5u);
+}
+
+TEST(QueryLog, QErrorClampsAndIsSymmetric) {
+  EXPECT_DOUBLE_EQ(QError(10, 10), 1.0);
+  EXPECT_DOUBLE_EQ(QError(10, 5), 2.0);
+  EXPECT_DOUBLE_EQ(QError(5, 10), 2.0);
+  // Zeros clamp to 1 instead of dividing.
+  EXPECT_DOUBLE_EQ(QError(0, 100), 100.0);
+  EXPECT_DOUBLE_EQ(QError(100, 0), 100.0);
+  EXPECT_DOUBLE_EQ(QError(0, 0), 1.0);
 }
 
 TEST(QueryLog, RingWraparoundKeepsNewestRecords) {

@@ -127,17 +127,6 @@ TEST_F(PushdownTest, WholeTupleUseBlocksPushdown) {
   EXPECT_FALSE(r.Fired("PushSelectionIntoJoin(left)")) << r.TraceToString();
 }
 
-TEST_F(PushdownTest, DisabledByOption) {
-  RewriteOptions opts;
-  opts.enable_pushdown = false;
-  ExprPtr e = TranslateOrDie(
-      *db_,
-      "select x from x in X where x.a > 1 and "
-      "(exists y in Y : y.a = x.a)");
-  RewriteResult r = CheckEquivalence(*db_, e, opts);
-  EXPECT_FALSE(r.Fired("PushSelectionIntoJoin(left)"));
-}
-
 TEST_F(PushdownTest, AntiJoinPushdownIsEquivalent) {
   ExprPtr e = TranslateOrDie(
       *db_,
