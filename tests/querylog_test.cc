@@ -78,6 +78,27 @@ TEST(QueryLogRecord, JsonRoundTripsThroughStrictReader) {
   EXPECT_DOUBLE_EQ(back.max_q, 1.2);
 }
 
+// The writer's bytes for a fixed record, pinned before it moved onto the
+// shared JSON writer (common/json.h).
+TEST(QueryLogRecord, ToJsonMatchesGoldenLine) {
+  EXPECT_EQ(
+      SampleRecord().ToJson(),
+      R"({"id":0,"hash":"deadbeefcafef00d",)"
+      R"("query":"select s.sname /* \"q\\uote\" \n \u0001 caf)"
+      "\xc3\xa9" R"( */",)"
+      R"("error":"","strategy":"cost","backend":"shredded","threads":4,)"
+      R"("compiled":false,"wall_ms":12.3457,"translate_ms":0.125,)"
+      R"("rewrite_ms":1.5,"plan_ms":0.375,"eval_ms":10.25,"rows_out":42,)"
+      R"("max_q":1.2,"stats":{"tuples_scanned":1000,"predicate_evals":0,)"
+      R"("hash_inserts":0,"hash_probes":77,"set_sorted_rows":0,)"
+      R"("index_probes":0,"pnhl_partitions":0,"derefs":0,)"
+      R"("nodes_evaluated":0,"compiled_evals":0,"interp_fallback_evals":5,)"
+      R"("joins_nested_loop":0,"joins_hash":3,"joins_index":0,)"
+      R"("joins_membership":0,"vec_pipelines":0,"vec_fallbacks":0},)"
+      R"("roots":[{"op":"semijoin [hash keys=1]","est":120,"actual":100,)"
+      R"("q":1.2}]})");
+}
+
 TEST(QueryLogRecord, ParsesLinesWithTheRetiredBatchKeys) {
   // A line as written before the batch executor and the sort-merge join
   // were removed: it carries "batch" and "vectorized" keys and the
@@ -159,6 +180,49 @@ TEST(QueryLogRecord, FromJsonRejectsMalformedInput) {
   EXPECT_FALSE(QueryLogRecord::FromJson("[]", &out));
   EXPECT_FALSE(QueryLogRecord::FromJson("{\"id\":1} trailing", &out));
   EXPECT_FALSE(QueryLogRecord::FromJson("{\"query\":\"unterminated}", &out));
+}
+
+TEST(QueryLogRecord, FromJsonRejectsMalformedFields) {
+  // Malformed numbers, negative or oversized integers, hashes that are
+  // not 16 hex digits, and known fields of the wrong type.
+  const char* const lines[] = {
+      R"({"id":-})",
+      R"({"id":1.2.3})",
+      R"({"id":+5})",
+      R"({"id":1e})",
+      R"({"id":--7})",
+      R"({"id":-5})",
+      R"({"id":1.5})",
+      R"({"id":18446744073709551616})",
+      R"({"hash":"-1"})",
+      R"({"hash":"zz"})",
+      R"({"hash":"0123"})",
+      R"({"hash":"0123456789abcdef0"})",
+      R"({"hash":5})",
+      R"({"query":5})",
+      R"({"threads":-1})",
+      R"({"threads":4294967296})",
+      R"({"compiled":"yes"})",
+      R"({"wall_ms":"1"})",
+      R"({"rows_out":-1})",
+      R"({"stats":[]})",
+      R"({"stats":{"derefs":1.5}})",
+      R"({"stats":{"derefs":-1}})",
+      R"({"roots":{}})",
+      R"({"roots":[{"op":1}]})",
+      R"({"roots":[{"actual":-1}]})",
+  };
+  for (const char* line : lines) {
+    QueryLogRecord out;
+    EXPECT_TRUE(QueryLogRecord::FromJson(line, &out)) << line;
+  }
+  // Counters above 2^53 lose their low bits in a double.
+  QueryLogRecord out;
+  ASSERT_TRUE(QueryLogRecord::FromJson(
+      R"({"id":9007199254740993,"stats":{"derefs":9007199254740993}})",
+      &out));
+  EXPECT_EQ(out.id, 9007199254740992u);
+  EXPECT_EQ(out.stats.derefs, 9007199254740992u);
 }
 
 TEST(QueryLogRecord, FromJsonRejectsDeepNesting) {
