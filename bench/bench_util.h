@@ -14,6 +14,7 @@
 #include <vector>
 
 #include "adl/printer.h"
+#include "common/json.h"
 #include "common/status.h"
 #include "common/str_util.h"
 #include "core/engine.h"
@@ -125,6 +126,16 @@ inline RewriteResult MustRewrite(const Database& db, const ExprPtr& e,
   return *r;
 }
 
+/// Aborts when writing an output file failed: a silently missing CI
+/// artifact is worse than a red job.
+inline void MustWrite(const Status& st, const char* what) {
+  if (!st.ok()) {
+    std::fprintf(stderr, "%s write failed: %s\n", what,
+                 st.ToString().c_str());
+    std::abort();
+  }
+}
+
 /// RewriteOptions with every pass disabled (pure nested-loop execution);
 /// the simplifier's translation cleanups always run.
 inline RewriteOptions AllRewritesOff() {
@@ -232,8 +243,7 @@ class Trajectory {
                           const TraceCollector& tc) {
     std::vector<OperatorProfileEntry> local;
     for (const TraceSpan& s : tc.spans()) {
-      std::string label = s.op;
-      if (!s.detail.empty()) label += " [" + s.detail + "]";
+      std::string label = s.Label();
       OperatorProfileEntry* entry = nullptr;
       for (OperatorProfileEntry& e : local) {
         if (e.op == label) {
@@ -254,54 +264,38 @@ class Trajectory {
   }
 
   /// Writes the JSON file when --json=<path> was given, and the flight-
-  /// recorder dump when --querylog=<path> was. Aborts on I/O failure: a
-  /// silently missing CI artifact is worse than a red job.
+  /// recorder dump when --querylog=<path> was. Aborts on I/O failure.
   void WriteIfRequested() const {
     DumpQuerylogIfRequested();
     if (path_.empty()) return;
-    std::FILE* f = std::fopen(path_.c_str(), "w");
-    if (f == nullptr) {
-      std::fprintf(stderr, "cannot open %s for writing\n", path_.c_str());
-      std::abort();
-    }
-    std::fprintf(f, "{\n  \"bench\": \"%s\",\n  \"mode\": \"%s\",\n"
-                 "  \"points\": [\n",
-                 bench_.c_str(), BenchModeName());
+    std::string doc;
+    JsonWriter w(&doc);
+    w.BeginObject().Key("bench").String(bench_);
+    w.Key("mode").String(BenchModeName()).Key("points").BeginArray();
     size_t nfields = 0;
     const EvalStatsField* fields = EvalStatsFields(&nfields);
-    for (size_t i = 0; i < points_.size(); ++i) {
-      const TrajectoryPoint& p = points_[i];
-      std::fprintf(f,
-                   "    {\"sweep\": \"%s\", \"variant\": \"%s\", \"n\": %d, "
-                   "\"ms\": %.6f, \"stats\": {",
-                   JsonEscape(p.sweep).c_str(), JsonEscape(p.variant).c_str(),
-                   p.n, p.ms);
+    for (const TrajectoryPoint& p : points_) {
+      w.BeginObject().Key("sweep").String(p.sweep);
+      w.Key("variant").String(p.variant);
+      w.Key("n").U64(static_cast<uint64_t>(p.n));
+      w.Key("ms").Double(p.ms, "%.6f").Key("stats").BeginObject();
       for (size_t k = 0; k < nfields; ++k) {
-        const uint64_t v = p.stats.*fields[k].member;
-        std::fprintf(f, "%s\"%s\": %llu", k > 0 ? ", " : "", fields[k].name,
-                     static_cast<unsigned long long>(v));
+        w.Key(fields[k].name).U64(p.stats.*fields[k].member);
       }
-      std::fprintf(f, "}}%s\n", i + 1 < points_.size() ? "," : "");
+      w.EndObject().EndObject();
     }
-    std::fprintf(f, "  ],\n  \"operator_profile\": [\n");
-    for (size_t i = 0; i < profile_.size(); ++i) {
-      const OperatorProfileEntry& e = profile_[i];
-      std::fprintf(
-          f,
-          "    {\"sweep\": \"%s\", \"variant\": \"%s\", \"n\": %d, "
-          "\"op\": \"%s\", \"count\": %llu, \"exclusive_ms\": %.6f, "
-          "\"rows_out\": %llu}%s\n",
-          JsonEscape(e.sweep).c_str(), JsonEscape(e.variant).c_str(), e.n,
-          // Operator labels carry span detail — predicate text with
-          // string literals ("sname = \"s1\"") — so they MUST be escaped
-          // or the document is invalid JSON.
-          JsonEscape(e.op).c_str(),
-          static_cast<unsigned long long>(e.count), e.exclusive_ms,
-          static_cast<unsigned long long>(e.rows_out),
-          i + 1 < profile_.size() ? "," : "");
+    w.EndArray().Key("operator_profile").BeginArray();
+    for (const OperatorProfileEntry& e : profile_) {
+      w.BeginObject().Key("sweep").String(e.sweep);
+      w.Key("variant").String(e.variant);
+      w.Key("n").U64(static_cast<uint64_t>(e.n));
+      w.Key("op").String(e.op).Key("count").U64(e.count);
+      w.Key("exclusive_ms").Double(e.exclusive_ms, "%.6f");
+      w.Key("rows_out").U64(e.rows_out).EndObject();
     }
-    std::fprintf(f, "  ]\n}\n");
-    std::fclose(f);
+    w.EndArray().EndObject();
+    doc += '\n';
+    MustWrite(WriteFile(path_, doc), "trajectory");
     std::printf("\nwrote %zu trajectory points (%zu profiled operator "
                 "lines) to %s\n",
                 points_.size(), profile_.size(), path_.c_str());
@@ -314,12 +308,7 @@ class Trajectory {
   void DumpQuerylogIfRequested() const {
     if (querylog_path_.empty()) return;
     obs::QueryLog& qlog = obs::QueryLog::Global();
-    Status st = qlog.DumpJsonl(querylog_path_);
-    if (!st.ok()) {
-      std::fprintf(stderr, "querylog dump failed: %s\n",
-                   st.ToString().c_str());
-      std::abort();
-    }
+    MustWrite(qlog.DumpJsonl(querylog_path_), "querylog");
     std::printf("wrote %zu query-log records to %s\n",
                 qlog.Snapshot().size(), querylog_path_.c_str());
   }
@@ -350,12 +339,8 @@ inline void ProfileOnce(Trajectory* traj, const Database& db,
   MustEval(db, e, opts);
   traj->AddOperatorProfile(sweep, variant, n, tc);
   if (write_chrome_trace && !traj->chrome_trace_path().empty()) {
-    Status st = WriteChromeTrace(tc, traj->chrome_trace_path());
-    if (!st.ok()) {
-      std::fprintf(stderr, "chrome trace write failed: %s\n",
-                   st.ToString().c_str());
-      std::abort();
-    }
+    MustWrite(WriteChromeTrace(tc, traj->chrome_trace_path()),
+              "chrome trace");
     std::printf("wrote chrome trace to %s\n",
                 traj->chrome_trace_path().c_str());
   }

@@ -26,34 +26,6 @@ std::vector<std::string> Split(std::string_view s, char sep) {
   return out;
 }
 
-void AppendJsonEscaped(std::string* out, std::string_view s) {
-  for (char c : s) {
-    switch (c) {
-      case '"': *out += "\\\""; break;
-      case '\\': *out += "\\\\"; break;
-      case '\b': *out += "\\b"; break;
-      case '\f': *out += "\\f"; break;
-      case '\n': *out += "\\n"; break;
-      case '\r': *out += "\\r"; break;
-      case '\t': *out += "\\t"; break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          *out += StrFormat("\\u%04x", static_cast<unsigned>(
-                                           static_cast<unsigned char>(c)));
-        } else {
-          *out += c;
-        }
-    }
-  }
-}
-
-std::string JsonEscape(std::string_view s) {
-  std::string out;
-  out.reserve(s.size());
-  AppendJsonEscaped(&out, s);
-  return out;
-}
-
 std::string StrFormat(const char* fmt, ...) {
   va_list args;
   va_start(args, fmt);

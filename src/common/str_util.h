@@ -24,18 +24,6 @@ bool EndsWith(std::string_view s, std::string_view suffix);
 /// Repeats `s` `n` times.
 std::string Repeat(std::string_view s, int n);
 
-/// Appends `s` to `*out` escaped as the contents of a JSON string per
-/// RFC 8259: `"` and `\` are backslash-escaped, the control characters
-/// with short forms use them (\b \f \n \r \t), every other byte < 0x20
-/// becomes \u00XX. Bytes >= 0x20 (including UTF-8 continuation bytes)
-/// pass through unchanged. Shared by every JSON writer in the tree
-/// (Chrome traces, bench trajectories) so none of them can emit invalid
-/// JSON for a hostile operator or extent name.
-void AppendJsonEscaped(std::string* out, std::string_view s);
-
-/// Returns `s` JSON-escaped (convenience wrapper over AppendJsonEscaped).
-std::string JsonEscape(std::string_view s);
-
 /// 64-bit FNV-1a hash, used as the base of all hash tables in the library.
 uint64_t Fnv1a(const void* data, size_t len, uint64_t seed = 1469598103934665603ULL);
 

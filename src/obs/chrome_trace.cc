@@ -1,7 +1,6 @@
 #include "obs/chrome_trace.h"
 
-#include <cstdio>
-
+#include "common/json.h"
 #include "common/str_util.h"
 #include "obs/trace.h"
 
@@ -13,107 +12,68 @@ namespace {
 constexpr int kPid = 1;
 constexpr int kEvaluatorTid = 0;
 
-// RFC 8259 string escaping, shared with every other JSON writer
-// (common/str_util.h). The local switch this replaced lacked the \b \f
-// \r short forms and formatted \u with a (possibly signed) char.
-void AppendEscaped(std::string* out, const std::string& s) {
-  AppendJsonEscaped(out, s);
-}
-
-void AppendMetadata(std::string* out, const char* what, int tid,
+void AppendMetadata(JsonWriter* w, const char* what, int tid,
                     const std::string& name) {
-  *out += StrFormat(
-      "{\"name\":\"%s\",\"ph\":\"M\",\"pid\":%d,\"tid\":%d,"
-      "\"args\":{\"name\":\"",
-      what, kPid, tid);
-  AppendEscaped(out, name);
-  *out += "\"}},\n";
+  w->BeginObject().Key("name").String(what).Key("ph").String("M");
+  w->Key("pid").U64(kPid).Key("tid").U64(static_cast<uint64_t>(tid));
+  w->Key("args").BeginObject().Key("name").String(name).EndObject();
+  w->EndObject();
 }
 
-// One complete ("X") event. `ts`/`dur` are microseconds; trace_event
+// Opens one complete ("X") event and its args object; the caller adds
+// the args and closes both. `ts`/`dur` are microseconds; trace_event
 // accepts fractional values, so we keep nanosecond precision.
-void AppendComplete(std::string* out, const std::string& name, int tid,
-                    int64_t start_ns, int64_t end_ns, int64_t base_ns,
-                    const std::string& args_json) {
-  *out += "{\"name\":\"";
-  AppendEscaped(out, name);
-  *out += StrFormat("\",\"ph\":\"X\",\"pid\":%d,\"tid\":%d", kPid, tid);
-  *out += StrFormat(",\"ts\":%.3f",
-                    static_cast<double>(start_ns - base_ns) / 1e3);
-  *out += StrFormat(",\"dur\":%.3f",
-                    static_cast<double>(end_ns - start_ns) / 1e3);
-  if (!args_json.empty()) *out += ",\"args\":{" + args_json + "}";
-  *out += "},\n";
+void BeginComplete(JsonWriter* w, std::string_view name, int tid,
+                   int64_t start_ns, int64_t end_ns, int64_t base_ns) {
+  w->BeginObject().Key("name").String(name).Key("ph").String("X");
+  w->Key("pid").U64(kPid).Key("tid").U64(static_cast<uint64_t>(tid));
+  w->Key("ts").Double(static_cast<double>(start_ns - base_ns) / 1e3, "%.3f");
+  w->Key("dur").Double(static_cast<double>(end_ns - start_ns) / 1e3, "%.3f");
+  w->Key("args").BeginObject();
 }
 
 }  // namespace
 
 std::string ChromeTraceJson(const TraceCollector& trace) {
-  std::string out = "{\"traceEvents\":[\n";
-  AppendMetadata(&out, "process_name", kEvaluatorTid, "n2j query");
-  AppendMetadata(&out, "thread_name", kEvaluatorTid, "evaluator");
+  std::string out;
+  JsonWriter w(&out);
+  w.BeginObject().Key("traceEvents").BeginArray();
+  AppendMetadata(&w, "process_name", kEvaluatorTid, "n2j query");
+  AppendMetadata(&w, "thread_name", kEvaluatorTid, "evaluator");
 
   int max_worker = -1;
-  for (const WorkerSpan& w : trace.worker_spans()) {
-    if (w.worker > max_worker) max_worker = w.worker;
+  for (const WorkerSpan& ws : trace.worker_spans()) {
+    if (ws.worker > max_worker) max_worker = ws.worker;
   }
-  for (int w = 0; w <= max_worker; ++w) {
-    AppendMetadata(&out, "thread_name", 1 + w, StrFormat("worker %d", w));
+  for (int i = 0; i <= max_worker; ++i) {
+    AppendMetadata(&w, "thread_name", 1 + i, StrFormat("worker %d", i));
   }
 
   for (const TraceSpan& s : trace.spans()) {
-    std::string name = s.op;
-    if (!s.detail.empty()) name += " [" + s.detail + "]";
-    std::string args = StrFormat(
-        "\"rows_in\":%llu,\"rows_out\":%llu",
-        static_cast<unsigned long long>(s.rows_in),
-        static_cast<unsigned long long>(s.rows_out));
-    if (s.rows_build > 0) {
-      args += StrFormat(",\"rows_build\":%llu",
-                        static_cast<unsigned long long>(s.rows_build));
-    }
-    if (s.peak_hash_size > 0) {
-      args += StrFormat(",\"peak_hash\":%llu",
-                        static_cast<unsigned long long>(s.peak_hash_size));
-    }
+    BeginComplete(&w, s.Label(), kEvaluatorTid, s.start_ns, s.end_ns,
+                  trace.base_ns());
+    w.Key("rows_in").U64(s.rows_in).Key("rows_out").U64(s.rows_out);
+    if (s.rows_build > 0) w.Key("rows_build").U64(s.rows_build);
+    if (s.peak_hash_size > 0) w.Key("peak_hash").U64(s.peak_hash_size);
     std::string stats = s.exclusive.Compact();
-    if (!stats.empty()) {
-      args += ",\"stats\":\"";
-      AppendEscaped(&args, stats);
-      args += "\"";
-    }
-    AppendComplete(&out, name, kEvaluatorTid, s.start_ns, s.end_ns,
-                   trace.base_ns(), args);
+    if (!stats.empty()) w.Key("stats").String(stats);
+    w.EndObject().EndObject();
   }
 
-  for (const WorkerSpan& w : trace.worker_spans()) {
-    std::string args =
-        StrFormat("\"morsel\":%zu", static_cast<size_t>(w.morsel));
-    AppendComplete(&out, w.phase, 1 + w.worker, w.start_ns, w.end_ns,
-                   trace.base_ns(), args);
+  for (const WorkerSpan& ws : trace.worker_spans()) {
+    BeginComplete(&w, ws.phase, 1 + ws.worker, ws.start_ns, ws.end_ns,
+                  trace.base_ns());
+    w.Key("morsel").U64(ws.morsel).EndObject().EndObject();
   }
 
-  // Strip the trailing ",\n" so the array is valid JSON.
-  if (out.size() >= 2 && out[out.size() - 2] == ',') {
-    out.erase(out.size() - 2, 1);
-  }
-  out += "],\"displayTimeUnit\":\"ms\"}\n";
+  w.EndArray().Key("displayTimeUnit").String("ms").EndObject();
+  out += '\n';
   return out;
 }
 
 Status WriteChromeTrace(const TraceCollector& trace,
                         const std::string& path) {
-  std::string json = ChromeTraceJson(trace);
-  std::FILE* f = std::fopen(path.c_str(), "w");
-  if (f == nullptr) {
-    return Status::RuntimeError("cannot open trace file: " + path);
-  }
-  size_t written = std::fwrite(json.data(), 1, json.size(), f);
-  std::fclose(f);
-  if (written != json.size()) {
-    return Status::RuntimeError("short write to trace file: " + path);
-  }
-  return Status::OK();
+  return WriteFile(path, ChromeTraceJson(trace));
 }
 
 }  // namespace n2j

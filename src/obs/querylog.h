@@ -79,8 +79,9 @@ struct QueryLogRecord {
 
   /// One RFC 8259 object, single line, no trailing newline.
   std::string ToJson() const;
-  /// Parses one ToJson line. Returns false on malformed input; unknown
-  /// keys are ignored so the format can grow.
+  /// Parses one ToJson line. Returns false on malformed input or a known
+  /// field of the wrong type or out of range; unknown keys are ignored
+  /// so the format can grow, and missing ones keep their defaults.
   static bool FromJson(const std::string& line, QueryLogRecord* out);
 };
 

@@ -100,8 +100,7 @@ std::vector<NodeEstimate> TraceCollector::EstimatesByPlanNode() const {
     if (s.est_rows < 0.0) continue;
     auto [it, fresh] = index.emplace(s.plan_node, out.size());
     if (fresh) {
-      out.push_back(
-          {s.detail.empty() ? s.op : s.op + " [" + s.detail + "]", 0, 0.0, 0});
+      out.push_back({s.Label(), 0, 0.0, 0});
     }
     NodeEstimate& e = out[it->second];
     ++e.loops;
@@ -169,10 +168,7 @@ std::string TraceCollector::Render(const TraceRenderOptions& opts) const {
           }
           Line line;
           line.label.assign(static_cast<size_t>(depth) * 2, ' ');
-          line.label += first.op;
-          if (!first.detail.empty()) {
-            line.label += " [" + first.detail + "]";
-          }
+          line.label += first.Label();
           std::string& rest = line.rest;
           if (members.size() > 1) {
             rest += StrFormat("loops=%zu ", members.size());

@@ -63,6 +63,11 @@ struct TraceSpan {
 
   int64_t inclusive_ns() const { return end_ns - start_ns; }
   int64_t exclusive_ns() const { return inclusive_ns() - child_ns; }
+  /// "op [detail]", or just "op" without a detail: the name profiles,
+  /// EXPLAIN ANALYZE and Chrome traces show.
+  std::string Label() const {
+    return detail.empty() ? op : op + " [" + detail + "]";
+  }
 };
 
 /// One morsel executed by a pool worker (or a serial PNHL segment).

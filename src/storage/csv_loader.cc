@@ -64,13 +64,28 @@ std::vector<std::string> SplitRecords(const std::string& text) {
   return records;
 }
 
+/// `raw` whole for an error message, control bytes (NUL included) and
+/// DEL written as \xHH.
+std::string Printable(const std::string& raw) {
+  std::string out;
+  for (char c : raw) {
+    unsigned char b = static_cast<unsigned char>(c);
+    if (b < 0x20 || b == 0x7f) {
+      out += StrFormat("\\x%02x", b);
+    } else {
+      out += c;
+    }
+  }
+  return out;
+}
+
 Result<Value> CoerceField(const std::string& raw, const Type& type,
                           const CsvOptions& options, size_t record,
                           const std::string& column) {
   auto bad = [&](const char* what) {
     return Status::InvalidArgument(
-        StrFormat("record %zu, column '%s': cannot parse '%s' as %s",
-                  record, column.c_str(), raw.c_str(), what));
+        StrFormat("record %zu, column '%s': cannot parse '%s' as %s", record,
+                  column.c_str(), Printable(raw).c_str(), what));
   };
   if (raw.empty() && options.empty_as_null && !type.is_string()) {
     return Value::Null();

@@ -1,31 +1,53 @@
-// Chrome trace escaping regression (ISSUE 7 satellite): operator span
-// names carry free-form detail — predicate text with string literals,
-// extent names, annotations — so ChromeTraceJson must escape per RFC
-// 8259 or one hostile name invalidates the whole document. Pinned by a
-// round trip: render a trace whose span detail holds every escape
-// class, parse the document with the strict JSON reader
-// (tests/test_util.h), and require the decoded name to reproduce the
-// original bytes exactly.
+// Chrome trace escaping regression: operator span names carry free-form
+// detail — predicate text with string literals, extent names,
+// annotations — so ChromeTraceJson must escape per RFC 8259 or one
+// hostile name invalidates the whole document. Pinned by a round trip:
+// render a trace whose span detail holds every escape class, parse the
+// document with the strict JSON reader (common/json.h, pinned on its own
+// by json_test), and require the decoded name to reproduce the original
+// bytes exactly.
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cstdint>
 #include <cstdio>
 #include <memory>
 #include <string>
 #include <vector>
 
-#include "common/str_util.h"
+#include "common/json.h"
 #include "core/engine.h"
 #include "obs/chrome_trace.h"
+#include "obs/querylog.h"
 #include "obs/trace.h"
 #include "storage/database.h"
 #include "storage/datagen.h"
-#include "tests/test_util.h"
 
 namespace n2j {
 namespace {
 
-using testutil::JsonReader;
+// Parses a Chrome trace document and returns its event names, checking
+// that every event carries the string `name` and `ph` and the integer
+// `pid` and `tid` that trace_event needs.
+std::vector<std::string> EventNames(const std::string& json) {
+  std::vector<std::string> names;
+  JsonValue doc;
+  EXPECT_TRUE(ParseJson(json, &doc)) << json;
+  const JsonValue* events = doc.Find("traceEvents");
+  EXPECT_NE(events, nullptr) << json;
+  if (events == nullptr) return names;
+  for (const JsonValue& e : events->items) {
+    std::string name, ph;
+    uint64_t id = 0;
+    EXPECT_TRUE(e.Find("name") && e.Find("ph") && e.Find("pid") &&
+                e.Find("tid") && e.Get("name", &name) && e.Get("ph", &ph) &&
+                e.Get("pid", &id) && e.Get("tid", &id))
+        << "event " << names.size() << " lacks name/ph/pid/tid";
+    names.push_back(name);
+  }
+  return names;
+}
 
 // Every escape class in one name: quote, backslash, the five short
 // escapes, a sub-0x20 control byte, a DEL byte, and multi-byte UTF-8.
@@ -45,16 +67,11 @@ TEST(ChromeTrace, HostileSpanNameRoundTrips) {
   }
   std::string json = ChromeTraceJson(tc);
 
-  JsonReader reader(json);
-  ASSERT_TRUE(reader.ParseDocument()) << json;
-
   // The decoded span name must reproduce the hostile bytes exactly.
   std::string want = std::string("select [") + kHostile + "]";
-  bool found = false;
-  for (const std::string& s : reader.strings()) {
-    if (s == want) found = true;
-  }
-  EXPECT_TRUE(found) << "decoded strings lost the hostile name:\n" << json;
+  std::vector<std::string> names = EventNames(json);
+  EXPECT_NE(std::find(names.begin(), names.end(), want), names.end())
+      << "decoded names lost the hostile name:\n" << json;
 }
 
 TEST(ChromeTrace, TracedJoinQueryStaysValidJson) {
@@ -75,29 +92,32 @@ TEST(ChromeTrace, TracedJoinQueryStaysValidJson) {
   ASSERT_TRUE(r.ok()) << r.status().ToString();
 
   std::string json = ChromeTraceJson(tc);
-  JsonReader reader(json);
-  ASSERT_TRUE(reader.ParseDocument()) << json;
 
   // Span details made it into the document (the name carries the
   // "op [detail]" form the profile renderer uses).
   bool saw_detail = false;
-  for (const std::string& s : reader.strings()) {
-    if (s.find(" [") != std::string::npos) saw_detail = true;
+  for (const std::string& name : EventNames(json)) {
+    if (name.find(" [") != std::string::npos) saw_detail = true;
   }
   EXPECT_TRUE(saw_detail) << json;
 }
 
-TEST(ChromeTrace, JsonEscapeHelperMatchesRfc8259) {
-  EXPECT_EQ(JsonEscape("plain"), "plain");
-  EXPECT_EQ(JsonEscape("a\"b"), "a\\\"b");
-  EXPECT_EQ(JsonEscape("a\\b"), "a\\\\b");
-  EXPECT_EQ(JsonEscape("\b\f\n\r\t"), "\\b\\f\\n\\r\\t");
-  EXPECT_EQ(JsonEscape(std::string("\x01", 1)), "\\u0001");
-  EXPECT_EQ(JsonEscape(std::string("\x1f", 1)), "\\u001f");
-  // DEL and UTF-8 continuation bytes pass through untouched (valid in
-  // JSON strings); a signed-char formatter would mangle them.
-  EXPECT_EQ(JsonEscape("\x7f"), "\x7f");
-  EXPECT_EQ(JsonEscape("\xc3\xa9"), "\xc3\xa9");
+// fclose is where a buffered write to a full disk fails; the trace and
+// the query log must both report it, as they report a failed open.
+TEST(ChromeTrace, WritesToAFullDeviceFail) {
+  TraceCollector tc;
+  EvalStats zero;
+  { OpSpan root(&tc, zero, "query"); }
+  EXPECT_FALSE(WriteChromeTrace(tc, "/nonexistent-dir/t.json").ok());
+  if (std::FILE* f = std::fopen("/dev/full", "w")) {
+    std::fclose(f);
+  } else {
+    GTEST_SKIP() << "no /dev/full";
+  }
+  EXPECT_FALSE(WriteChromeTrace(tc, "/dev/full").ok());
+  obs::QueryLog log(4);
+  log.Append(obs::QueryLogRecord());
+  EXPECT_FALSE(log.DumpJsonl("/dev/full").ok());
 }
 
 }  // namespace

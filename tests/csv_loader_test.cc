@@ -104,10 +104,11 @@ TEST_F(CsvLoaderTest, NumbersMustFillTheFieldAndFitTheType) {
     std::string price, weight, what;
   };
   const Case cases[] = {
-      {"99999999999999999999", "0.5", "as int"},
-      {std::string("12\0x", 4), "0.5", "as int"},
-      {"3", "1e999", "as double"},
-      {"3", "-1e999", "as double"},
+      {"99999999999999999999", "0.5", "'99999999999999999999' as int"},
+      // The message shows the whole field, its NUL byte escaped.
+      {std::string("12\0x", 4), "0.5", "'12\\x00x' as int"},
+      {"3", "1e999", "'1e999' as double"},
+      {"3", "-1e999", "'-1e999' as double"},
   };
   for (const Case& c : cases) {
     SCOPED_TRACE(c.price + " " + c.weight);

@@ -6,9 +6,12 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cstdint>
 #include <string>
 #include <vector>
 
+#include "common/json.h"
 #include "core/engine.h"
 #include "obs/chrome_trace.h"
 #include "obs/metrics.h"
@@ -347,20 +350,33 @@ TEST_F(ExplainAnalyzeTest, ChromeTraceHasOperatorAndWorkerTracks) {
   ASSERT_FALSE(tc.worker_spans().empty());
 
   std::string json = ChromeTraceJson(tc);
-  EXPECT_NE(json.find("\"traceEvents\""), std::string::npos);
-  EXPECT_NE(json.find("\"evaluator\""), std::string::npos);
-  EXPECT_NE(json.find("\"worker 0\""), std::string::npos);
-  EXPECT_NE(json.find("\"ph\":\"X\""), std::string::npos);
-  // Every operator span and worker morsel became one complete event.
+  JsonValue doc;
+  ASSERT_TRUE(ParseJson(json, &doc)) << json;
+  const JsonValue* events = doc.Find("traceEvents");
+  ASSERT_NE(events, nullptr) << json;
   size_t x_events = 0;
-  for (size_t pos = 0; (pos = json.find("\"ph\":\"X\"", pos)) !=
-                       std::string::npos;
-       ++pos) {
-    ++x_events;
+  bool saw_tid1 = false;
+  std::vector<std::string> track_names;
+  for (const JsonValue& e : events->items) {
+    std::string ph, track;
+    uint64_t tid = 0;
+    ASSERT_TRUE(e.Get("ph", &ph) && e.Get("tid", &tid)) << json;
+    if (ph == "X") ++x_events;
+    if (tid == 1) saw_tid1 = true;
+    const JsonValue* args = e.Find("args");
+    if (ph == "M" && args != nullptr && args->Get("name", &track)) {
+      track_names.push_back(track);
+    }
   }
+  for (const char* track : {"evaluator", "worker 0"}) {
+    EXPECT_NE(std::find(track_names.begin(), track_names.end(), track),
+              track_names.end())
+        << track;
+  }
+  // Every operator span and worker morsel became one complete event.
   EXPECT_EQ(x_events, tc.spans().size() + tc.worker_spans().size());
   // Worker morsels land on tids 1+w, separate from the evaluator's 0.
-  EXPECT_NE(json.find("\"tid\":1"), std::string::npos);
+  EXPECT_TRUE(saw_tid1);
 }
 
 TEST_F(ExplainAnalyzeTest, MetricsRegistryCountsQueries) {

@@ -9,6 +9,7 @@
 #include <thread>
 #include <vector>
 
+#include "common/json.h"
 #include "common/thread_pool.h"
 #include "core/engine.h"
 #include "obs/querylog.h"
@@ -17,8 +18,6 @@
 namespace n2j {
 namespace obs {
 namespace {
-
-using testutil::JsonReader;
 
 QueryLogRecord SampleRecord() {
   QueryLogRecord r;
@@ -50,9 +49,13 @@ TEST(QueryLogRecord, JsonRoundTripsThroughStrictReader) {
   QueryLogRecord r = SampleRecord();
   std::string line = r.ToJson();
 
-  // The line must be a valid RFC 8259 document on its own.
-  JsonReader reader(line);
-  ASSERT_TRUE(reader.ParseDocument()) << line;
+  // The line must be a valid RFC 8259 document on its own, whose query
+  // decodes byte for byte.
+  JsonValue doc;
+  std::string query;
+  ASSERT_TRUE(ParseJson(line, &doc)) << line;
+  EXPECT_TRUE(doc.Find("query") && doc.Get("query", &query));
+  EXPECT_EQ(query, r.query);
 
   QueryLogRecord back;
   ASSERT_TRUE(QueryLogRecord::FromJson(line, &back)) << line;
@@ -214,15 +217,17 @@ TEST(QueryLogRecord, FromJsonRejectsMalformedFields) {
   };
   for (const char* line : lines) {
     QueryLogRecord out;
-    EXPECT_TRUE(QueryLogRecord::FromJson(line, &out)) << line;
+    EXPECT_FALSE(QueryLogRecord::FromJson(line, &out)) << line;
   }
-  // Counters above 2^53 lose their low bits in a double.
+  // Integers read exactly, above 2^53 and up to UINT64_MAX.
   QueryLogRecord out;
   ASSERT_TRUE(QueryLogRecord::FromJson(
-      R"({"id":9007199254740993,"stats":{"derefs":9007199254740993}})",
+      R"({"id":9007199254740993,"hash":"FFFFFFFFFFFFFFFE",)"
+      R"("stats":{"derefs":18446744073709551615}})",
       &out));
-  EXPECT_EQ(out.id, 9007199254740992u);
-  EXPECT_EQ(out.stats.derefs, 9007199254740992u);
+  EXPECT_EQ(out.id, 9007199254740993u);
+  EXPECT_EQ(out.query_hash, 0xfffffffffffffffeULL);
+  EXPECT_EQ(out.stats.derefs, UINT64_MAX);
 }
 
 TEST(QueryLogRecord, FromJsonRejectsDeepNesting) {

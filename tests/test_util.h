@@ -116,153 +116,6 @@ inline std::vector<CorpusCase> LoadCorpus() {
   return cases;
 }
 
-/// Minimal strict RFC 8259 reader: validates a full document and
-/// collects every decoded string value/key. No dependency, no leniency —
-/// a lenient parser would defeat the point of the JSON-shape tests
-/// (chrome_trace_test.cc, querylog_test.cc) that use it.
-class JsonReader {
- public:
-  explicit JsonReader(const std::string& s) : s_(s) {}
-
-  bool ParseDocument() {
-    SkipWs();
-    if (!ParseValue()) return false;
-    SkipWs();
-    return pos_ == s_.size();
-  }
-
-  const std::vector<std::string>& strings() const { return strings_; }
-
- private:
-  void SkipWs() {
-    while (pos_ < s_.size() && (s_[pos_] == ' ' || s_[pos_] == '\t' ||
-                                s_[pos_] == '\n' || s_[pos_] == '\r')) {
-      ++pos_;
-    }
-  }
-  bool Literal(const char* lit) {
-    size_t n = std::string(lit).size();
-    if (s_.compare(pos_, n, lit) != 0) return false;
-    pos_ += n;
-    return true;
-  }
-  bool ParseValue() {
-    if (pos_ >= s_.size()) return false;
-    switch (s_[pos_]) {
-      case '{': return ParseObject();
-      case '[': return ParseArray();
-      case '"': return ParseString();
-      case 't': return Literal("true");
-      case 'f': return Literal("false");
-      case 'n': return Literal("null");
-      default: return ParseNumber();
-    }
-  }
-  bool ParseObject() {
-    ++pos_;  // '{'
-    SkipWs();
-    if (pos_ < s_.size() && s_[pos_] == '}') { ++pos_; return true; }
-    while (true) {
-      SkipWs();
-      if (pos_ >= s_.size() || s_[pos_] != '"' || !ParseString()) {
-        return false;
-      }
-      SkipWs();
-      if (pos_ >= s_.size() || s_[pos_++] != ':') return false;
-      SkipWs();
-      if (!ParseValue()) return false;
-      SkipWs();
-      if (pos_ >= s_.size()) return false;
-      if (s_[pos_] == ',') { ++pos_; continue; }
-      if (s_[pos_] == '}') { ++pos_; return true; }
-      return false;
-    }
-  }
-  bool ParseArray() {
-    ++pos_;  // '['
-    SkipWs();
-    if (pos_ < s_.size() && s_[pos_] == ']') { ++pos_; return true; }
-    while (true) {
-      SkipWs();
-      if (!ParseValue()) return false;
-      SkipWs();
-      if (pos_ >= s_.size()) return false;
-      if (s_[pos_] == ',') { ++pos_; continue; }
-      if (s_[pos_] == ']') { ++pos_; return true; }
-      return false;
-    }
-  }
-  bool ParseString() {
-    ++pos_;  // '"'
-    std::string out;
-    while (pos_ < s_.size()) {
-      unsigned char c = static_cast<unsigned char>(s_[pos_]);
-      if (c == '"') {
-        ++pos_;
-        strings_.push_back(out);
-        return true;
-      }
-      if (c < 0x20) return false;  // raw control char: invalid JSON
-      if (c == '\\') {
-        ++pos_;
-        if (pos_ >= s_.size()) return false;
-        char e = s_[pos_++];
-        switch (e) {
-          case '"': out += '"'; break;
-          case '\\': out += '\\'; break;
-          case '/': out += '/'; break;
-          case 'b': out += '\b'; break;
-          case 'f': out += '\f'; break;
-          case 'n': out += '\n'; break;
-          case 'r': out += '\r'; break;
-          case 't': out += '\t'; break;
-          case 'u': {
-            if (pos_ + 4 > s_.size()) return false;
-            unsigned int cp = 0;
-            for (int i = 0; i < 4; ++i) {
-              char h = s_[pos_++];
-              cp <<= 4;
-              if (h >= '0' && h <= '9') {
-                cp += static_cast<unsigned>(h - '0');
-              } else if (h >= 'a' && h <= 'f') {
-                cp += 10u + static_cast<unsigned>(h - 'a');
-              } else if (h >= 'A' && h <= 'F') {
-                cp += 10u + static_cast<unsigned>(h - 'A');
-              } else {
-                return false;
-              }
-            }
-            // The library's writers only emit \u00xx for control bytes.
-            if (cp > 0xFF) return false;
-            out += static_cast<char>(cp);
-            break;
-          }
-          default: return false;
-        }
-        continue;
-      }
-      out += static_cast<char>(c);
-      ++pos_;
-    }
-    return false;  // unterminated
-  }
-  bool ParseNumber() {
-    size_t start = pos_;
-    if (pos_ < s_.size() && s_[pos_] == '-') ++pos_;
-    while (pos_ < s_.size() &&
-           ((s_[pos_] >= '0' && s_[pos_] <= '9') || s_[pos_] == '.' ||
-            s_[pos_] == 'e' || s_[pos_] == 'E' || s_[pos_] == '+' ||
-            s_[pos_] == '-')) {
-      ++pos_;
-    }
-    return pos_ > start;
-  }
-
-  const std::string& s_;
-  size_t pos_ = 0;
-  std::vector<std::string> strings_;
-};
-
 /// True if the expression still has a base table below an iterator's
 /// parameter expression (i.e. nested-loop residue). The paper's goal is
 /// to make this false.
